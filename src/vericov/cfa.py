@@ -68,12 +68,6 @@ class Cfa:
                 self._out[n].sort(key=lambda e: e.stmt.id)
         return self._out[node]
 
-    def statement_by_id(self, stmt_id: int) -> Edge:
-        for e in self.edges:
-            if e.stmt.id == stmt_id:
-                return e
-        raise KeyError(stmt_id)
-
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on violation."""
         node_set = set(self.nodes)

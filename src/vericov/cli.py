@@ -24,7 +24,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
@@ -46,7 +46,8 @@ STRATEGIES = ("bfs", "dfs-postorder", "dfs-postorder+score")
 
 @dataclass
 class RunConfig:
-    """Everything one invocation needs; defaults match the documentation."""
+    """Everything one invocation needs.  The parser takes its defaults from
+    here, so each is written once."""
 
     command: str
     program: str
@@ -177,22 +178,14 @@ def _print_report(report: coverage.CoverageReport, fmt: str) -> None:
         sys.stdout.write(report.to_text())
 
 
-def _cmd_cover_exact(config: RunConfig) -> int:
+def _cmd_cover(config: RunConfig) -> int:
     cfa = _load_cfa(config)
     aa = _load_aa(config, cfa)
-    report = coverage.exact_coverage(cfa, aa, _budget(config),
-                                     nondet_domain=_domain(config))
-    _print_report(report, config.format)
-    return EXIT_OK
-
-
-def _cmd_cover_under(config: RunConfig) -> int:
-    cfa = _load_cfa(config)
-    aa = _load_aa(config, cfa)
+    metric = (coverage.exact_coverage if config.command == "cover-exact"
+              else coverage.under_approx_coverage)
     strategy = _strategy(config, cfa, aa)
-    report = coverage.under_approx_coverage(cfa, aa, _budget(config),
-                                            strategy=strategy,
-                                            nondet_domain=_domain(config))
+    report = metric(cfa, aa, _budget(config), strategy=strategy,
+                    nondet_domain=_domain(config))
     _print_report(report, config.format)
     return EXIT_BUG if report.bug_found else EXIT_OK
 
@@ -217,8 +210,8 @@ def _cmd_score(config: RunConfig) -> int:
 _COMMANDS = {
     "cfa-dump": _cmd_cfa_dump,
     "verify": _cmd_verify,
-    "cover-exact": _cmd_cover_exact,
-    "cover-under": _cmd_cover_under,
+    "cover-exact": _cmd_cover,
+    "cover-under": _cmd_cover,
     "score": _cmd_score,
 }
 
@@ -245,26 +238,32 @@ def run(config: RunConfig) -> int:
 
 
 def _add_budget_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--time-limit", type=float, default=900.0,
-                        metavar="SECONDS",
+    parser.add_argument("--time-limit", type=float,
+                        default=RunConfig.time_limit, metavar="SECONDS",
                         help="soft time budget; 0 or less means unlimited"
-                             " (default: 900)")
-    parser.add_argument("--max-nodes", type=int, default=0, metavar="N",
+                             " (default: %(default)s)")
+    parser.add_argument("--max-nodes", type=int, default=RunConfig.max_nodes,
+                        metavar="N",
                         help="stop after creating N tree nodes; 0 means"
-                             " unlimited (default: unlimited)")
-    parser.add_argument("--max-cex", type=int, default=10, metavar="N",
+                             " unlimited (default: %(default)s)")
+    parser.add_argument("--max-cex", type=int, default=RunConfig.max_cex,
+                        metavar="N",
                         help="keep at most N counterexamples / executions"
-                             " (default: 10)")
-    parser.add_argument("--nondet-min", type=int, default=-8, metavar="INT",
-                        help="smallest value tried for nondet() (default: -8)")
-    parser.add_argument("--nondet-max", type=int, default=8, metavar="INT",
-                        help="largest value tried for nondet() (default: 8)")
+                             " (default: %(default)s)")
+    parser.add_argument("--nondet-min", type=int,
+                        default=RunConfig.nondet_min, metavar="INT",
+                        help="smallest value tried for nondet()"
+                             " (default: %(default)s)")
+    parser.add_argument("--nondet-max", type=int,
+                        default=RunConfig.nondet_max, metavar="INT",
+                        help="largest value tried for nondet()"
+                             " (default: %(default)s)")
 
 
 def _add_format_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "structured"),
-                        default="text",
-                        help="output format (default: text)")
+                        default=RunConfig.format,
+                        help="output format (default: %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,10 +279,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the assertion analysis")
     p.add_argument("program")
-    p.add_argument("--strategy", choices=STRATEGIES, default="dfs-postorder")
-    p.add_argument("--aa", dest="aa_in", metavar="FILE", default=None,
+    p.add_argument("--strategy", choices=STRATEGIES,
+                   default=RunConfig.strategy)
+    p.add_argument("--aa", dest="aa_in", metavar="FILE",
                    help="automaton used only to derive strategy scores")
-    p.add_argument("--aa-out", metavar="FILE", default=None,
+    p.add_argument("--aa-out", metavar="FILE",
                    help="write the assumption automaton of the explored"
                         " region here")
     _add_budget_options(p)
@@ -300,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
                                            " generated executions")
     p.add_argument("program")
     p.add_argument("--aa", dest="aa_in", metavar="FILE", required=True)
-    p.add_argument("--strategy", choices=STRATEGIES, default="dfs-postorder")
+    p.add_argument("--strategy", choices=STRATEGIES,
+                   default=RunConfig.strategy)
     _add_budget_options(p)
     _add_format_option(p)
 
@@ -314,12 +315,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command, program=args.program)
-    for name in ("time_limit", "max_nodes", "max_cex", "strategy",
-                 "nondet_min", "nondet_max", "aa_in", "aa_out", "format"):
-        if hasattr(args, name):
-            setattr(config, name, getattr(args, name))
-    return config
+    """The config of the parsed options; options a command lacks keep their
+    `RunConfig` defaults."""
+    return RunConfig(**{f.name: getattr(args, f.name)
+                        for f in fields(RunConfig) if hasattr(args, f.name)})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

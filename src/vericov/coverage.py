@@ -7,12 +7,13 @@ repeatedly asking the explorer for executions that touch still-uncovered
 statements; each round either covers something new or proves the rest
 uncoverable.  Cheaper one-sided answers are also available: an
 under-approximation from a bounded number of generated executions and an
-over-approximation read directly off the automaton.
+over-approximation read off the automaton–CFA product.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -22,6 +23,7 @@ from .cfa import Cfa, statement_ids
 from .explorer import (Budget, DEFAULT_NONDET_DOMAIN,
                        DEFAULT_REPLAY_STEP_LIMIT, Execution, Spec,
                        TraversalStrategy, UNKNOWN, explore, make_strategy)
+from .heuristic import compose
 
 MODE_EXACT = "exact"
 MODE_UNDER = "under"
@@ -133,101 +135,42 @@ def _execution_entry(execution: Execution, newly: Sequence[int]) -> Dict:
     }
 
 
-class _Clock:
-    """Splits one overall time budget across exploration rounds."""
+def _coverage_rounds(mode: str, cfa: Cfa, aa: AssumptionAutomaton,
+                     budget: Budget, strategy: Optional[TraversalStrategy],
+                     nondet_domain: Sequence[int],
+                     replay_step_limit: int) -> CoverageReport:
+    """Rounds of cover-queries, each targeting the still-uncovered statements.
 
-    def __init__(self, limit: Optional[float]):
-        self.limit = limit
-        self.start = time.monotonic()
-
-    def remaining(self) -> Optional[float]:
-        if self.limit is None:
-            return None
-        return self.limit - (time.monotonic() - self.start)
-
-    def expired(self) -> bool:
-        left = self.remaining()
-        return left is not None and left <= 0
-
-
-def exact_coverage(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
-                   strategy: Optional[TraversalStrategy] = None,
-                   nondet_domain: Sequence[int] = DEFAULT_NONDET_DOMAIN,
-                   replay_step_limit: int = DEFAULT_REPLAY_STEP_LIMIT) -> CoverageReport:
-    """Fixpoint over cover-queries: repeat until nothing new is coverable.
-
-    Every round targets only the still-uncovered statements, so each
-    successful round shrinks the target set and the loop runs at most one
-    round per statement.  A round that ends without a verdict leaves the
-    result an under-approximation, flagged via `exhausted`.
+    The modes differ in three ways only.  Exact asks for up to
+    `max_counterexamples` executions per round and runs until nothing new
+    is coverable.  Under asks for one execution per round, stops after
+    `max_counterexamples` recorded executions, and aborts on a confirmed
+    failing assert.
     """
     check_alphabet(aa, statement_ids(cfa))
     if strategy is None:
         strategy = make_strategy("dfs-postorder")
-    clock = _Clock(budget.time_limit)
-    remaining = frozenset(statement_ids(cfa))
-    covered: FrozenSet[int] = frozenset()
-    per_execution: List[Dict] = []
-    exhausted = False
-    rounds = 0
-    while remaining:
-        if clock.expired():
-            exhausted = True
-            break
-        rounds += 1
-        round_budget = Budget(time_limit=clock.remaining(),
-                              max_nodes=budget.max_nodes,
-                              max_counterexamples=budget.max_counterexamples)
-        result = explore(cfa, Spec.cover(remaining, aa), round_budget,
-                         strategy=strategy, nondet_domain=nondet_domain,
-                         replay_step_limit=replay_step_limit)
-        before = covered
-        for execution in result.counterexamples:
-            exercised = exercised_within_analysis(execution.statements, aa)
-            newly = exercised - covered
-            if not newly:
-                continue
-            covered = covered | newly
-            per_execution.append(_execution_entry(execution, newly))
-        if not result.counterexamples:
-            if result.verdict == UNKNOWN:
-                exhausted = True
-            break
-        if covered == before:
-            break
-        remaining = remaining - covered
-    return _make_report(cfa, MODE_EXACT, covered, per_execution,
-                        bug_found=False, exhausted=exhausted, rounds=rounds)
-
-
-def under_approx_coverage(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
-                          strategy: Optional[TraversalStrategy] = None,
-                          nondet_domain: Sequence[int] = DEFAULT_NONDET_DOMAIN,
-                          replay_step_limit: int = DEFAULT_REPLAY_STEP_LIMIT) -> CoverageReport:
-    """One execution per round, at most `max_counterexamples` rounds.
-
-    Watches assertions while exploring: a confirmed failing assert aborts
-    the whole computation and the report carries `bug_found`.
-    """
-    check_alphabet(aa, statement_ids(cfa))
-    if strategy is None:
-        strategy = make_strategy("dfs-postorder")
-    clock = _Clock(budget.time_limit)
+    under = mode == MODE_UNDER
+    per_round = 1 if under else budget.max_counterexamples
+    cap = budget.max_counterexamples if under else math.inf
+    deadline = (None if budget.time_limit is None
+                else time.monotonic() + budget.time_limit)
     remaining = frozenset(statement_ids(cfa))
     covered: FrozenSet[int] = frozenset()
     per_execution: List[Dict] = []
     exhausted = False
     bug_found = False
     rounds = 0
-    while remaining and len(per_execution) < budget.max_counterexamples:
-        if clock.expired():
+    while remaining and len(per_execution) < cap:
+        left = None if deadline is None else deadline - time.monotonic()
+        if left is not None and left <= 0:
             exhausted = True
             break
         rounds += 1
-        round_budget = Budget(time_limit=clock.remaining(),
-                              max_nodes=budget.max_nodes,
-                              max_counterexamples=1)
-        result = explore(cfa, Spec.cover(remaining, aa, stop_on_violation=True),
+        round_budget = Budget(time_limit=left, max_nodes=budget.max_nodes,
+                              max_counterexamples=per_round)
+        result = explore(cfa, Spec.cover(remaining, aa,
+                                         stop_on_violation=under),
                          round_budget, strategy=strategy,
                          nondet_domain=nondet_domain,
                          replay_step_limit=replay_step_limit)
@@ -249,26 +192,54 @@ def under_approx_coverage(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
         if covered == before:
             break
         remaining = remaining - covered
-    return _make_report(cfa, MODE_UNDER, covered, per_execution,
+    return _make_report(cfa, mode, covered, per_execution,
                         bug_found=bug_found, exhausted=exhausted, rounds=rounds)
 
 
-def over_approx_coverage(cfa: Cfa, aa: AssumptionAutomaton) -> CoverageReport:
-    """Statements labeling automaton transitions that do not fail.
+def exact_coverage(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
+                   strategy: Optional[TraversalStrategy] = None,
+                   nondet_domain: Sequence[int] = DEFAULT_NONDET_DOMAIN,
+                   replay_step_limit: int = DEFAULT_REPLAY_STEP_LIMIT) -> CoverageReport:
+    """Fixpoint over cover-queries: repeat until nothing new is coverable.
 
-    Reads the automaton only: no exploration, no executions.  Sound upper
-    bound because a covered statement must be exercised on a non-failing
-    transition of some accepted walk.
+    Every round targets only the still-uncovered statements, so each
+    successful round shrinks the target set and the loop runs at most one
+    round per statement.  A round that ends without a verdict leaves the
+    result an under-approximation, flagged via `exhausted`.
+    """
+    return _coverage_rounds(MODE_EXACT, cfa, aa, budget, strategy,
+                            nondet_domain, replay_step_limit)
+
+
+def under_approx_coverage(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
+                          strategy: Optional[TraversalStrategy] = None,
+                          nondet_domain: Sequence[int] = DEFAULT_NONDET_DOMAIN,
+                          replay_step_limit: int = DEFAULT_REPLAY_STEP_LIMIT) -> CoverageReport:
+    """One execution per round, at most `max_counterexamples` rounds.
+
+    Watches assertions while exploring: a confirmed failing assert aborts
+    the whole computation and the report carries `bug_found`.
+    """
+    return _coverage_rounds(MODE_UNDER, cfa, aa, budget, strategy,
+                            nondet_domain, replay_step_limit)
+
+
+def over_approx_coverage(cfa: Cfa, aa: AssumptionAutomaton) -> CoverageReport:
+    """Statements on product edges that do not send the automaton to FALSE.
+
+    Reads the automaton–CFA product only: no exploration, no executions.
+    Sound upper bound because a covered statement is exercised from a
+    reachable product state by a step the automaton does not reject;
+    steps from TRUE never fail.
     """
     check_alphabet(aa, statement_ids(cfa))
+    product = compose(aa, cfa)
     covered = set()
-    for (state, stmt_id), target in aa.transitions.items():
-        if state == FALSE_STATE:
-            continue
-        if target != FALSE_STATE:
-            covered.add(stmt_id)
-    if aa.initial == FALSE_STATE:
-        covered = set()
+    for state in product.states:
+        edges = cfa.out_edges(state[1])
+        for edge, (target, _loc) in zip(edges, product.successors[state]):
+            if target != FALSE_STATE:
+                covered.add(edge.stmt.id)
     return _make_report(cfa, MODE_OVER, frozenset(covered), [],
                         bug_found=False, exhausted=False, rounds=0)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import lang
-from .automaton import (FALSE_STATE, AssumptionAutomaton, step)
+from .automaton import (FALSE_STATE, TRUE_STATE, AssumptionAutomaton, step)
 from .cfa import (ASSERT, ASSIGN, ASSUME, Cfa, Edge, live_variables,
                   postorder_index)
 
@@ -122,10 +122,20 @@ def _strengthened(guard: lang.Expr) -> Optional[Tuple[str, int]]:
         op = {"==": "!=", "!=": "=="}.get(op, "")
     if op != "==":
         return None
-    if isinstance(e.lhs, lang.Var) and isinstance(e.rhs, lang.IntLit):
-        return e.lhs.name, e.rhs.value
-    if isinstance(e.rhs, lang.Var) and isinstance(e.lhs, lang.IntLit):
-        return e.rhs.name, e.lhs.value
+    for var, const in ((e.lhs, e.rhs), (e.rhs, e.lhs)):
+        value = _int_constant(const)
+        if isinstance(var, lang.Var) and value is not None:
+            return var.name, value
+    return None
+
+
+def _int_constant(e: lang.Expr) -> Optional[int]:
+    """The value of an integer literal, possibly under one unary minus."""
+    if isinstance(e, lang.IntLit):
+        return e.value
+    if isinstance(e, lang.Unary) and e.op == "-" and \
+            isinstance(e.operand, lang.IntLit):
+        return -e.operand.value
     return None
 
 
@@ -234,7 +244,6 @@ class ArtStats:
     nodes_frontier: int = 0
     nodes_covered: int = 0
     nodes_pruned: int = 0
-    lines_touched: Tuple[int, ...] = ()
 
 
 @dataclass
@@ -707,7 +716,6 @@ class _Explorer:
 
     def _stats(self) -> ArtStats:
         stats = ArtStats(nodes_created=len(self.nodes))
-        lines = set()
         for node in self.nodes:
             if node.status == STATUS_EXPANDED:
                 stats.nodes_expanded += 1
@@ -717,9 +725,6 @@ class _Explorer:
                 stats.nodes_covered += 1
             else:
                 stats.nodes_pruned += 1
-            if node.incoming_stmt is not None:
-                lines.add(self.edge_by_id[node.incoming_stmt].stmt.source_line)
-        stats.lines_touched = tuple(sorted(lines))
         return stats
 
 
@@ -803,7 +808,6 @@ def emit_assumption_automaton(art: List[ArtNode], cfa: Cfa, verdict: str,
         # A completed exploration proved the untaken and deliberately cut
         # directions irrelevant to the spec: route them to TRUE so FALSE
         # is unreachable in the emitted automaton.
-        from .automaton import TRUE_STATE
         for node in nodes:
             if node.status != STATUS_EXPANDED:
                 continue

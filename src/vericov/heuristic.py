@@ -39,10 +39,9 @@ def compose(aa: AssumptionAutomaton, cfa: Cfa) -> Product:
     initial = (aa.initial, cfa.entry)
     product = Product(initial=initial)
     seen = {initial}
-    queue = [initial]
     product.states.append(initial)
-    while queue:
-        state = queue.pop(0)
+    # The loop also visits the states appended while it runs: BFS order.
+    for state in product.states:
         q, loc = state
         if q == FALSE_STATE:
             product.successors[state] = []
@@ -54,7 +53,6 @@ def compose(aa: AssumptionAutomaton, cfa: Cfa) -> Product:
             if nxt not in seen:
                 seen.add(nxt)
                 product.states.append(nxt)
-                queue.append(nxt)
         product.successors[state] = succs
     return product
 

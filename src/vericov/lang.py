@@ -696,13 +696,3 @@ def expr_variables(expr: Expr, into: Optional[set] = None) -> set:
         expr_variables(expr.lhs, out)
         expr_variables(expr.rhs, out)
     return out
-
-
-def expr_has_nondet(expr: Expr) -> bool:
-    if isinstance(expr, Nondet):
-        return True
-    if isinstance(expr, Unary):
-        return expr_has_nondet(expr.operand)
-    if isinstance(expr, Binary):
-        return expr_has_nondet(expr.lhs) or expr_has_nondet(expr.rhs)
-    return False

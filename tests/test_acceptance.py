@@ -9,6 +9,7 @@ fractions, and wall-clock ceilings are hard limits.
 from __future__ import annotations
 
 import io
+import random
 import time
 from contextlib import redirect_stdout
 
@@ -67,31 +68,81 @@ def test_criterion_1_exact_metric_matches_enumeration_oracle(capsys):
              f"{worst:.2f}s (limit 10s); mismatches: {mismatches}")
 
 
+# Statements 1 and 2 need x == 100, outside every nondet domain used here.
+TRUE_REPRO = ("int nondet();\nint main() {\n  int x = nondet();\n"
+              "  if (x == 100) { x = 0; }\n  return 0;\n}\n")
+TRUE_AUTOMATA = (
+    "AUTOMATON true_after_0\nINITIAL q0\nSTATE q0 @L0\n  ON 0 -> __TRUE\nEND\n",
+    "AUTOMATON true_initial\nINITIAL __TRUE\nEND\n",
+)
+
+
+def _random_aa(rng, cfa):
+    """An automaton the text format accepts but vericov would not emit.
+
+    1-4 states at random locations, random transitions over the program's
+    statements into states or either sink; initial TRUE about 10% of the
+    time.
+    """
+    if rng.random() < 0.1:
+        return AssumptionAutomaton(name="random", initial=TRUE_STATE)
+    names = [f"q{i}" for i in range(rng.randint(1, 4))]
+    aa = AssumptionAutomaton(name="random", initial=names[0])
+    for state in names:
+        aa.add_state(state, rng.choice(cfa.nodes))
+    ids = sorted(statement_ids(cfa))
+    for state in names:
+        for stmt_id in rng.sample(ids, rng.randint(0, len(ids))):
+            aa.add_transition(state, stmt_id,
+                              rng.choice(names + [FALSE_STATE, TRUE_STATE]))
+    return aa
+
+
+def _sandwich(cfa, aa, **domain):
+    """The exact report, and the three covered sets unless u <= e <= o."""
+    under = under_approx_coverage(
+        cfa, aa, Budget(max_nodes=4000, max_counterexamples=5), **domain)
+    exact = exact_coverage(
+        cfa, aa, Budget(max_nodes=4000, max_counterexamples=10), **domain)
+    over = over_approx_coverage(cfa, aa)
+    u, e, o = (set(under.covered_ids), set(exact.covered_ids),
+               set(over.covered_ids))
+    return exact, None if u <= e <= o else (sorted(u), sorted(e), sorted(o))
+
+
 def test_criterion_2_under_exact_over_sandwich(capsys):
     checked = 0
     violations = []
     for name in ALL_FIXTURES:
         cfa = fixture_cfa(name)
         for max_nodes in (10, 50, 200, 1000):
-            aa = _emit(cfa, max_nodes)
-            under = under_approx_coverage(
-                cfa, aa, Budget(max_nodes=4000, max_counterexamples=5))
-            exact = exact_coverage(
-                cfa, aa, Budget(max_nodes=4000, max_counterexamples=10))
-            over = over_approx_coverage(cfa, aa)
+            exact, bad = _sandwich(cfa, _emit(cfa, max_nodes))
             checked += 1
-            u, e, o = (set(under.covered_ids), set(exact.covered_ids),
-                       set(over.covered_ids))
-            if not (u <= e <= o):
-                violations.append((name, max_nodes, sorted(u), sorted(e),
-                                   sorted(o)))
+            if bad:
+                violations.append((name, max_nodes, *bad))
             if exact.exhausted and name != "bigloop.c":
                 violations.append((name, max_nodes, "exact did not finish"))
+    cfa = source_to_cfa(TRUE_REPRO, name="true_repro")
+    for text in TRUE_AUTOMATA:
+        _exact, bad = _sandwich(cfa, parse_aa(text))
+        if bad:
+            violations.append(("true_repro", text.split()[1], *bad))
+    random_checked = 0
+    for name in ORACLE_CORPUS:
+        cfa = fixture_cfa(name)
+        for seed in range(10):
+            _exact, bad = _sandwich(cfa, _random_aa(random.Random(seed), cfa),
+                                    nondet_domain=SMALL_DOMAIN)
+            random_checked += 1
+            if bad:
+                violations.append((name, f"seed {seed}", *bad))
     ok = not violations
     _declare(capsys, 2, ok,
              f"under <= exact <= over held on {checked} "
              f"fixture/budget combinations ({len(ALL_FIXTURES)} fixtures x "
-             f"4 automaton budgets); violations: {violations}")
+             f"4 automaton budgets), {len(TRUE_AUTOMATA)} __TRUE automata "
+             f"and {random_checked} random automata; "
+             f"violations: {violations}")
 
 
 def test_criterion_3_huge_loop_interrupted_run(capsys):

@@ -179,6 +179,21 @@ def test_equality_strengthening_proves_guarded_assert():
     assert result.verdict == SAFE
 
 
+def test_equality_strengthening_accepts_negative_constants():
+    # `-1` parses as unary minus on a literal; it must strengthen like `1`.
+    def nodes(guard):
+        body = "".join("  x = nondet();\n  if (%s) { y = y + 1; }\n" % guard
+                       for _ in range(4))
+        cfa = source_to_cfa("int nondet();\nint main() {\n  int y = 0;\n"
+                            "  int x = 0;\n" + body + "  return 0;\n}\n")
+        return explore(cfa, Spec.assertions(),
+                       Budget(max_nodes=3000)).art_stats.nodes_created
+
+    expected = nodes("x == 1")
+    for guard in ("x == -1", "-1 == x", "!(x != -1)"):
+        assert nodes(guard) == expected, guard
+
+
 def test_branch_join_constants_prove_assert():
     result = explore(fixture_cfa("branches_nondet.c"), Spec.assertions(),
                      Budget())
