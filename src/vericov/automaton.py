@@ -105,12 +105,13 @@ def psi(aa: AssumptionAutomaton, stmt_seq: Sequence[int]) -> bool:
 
 
 def serialize_aa(aa: AssumptionAutomaton) -> str:
+    ons: Dict[str, List[Tuple[int, str]]] = {}
+    for (src, sid), tgt in aa.transitions.items():
+        ons.setdefault(src, []).append((sid, tgt))
     lines = [f"AUTOMATON {aa.name}", f"INITIAL {aa.initial}"]
     for state in aa.states:
         lines.append(f"STATE {state} @L{aa.location_of[state]}")
-        ons = sorted((sid, tgt) for (src, sid), tgt in aa.transitions.items()
-                     if src == state)
-        for sid, tgt in ons:
+        for sid, tgt in sorted(ons.get(state, ())):
             lines.append(f"  ON {sid} -> {tgt}")
     lines.append("END")
     return "\n".join(lines) + "\n"

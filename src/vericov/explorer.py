@@ -14,8 +14,13 @@ the only witness of a later branch.  The policy here is therefore strict:
 a node is covered only when valuations agree pointwise and every ``top``
 variable still live at the location is *fresh* on both sides (assigned
 from nondet() and never read since, hence genuinely unconstrained).  Dead
-variables use plain subsumption.  Candidate counterexamples are always
-confirmed by concrete replay before being reported.
+variables use plain subsumption.  Coverers are looked up by what the
+policy requires to match exactly: the location (and automaton state), the
+set of assigned variables, and each live variable's concrete value or the
+fresh-top symbol.  Subsumption then compares dead variables only, and only
+within that group, so a cover check never scans the whole location.
+Candidate counterexamples are always confirmed by concrete replay before
+being reported.
 """
 
 from __future__ import annotations
@@ -425,30 +430,48 @@ def replay(cfa: Cfa, path: Sequence[int],
 
 
 class _CoverIndex:
-    """Per-(location[, automaton state]) index of potential coverers.
+    """Indexed nodes grouped by what the strict cover policy must match
+    exactly.
 
-    Separate fast paths: candidates whose valuation is semantically equal
-    (dict lookup) and candidates carrying at least one top value (the only
-    ones that can subsume a different valuation).
+    A group key is the node's location and automaton state, its set of
+    assigned variables, and for each variable live at the location its
+    concrete value or the fresh-top symbol.  The live values follow the
+    iteration order of the location's live set, which is the same for
+    every node of one exploration.  A coverer always shares the key of
+    the node it covers, so the dead-variable subsumption test only runs
+    inside one group.  A node with a constrained top on a live variable
+    has no key: it can neither cover nor be covered.
     """
 
-    __slots__ = ("exact", "tops")
+    __slots__ = ("live", "names", "groups")
 
-    def __init__(self) -> None:
-        self.exact: Dict[Tuple, List[int]] = {}
-        self.tops: List[Tuple[int, Tuple]] = []
+    def __init__(self, live: Dict[int, FrozenSet[str]]):
+        self.live = live
+        self.names: Dict[FrozenSet[str], FrozenSet[str]] = {}
+        self.groups: Dict[Tuple, List[int]] = {}
 
-    def candidates(self, key: Tuple):
-        for node_id in self.exact.get(key, ()):
-            yield node_id
-        for node_id, node_key in self.tops:
-            if node_key != key:
-                yield node_id
+    def group(self, node: ArtNode) -> Optional[List[int]]:
+        """The node's group, created empty if new; None when it has no key."""
+        valuation = node.valuation
+        values = []
+        for name in self.live[node.cfa_node]:
+            value = valuation.get(name)
+            if value is TOP_CONSTRAINED:
+                return None
+            values.append(value)
+        # One shared set per distinct assigned-variable set keeps the keys
+        # small: most nodes of a run assign the same variables.
+        names = frozenset(valuation)
+        names = self.names.setdefault(names, names)
+        key = (node.cfa_node, node.aa_state, names, tuple(values))
+        return self.groups.setdefault(key, [])
 
-    def add(self, node_id: int, key: Tuple, has_top: bool) -> None:
-        self.exact.setdefault(key, []).append(node_id)
-        if has_top:
-            self.tops.append((node_id, key))
+
+def _same_state(a: Valuation, b: Valuation) -> bool:
+    """Equal valuation keys: pointwise equal, both top flavors as one."""
+    return a == b or all(
+        value == b[name] or (is_top(value) and is_top(b[name]))
+        for name, value in a.items())
 
 
 class _Explorer:
@@ -466,7 +489,7 @@ class _Explorer:
         self.live = live_variables(cfa)
         self.edge_by_id = {e.stmt.id: e for e in cfa.edges}
         self.nodes: List[ArtNode] = []
-        self.by_state: Dict[Tuple, _CoverIndex] = {}
+        self.index = _CoverIndex(self.live)
         self.cex: List[Execution] = []
         self.bug: Optional[Execution] = None
         if strategy.kind == BFS:
@@ -491,40 +514,32 @@ class _Explorer:
         edges = [self.edge_by_id[i] for i in path]
         return _search_witness(edges, self.domain, mode, self.replay_step_limit)
 
-    def _bucket(self, node: ArtNode) -> Tuple:
-        if self.spec.kind == COVER:
-            return (node.cfa_node, node.aa_state)
-        return (node.cfa_node,)
-
     def _covers(self, j: ArtNode, v: ArtNode) -> bool:
-        if j.status in (STATUS_COVERED, STATUS_PRUNED):
-            return False
+        """Whether j covers v, both of one cover group: j tracks at least
+        what v tracks, and j's dead variables subsume v's."""
         if self.spec.kind == COVER and not j.tracked >= v.tracked:
-            return False
-        if j.valuation.keys() != v.valuation.keys():
             return False
         live_here = self.live[v.cfa_node]
         for name, vv in v.valuation.items():
-            jv = j.valuation[name]
             if name in live_here:
-                if is_top(vv) and is_top(jv):
-                    if not (vv.fresh and jv.fresh):
-                        return False
-                elif is_top(vv) or is_top(jv) or vv != jv:
-                    return False
-            else:
-                if is_top(jv):
-                    continue
-                if is_top(vv) or jv != vv:
-                    return False
+                continue
+            jv = j.valuation[name]
+            if not is_top(jv) and (is_top(vv) or jv != vv):
+                return False
         return True
 
-    # -- node creation -------------------------------------------------------
+    def _coverers(self, group: List[int], node: ArtNode):
+        """The group in insertion order, members with the node's valuation
+        key first."""
+        rest = []
+        for jid in group:
+            if _same_state(self.nodes[jid].valuation, node.valuation):
+                yield jid
+            else:
+                rest.append(jid)
+        yield from rest
 
-    def _index_node(self, node: ArtNode) -> None:
-        index = self.by_state.setdefault(self._bucket(node), _CoverIndex())
-        index.add(node.id, valuation_key(node.valuation),
-                  any(is_top(v) for v in node.valuation.values()))
+    # -- node creation -------------------------------------------------------
 
     def make_root(self) -> ArtNode:
         aa_state = None
@@ -538,7 +553,7 @@ class _Explorer:
             return root
         self.nodes.append(root)
         self.waitlist.append(root)
-        self._index_node(root)
+        self.index.group(root).append(root.id)
         return root
 
     def create_child(self, parent: ArtNode, edge: Edge,
@@ -560,14 +575,15 @@ class _Explorer:
             node.status = STATUS_PRUNED
             return node
         self.check_violation(node)
-        index = self.by_state.setdefault(self._bucket(node), _CoverIndex())
-        key = valuation_key(node.valuation)
-        for jid in index.candidates(key):
+        group = self.index.group(node)
+        if group is None:
+            return node
+        for jid in self._coverers(group, node):
             if self._covers(self.nodes[jid], node):
                 node.status = STATUS_COVERED
                 node.covered_by = jid
                 return node
-        index.add(node.id, key, any(is_top(v) for v in node.valuation.values()))
+        group.append(node.id)
         return node
 
     def check_violation(self, node: ArtNode) -> None:

@@ -5,13 +5,16 @@ from __future__ import annotations
 import pytest
 
 from vericov import (Budget, Execution, FALSE_STATE, MissingScores, Spec,
-                     explore, make_strategy, parse_aa, psi, replay,
-                     serialize_aa, source_to_cfa, statements)
+                     explore, make_strategy, parse_aa, psi, replay, score,
+                     serialize_aa, source_to_cfa, statement_ids, statements)
+from vericov import explorer
 from vericov.automaton import AssumptionAutomaton, TRUE_STATE
-from vericov.explorer import (COUNTEREXAMPLES, FEASIBLE, INCONCLUSIVE,
-                              INFEASIBLE, SAFE, STATUS_EXPANDED, UNKNOWN)
+from vericov.cli import EXIT_OK, main
+from vericov.explorer import (COUNTEREXAMPLES, COVER, FEASIBLE, INCONCLUSIVE,
+                              INFEASIBLE, SAFE, STATUS_COVERED,
+                              STATUS_EXPANDED, UNKNOWN, is_top, valuation_key)
 
-from conftest import fixture_cfa
+from conftest import ALL_FIXTURES, fixture_cfa, golden
 
 RETURN_ONLY = "int main() { return 0; }"
 DIAMOND = ("int nondet();\n"
@@ -466,3 +469,201 @@ def test_stats_costs_add_up():
     assert (stats.nodes_expanded + stats.nodes_frontier +
             stats.nodes_covered + stats.nodes_pruned) == stats.nodes_created
     assert stats.nodes_frontier == 0  # run to completion
+
+
+# Cover check -----------------------------------------------------------------
+
+# The README quick-start program: one live nondet() beside a long loop.
+SPIN = """int nondet();
+
+int main() {
+  int n = nondet();
+  int i = 0;
+  while (i < 1000000) {
+    i = i + 1;
+  }
+  if (n == 0) {
+    n = 1;
+  }
+  assert(n != 0);
+  return 0;
+}
+"""
+
+# Two live nondet() variables, and a dead one that is a fresh top on one
+# branch of the loop body and concrete on the other, so that bfs covers by
+# dead-variable subsumption.
+SPIN_TWO_NONDET = """int nondet();
+
+int main() {
+  int n = nondet();
+  int m = nondet();
+  int i = 0;
+  int j = 0;
+  while (i < 1000000) {
+    i = i + 1;
+    if (nondet()) {
+      j = nondet();
+    } else {
+      j = i;
+    }
+  }
+  if (n == 0) {
+    n = 1;
+  }
+  if (m == 0) {
+    m = 1;
+  }
+  assert(n != 0);
+  assert(m != 0);
+  return 0;
+}
+"""
+
+# At L4 every path has a constrained top on the live `x`, so no node there
+# covers another.  After the assert `x` is dead, and under bfs the three
+# paths reach L9 in the order then (d a fresh top), else-if, else (d = 1 on
+# both).  Tracking statements 0 and 5 stops the then-node covering the
+# else-if node; both could cover the else node, which must get the equal
+# one.
+JOINS = """int nondet();
+
+int main() {
+  int x = nondet();
+  int d = 0;
+  if (x > 0) {
+    d = nondet();
+  } else {
+    if (x < 0) {
+      d = 1;
+    } else {
+      d = 1;
+    }
+  }
+  assert(x != 5);
+  return 0;
+}
+"""
+
+
+class _LocationBuckets:
+    """Reference index: one group per location and automaton state."""
+
+    def __init__(self, live):
+        self.groups = {}
+        self.keys = {}
+
+    def group(self, node):
+        self.keys[node.id] = valuation_key(node.valuation)
+        return self.groups.setdefault((node.cfa_node, node.aa_state), [])
+
+
+def _reference_coverers(self, group, node):
+    key = self.index.keys[node.id]
+    equal = [j for j in group if self.index.keys[j] == key]
+    return equal + [j for j in group if self.index.keys[j] != key]
+
+
+def _reference_covers(self, j, v):
+    """The strict cover policy, checked on every variable."""
+    if self.spec.kind == COVER and not j.tracked >= v.tracked:
+        return False
+    if j.valuation.keys() != v.valuation.keys():
+        return False
+    live_here = self.live[v.cfa_node]
+    for name, vv in v.valuation.items():
+        jv = j.valuation[name]
+        if name in live_here:
+            if is_top(vv) and is_top(jv):
+                if not (vv.fresh and jv.fresh):
+                    return False
+            elif is_top(vv) or is_top(jv) or vv != jv:
+                return False
+        elif not is_top(jv) and (is_top(vv) or jv != vv):
+            return False
+    return True
+
+
+def _cover_runs(cfa, aa, extra_specs):
+    """(label, spec, budget, strategy) for every strategy, every spec and
+    several node budgets."""
+    strategies = [make_strategy("bfs"), make_strategy("dfs-postorder"),
+                  make_strategy("dfs-postorder+score", score(aa, cfa))]
+    specs = [Spec.assertions(), Spec.cover(statement_ids(cfa), aa),
+             *extra_specs]
+    for strategy in strategies:
+        for spec in specs:
+            for max_nodes in (40, 250, 800):
+                yield ((strategy.kind, spec.kind, max_nodes), spec,
+                       Budget(max_nodes=max_nodes), strategy)
+
+
+def test_cover_groups_choose_the_reference_coverer(monkeypatch):
+    # Each node's status and coverer equal those of a brute-force scan of
+    # every indexed node at the location: equal valuation keys first, then
+    # the others, each in insertion order.
+    programs = [(name, fixture_cfa(name), []) for name in ALL_FIXTURES]
+    programs.append(("spin_two_nondet",
+                     source_to_cfa(SPIN_TWO_NONDET, name="spin_two_nondet"),
+                     []))
+    programs.append(("joins", source_to_cfa(JOINS, name="joins"),
+                     [Spec.cover({0, 5}, AssumptionAutomaton(
+                         name="all", initial=TRUE_STATE))]))
+    mismatches = []
+    covered = by_subsumption = 0
+    for name, cfa, extra_specs in programs:
+        aa = explore(cfa, Spec.assertions(), Budget(max_nodes=200)).aa
+        for label, spec, budget, strategy in _cover_runs(cfa, aa,
+                                                         extra_specs):
+            nodes = explore(cfa, spec, budget, strategy).nodes
+            with monkeypatch.context() as patch:
+                patch.setattr(explorer, "_CoverIndex", _LocationBuckets)
+                patch.setattr(explorer._Explorer, "_coverers",
+                              _reference_coverers)
+                patch.setattr(explorer._Explorer, "_covers",
+                              _reference_covers)
+                reference = explore(cfa, spec, budget, strategy).nodes
+            got = [(n.status, n.covered_by) for n in nodes]
+            want = [(n.status, n.covered_by) for n in reference]
+            if got != want:
+                mismatches.append((name, label))
+            for node in nodes:
+                if node.status == STATUS_COVERED:
+                    covered += 1
+                    coverer = nodes[node.covered_by]
+                    by_subsumption += (valuation_key(coverer.valuation) !=
+                                       valuation_key(node.valuation))
+    assert mismatches == []
+    # Both coverer kinds occur: equal valuations and dead-variable tops.
+    assert covered > by_subsumption > 0
+
+
+@pytest.mark.parametrize("max_nodes", [1000, 2000])
+def test_cover_checks_grow_linearly_with_nodes(monkeypatch, max_nodes):
+    calls = 0
+    covers = explorer._Explorer._covers
+
+    def counted(self, j, v):
+        nonlocal calls
+        calls += 1
+        return covers(self, j, v)
+
+    monkeypatch.setattr(explorer._Explorer, "_covers", counted)
+    result = explore(source_to_cfa(SPIN, name="spin"), Spec.assertions(),
+                     Budget(max_nodes=max_nodes))
+    assert result.art_stats.nodes_created == max_nodes
+    assert calls <= max_nodes
+
+
+@pytest.mark.parametrize("strategy, golden_name", [
+    ("dfs-postorder", "spin_two_nondet.aa"),
+    ("bfs", "spin_two_nondet_bfs.aa"),
+])
+def test_emitted_automaton_bytes_pinned(tmp_path, capsys, strategy,
+                                        golden_name):
+    program = tmp_path / "spin_two_nondet.c"
+    program.write_text(SPIN_TWO_NONDET)
+    out = tmp_path / "out.aa"
+    assert main(["verify", str(program), "--max-nodes", "300",
+                 "--strategy", strategy, "--aa-out", str(out)]) == EXIT_OK
+    assert out.read_text() == golden(golden_name)
