@@ -32,8 +32,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import lang
 from .automaton import (FALSE_STATE, TRUE_STATE, AssumptionAutomaton, step)
-from .cfa import (ASSERT, ASSIGN, ASSUME, Cfa, Edge, live_variables,
-                  postorder_index)
+from .cfa import (ASSERT, ASSIGN, ASSUME, Cfa, Edge, Statement,
+                  live_variables, postorder_index)
 
 # ---------------------------------------------------------------------------
 # Abstract values
@@ -80,14 +80,9 @@ def abstract_eval(expr: lang.Expr, valuation: Valuation) -> object:
     if is_top(a) or is_top(b):
         return TOP_CONSTRAINED
     try:
-        return lang.concrete_eval(
-            lang.Binary(expr.op, lang.IntLit(a), lang.IntLit(b)), {}, _no_nondet)
+        return lang.apply_binary(expr.op, a, b)
     except lang.EvalError:
         return TOP_CONSTRAINED
-
-
-def _no_nondet() -> int:
-    raise AssertionError("nondet inside a concrete-operand evaluation")
 
 
 def truth(value: object) -> Optional[bool]:
@@ -313,15 +308,58 @@ class _StepBudget:
         self.left = limit
 
 
-def _run_path(edges: Sequence[Edge], choices: List[int], mode: str,
+def _can_skip_nondet(expr: lang.Expr, skippable: bool = False) -> bool:
+    """Whether a `&&`/`||` in the expression can skip a nondet(), so that
+    the number of choices the expression consumes depends on values."""
+    if isinstance(expr, lang.Nondet):
+        return skippable
+    if isinstance(expr, lang.Unary):
+        return _can_skip_nondet(expr.operand, skippable)
+    if isinstance(expr, lang.Binary):
+        short_circuit = expr.op in ("&&", "||")
+        return (_can_skip_nondet(expr.lhs, skippable) or
+                _can_skip_nondet(expr.rhs, skippable or short_circuit))
+    return False
+
+
+_PlanStep = Tuple[Statement, Tuple[str, ...], bool]
+
+
+def _plan(edges: Sequence[Edge]) -> List[_PlanStep]:
+    """Each edge's statement, the variables it reads and whether it can
+    skip a nondet(), worked out once per distinct statement."""
+    facts: Dict[int, _PlanStep] = {}
+    plan = []
+    for edge in edges:
+        stmt = edge.stmt
+        fact = facts.get(stmt.id)
+        if fact is None:
+            if stmt.expr is None:
+                fact = (stmt, (), False)
+            else:
+                fact = (stmt, tuple(lang.expr_variables(stmt.expr)),
+                        _can_skip_nondet(stmt.expr))
+            facts[stmt.id] = fact
+        plan.append(fact)
+    return plan
+
+
+def _run_path(plan: Sequence[_PlanStep], choices: List[int], mode: str,
               steps: _StepBudget) -> Tuple[str, int]:
     """Run the path under the given nondet choices.
 
-    Returns (status, used) with status "ok" (all constraints met),
+    Returns (status, conflict) with status "ok" (all constraints met),
     "fail" (some constraint failed), or "need" (one more nondet choice
-    is required); `used` counts consumed choices.
+    is required).  On "fail", bit i of `conflict` is set for each choice i
+    the failing statement depends on: the choices it consumed, those the
+    values it reads were computed from, and those that decided, through
+    an earlier `&&`/`||` skipping a nondet(), which occurrence takes which
+    choice.  Every run that agrees with this one on those choices fails
+    too.  `conflict` is 0 on "ok" and "need".
     """
     env: Dict[str, int] = {}
+    depends: Dict[str, int] = {}  # variable -> choices its value depends on
+    control = 0
     used = 0
 
     def next_nondet() -> int:
@@ -331,32 +369,38 @@ def _run_path(edges: Sequence[Edge], choices: List[int], mode: str,
             return choices[used - 1]
         raise _NeedChoice
 
-    last = len(edges) - 1
-    for i, edge in enumerate(edges):
+    last = len(plan) - 1
+    for i, (stmt, reads, skips) in enumerate(plan):
         if steps.left <= 0:
             raise _OutOfSteps
         steps.left -= 1
-        stmt = edge.stmt
+        kind = stmt.kind
+        if kind != ASSIGN and kind != ASSUME and kind != ASSERT:
+            continue
+        start = used
         try:
-            if stmt.kind == ASSIGN:
-                env[stmt.var] = lang.concrete_eval(stmt.expr, env, next_nondet)
-            elif stmt.kind == ASSUME:
-                if lang.concrete_eval(stmt.expr, env, next_nondet) == 0:
-                    return "fail", used
-            elif stmt.kind == ASSERT:
-                holds = lang.concrete_eval(stmt.expr, env, next_nondet) != 0
-                if mode == MODE_PHI and not holds:
-                    return "fail", used
-                if mode == MODE_VIOLATION:
-                    if i == last and holds:
-                        return "fail", used
-                    if i != last and not holds:
-                        return "fail", used
+            value = lang.concrete_eval(stmt.expr, env, next_nondet)
         except _NeedChoice:
-            return "need", used
-        except lang.EvalError:
-            return "fail", used
-    return "ok", used
+            return "need", 0
+        except lang.EvalError:  # division or modulo by zero
+            value = None
+        mask = control | ((1 << used) - (1 << start))
+        for name in reads:
+            mask |= depends[name]
+        if value is None:
+            return "fail", mask
+        if skips:
+            control |= mask
+        if kind == ASSIGN:
+            env[stmt.var] = value
+            depends[stmt.var] = mask
+        elif kind == ASSUME or mode == MODE_PHI:
+            if value == 0:
+                return "fail", mask
+        elif mode == MODE_VIOLATION and (value != 0) == (i == last):
+            # The last assert must fail, every earlier one hold.
+            return "fail", mask
+    return "ok", 0
 
 
 class _NeedChoice(Exception):
@@ -369,30 +413,47 @@ class _OutOfSteps(Exception):
 
 def _search_witness(edges: Sequence[Edge], domain: Sequence[int], mode: str,
                     step_limit: int) -> ReplayResult:
-    """Backtracking search for nondet choices satisfying the path mode."""
+    """Search nondet choices satisfying the path mode, by conflict-directed
+    backjumping (Prosser 1993).
+
+    Each choice runs through `domain` in order, so the first witness found
+    is the first in lexicographic order.  A failed run jumps back to the
+    last choice its conflict names, since no change to the later choices
+    can repair it, and adds the rest of the conflict to that choice's
+    record of why its values fail.  A choice out of values jumps back the
+    same way on that record; an empty conflict proves the path infeasible.
+    """
     domain = list(domain)
+    plan = _plan(edges)
     steps = _StepBudget(step_limit)
     stack: List[int] = []  # indices into domain, one per occurrence
+    conflicts: List[int] = []  # per occurrence: why its values so far failed
+    last_value = len(domain) - 1
     while True:
         choices = [domain[i] for i in stack]
         try:
-            status, used = _run_path(edges, choices, mode, steps)
+            status, conflict = _run_path(plan, choices, mode, steps)
         except _OutOfSteps:
             return ReplayResult(INCONCLUSIVE)
         if status == "ok":
-            return ReplayResult(FEASIBLE, {i: v for i, v in enumerate(choices)})
+            return ReplayResult(FEASIBLE, dict(enumerate(choices)))
         if status == "need":
             if not domain:
                 return ReplayResult(INFEASIBLE)
             stack.append(0)
+            conflicts.append(0)
             continue
-        # Failure consumed `used` choices; later positions are irrelevant.
-        del stack[used:]
-        while stack and stack[-1] == len(domain) - 1:
-            stack.pop()
-        if not stack:
-            return ReplayResult(INFEASIBLE)
-        stack[-1] += 1
+        while True:
+            if not conflict:
+                return ReplayResult(INFEASIBLE)
+            level = conflict.bit_length() - 1
+            del stack[level + 1:]
+            del conflicts[level + 1:]
+            conflicts[level] |= conflict ^ (1 << level)
+            if stack[level] < last_value:
+                stack[level] += 1
+                break
+            conflict = conflicts[level]
 
 
 def _edges_for_path(cfa: Cfa, path: Sequence[int]) -> List[Edge]:
@@ -416,9 +477,13 @@ def replay(cfa: Cfa, path: Sequence[int],
     """Search nondet choices under which every assume on the path holds.
 
     The path must start at entry and be edge-connected.  Returns feasible
-    with the first witness in domain order, infeasible when the whole
-    domain space is exhausted, or inconclusive when `step_limit` runs out
-    first.
+    with the first witness in lexicographic domain order, or infeasible
+    when no choices from the domain satisfy the path: each failed run
+    backjumps to the last choice the failing statement depends on, so a
+    guard that reads only its own choice is refuted in one sweep of the
+    domain rather than once per combination of the choices before it.
+    Returns inconclusive when `step_limit`, which counts one step per
+    executed statement over all runs, runs out first.
     """
     edges = _edges_for_path(cfa, path)
     return _search_witness(edges, nondet_domain, MODE_ASSUMES, step_limit)

@@ -658,8 +658,16 @@ def concrete_eval(expr: Expr, env: dict, next_nondet: Callable[[], int]) -> int:
         if concrete_eval(expr.lhs, env, next_nondet) != 0:
             return 1
         return 0 if concrete_eval(expr.rhs, env, next_nondet) == 0 else 1
-    a = concrete_eval(expr.lhs, env, next_nondet)
-    b = concrete_eval(expr.rhs, env, next_nondet)
+    return apply_binary(op, concrete_eval(expr.lhs, env, next_nondet),
+                        concrete_eval(expr.rhs, env, next_nondet))
+
+
+def apply_binary(op: str, a: int, b: int) -> int:
+    """Apply a binary operator to two evaluated operands.
+
+    `&&`/`||` give the value of their short-circuit form; the caller
+    decides whether the right operand is evaluated at all.
+    """
     if op == "+":
         return a + b
     if op == "-":
@@ -682,6 +690,10 @@ def concrete_eval(expr: Expr, env: dict, next_nondet: Callable[[], int]) -> int:
         return 1 if a == b else 0
     if op == "!=":
         return 1 if a != b else 0
+    if op == "&&":
+        return 1 if a != 0 and b != 0 else 0
+    if op == "||":
+        return 1 if a != 0 or b != 0 else 0
     raise AssertionError(f"unknown operator {op}")
 
 

@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from vericov import (Budget, Execution, FALSE_STATE, MissingScores, Spec,
                      explore, make_strategy, parse_aa, psi, replay, score,
                      serialize_aa, source_to_cfa, statement_ids, statements)
-from vericov import explorer
+from vericov import explorer, lang
 from vericov.automaton import AssumptionAutomaton, TRUE_STATE
+from vericov.cfa import ASSERT, ASSIGN, ASSUME
 from vericov.cli import EXIT_OK, main
 from vericov.explorer import (COUNTEREXAMPLES, COVER, FEASIBLE, INCONCLUSIVE,
-                              INFEASIBLE, SAFE, STATUS_COVERED,
-                              STATUS_EXPANDED, UNKNOWN, is_top, valuation_key)
+                              INFEASIBLE, MODE_ASSUMES, MODE_PHI,
+                              MODE_VIOLATION, SAFE, STATUS_COVERED,
+                              STATUS_EXPANDED, UNKNOWN, ReplayResult, is_top,
+                              valuation_key)
 
 from conftest import ALL_FIXTURES, fixture_cfa, golden
 
@@ -107,6 +112,174 @@ def test_replay_rejects_disconnected_path():
         replay(cfa, (1,))  # does not start at entry
     with pytest.raises(ValueError):
         replay(cfa, (99,))
+
+
+# The chronological backtracking search that conflict-directed backjumping
+# replaced, kept as the reference: it enumerates every combination of
+# earlier choices before it gives up on a path.
+
+
+class _RefNeedChoice(Exception):
+    pass
+
+
+class _RefOutOfSteps(Exception):
+    pass
+
+
+def _reference_run_path(edges, choices, mode, steps):
+    """(status, used): "ok", "fail" or "need", and the choices consumed."""
+    env = {}
+    used = 0
+
+    def next_nondet():
+        nonlocal used
+        if used < len(choices):
+            used += 1
+            return choices[used - 1]
+        raise _RefNeedChoice
+
+    last = len(edges) - 1
+    for i, edge in enumerate(edges):
+        if steps[0] <= 0:
+            raise _RefOutOfSteps
+        steps[0] -= 1
+        stmt = edge.stmt
+        try:
+            if stmt.kind == ASSIGN:
+                env[stmt.var] = lang.concrete_eval(stmt.expr, env, next_nondet)
+            elif stmt.kind == ASSUME:
+                if lang.concrete_eval(stmt.expr, env, next_nondet) == 0:
+                    return "fail", used
+            elif stmt.kind == ASSERT:
+                holds = lang.concrete_eval(stmt.expr, env, next_nondet) != 0
+                if mode == MODE_PHI and not holds:
+                    return "fail", used
+                if mode == MODE_VIOLATION:
+                    if i == last and holds:
+                        return "fail", used
+                    if i != last and not holds:
+                        return "fail", used
+        except _RefNeedChoice:
+            return "need", used
+        except lang.EvalError:
+            return "fail", used
+    return "ok", used
+
+
+def _reference_search(edges, domain, mode, step_limit):
+    domain = list(domain)
+    steps = [step_limit]
+    stack = []  # indices into domain, one per occurrence
+    while True:
+        choices = [domain[i] for i in stack]
+        try:
+            status, used = _reference_run_path(edges, choices, mode, steps)
+        except _RefOutOfSteps:
+            return ReplayResult(INCONCLUSIVE)
+        if status == "ok":
+            return ReplayResult(FEASIBLE, dict(enumerate(choices)))
+        if status == "need":
+            if not domain:
+                return ReplayResult(INFEASIBLE)
+            stack.append(0)
+            continue
+        # Failure consumed `used` choices; later positions are irrelevant.
+        del stack[used:]
+        while stack and stack[-1] == len(domain) - 1:
+            stack.pop()
+        if not stack:
+            return ReplayResult(INFEASIBLE)
+        stack[-1] += 1
+
+
+_OPERATORS = ["+", "-", "*", "/", "%", "<", "<=", "==", "!=",
+              "&&", "||", "&&", "||"]
+
+
+def _random_program(rng):
+    """Straight-line declarations, then assignments, asserts and nested
+    if/else over them; expressions mix several nondet() per statement,
+    `&&`/`||` with nondet() on either side, and `/` and `%`."""
+    names = []
+
+    def expr(depth):
+        if depth == 0 or rng.random() < 0.25:
+            leaf = rng.random()
+            if leaf < 0.45:
+                return "nondet()"
+            if leaf < 0.8 and names:
+                return rng.choice(names)
+            return str(rng.randint(-2, 2))
+        if rng.random() < 0.15:
+            return f"{rng.choice('!-')}({expr(depth - 1)})"
+        return (f"({expr(depth - 1)} {rng.choice(_OPERATORS)} "
+                f"{expr(depth - 1)})")
+
+    lines = []
+    for k in range(3):
+        lines.append(f"int v{k} = {expr(2)};")
+        names.append(f"v{k}")
+
+    def block(depth, count):
+        out = []
+        for _ in range(count):
+            r = rng.random()
+            if r < 0.35:
+                out.append(f"{rng.choice(names)} = {expr(2)};")
+            elif r < 0.55:
+                out.append(f"assert({expr(2)});")
+            elif depth > 0:
+                cond = expr(2)
+                then = " ".join(block(depth - 1, 2))
+                orelse = " ".join(block(depth - 1, 2))
+                out.append(f"if ({cond}) {{ {then} }} else {{ {orelse} }}")
+        return out
+
+    lines += block(2, 4)
+    return ("int nondet();\nint main() {\n  " + "\n  ".join(lines) +
+            "\n  return 0;\n}\n")
+
+
+def _random_path(rng, cfa):
+    edges = []
+    node = cfa.entry
+    while node != cfa.exit:
+        edge = rng.choice(cfa.out_edges(node))
+        edges.append(edge)
+        node = edge.dst
+    return edges
+
+
+def test_backjumping_matches_chronological_search():
+    # Whenever the reference finishes within the step limit, the new search
+    # returns the same verdict and witness, so it is never inconclusive
+    # where the reference is not.
+    rng = random.Random(20240601)
+    domains = [range(-1, 2), range(0, 2), range(-2, 3), [0]]
+    seen = {FEASIBLE: 0, INFEASIBLE: 0, INCONCLUSIVE: 0}
+    mismatches = []
+    for _ in range(120):
+        source = _random_program(rng)
+        cfa = source_to_cfa(source)
+        for _ in range(2):
+            path = _random_path(rng, cfa)
+            asserts = [i for i, e in enumerate(path) if e.stmt.kind == ASSERT]
+            runs = [(MODE_ASSUMES, path), (MODE_PHI, path)]
+            if asserts:
+                runs.append((MODE_VIOLATION, path[:rng.choice(asserts) + 1]))
+            for mode, edges in runs:
+                domain = rng.choice(domains)
+                want = _reference_search(edges, domain, mode, 1000)
+                got = explorer._search_witness(edges, domain, mode, 1000)
+                seen[want.verdict] += 1
+                if want.verdict == INCONCLUSIVE:
+                    continue
+                if (got.verdict, got.witness) != (want.verdict, want.witness):
+                    mismatches.append((source, [e.stmt.id for e in edges],
+                                       mode, list(domain), want, got))
+    assert mismatches == []
+    assert min(seen[FEASIBLE], seen[INFEASIBLE]) >= 100, seen
 
 
 # Spec and budget validation --------------------------------------------------
@@ -653,6 +826,36 @@ def test_cover_checks_grow_linearly_with_nodes(monkeypatch, max_nodes):
                      Budget(max_nodes=max_nodes))
     assert result.art_stats.nodes_created == max_nodes
     assert calls <= max_nodes
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_infeasible_guard_replays_grow_linearly_with_choices(monkeypatch, k):
+    # k fresh nondet() branches, then a guard no value satisfies.  It reads
+    # only its own choice, so refuting it must not enumerate the earlier
+    # ones: about |domain|^(k+1) runs of chronological backtracking.
+    branches = "".join(f"  int a{j} = nondet();\n"
+                       f"  if (a{j} >= 0) {{ a{j} = 1; }}\n" for j in range(k))
+    cfa = source_to_cfa("int nondet();\nint main() {\n" + branches +
+                        "  int a = nondet();\n  if (a * a < 0) { a = 1; }\n"
+                        "  return 0;\n}\n")
+    path = []
+    node = cfa.entry
+    while node != cfa.exit:  # the then-side of every branch
+        edge = cfa.out_edges(node)[0]
+        path.append(edge.stmt.id)
+        node = edge.dst
+    calls = 0
+    run_path = explorer._run_path
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return run_path(*args)
+
+    monkeypatch.setattr(explorer, "_run_path", counted)
+    domain = range(-2, 3)
+    assert replay(cfa, path, nondet_domain=domain).verdict == INFEASIBLE
+    assert calls <= (k + 1) * len(domain) + k + 1
 
 
 @pytest.mark.parametrize("strategy, golden_name", [
