@@ -26,7 +26,7 @@ from .explorer import (ArtNode, ArtStats, Budget, Execution,
                        make_strategy, replay)
 from .heuristic import Product, compose, reach_fixpoint, score
 from .lang import (EvalError, ParseError, Program, UndeclaredVariable,
-                   concrete_eval, expr_to_text, parse, parse_program)
+                   concrete_eval, expr_to_text, parse_program)
 from .lowering import lower, source_to_cfa
 
 __version__ = "0.1.0"
@@ -43,7 +43,7 @@ __all__ = [
     "emit_assumption_automaton", "exact_coverage",
     "exercised_within_analysis", "explore", "expr_to_text", "is_covered",
     "line_projection", "live_variables", "lower", "make_strategy",
-    "over_approx_coverage", "parse", "parse_aa", "parse_program",
+    "over_approx_coverage", "parse_aa", "parse_program",
     "postorder_index", "psi", "reach_fixpoint", "replay", "run", "score",
     "serialize_aa", "source_to_cfa", "statement_ids", "statements", "step",
     "under_approx_coverage",

@@ -20,8 +20,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .automaton import (FALSE_STATE, AssumptionAutomaton, check_alphabet, step)
 from .cfa import Cfa, statement_ids
-from .explorer import (Budget, DEFAULT_NONDET_DOMAIN,
-                       DEFAULT_REPLAY_STEP_LIMIT, Execution, Spec,
+from .explorer import (Budget, DEFAULT_NONDET_DOMAIN, Execution, Spec,
                        TraversalStrategy, UNKNOWN, explore, make_strategy)
 from .heuristic import compose
 
@@ -137,8 +136,7 @@ def _execution_entry(execution: Execution, newly: Sequence[int]) -> Dict:
 
 def _coverage_rounds(mode: str, cfa: Cfa, aa: AssumptionAutomaton,
                      budget: Budget, strategy: Optional[TraversalStrategy],
-                     nondet_domain: Sequence[int],
-                     replay_step_limit: int) -> CoverageReport:
+                     nondet_domain: Sequence[int]) -> CoverageReport:
     """Rounds of cover-queries, each targeting the still-uncovered statements.
 
     The modes differ in three ways only.  Exact asks for up to
@@ -172,8 +170,7 @@ def _coverage_rounds(mode: str, cfa: Cfa, aa: AssumptionAutomaton,
         result = explore(cfa, Spec.cover(remaining, aa,
                                          stop_on_violation=under),
                          round_budget, strategy=strategy,
-                         nondet_domain=nondet_domain,
-                         replay_step_limit=replay_step_limit)
+                         nondet_domain=nondet_domain)
         if result.bug_found:
             bug_found = True
             break
@@ -198,8 +195,7 @@ def _coverage_rounds(mode: str, cfa: Cfa, aa: AssumptionAutomaton,
 
 def exact_coverage(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
                    strategy: Optional[TraversalStrategy] = None,
-                   nondet_domain: Sequence[int] = DEFAULT_NONDET_DOMAIN,
-                   replay_step_limit: int = DEFAULT_REPLAY_STEP_LIMIT) -> CoverageReport:
+                   nondet_domain: Sequence[int] = DEFAULT_NONDET_DOMAIN) -> CoverageReport:
     """Fixpoint over cover-queries: repeat until nothing new is coverable.
 
     Every round targets only the still-uncovered statements, so each
@@ -208,20 +204,19 @@ def exact_coverage(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
     result an under-approximation, flagged via `exhausted`.
     """
     return _coverage_rounds(MODE_EXACT, cfa, aa, budget, strategy,
-                            nondet_domain, replay_step_limit)
+                            nondet_domain)
 
 
 def under_approx_coverage(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
                           strategy: Optional[TraversalStrategy] = None,
-                          nondet_domain: Sequence[int] = DEFAULT_NONDET_DOMAIN,
-                          replay_step_limit: int = DEFAULT_REPLAY_STEP_LIMIT) -> CoverageReport:
+                          nondet_domain: Sequence[int] = DEFAULT_NONDET_DOMAIN) -> CoverageReport:
     """One execution per round, at most `max_counterexamples` rounds.
 
     Watches assertions while exploring: a confirmed failing assert aborts
     the whole computation and the report carries `bug_found`.
     """
     return _coverage_rounds(MODE_UNDER, cfa, aa, budget, strategy,
-                            nondet_domain, replay_step_limit)
+                            nondet_domain)
 
 
 def over_approx_coverage(cfa: Cfa, aa: AssumptionAutomaton) -> CoverageReport:

@@ -144,7 +144,6 @@ def _int_constant(e: lang.Expr) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 ASSERTIONS = "assertions"
-REACH_EXIT = "reach-exit"
 COVER = "cover"
 
 STATUS_FRONTIER = "frontier"
@@ -165,7 +164,6 @@ class Spec:
     """What counts as a violation during exploration.
 
     * assertions: a confirmed failing assert.
-    * reach-exit: any feasible path into the exit location.
     * cover: a feasible, assertion-clean path into exit that exercises at
       least one statement from `remaining` while the given automaton has
       not yet entered FALSE.  With `stop_on_violation`, a confirmed
@@ -180,10 +178,6 @@ class Spec:
     @staticmethod
     def assertions() -> "Spec":
         return Spec(ASSERTIONS)
-
-    @staticmethod
-    def reach_exit() -> "Spec":
-        return Spec(REACH_EXIT)
 
     @staticmethod
     def cover(remaining, aa: AssumptionAutomaton,
@@ -308,38 +302,21 @@ class _StepBudget:
         self.left = limit
 
 
-def _can_skip_nondet(expr: lang.Expr, skippable: bool = False) -> bool:
-    """Whether a `&&`/`||` in the expression can skip a nondet(), so that
-    the number of choices the expression consumes depends on values."""
-    if isinstance(expr, lang.Nondet):
-        return skippable
-    if isinstance(expr, lang.Unary):
-        return _can_skip_nondet(expr.operand, skippable)
-    if isinstance(expr, lang.Binary):
-        short_circuit = expr.op in ("&&", "||")
-        return (_can_skip_nondet(expr.lhs, skippable) or
-                _can_skip_nondet(expr.rhs, skippable or short_circuit))
-    return False
-
-
-_PlanStep = Tuple[Statement, Tuple[str, ...], bool]
+_PlanStep = Tuple[Statement, Tuple[str, ...]]
 
 
 def _plan(edges: Sequence[Edge]) -> List[_PlanStep]:
-    """Each edge's statement, the variables it reads and whether it can
-    skip a nondet(), worked out once per distinct statement."""
+    """Each edge's statement and the variables it reads, worked out once
+    per distinct statement."""
     facts: Dict[int, _PlanStep] = {}
     plan = []
     for edge in edges:
         stmt = edge.stmt
         fact = facts.get(stmt.id)
         if fact is None:
-            if stmt.expr is None:
-                fact = (stmt, (), False)
-            else:
-                fact = (stmt, tuple(lang.expr_variables(stmt.expr)),
-                        _can_skip_nondet(stmt.expr))
-            facts[stmt.id] = fact
+            reads = () if stmt.expr is None else \
+                tuple(lang.expr_variables(stmt.expr))
+            fact = facts[stmt.id] = (stmt, reads)
         plan.append(fact)
     return plan
 
@@ -351,15 +328,18 @@ def _run_path(plan: Sequence[_PlanStep], choices: List[int], mode: str,
     Returns (status, conflict) with status "ok" (all constraints met),
     "fail" (some constraint failed), or "need" (one more nondet choice
     is required).  On "fail", bit i of `conflict` is set for each choice i
-    the failing statement depends on: the choices it consumed, those the
-    values it reads were computed from, and those that decided, through
-    an earlier `&&`/`||` skipping a nondet(), which occurrence takes which
-    choice.  Every run that agrees with this one on those choices fails
-    too.  `conflict` is 0 on "ok" and "need".
+    the failing statement consumed and each choice the values it reads
+    were computed from; `conflict` is 0 on "ok" and "need".
+
+    Every run that keeps all choices up to the highest one named fails
+    the same way: each named choice was consumed after only lower ones,
+    so the same nondet() occurrences take the same values and the
+    statements combining them evaluate as here.  Agreeing on the named
+    choices alone is not enough, since an `&&`/`||` skipping a nondet()
+    at an unnamed lower choice can hand them to other occurrences.
     """
     env: Dict[str, int] = {}
     depends: Dict[str, int] = {}  # variable -> choices its value depends on
-    control = 0
     used = 0
 
     def next_nondet() -> int:
@@ -370,7 +350,7 @@ def _run_path(plan: Sequence[_PlanStep], choices: List[int], mode: str,
         raise _NeedChoice
 
     last = len(plan) - 1
-    for i, (stmt, reads, skips) in enumerate(plan):
+    for i, (stmt, reads) in enumerate(plan):
         if steps.left <= 0:
             raise _OutOfSteps
         steps.left -= 1
@@ -384,13 +364,11 @@ def _run_path(plan: Sequence[_PlanStep], choices: List[int], mode: str,
             return "need", 0
         except lang.EvalError:  # division or modulo by zero
             value = None
-        mask = control | ((1 << used) - (1 << start))
+        mask = (1 << used) - (1 << start)
         for name in reads:
             mask |= depends[name]
         if value is None:
             return "fail", mask
-        if skips:
-            control |= mask
         if kind == ASSIGN:
             env[stmt.var] = value
             depends[stmt.var] = mask
@@ -417,11 +395,23 @@ def _search_witness(edges: Sequence[Edge], domain: Sequence[int], mode: str,
     backjumping (Prosser 1993).
 
     Each choice runs through `domain` in order, so the first witness found
-    is the first in lexicographic order.  A failed run jumps back to the
-    last choice its conflict names, since no change to the later choices
-    can repair it, and adds the rest of the conflict to that choice's
-    record of why its values fail.  A choice out of values jumps back the
-    same way on that record; an empty conflict proves the path infeasible.
+    is the first in lexicographic order.  A failed run jumps to the
+    highest choice its conflict names, tries that choice's next value and
+    adds the rest of the conflict to that choice's record of why its
+    values fail.  A choice out of values jumps the same way on that
+    record; an empty conflict proves the path infeasible.
+
+    The search relies on one rule: a backjump never changes a choice
+    below the level it jumps to.  Every choice a conflict names sits at or
+    below that level, so the nondet() occurrences that decided the failure
+    keep their indices and values (see `_run_path`), and no run the jump
+    skips can succeed.  When a level runs out of values and the search
+    jumps lower, the choices in between change, and an `&&`/`||` skipping
+    a nondet() there can move the level's occurrence to another index.
+    That occurrence still runs whenever the occurrences its record names
+    keep their values, because the choices deciding whether a nondet()
+    runs are in every conflict that names it; and each of its values has
+    already failed for reasons named in the record.
     """
     domain = list(domain)
     plan = _plan(edges)
@@ -542,14 +532,12 @@ def _same_state(a: Valuation, b: Valuation) -> bool:
 class _Explorer:
     def __init__(self, cfa: Cfa, spec: Spec, budget: Budget,
                  strategy: TraversalStrategy,
-                 nondet_domain: Sequence[int],
-                 replay_step_limit: int):
+                 nondet_domain: Sequence[int]):
         self.cfa = cfa
         self.spec = spec
         self.budget = budget
         self.strategy = strategy
         self.domain = list(nondet_domain)
-        self.replay_step_limit = replay_step_limit
         self.postorder = postorder_index(cfa)
         self.live = live_variables(cfa)
         self.edge_by_id = {e.stmt.id: e for e in cfa.edges}
@@ -577,7 +565,8 @@ class _Explorer:
 
     def _replay_path(self, path: Tuple[int, ...], mode: str) -> ReplayResult:
         edges = [self.edge_by_id[i] for i in path]
-        return _search_witness(edges, self.domain, mode, self.replay_step_limit)
+        return _search_witness(edges, self.domain, mode,
+                               DEFAULT_REPLAY_STEP_LIMIT)
 
     def _covers(self, j: ArtNode, v: ArtNode) -> bool:
         """Whether j covers v, both of one cover group: j tracks at least
@@ -656,12 +645,7 @@ class _Explorer:
             return
         if node.cfa_node != self.cfa.exit:
             return
-        if self.spec.kind == REACH_EXIT:
-            path = self.path_to(node)
-            result = self._replay_path(path, MODE_ASSUMES)
-            if result.verdict == FEASIBLE:
-                self.cex.append(Execution(path, result.witness))
-        elif self.spec.kind == COVER and node.tracked:
+        if self.spec.kind == COVER and node.tracked:
             path = self.path_to(node)
             result = self._replay_path(path, MODE_PHI)
             if result.verdict == FEASIBLE:
@@ -811,8 +795,7 @@ class _Explorer:
 
 def explore(cfa: Cfa, spec: Spec, budget: Budget,
             strategy: Optional[TraversalStrategy] = None,
-            nondet_domain: Sequence[int] = DEFAULT_NONDET_DOMAIN,
-            replay_step_limit: int = DEFAULT_REPLAY_STEP_LIMIT) -> ExplorationResult:
+            nondet_domain: Sequence[int] = DEFAULT_NONDET_DOMAIN) -> ExplorationResult:
     """Explore the program under the spec until a verdict or a budget stop.
 
     Deterministic: identical inputs produce identical trees, automata and
@@ -821,7 +804,7 @@ def explore(cfa: Cfa, spec: Spec, budget: Budget,
     """
     if strategy is None:
         strategy = make_strategy(DFS_POSTORDER)
-    ex = _Explorer(cfa, spec, budget, strategy, nondet_domain, replay_step_limit)
+    ex = _Explorer(cfa, spec, budget, strategy, nondet_domain)
     return ex.run()
 
 

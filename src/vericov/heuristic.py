@@ -61,14 +61,17 @@ def reach_fixpoint(product: Product) -> Dict[ProductState, FrozenSet[int]]:
     """Least fixpoint of: Reach(p) = {loc} ∪ successors' reach, FALSE = ∅.
 
     Iterates from the empty map, so cycles converge to the set of
-    locations visitable before the automaton enters FALSE.
+    locations visitable before the automaton enters FALSE.  Each sweep runs
+    against the breadth-first order of `product.states`, so an acyclic
+    chain settles in one sweep (and one more to see that nothing changed)
+    instead of one sweep per state.
     """
     reach: Dict[ProductState, FrozenSet[int]] = {
         state: frozenset() for state in product.states}
     changed = True
     while changed:
         changed = False
-        for state in product.states:
+        for state in reversed(product.states):
             q, loc = state
             if q == FALSE_STATE:
                 continue

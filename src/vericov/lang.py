@@ -230,10 +230,10 @@ def tokenize(source: str) -> List[Token]:
                     col += 1
             i = end + 2
             continue
-        if c.isdigit():
+        if c in "0123456789":
             start = i
             startcol = col
-            while i < n and source[i].isdigit():
+            while i < n and source[i] in "0123456789":
                 i += 1
                 col += 1
             tokens.append(Token("int", source[start:i], line, startcol))
@@ -580,9 +580,6 @@ def parse_program(source: str, name: str = "main") -> Program:
     program.name = name
     _check_block(program.body, _Scopes())
     return program
-
-
-parse = parse_program
 
 
 # ---------------------------------------------------------------------------

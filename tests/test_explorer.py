@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from vericov import (Budget, Execution, FALSE_STATE, MissingScores, Spec,
+from vericov import (Budget, FALSE_STATE, MissingScores, Spec,
                      explore, make_strategy, parse_aa, psi, replay, score,
                      serialize_aa, source_to_cfa, statement_ids, statements)
 from vericov import explorer, lang
@@ -195,9 +195,13 @@ def _reference_search(edges, domain, mode, step_limit):
 
 _OPERATORS = ["+", "-", "*", "/", "%", "<", "<=", "==", "!=",
               "&&", "||", "&&", "||"]
+# Mostly short-circuits, so that which occurrence takes which choice
+# index keeps changing with the values of earlier choices.
+_SHORT_CIRCUIT_OPERATORS = ["&&", "||", "&&", "||", "&&", "||",
+                            "+", "*", "==", "<", "%"]
 
 
-def _random_program(rng):
+def _random_program(rng, operators=_OPERATORS, nondet_share=0.45):
     """Straight-line declarations, then assignments, asserts and nested
     if/else over them; expressions mix several nondet() per statement,
     `&&`/`||` with nondet() on either side, and `/` and `%`."""
@@ -206,14 +210,14 @@ def _random_program(rng):
     def expr(depth):
         if depth == 0 or rng.random() < 0.25:
             leaf = rng.random()
-            if leaf < 0.45:
+            if leaf < nondet_share:
                 return "nondet()"
             if leaf < 0.8 and names:
                 return rng.choice(names)
             return str(rng.randint(-2, 2))
         if rng.random() < 0.15:
             return f"{rng.choice('!-')}({expr(depth - 1)})"
-        return (f"({expr(depth - 1)} {rng.choice(_OPERATORS)} "
+        return (f"({expr(depth - 1)} {rng.choice(operators)} "
                 f"{expr(depth - 1)})")
 
     lines = []
@@ -251,35 +255,48 @@ def _random_path(rng, cfa):
     return edges
 
 
+# Seed, generator settings and domains of each corpus.  The second one is
+# mostly `&&`/`||` with nondet() on either side, domains that contain 0.
+_CORPORA = [
+    (20240601, {}, [range(-1, 2), range(0, 2), range(-2, 3), [0]]),
+    (20261018, {"operators": _SHORT_CIRCUIT_OPERATORS, "nondet_share": 0.6},
+     [range(-1, 2), range(0, 2), [0, 1, 2], range(-2, 3)]),
+]
+
+
 def test_backjumping_matches_chronological_search():
     # Whenever the reference finishes within the step limit, the new search
     # returns the same verdict and witness, so it is never inconclusive
     # where the reference is not.
-    rng = random.Random(20240601)
-    domains = [range(-1, 2), range(0, 2), range(-2, 3), [0]]
-    seen = {FEASIBLE: 0, INFEASIBLE: 0, INCONCLUSIVE: 0}
-    mismatches = []
-    for _ in range(120):
-        source = _random_program(rng)
-        cfa = source_to_cfa(source)
-        for _ in range(2):
-            path = _random_path(rng, cfa)
-            asserts = [i for i, e in enumerate(path) if e.stmt.kind == ASSERT]
-            runs = [(MODE_ASSUMES, path), (MODE_PHI, path)]
-            if asserts:
-                runs.append((MODE_VIOLATION, path[:rng.choice(asserts) + 1]))
-            for mode, edges in runs:
-                domain = rng.choice(domains)
-                want = _reference_search(edges, domain, mode, 1000)
-                got = explorer._search_witness(edges, domain, mode, 1000)
-                seen[want.verdict] += 1
-                if want.verdict == INCONCLUSIVE:
-                    continue
-                if (got.verdict, got.witness) != (want.verdict, want.witness):
-                    mismatches.append((source, [e.stmt.id for e in edges],
-                                       mode, list(domain), want, got))
-    assert mismatches == []
-    assert min(seen[FEASIBLE], seen[INFEASIBLE]) >= 100, seen
+    for seed, generator, domains in _CORPORA:
+        rng = random.Random(seed)
+        seen = {FEASIBLE: 0, INFEASIBLE: 0, INCONCLUSIVE: 0}
+        mismatches = []
+        for _ in range(120):
+            source = _random_program(rng, **generator)
+            cfa = source_to_cfa(source)
+            for _ in range(2):
+                path = _random_path(rng, cfa)
+                asserts = [i for i, e in enumerate(path)
+                           if e.stmt.kind == ASSERT]
+                runs = [(MODE_ASSUMES, path), (MODE_PHI, path)]
+                if asserts:
+                    runs.append((MODE_VIOLATION,
+                                 path[:rng.choice(asserts) + 1]))
+                for mode, edges in runs:
+                    domain = rng.choice(domains)
+                    want = _reference_search(edges, domain, mode, 1000)
+                    got = explorer._search_witness(edges, domain, mode, 1000)
+                    seen[want.verdict] += 1
+                    if want.verdict == INCONCLUSIVE:
+                        continue
+                    if (got.verdict, got.witness) != \
+                            (want.verdict, want.witness):
+                        mismatches.append(
+                            (source, [e.stmt.id for e in edges], mode,
+                             list(domain), want, got))
+        assert mismatches == [], seed
+        assert min(seen[FEASIBLE], seen[INFEASIBLE]) >= 100, (seed, seen)
 
 
 # Spec and budget validation --------------------------------------------------
@@ -310,12 +327,6 @@ def test_make_strategy_validation():
 
 
 # Verdicts --------------------------------------------------------------------
-
-
-def test_reach_exit_on_return_only_program():
-    result = explore(source_to_cfa(RETURN_ONLY), Spec.reach_exit(), Budget())
-    assert result.verdict == COUNTEREXAMPLES
-    assert result.counterexamples == [Execution((0,), {})]
 
 
 def test_assertions_safe_when_no_asserts():
@@ -828,19 +839,18 @@ def test_cover_checks_grow_linearly_with_nodes(monkeypatch, max_nodes):
     assert calls <= max_nodes
 
 
-@pytest.mark.parametrize("k", [4, 6])
-def test_infeasible_guard_replays_grow_linearly_with_choices(monkeypatch, k):
-    # k fresh nondet() branches, then a guard no value satisfies.  It reads
-    # only its own choice, so refuting it must not enumerate the earlier
-    # ones: about |domain|^(k+1) runs of chronological backtracking.
-    branches = "".join(f"  int a{j} = nondet();\n"
-                       f"  if (a{j} >= 0) {{ a{j} = 1; }}\n" for j in range(k))
-    cfa = source_to_cfa("int nondet();\nint main() {\n" + branches +
+_GUARD_DOMAIN = range(-2, 3)
+
+
+def _replays_to_refute(monkeypatch, prefix):
+    """`_run_path` calls that `replay` makes to refute `a * a < 0` after
+    the prefix, along the then-side of every branch, over _GUARD_DOMAIN."""
+    cfa = source_to_cfa("int nondet();\nint main() {\n" + prefix +
                         "  int a = nondet();\n  if (a * a < 0) { a = 1; }\n"
                         "  return 0;\n}\n")
     path = []
     node = cfa.entry
-    while node != cfa.exit:  # the then-side of every branch
+    while node != cfa.exit:
         edge = cfa.out_edges(node)[0]
         path.append(edge.stmt.id)
         node = edge.dst
@@ -853,9 +863,29 @@ def test_infeasible_guard_replays_grow_linearly_with_choices(monkeypatch, k):
         return run_path(*args)
 
     monkeypatch.setattr(explorer, "_run_path", counted)
-    domain = range(-2, 3)
-    assert replay(cfa, path, nondet_domain=domain).verdict == INFEASIBLE
-    assert calls <= (k + 1) * len(domain) + k + 1
+    assert replay(cfa, path, nondet_domain=_GUARD_DOMAIN).verdict == INFEASIBLE
+    return calls
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_infeasible_guard_replays_grow_linearly_with_choices(monkeypatch, k):
+    # k fresh nondet() branches, then a guard no value satisfies.  It reads
+    # only its own choice, so refuting it must not enumerate the earlier
+    # ones: about |domain|^(k+1) runs of chronological backtracking.
+    branches = "".join(f"  int a{j} = nondet();\n"
+                       f"  if (a{j} >= 0) {{ a{j} = 1; }}\n" for j in range(k))
+    assert _replays_to_refute(monkeypatch, branches) <= \
+        (k + 1) * len(_GUARD_DOMAIN) + k + 1
+
+
+@pytest.mark.parametrize("k", [4, 6])
+def test_skippable_nondet_does_not_block_backjumping(monkeypatch, k):
+    # Each `||` skips its second nondet() unless the first choice is 0, so
+    # the guard's choice index depends on every earlier choice; the guard
+    # still reads only its own, so refuting it stays linear.
+    skips = "".join(f"  int b{j} = nondet() || nondet();\n" for j in range(k))
+    assert _replays_to_refute(monkeypatch, skips) <= \
+        (k + 1) * len(_GUARD_DOMAIN) + k + 1
 
 
 @pytest.mark.parametrize("strategy, golden_name", [

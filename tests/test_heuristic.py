@@ -6,7 +6,8 @@ from the product definition before the implementation existed.
 
 from __future__ import annotations
 
-from vericov import compose, parse_aa, reach_fixpoint, score, source_to_cfa
+from vericov import (Budget, Spec, compose, explore, parse_aa,
+                     reach_fixpoint, score, source_to_cfa)
 from vericov.automaton import (FALSE_STATE, TRUE_STATE, AssumptionAutomaton)
 
 from conftest import fixture_cfa, golden
@@ -199,3 +200,29 @@ def test_reach_contains_own_location_and_is_monotone_along_edges():
         assert loc in reach[state]
         for nxt in product.successors[state]:
             assert reach[nxt] <= reach[state]
+
+
+class _CountingSuccessors(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.gets = 0
+
+    def get(self, *args):
+        self.gets += 1
+        return super().get(*args)
+
+
+def test_reach_fixpoint_settles_a_chain_in_two_sweeps():
+    # An interrupted run over a long straight-line program leaves a product
+    # that is one chain: sweeping it against its breadth-first order takes
+    # one sweep to settle and one to confirm, not one per state.
+    body = "".join(f"  a = {i};\n" for i in range(299))
+    cfa = source_to_cfa("int main() {\n  int a = 0;\n" + body +
+                        "  return 0;\n}\n")
+    aa = explore(cfa, Spec.assertions(), Budget(max_nodes=200)).aa
+    product = compose(aa, cfa)
+    product.successors = _CountingSuccessors(product.successors)
+    reach = reach_fixpoint(product)
+    assert product.successors.gets <= 2 * len(product.states)
+    # Entry is location 0 and exit 1; the run expanded 0 and 2..199.
+    assert reach[product.initial] == {0} | set(range(2, 200))

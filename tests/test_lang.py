@@ -8,7 +8,7 @@ from vericov import lang
 from vericov.lang import (Assign, Binary, Decl, EvalError, For, If, IntLit,
                           Nondet, ParseError, Return, Skip, Unary,
                           UndeclaredVariable, Var, While, concrete_eval,
-                          expr_to_text, parse, parse_program)
+                          expr_to_text, parse_program)
 
 from conftest import fixture_source
 
@@ -17,10 +17,6 @@ def test_minimal_program():
     program = parse_program("int main() { return 0; }")
     assert len(program.body) == 1
     assert isinstance(program.body[0], Return)
-
-
-def test_parse_alias_is_parse_program():
-    assert parse is parse_program
 
 
 def test_prologue_lines_are_ignored():
@@ -152,6 +148,8 @@ def test_parse_error_has_position():
     "int main() { @ }",                 # bad character
     "int main() { if (1) { } }extra",   # content after body
     "int main() { assert 1; }",         # assert needs parentheses
+    "int main() { int x = \u00b2; }",   # superscript two: not an ASCII digit
+    "int main() { int x = 1\u0661; }",  # Arabic-Indic digit after a 1
 ])
 def test_malformed_programs_raise(source):
     with pytest.raises(ParseError):
