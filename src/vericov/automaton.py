@@ -169,6 +169,9 @@ def parse_aa(text: str) -> AssumptionAutomaton:
                 stmt_id = int(parts[1])
             except ValueError:
                 raise FormatError(lineno, f"bad statement id {parts[1]!r}") from None
+            if (current, stmt_id) in aa.transitions:
+                raise FormatError(lineno, f"duplicate transition from"
+                                          f" {current} on {stmt_id}")
             aa.add_transition(current, stmt_id, parts[3])
         elif parts[0] == "END":
             if not seen_initial:

@@ -48,6 +48,18 @@ class Edge:
     dst: int
 
 
+@dataclass(frozen=True)
+class Numbering:
+    """The variables of a CFA numbered in statement-ID order of first
+    appearance (within a statement in text order), and each statement's
+    reads and write as masks: bit `index[name]` stands for the variable.
+    `reads` and `writes` map statement IDs to masks."""
+
+    index: Dict[str, int]
+    reads: Dict[int, int]
+    writes: Dict[int, int]
+
+
 @dataclass
 class Cfa:
     name: str
@@ -56,17 +68,45 @@ class Cfa:
     entry: int
     exit: int
     _out: Dict[int, List[Edge]] = field(default_factory=dict, repr=False)
+    _by_id: Dict[int, Edge] = field(default_factory=dict, repr=False)
+    _numbering: Optional[Numbering] = field(default=None, repr=False)
+    _live: Optional[Dict[int, int]] = field(default=None, repr=False)
 
     def out_edges(self, node: int) -> List[Edge]:
         """Outgoing edges ordered by statement ID."""
         if not self._out:
-            for n in self.nodes:
-                self._out[n] = []
-            for e in self.edges:
+            self._out = {n: [] for n in self.nodes}
+            for e in sorted(self.edges, key=lambda e: e.stmt.id):
                 self._out[e.src].append(e)
-            for n in self.nodes:
-                self._out[n].sort(key=lambda e: e.stmt.id)
         return self._out[node]
+
+    def edge(self, stmt_id: int) -> Edge:
+        """The edge carrying a statement; ValueError for an unknown ID."""
+        if not self._by_id:
+            self._by_id = {e.stmt.id: e for e in self.edges}
+        edge = self._by_id.get(stmt_id)
+        if edge is None:
+            raise ValueError(f"no statement with id {stmt_id}")
+        return edge
+
+    def numbering(self) -> Numbering:
+        """The variable numbering, worked out on first use."""
+        if self._numbering is None:
+            index: Dict[str, int] = {}
+            reads: Dict[int, int] = {}
+            writes: Dict[int, int] = {}
+            for stmt in statements(self):
+                write = 0
+                if stmt.kind == ASSIGN:
+                    write = 1 << index.setdefault(stmt.var, len(index))
+                mask = 0
+                if stmt.expr is not None:
+                    for name in lang.expr_variables(stmt.expr):
+                        mask |= 1 << index.setdefault(name, len(index))
+                reads[stmt.id] = mask
+                writes[stmt.id] = write
+            self._numbering = Numbering(index, reads, writes)
+        return self._numbering
 
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on violation."""
@@ -131,34 +171,37 @@ def postorder_index(cfa: Cfa) -> Dict[int, int]:
     return index
 
 
-def stmt_reads(stmt: Statement) -> Set[str]:
-    if stmt.expr is None:
-        return set()
-    return lang.expr_variables(stmt.expr)
+def live_variables(cfa: Cfa) -> Dict[int, int]:
+    """Per-node may-live variables (read on some path before written), as
+    masks over `cfa.numbering()`.
 
-
-def stmt_writes(stmt: Statement) -> Set[str]:
-    return {stmt.var} if stmt.kind == ASSIGN else set()
-
-
-def live_variables(cfa: Cfa) -> Dict[int, frozenset]:
-    """Per-node may-live variable sets (read on some path before written).
-
-    Backward worklist fixpoint over the edge relation.
+    Worked out once per CFA and kept on it; every later call returns the
+    same mapping.
     """
-    live: Dict[int, Set[str]] = {n: set() for n in cfa.nodes}
+    if cfa._live is None:
+        cfa._live = _live_fixpoint(cfa)
+    return cfa._live
+
+
+def _live_fixpoint(cfa: Cfa) -> Dict[int, int]:
+    """Backward bit-vector worklist over the edge relation (Kildall 1973)."""
+    numbering = cfa.numbering()
+    reads, writes = numbering.reads, numbering.writes
+    live = {n: 0 for n in cfa.nodes}
     preds: Dict[int, List[Edge]] = {n: [] for n in cfa.nodes}
     for e in cfa.edges:
         preds[e.dst].append(e)
     worklist = list(cfa.nodes)
     while worklist:
         node = worklist.pop()
+        live_here = live[node]
         for e in preds[node]:
-            flow = stmt_reads(e.stmt) | (live[node] - stmt_writes(e.stmt))
-            if not flow <= live[e.src]:
+            sid = e.stmt.id
+            flow = reads[sid] | (live_here & ~writes[sid])
+            if flow & ~live[e.src]:
                 live[e.src] |= flow
                 worklist.append(e.src)
-    return {n: frozenset(s) for n, s in live.items()}
+    return live
 
 
 def dump_cfa(cfa: Cfa) -> str:

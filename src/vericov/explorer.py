@@ -1,10 +1,13 @@
 """Budget-limited reachability exploration over abstract value states.
 
-The explorer runs an explicit-value analysis: each abstract state maps the
-variables assigned so far to either a concrete integer or ``top`` (any
-integer).  States are organized as an abstract reachability tree whose
-edges carry CFA statements; interrupting the analysis and serializing the
-tree's explored region yields an assumption automaton.
+The explorer runs an explicit-value analysis.  An abstract state is a
+tuple indexed by the CFA's variable numbering (`Cfa.numbering`): each
+entry is a concrete integer, ``TOP`` (any integer) or ``UNASSIGNED``.  A
+bitmask beside it marks the tops that are *fresh*: assigned from nondet()
+and never read since, hence genuinely unconstrained.  States are organized
+as an abstract reachability tree whose edges carry CFA statements;
+interrupting the analysis and serializing the tree's explored region
+yields an assumption automaton.
 
 Covering (stopping re-expansion of already-represented states) is what
 makes loops converge, but merging abstract states can hide path
@@ -14,10 +17,10 @@ the only witness of a later branch.  The policy here is therefore strict:
 a node is covered only when valuations agree pointwise and every ``top``
 variable still live at the location is *fresh* on both sides (assigned
 from nondet() and never read since, hence genuinely unconstrained).  Dead
-variables use plain subsumption.  Coverers are looked up by what the
-policy requires to match exactly: the location (and automaton state), the
-set of assigned variables, and each live variable's concrete value or the
-fresh-top symbol.  Subsumption then compares dead variables only, and only
+variables use plain subsumption, an unassigned one matching only an
+unassigned one.  Coverers are looked up by what the policy requires to
+match exactly: the location (and automaton state) and the values at the
+bits live there.  Subsumption then compares dead variables only, and only
 within that group, so a cover check never scans the whole location.
 Candidate counterexamples are always confirmed by concrete replay before
 being reported.
@@ -32,7 +35,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import lang
 from .automaton import (FALSE_STATE, TRUE_STATE, AssumptionAutomaton, step)
-from .cfa import (ASSERT, ASSIGN, ASSUME, Cfa, Edge, Statement,
+from .cfa import (ASSERT, ASSIGN, ASSUME, Cfa, Edge, Numbering, Statement,
                   live_variables, postorder_index)
 
 # ---------------------------------------------------------------------------
@@ -40,72 +43,42 @@ from .cfa import (ASSERT, ASSIGN, ASSUME, Cfa, Edge, Statement,
 # ---------------------------------------------------------------------------
 
 
-class Top:
-    """Any integer.  `fresh` means: straight from nondet(), never read."""
+# The two non-integer entries of a valuation, compared by identity.
+TOP = "top"  # any integer
+UNASSIGNED = "unassigned"
 
-    __slots__ = ("fresh",)
-
-    def __init__(self, fresh: bool):
-        self.fresh = fresh
-
-    def __repr__(self) -> str:
-        return "top"
+Valuation = Tuple[object, ...]  # per variable number: int | TOP | UNASSIGNED
 
 
-TOP_FRESH = Top(True)
-TOP_CONSTRAINED = Top(False)
-
-Valuation = Dict[str, object]  # var -> int | Top
-
-
-def is_top(value: object) -> bool:
-    return isinstance(value, Top)
-
-
-def abstract_eval(expr: lang.Expr, valuation: Valuation) -> object:
-    """Evaluate to an int or Top.  Any top operand makes the result top."""
+def abstract_eval(expr: lang.Expr, valuation: Valuation,
+                  index: Dict[str, int]) -> object:
+    """Evaluate to an int or TOP.  Any top operand makes the result top;
+    `index` numbers the variables."""
     if isinstance(expr, lang.IntLit):
         return expr.value
     if isinstance(expr, lang.Var):
-        return valuation[expr.name]
+        return valuation[index[expr.name]]
     if isinstance(expr, lang.Nondet):
-        return TOP_FRESH
+        return TOP
     if isinstance(expr, lang.Unary):
-        v = abstract_eval(expr.operand, valuation)
-        if is_top(v):
-            return TOP_CONSTRAINED
+        v = abstract_eval(expr.operand, valuation, index)
+        if v is TOP:
+            return TOP
         return (0 if v else 1) if expr.op == "!" else -v
-    a = abstract_eval(expr.lhs, valuation)
-    b = abstract_eval(expr.rhs, valuation)
-    if is_top(a) or is_top(b):
-        return TOP_CONSTRAINED
+    a = abstract_eval(expr.lhs, valuation, index)
+    b = abstract_eval(expr.rhs, valuation, index)
+    if a is TOP or b is TOP:
+        return TOP
     try:
         return lang.apply_binary(expr.op, a, b)
     except lang.EvalError:
-        return TOP_CONSTRAINED
+        return TOP
 
 
 def truth(value: object) -> Optional[bool]:
-    if is_top(value):
+    if value is TOP:
         return None
     return value != 0
-
-
-def valuation_key(valuation: Valuation) -> Tuple:
-    """Semantic identity: both top flavors collapse to one symbol."""
-    return tuple(sorted(
-        (name, value if not is_top(value) else "top")
-        for name, value in valuation.items()))
-
-
-def _constrain_reads(valuation: Valuation, expr: lang.Expr) -> Valuation:
-    """Reading a fresh top couples it to the context: drop freshness."""
-    out = dict(valuation)
-    for name in lang.expr_variables(expr):
-        v = out.get(name)
-        if is_top(v) and v.fresh:
-            out[name] = TOP_CONSTRAINED
-    return out
 
 
 def _strengthened(guard: lang.Expr) -> Optional[Tuple[str, int]]:
@@ -215,6 +188,10 @@ class Execution:
 
 @dataclass
 class ArtNode:
+    """A node of the abstract reachability tree.  `valuation` is its
+    abstract state over the CFA's variable numbering; bit i of `fresh` is
+    set when variable i is a fresh top."""
+
     id: int
     cfa_node: int
     valuation: Valuation
@@ -224,11 +201,7 @@ class ArtNode:
     covered_by: Optional[int] = None
     aa_state: Optional[str] = None
     tracked: FrozenSet[int] = frozenset()
-
-    def status_text(self) -> str:
-        if self.status == STATUS_COVERED:
-            return f"covered-by({self.covered_by})"
-        return self.status
+    fresh: int = 0
 
 
 @dataclass
@@ -302,23 +275,7 @@ class _StepBudget:
         self.left = limit
 
 
-_PlanStep = Tuple[Statement, Tuple[str, ...]]
-
-
-def _plan(edges: Sequence[Edge]) -> List[_PlanStep]:
-    """Each edge's statement and the variables it reads, worked out once
-    per distinct statement."""
-    facts: Dict[int, _PlanStep] = {}
-    plan = []
-    for edge in edges:
-        stmt = edge.stmt
-        fact = facts.get(stmt.id)
-        if fact is None:
-            reads = () if stmt.expr is None else \
-                tuple(lang.expr_variables(stmt.expr))
-            fact = facts[stmt.id] = (stmt, reads)
-        plan.append(fact)
-    return plan
+_PlanStep = Tuple[Statement, int, int]  # statement, read mask, write bit
 
 
 def _run_path(plan: Sequence[_PlanStep], choices: List[int], mode: str,
@@ -339,7 +296,7 @@ def _run_path(plan: Sequence[_PlanStep], choices: List[int], mode: str,
     at an unnamed lower choice can hand them to other occurrences.
     """
     env: Dict[str, int] = {}
-    depends: Dict[str, int] = {}  # variable -> choices its value depends on
+    depends: Dict[int, int] = {}  # variable bit -> choices its value used
     used = 0
 
     def next_nondet() -> int:
@@ -350,7 +307,7 @@ def _run_path(plan: Sequence[_PlanStep], choices: List[int], mode: str,
         raise _NeedChoice
 
     last = len(plan) - 1
-    for i, (stmt, reads) in enumerate(plan):
+    for i, (stmt, reads, write) in enumerate(plan):
         if steps.left <= 0:
             raise _OutOfSteps
         steps.left -= 1
@@ -365,13 +322,15 @@ def _run_path(plan: Sequence[_PlanStep], choices: List[int], mode: str,
         except lang.EvalError:  # division or modulo by zero
             value = None
         mask = (1 << used) - (1 << start)
-        for name in reads:
-            mask |= depends[name]
+        while reads:
+            bit = reads & -reads
+            mask |= depends[bit]
+            reads ^= bit
         if value is None:
             return "fail", mask
         if kind == ASSIGN:
             env[stmt.var] = value
-            depends[stmt.var] = mask
+            depends[write] = mask
         elif kind == ASSUME or mode == MODE_PHI:
             if value == 0:
                 return "fail", mask
@@ -389,7 +348,8 @@ class _OutOfSteps(Exception):
     pass
 
 
-def _search_witness(edges: Sequence[Edge], domain: Sequence[int], mode: str,
+def _search_witness(edges: Sequence[Edge], variables: Numbering,
+                    domain: Sequence[int], mode: str,
                     step_limit: int) -> ReplayResult:
     """Search nondet choices satisfying the path mode, by conflict-directed
     backjumping (Prosser 1993).
@@ -414,7 +374,8 @@ def _search_witness(edges: Sequence[Edge], domain: Sequence[int], mode: str,
     already failed for reasons named in the record.
     """
     domain = list(domain)
-    plan = _plan(edges)
+    plan = [(e.stmt, variables.reads[e.stmt.id], variables.writes[e.stmt.id])
+            for e in edges]
     steps = _StepBudget(step_limit)
     stack: List[int] = []  # indices into domain, one per occurrence
     conflicts: List[int] = []  # per occurrence: why its values so far failed
@@ -447,13 +408,10 @@ def _search_witness(edges: Sequence[Edge], domain: Sequence[int], mode: str,
 
 
 def _edges_for_path(cfa: Cfa, path: Sequence[int]) -> List[Edge]:
-    by_id = {e.stmt.id: e for e in cfa.edges}
     edges = []
     expected = cfa.entry
     for stmt_id in path:
-        edge = by_id.get(stmt_id)
-        if edge is None:
-            raise ValueError(f"no statement with id {stmt_id}")
+        edge = cfa.edge(stmt_id)
         if edge.src != expected:
             raise ValueError("path is not connected from entry")
         edges.append(edge)
@@ -476,7 +434,8 @@ def replay(cfa: Cfa, path: Sequence[int],
     executed statement over all runs, runs out first.
     """
     edges = _edges_for_path(cfa, path)
-    return _search_witness(edges, nondet_domain, MODE_ASSUMES, step_limit)
+    return _search_witness(edges, cfa.numbering(), nondet_domain,
+                           MODE_ASSUMES, step_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -488,45 +447,38 @@ class _CoverIndex:
     """Indexed nodes grouped by what the strict cover policy must match
     exactly.
 
-    A group key is the node's location and automaton state, its set of
-    assigned variables, and for each variable live at the location its
-    concrete value or the fresh-top symbol.  The live values follow the
-    iteration order of the location's live set, which is the same for
-    every node of one exploration.  A coverer always shares the key of
-    the node it covers, so the dead-variable subsumption test only runs
-    inside one group.  A node with a constrained top on a live variable
-    has no key: it can neither cover nor be covered.
+    A group key is the node's location and automaton state and its
+    valuation's entries at the bits live at the location, in variable
+    number order, a fresh top as ``TOP``.  A coverer always shares the key
+    of the node it covers, so the dead-variable subsumption test only runs
+    inside one group.  A node with a constrained top on a live variable (a
+    ``TOP`` whose fresh bit is clear) has no key: it can neither cover nor
+    be covered.
     """
 
-    __slots__ = ("live", "names", "groups")
+    __slots__ = ("live", "positions", "groups")
 
-    def __init__(self, live: Dict[int, FrozenSet[str]]):
+    def __init__(self, live: Dict[int, int]):
         self.live = live
-        self.names: Dict[FrozenSet[str], FrozenSet[str]] = {}
+        self.positions: Dict[int, Tuple[int, ...]] = {}  # location -> live bits
         self.groups: Dict[Tuple, List[int]] = {}
 
     def group(self, node: ArtNode) -> Optional[List[int]]:
         """The node's group, created empty if new; None when it has no key."""
+        positions = self.positions.get(node.cfa_node)
+        if positions is None:
+            bits = reversed(bin(self.live[node.cfa_node]))
+            positions = self.positions[node.cfa_node] = \
+                tuple(i for i, bit in enumerate(bits) if bit == "1")
         valuation = node.valuation
         values = []
-        for name in self.live[node.cfa_node]:
-            value = valuation.get(name)
-            if value is TOP_CONSTRAINED:
+        for i in positions:
+            value = valuation[i]
+            if value is TOP and not node.fresh >> i & 1:
                 return None
             values.append(value)
-        # One shared set per distinct assigned-variable set keeps the keys
-        # small: most nodes of a run assign the same variables.
-        names = frozenset(valuation)
-        names = self.names.setdefault(names, names)
-        key = (node.cfa_node, node.aa_state, names, tuple(values))
+        key = (node.cfa_node, node.aa_state, tuple(values))
         return self.groups.setdefault(key, [])
-
-
-def _same_state(a: Valuation, b: Valuation) -> bool:
-    """Equal valuation keys: pointwise equal, both top flavors as one."""
-    return a == b or all(
-        value == b[name] or (is_top(value) and is_top(b[name]))
-        for name, value in a.items())
 
 
 class _Explorer:
@@ -540,7 +492,7 @@ class _Explorer:
         self.domain = list(nondet_domain)
         self.postorder = postorder_index(cfa)
         self.live = live_variables(cfa)
-        self.edge_by_id = {e.stmt.id: e for e in cfa.edges}
+        self.variables = cfa.numbering()
         self.nodes: List[ArtNode] = []
         self.index = _CoverIndex(self.live)
         self.cex: List[Execution] = []
@@ -564,30 +516,25 @@ class _Explorer:
         return tuple(path)
 
     def _replay_path(self, path: Tuple[int, ...], mode: str) -> ReplayResult:
-        edges = [self.edge_by_id[i] for i in path]
-        return _search_witness(edges, self.domain, mode,
+        edges = [self.cfa.edge(i) for i in path]
+        return _search_witness(edges, self.variables, self.domain, mode,
                                DEFAULT_REPLAY_STEP_LIMIT)
 
     def _covers(self, j: ArtNode, v: ArtNode) -> bool:
         """Whether j covers v, both of one cover group: j tracks at least
-        what v tracks, and j's dead variables subsume v's."""
+        what v tracks, and j's dead variables subsume v's.  The group key
+        makes the live entries equal, so only dead ones can differ."""
         if self.spec.kind == COVER and not j.tracked >= v.tracked:
             return False
-        live_here = self.live[v.cfa_node]
-        for name, vv in v.valuation.items():
-            if name in live_here:
-                continue
-            jv = j.valuation[name]
-            if not is_top(jv) and (is_top(vv) or jv != vv):
-                return False
-        return True
+        return all(jv == vv or (jv is TOP and vv is not UNASSIGNED)
+                   for jv, vv in zip(j.valuation, v.valuation))
 
     def _coverers(self, group: List[int], node: ArtNode):
         """The group in insertion order, members with the node's valuation
-        key first."""
+        first."""
         rest = []
         for jid in group:
-            if _same_state(self.nodes[jid].valuation, node.valuation):
+            if self.nodes[jid].valuation == node.valuation:
                 yield jid
             else:
                 rest.append(jid)
@@ -599,7 +546,9 @@ class _Explorer:
         aa_state = None
         if self.spec.kind == COVER:
             aa_state = self.spec.aa.initial
-        root = ArtNode(0, self.cfa.entry, {}, None, None, aa_state=aa_state)
+        valuation = (UNASSIGNED,) * len(self.variables.index)
+        root = ArtNode(0, self.cfa.entry, valuation, None, None,
+                       aa_state=aa_state)
         if self.spec.kind == COVER and aa_state == FALSE_STATE:
             # Collection can never start: nothing to explore.
             root.status = STATUS_PRUNED
@@ -610,8 +559,8 @@ class _Explorer:
         self.index.group(root).append(root.id)
         return root
 
-    def create_child(self, parent: ArtNode, edge: Edge,
-                     valuation: Valuation) -> Optional[ArtNode]:
+    def create_child(self, parent: ArtNode, edge: Edge, valuation: Valuation,
+                     fresh: int) -> Optional[ArtNode]:
         stmt = edge.stmt
         aa_state = None
         tracked = parent.tracked
@@ -623,7 +572,8 @@ class _Explorer:
             if aa_state == FALSE_STATE and not tracked:
                 prune = True
         node = ArtNode(len(self.nodes), edge.dst, valuation, parent.id,
-                       stmt.id, aa_state=aa_state, tracked=tracked)
+                       stmt.id, aa_state=aa_state, tracked=tracked,
+                       fresh=fresh)
         self.nodes.append(node)
         if prune:
             node.status = STATUS_PRUNED
@@ -683,42 +633,49 @@ class _Explorer:
         self.push_children(children)
 
     def transfer(self, node: ArtNode, edge: Edge) -> Optional[ArtNode]:
+        """The child down one edge.  Reading a variable clears its fresh
+        bit: a read top is coupled to the context."""
         stmt = edge.stmt
         val = node.valuation
+        index = self.variables.index
+        read_fresh = node.fresh & ~self.variables.reads[stmt.id]
         if stmt.kind == ASSIGN:
-            value = abstract_eval(stmt.expr, val)
-            if is_top(value) and not isinstance(stmt.expr, lang.Nondet):
-                value = TOP_CONSTRAINED
-            out = _constrain_reads(val, stmt.expr)
-            out[stmt.var] = value
-            return self.create_child(node, edge, out)
+            value = abstract_eval(stmt.expr, val, index)
+            out = list(val)
+            out[index[stmt.var]] = value
+            bit = self.variables.writes[stmt.id]
+            fresh = read_fresh & ~bit
+            if isinstance(stmt.expr, lang.Nondet):  # a fresh top
+                fresh |= bit
+            return self.create_child(node, edge, tuple(out), fresh)
         if stmt.kind == ASSUME:
-            t = truth(abstract_eval(stmt.expr, val))
+            t = truth(abstract_eval(stmt.expr, val, index))
             if t is False:
                 return None
             if t is True:
-                return self.create_child(node, edge, dict(val))
-            out = _constrain_reads(val, stmt.expr)
+                return self.create_child(node, edge, val, node.fresh)
             match = _strengthened(stmt.expr)
-            if match is not None and is_top(out.get(match[0])):
-                out[match[0]] = match[1]
-            return self.create_child(node, edge, out)
+            if match is not None and val[index[match[0]]] is TOP:
+                out = list(val)
+                out[index[match[0]]] = match[1]
+                val = tuple(out)
+            return self.create_child(node, edge, val, read_fresh)
         if stmt.kind == ASSERT:
-            t = truth(abstract_eval(stmt.expr, val))
+            t = truth(abstract_eval(stmt.expr, val, index))
             if t is not True:
                 self.check_assert(node, edge)
                 if self.bug is not None:
                     return None
             if t is False and self.spec.kind == COVER:
                 # No assertion-clean continuation exists down this edge.
-                child = ArtNode(len(self.nodes), edge.dst, dict(val), node.id,
+                child = ArtNode(len(self.nodes), edge.dst, val, node.id,
                                 stmt.id, status=STATUS_PRUNED)
                 self.nodes.append(child)
                 return child
-            out = dict(val) if t is not None else _constrain_reads(val, stmt.expr)
-            return self.create_child(node, edge, out)
+            fresh = node.fresh if t is not None else read_fresh
+            return self.create_child(node, edge, val, fresh)
         # skip / halt
-        return self.create_child(node, edge, dict(val))
+        return self.create_child(node, edge, val, node.fresh)
 
     def push_children(self, children: List[ArtNode]) -> None:
         if self.strategy.kind == BFS:
@@ -828,25 +785,24 @@ def emit_assumption_automaton(art: List[ArtNode], cfa: Cfa, verdict: str,
     if not nodes or nodes[0].status != STATUS_EXPANDED:
         return aa
 
-    def state_key(node: ArtNode) -> Tuple:
-        return (node.cfa_node, valuation_key(node.valuation),
-                node.aa_state, node.tracked)
-
     def resolve(node: ArtNode) -> ArtNode:
         while node.status == STATUS_COVERED:
             node = nodes[node.covered_by]
         return node
 
+    state_of: Dict[int, str] = {}  # expanded node id -> state name
     state_name: Dict[Tuple, str] = {}
     for node in nodes:
         if node.status != STATUS_EXPANDED:
             continue
-        key = state_key(node)
-        if key not in state_name:
-            state_name[key] = f"q{len(state_name)}"
-            aa.add_state(state_name[key], node.cfa_node)
+        key = (node.cfa_node, node.valuation, node.aa_state, node.tracked)
+        name = state_name.get(key)
+        if name is None:
+            name = state_name[key] = f"q{len(state_name)}"
+            aa.add_state(name, node.cfa_node)
+        state_of[node.id] = name
 
-    aa.initial = state_name[state_key(nodes[0])]
+    aa.initial = state_of[0]
 
     children: Dict[int, List[ArtNode]] = {}
     for node in nodes:
@@ -857,13 +813,9 @@ def emit_assumption_automaton(art: List[ArtNode], cfa: Cfa, verdict: str,
     for node in nodes:
         if node.status != STATUS_EXPANDED:
             continue
-        src = state_name[state_key(node)]
+        src = state_of[node.id]
         for child in children.get(node.id, []):
-            target = resolve(child)
-            if target.status == STATUS_EXPANDED:
-                tgt = state_name[state_key(target)]
-            else:
-                tgt = FALSE_STATE
+            tgt = state_of.get(resolve(child).id, FALSE_STATE)
             key = (src, child.incoming_stmt)
             old = transitions.get(key)
             if old is None or (old == FALSE_STATE and tgt != FALSE_STATE):
@@ -875,7 +827,7 @@ def emit_assumption_automaton(art: List[ArtNode], cfa: Cfa, verdict: str,
         for node in nodes:
             if node.status != STATUS_EXPANDED:
                 continue
-            src = state_name[state_key(node)]
+            src = state_of[node.id]
             for edge in cfa.out_edges(node.cfa_node):
                 key = (src, edge.stmt.id)
                 if transitions.get(key, FALSE_STATE) == FALSE_STATE:

@@ -694,11 +694,12 @@ def apply_binary(op: str, a: int, b: int) -> int:
     raise AssertionError(f"unknown operator {op}")
 
 
-def expr_variables(expr: Expr, into: Optional[set] = None) -> set:
-    """Names of all variables occurring in the expression."""
-    out = into if into is not None else set()
+def expr_variables(expr: Expr, into: Optional[dict] = None) -> dict:
+    """Names of all variables occurring in the expression, as the keys of
+    a dict in left-to-right order of first occurrence."""
+    out = into if into is not None else {}
     if isinstance(expr, Var):
-        out.add(expr.name)
+        out.setdefault(expr.name)
     elif isinstance(expr, Unary):
         expr_variables(expr.operand, out)
     elif isinstance(expr, Binary):

@@ -171,8 +171,10 @@ def test_format_errors(text, fragment):
 def test_parse_duplicate_on_line_raises():
     text = ("AUTOMATON a\nINITIAL q0\nSTATE q0 @L0\n"
             "  ON 0 -> __TRUE\n  ON 0 -> __FALSE\nEND\n")
-    with pytest.raises(DuplicateTransition):
+    with pytest.raises(FormatError) as info:
         parse_aa(text)
+    assert info.value.line == 5
+    assert "duplicate transition from q0 on 0" in str(info.value)
 
 
 # Alphabet checks -------------------------------------------------------------

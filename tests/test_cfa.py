@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from vericov import (dump_cfa, live_variables, parse_program, postorder_index,
-                     source_to_cfa, statement_ids, statements)
+from vericov import (Budget, Spec, dump_cfa, exact_coverage, explore,
+                     live_variables, make_strategy, parse_program,
+                     postorder_index, source_to_cfa, statement_ids,
+                     statements)
+from vericov import cfa as cfa_module
+from vericov.automaton import TRUE_STATE, AssumptionAutomaton
 from vericov.cfa import ASSIGN, ASSUME, HALT, Cfa, Edge, Statement
 from vericov.lowering import lower
 
@@ -163,9 +167,17 @@ def test_postorder_deterministic():
 # Liveness --------------------------------------------------------------------
 
 
+def _live_names(cfa):
+    """live_variables decoded through the variable numbering."""
+    names = list(cfa.numbering().index)
+    return {node: frozenset(name for i, name in enumerate(names)
+                            if mask >> i & 1)
+            for node, mask in live_variables(cfa).items()}
+
+
 def test_live_variables_simple():
     cfa = source_to_cfa("int main() { int x = 1; assert(x > 0); return 0; }")
-    live = live_variables(cfa)
+    live = _live_names(cfa)
     # x is live between its assignment and the assert read, dead elsewhere.
     assign_edge = cfa.edges[0]
     assert_edge = cfa.edges[1]
@@ -176,10 +188,31 @@ def test_live_variables_simple():
 
 def test_live_variables_loop_carried():
     cfa = fixture_cfa("loop_concrete.c")
-    live = live_variables(cfa)
+    live = _live_names(cfa)
     loop_head = next(e.src for e in cfa.edges
                      if e.stmt.kind == "assume" and e.stmt.text() == "i < 4")
     assert {"s", "i"} <= set(live[loop_head])
+
+
+def test_live_variables_fixpoint_runs_once_per_cfa(monkeypatch):
+    runs = 0
+    fixpoint = cfa_module._live_fixpoint
+
+    def counted(cfa):
+        nonlocal runs
+        runs += 1
+        return fixpoint(cfa)
+
+    monkeypatch.setattr(cfa_module, "_live_fixpoint", counted)
+    cfa = fixture_cfa("chain_ifs.c")
+    all_runs = AssumptionAutomaton(name="all", initial=TRUE_STATE)
+    report = exact_coverage(cfa, all_runs,
+                            Budget(max_nodes=500, max_counterexamples=1))
+    assert report.rounds >= 3
+    explore(cfa, Spec.assertions(), Budget(max_nodes=50))
+    explore(cfa, Spec.assertions(), Budget(max_nodes=50),
+            make_strategy("bfs"))
+    assert runs == 1
 
 
 # Validation ------------------------------------------------------------------

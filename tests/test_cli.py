@@ -117,6 +117,19 @@ def test_foreign_automaton_is_usage_error(tmp_path, capsys):
     assert "statement id" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("command", [
+    ["cover-exact"], ["cover-under"], ["score"],
+    ["verify", "--strategy", "dfs-postorder+score"],
+])
+def test_duplicate_on_line_is_usage_error(tmp_path, capsys, command):
+    aa = tmp_path / "dup.aa"
+    aa.write_text("AUTOMATON d\nINITIAL q0\nSTATE q0 @L0\n"
+                  "  ON 0 -> __TRUE\n  ON 0 -> __FALSE\nEND\n")
+    code = main([command[0], DEADBRANCH, "--aa", str(aa), *command[1:]])
+    assert code == EXIT_USAGE
+    assert "line 5" in capsys.readouterr().err
+
+
 # Two-phase flow ---------------------------------------------------------------
 
 

@@ -8,12 +8,13 @@ import pytest
 
 from vericov import (Budget, Cfa, Edge, Spec, Statement, StatementIdMismatch,
                      exact_coverage, exercised_within_analysis, explore,
-                     is_covered, line_projection, over_approx_coverage,
-                     parse_aa, source_to_cfa, under_approx_coverage)
+                     is_covered, line_projection, make_strategy,
+                     over_approx_coverage, parse_aa, source_to_cfa,
+                     under_approx_coverage)
 from vericov.automaton import (FALSE_STATE, TRUE_STATE, AssumptionAutomaton)
 from vericov.cfa import HALT, ASSIGN
 
-from conftest import fixture_cfa, golden
+from conftest import ALL_FIXTURES, fixture_cfa, golden
 
 import oracle
 
@@ -222,6 +223,34 @@ def test_over_bounds_exact_for_emitted_automata():
         exact = exact_coverage(cfa, emitted, Budget(max_nodes=4000))
         over = over_approx_coverage(cfa, emitted)
         assert set(exact.covered_ids) <= set(over.covered_ids), name
+
+
+@pytest.mark.parametrize("strategy", ["bfs", "dfs-postorder"])
+def test_coverage_never_shrinks_as_the_verify_budget_grows(strategy):
+    # A larger node budget explores a superset of the tree, so its
+    # automaton accepts more: over coverage must not shrink, nor exact
+    # coverage wherever both runs finished.
+    shrunk = []
+    exact_pairs = 0
+    for name in ALL_FIXTURES:
+        cfa = fixture_cfa(name)
+        before = None
+        for max_nodes in (5, 10, 20, 40, 80, 160, 320):
+            aa = explore(cfa, Spec.assertions(), Budget(max_nodes=max_nodes),
+                         make_strategy(strategy)).aa
+            over = set(over_approx_coverage(cfa, aa).covered_ids)
+            exact = exact_coverage(cfa, aa, Budget(max_nodes=1000))
+            now = (over, set(exact.covered_ids), exact.exhausted)
+            if before is not None:
+                if not before[0] <= now[0]:
+                    shrunk.append((name, max_nodes, "over"))
+                if not before[2] and not now[2]:
+                    exact_pairs += 1
+                    if not before[1] <= now[1]:
+                        shrunk.append((name, max_nodes, "exact"))
+            before = now
+    assert shrunk == []
+    assert exact_pairs >= 100
 
 
 # Reports ----------------------------------------------------------------------

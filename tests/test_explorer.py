@@ -16,8 +16,8 @@ from vericov.cli import EXIT_OK, main
 from vericov.explorer import (COUNTEREXAMPLES, COVER, FEASIBLE, INCONCLUSIVE,
                               INFEASIBLE, MODE_ASSUMES, MODE_PHI,
                               MODE_VIOLATION, SAFE, STATUS_COVERED,
-                              STATUS_EXPANDED, UNKNOWN, ReplayResult, is_top,
-                              valuation_key)
+                              STATUS_EXPANDED, TOP, UNASSIGNED, UNKNOWN,
+                              ReplayResult)
 
 from conftest import ALL_FIXTURES, fixture_cfa, golden
 
@@ -286,7 +286,8 @@ def test_backjumping_matches_chronological_search():
                 for mode, edges in runs:
                     domain = rng.choice(domains)
                     want = _reference_search(edges, domain, mode, 1000)
-                    got = explorer._search_witness(edges, domain, mode, 1000)
+                    got = explorer._search_witness(edges, cfa.numbering(),
+                                                   domain, mode, 1000)
                     seen[want.verdict] += 1
                     if want.verdict == INCONCLUSIVE:
                         continue
@@ -735,35 +736,32 @@ class _LocationBuckets:
 
     def __init__(self, live):
         self.groups = {}
-        self.keys = {}
 
     def group(self, node):
-        self.keys[node.id] = valuation_key(node.valuation)
         return self.groups.setdefault((node.cfa_node, node.aa_state), [])
 
 
 def _reference_coverers(self, group, node):
-    key = self.index.keys[node.id]
-    equal = [j for j in group if self.index.keys[j] == key]
-    return equal + [j for j in group if self.index.keys[j] != key]
+    equal = [j for j in group if self.nodes[j].valuation == node.valuation]
+    return equal + [j for j in group
+                    if self.nodes[j].valuation != node.valuation]
 
 
 def _reference_covers(self, j, v):
     """The strict cover policy, checked on every variable."""
     if self.spec.kind == COVER and not j.tracked >= v.tracked:
         return False
-    if j.valuation.keys() != v.valuation.keys():
-        return False
     live_here = self.live[v.cfa_node]
-    for name, vv in v.valuation.items():
-        jv = j.valuation[name]
-        if name in live_here:
-            if is_top(vv) and is_top(jv):
-                if not (vv.fresh and jv.fresh):
+    for i, (jv, vv) in enumerate(zip(j.valuation, v.valuation)):
+        if (jv is UNASSIGNED) != (vv is UNASSIGNED):
+            return False
+        if live_here >> i & 1:
+            if vv is TOP and jv is TOP:
+                if not (v.fresh >> i & 1 and j.fresh >> i & 1):
                     return False
-            elif is_top(vv) or is_top(jv) or vv != jv:
+            elif vv is TOP or jv is TOP or vv != jv:
                 return False
-        elif not is_top(jv) and (is_top(vv) or jv != vv):
+        elif jv is not TOP and (vv is TOP or jv != vv):
             return False
     return True
 
@@ -784,7 +782,7 @@ def _cover_runs(cfa, aa, extra_specs):
 
 def test_cover_groups_choose_the_reference_coverer(monkeypatch):
     # Each node's status and coverer equal those of a brute-force scan of
-    # every indexed node at the location: equal valuation keys first, then
+    # every indexed node at the location: equal valuations first, then
     # the others, each in insertion order.
     programs = [(name, fixture_cfa(name), []) for name in ALL_FIXTURES]
     programs.append(("spin_two_nondet",
@@ -815,8 +813,7 @@ def test_cover_groups_choose_the_reference_coverer(monkeypatch):
                 if node.status == STATUS_COVERED:
                     covered += 1
                     coverer = nodes[node.covered_by]
-                    by_subsumption += (valuation_key(coverer.valuation) !=
-                                       valuation_key(node.valuation))
+                    by_subsumption += coverer.valuation != node.valuation
     assert mismatches == []
     # Both coverer kinds occur: equal valuations and dead-variable tops.
     assert covered > by_subsumption > 0
