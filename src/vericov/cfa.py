@@ -71,6 +71,7 @@ class Cfa:
     _by_id: Dict[int, Edge] = field(default_factory=dict, repr=False)
     _numbering: Optional[Numbering] = field(default=None, repr=False)
     _live: Optional[Dict[int, int]] = field(default=None, repr=False)
+    _postorder: Optional[Dict[int, int]] = field(default=None, repr=False)
 
     def out_edges(self, node: int) -> List[Edge]:
         """Outgoing edges ordered by statement ID."""
@@ -141,7 +142,14 @@ def postorder_index(cfa: Cfa) -> Dict[int, int]:
     order, so the indexing is deterministic.  Nodes unreachable from entry
     (code after `return`) are traversed afterwards by further DFS rounds in
     ascending node order, and thus never rank below any exit-reaching node.
+    Worked out once per CFA and kept on it, like `live_variables`.
     """
+    if cfa._postorder is None:
+        cfa._postorder = _postorder_dfs(cfa)
+    return cfa._postorder
+
+
+def _postorder_dfs(cfa: Cfa) -> Dict[int, int]:
     index: Dict[int, int] = {}
     visited: Set[int] = set()
     counter = 0

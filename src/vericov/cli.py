@@ -68,9 +68,19 @@ class _CliError(Exception):
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"cannot read {path}: not UTF-8 text (byte"
+                        f" {exc.start})")
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _load_cfa(config: RunConfig) -> Cfa:
@@ -131,7 +141,7 @@ def _cmd_verify(config: RunConfig) -> int:
     result = explore(cfa, Spec.assertions(), _budget(config),
                      strategy=strategy, nondet_domain=_domain(config))
     if config.aa_out:
-        Path(config.aa_out).write_text(automaton.serialize_aa(result.aa))
+        _write_text(config.aa_out, automaton.serialize_aa(result.aa))
     stats = result.art_stats
     if config.format == "structured":
         payload = {
@@ -221,7 +231,7 @@ def run(config: RunConfig) -> int:
     try:
         return _COMMANDS[config.command](config)
     except (_CliError, ParseError, UndeclaredVariable, FormatError,
-            StatementIdMismatch, MissingScores, ValueError) as exc:
+            StatementIdMismatch, MissingScores) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

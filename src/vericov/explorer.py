@@ -44,72 +44,16 @@ from .cfa import (ASSERT, ASSIGN, ASSUME, Cfa, Edge, Numbering, Statement,
 
 
 # The two non-integer entries of a valuation, compared by identity.
-TOP = "top"  # any integer
+TOP = lang.TOP  # any integer
 UNASSIGNED = "unassigned"
 
 Valuation = Tuple[object, ...]  # per variable number: int | TOP | UNASSIGNED
-
-
-def abstract_eval(expr: lang.Expr, valuation: Valuation,
-                  index: Dict[str, int]) -> object:
-    """Evaluate to an int or TOP.  Any top operand makes the result top;
-    `index` numbers the variables."""
-    if isinstance(expr, lang.IntLit):
-        return expr.value
-    if isinstance(expr, lang.Var):
-        return valuation[index[expr.name]]
-    if isinstance(expr, lang.Nondet):
-        return TOP
-    if isinstance(expr, lang.Unary):
-        v = abstract_eval(expr.operand, valuation, index)
-        if v is TOP:
-            return TOP
-        return (0 if v else 1) if expr.op == "!" else -v
-    a = abstract_eval(expr.lhs, valuation, index)
-    b = abstract_eval(expr.rhs, valuation, index)
-    if a is TOP or b is TOP:
-        return TOP
-    try:
-        return lang.apply_binary(expr.op, a, b)
-    except lang.EvalError:
-        return TOP
 
 
 def truth(value: object) -> Optional[bool]:
     if value is TOP:
         return None
     return value != 0
-
-
-def _strengthened(guard: lang.Expr) -> Optional[Tuple[str, int]]:
-    """Match guards of shape `var == const` (either side, possibly !(!=))."""
-    e = guard
-    negated = False
-    while isinstance(e, lang.Unary) and e.op == "!":
-        negated = not negated
-        e = e.operand
-    if not isinstance(e, lang.Binary):
-        return None
-    op = e.op
-    if negated:
-        op = {"==": "!=", "!=": "=="}.get(op, "")
-    if op != "==":
-        return None
-    for var, const in ((e.lhs, e.rhs), (e.rhs, e.lhs)):
-        value = _int_constant(const)
-        if isinstance(var, lang.Var) and value is not None:
-            return var.name, value
-    return None
-
-
-def _int_constant(e: lang.Expr) -> Optional[int]:
-    """The value of an integer literal, possibly under one unary minus."""
-    if isinstance(e, lang.IntLit):
-        return e.value
-    if isinstance(e, lang.Unary) and e.op == "-" and \
-            isinstance(e.operand, lang.IntLit):
-        return -e.operand.value
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -640,28 +584,28 @@ class _Explorer:
         index = self.variables.index
         read_fresh = node.fresh & ~self.variables.reads[stmt.id]
         if stmt.kind == ASSIGN:
-            value = abstract_eval(stmt.expr, val, index)
+            value = lang.abstract_eval(stmt.expr, val, index)
             out = list(val)
             out[index[stmt.var]] = value
             bit = self.variables.writes[stmt.id]
             fresh = read_fresh & ~bit
-            if isinstance(stmt.expr, lang.Nondet):  # a fresh top
+            if stmt.expr == lang.NONDET_EXPR:  # a fresh top
                 fresh |= bit
             return self.create_child(node, edge, tuple(out), fresh)
         if stmt.kind == ASSUME:
-            t = truth(abstract_eval(stmt.expr, val, index))
+            t = truth(lang.abstract_eval(stmt.expr, val, index))
             if t is False:
                 return None
             if t is True:
                 return self.create_child(node, edge, val, node.fresh)
-            match = _strengthened(stmt.expr)
+            match = lang.implied_equality(stmt.expr)
             if match is not None and val[index[match[0]]] is TOP:
                 out = list(val)
                 out[index[match[0]]] = match[1]
                 val = tuple(out)
             return self.create_child(node, edge, val, read_fresh)
         if stmt.kind == ASSERT:
-            t = truth(abstract_eval(stmt.expr, val, index))
+            t = truth(lang.abstract_eval(stmt.expr, val, index))
             if t is not True:
                 self.check_assert(node, edge)
                 if self.bug is not None:

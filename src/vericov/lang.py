@@ -33,10 +33,40 @@ authoritative description of the language:
 * `ID++` / `ID--` are sugar for `ID = ID + 1` / `ID = ID - 1`.
 * Loop bodies may be a block or a single `;`.  `if`/`else` bodies must be
   blocks.
+* Blocks nest at most `MAX_BLOCK_DEPTH` (127) levels deep, the body of
+  main being level 1: the minimum C11 §5.2.4.1 requires a compiler to
+  support.  Deeper nesting is a ParseError.  Expressions have no depth
+  limit.
 
 Scoping: declare-before-use, block scoped; redeclaration in the same scope
 and shadowing of an outer variable are both rejected (the analyses key
-program states by variable name).
+program states by variable name).  The parser checks scopes as it reads
+the text, in one pass, so among several errors the first one the parser
+reaches is reported; a lexical error anywhere is reported before all
+others.  A scope error names the line of its statement.
+
+Expressions are flat postfix code: a tuple of ``(opcode, argument)``
+pairs, operands in source order, each operator after its operands.
+
+    (LIT, n)        push the integer n
+    (VAR, name)     push the value of a variable
+    (NONDET, None)  push the value of this nondet() occurrence
+    (UNARY, op)     replace the top value by `!` or `-` of it
+    (BINARY, op)    replace the top two values by the operator applied to
+                    them, the lower one the left operand
+    (AND_SKIP, k)   stands before the right operand of `&&`: when the
+                    left operand on top is 0, a short-circuiting evaluator
+                    keeps that 0 and skips the next k ops (the right
+                    operand and the BINARY op)
+    (OR_SKIP, k)    likewise for `||` when the left operand is nonzero;
+                    the top becomes 1
+
+The parser builds the code with an explicit operator stack (Dijkstra's
+shunting-yard), and every reader of it is one loop, so neither nesting
+nor long operator chains recurse.  Only this module reads the opcodes;
+other modules go through `concrete_eval`, `abstract_eval`,
+`expr_variables`, `expr_to_text`, `implied_equality`, `negate` and the
+constants `NONDET_EXPR` and `ONE`.
 
 `/` and `%` follow C99: truncation toward zero, remainder takes the sign
 of the dividend.  Division by zero has no defined value; `concrete_eval`
@@ -46,8 +76,10 @@ infeasible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Union
+import operator
+import re
+from dataclasses import dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 
 class ParseError(Exception):
@@ -72,39 +104,30 @@ class EvalError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# AST
+# Expression code and statements
 # ---------------------------------------------------------------------------
 
+# Opcodes.  The readers below compare them by identity, so code is built
+# from these objects.
+LIT = "lit"
+VAR = "var"
+NONDET = "nondet"
+UNARY = "unary"
+BINARY = "binary"
+AND_SKIP = "and-skip"
+OR_SKIP = "or-skip"
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+Expr = Tuple[Tuple[str, object], ...]
 
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-
-@dataclass(frozen=True)
-class Nondet:
-    """A `nondet()` call: an arbitrary integer chosen at this occurrence."""
-
-
-@dataclass(frozen=True)
-class Unary:
-    op: str  # "!" or "-"
-    operand: "Expr"
+NONDET_EXPR: Expr = ((NONDET, None),)
+ONE: Expr = ((LIT, 1),)
+_NOT = (UNARY, "!")
+_NEG = (UNARY, "-")
 
 
-@dataclass(frozen=True)
-class Binary:
-    op: str
-    lhs: "Expr"
-    rhs: "Expr"
-
-
-Expr = Union[IntLit, Var, Nondet, Unary, Binary]
+def negate(expr: Expr) -> Expr:
+    """`!(expr)`."""
+    return expr + (_NOT,)
 
 
 @dataclass
@@ -143,7 +166,6 @@ class For:
     update: Optional["Stmt"]  # Assign
     body: List["Stmt"]
     line: int
-    implicit_decls: List[str] = field(default_factory=list)
 
 
 @dataclass
@@ -179,13 +201,25 @@ class Program:
 KEYWORDS = {"int", "main", "if", "else", "while", "for", "assert", "return",
             "true", "false"}
 
-# Longest symbols first so the lexer never splits a two-char operator.
-SYMBOLS = ["&&", "||", "==", "!=", "<=", ">=", "++", "--",
-           "{", "}", "(", ")", ";", "=", "<", ">", "+", "-", "*", "/", "%", "!"]
+# One alternative per token class, tried in order (the tokenizer recipe of
+# the `re` documentation), then the blanks that follow on the same line.
+# Unnamed alternatives are skipped.  Two-character symbols come first so a
+# symbol is never split.  `ident` also admits non-decimal numeric
+# characters such as `²`, which `tokenize` rejects.
+_TOKEN = re.compile(r"""(?:
+    (?P<newline>\n)
+  | [ \t\r]+
+  | (?:\#|//)[^\n]*
+  | (?P<comment>/\*.*?\*/)
+  | (?P<unterminated>/\*)
+  | (?P<int>[0-9]+)
+  | (?P<ident>[^\W\d]\w*)
+  | (?P<sym>&&|\|\||[=!<>]=|\+\+|--|[{}();=<>+\-*/%!])
+  | (?P<bad>.)
+)[ \t\r]*""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str  # "int", "ident", "kw", "sym", "eof"
     text: str
     line: int
@@ -193,70 +227,33 @@ class Token:
 
 
 def tokenize(source: str) -> List[Token]:
+    """The tokens of a source text, closed by an eof token."""
     tokens: List[Token] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        c = source[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        if kind is None:
             continue
-        if c in " \t\r":
-            i += 1
-            col += 1
+        start = match.start()
+        text = match.group(kind)
+        if kind == "newline" or kind == "comment":
+            newlines = text.count("\n")
+            if newlines:
+                line += newlines
+                line_start = start + text.rindex("\n") + 1
             continue
-        if c == "#":
-            # Preprocessor-style directive: skip to end of line.
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-                col += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise ParseError("unterminated comment", line, col)
-            for ch in source[i:end + 2]:
-                if ch == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            i = end + 2
-            continue
-        if c in "0123456789":
-            start = i
-            startcol = col
-            while i < n and source[i] in "0123456789":
-                i += 1
-                col += 1
-            tokens.append(Token("int", source[start:i], line, startcol))
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            startcol = col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-                col += 1
-            text = source[start:i]
-            kind = "kw" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, line, startcol))
-            continue
-        for sym in SYMBOLS:
-            if source.startswith(sym, i):
-                tokens.append(Token("sym", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        col = start - line_start + 1
+        if kind == "ident":
+            if text in KEYWORDS:
+                kind = "kw"
+            elif not (text[0].isalpha() or text[0] == "_"):
+                kind = "bad"
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text[0]!r}", line, col)
+        if kind == "unterminated":
+            raise ParseError("unterminated comment", line, col)
+        tokens.append(Token(kind, text, line, col))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -275,29 +272,49 @@ PRECEDENCE = {
 }
 UNARY_PRECEDENCE = 7
 
+MAX_BLOCK_DEPTH = 127
+
+# Operator-stack entries: (precedence, op to emit, index of its skip op or
+# -1).  An open parenthesis binds loosest, so no operator pops past it.
+_OPEN = (0, None, -1)
+_SKIPS = {"&&": AND_SKIP, "||": OR_SKIP}
+
+
+def _emit(code: list, entry: tuple) -> None:
+    """Append an operator-stack entry's op, first pointing its skip op, if
+    any, past it."""
+    _, op, skip = entry
+    if skip >= 0:
+        code[skip] = (_SKIPS[op[1]], len(code) - skip)
+    code.append(op)
+
 
 class _Parser:
     def __init__(self, tokens: List[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # blocks open around the current statement
+        self.visible: set = set()  # every variable in scope
+        self.scopes: List[List[str]] = []  # names declared per open scope
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]  # never past the final eof token
 
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "eof":
-            self.pos += 1
-        return tok
+        """The next token, which callers know is not the final eof."""
+        self.pos += 1
+        return self.tokens[self.pos - 1]
 
     def error(self, message: str, tok: Optional[Token] = None) -> ParseError:
         tok = tok or self.peek()
         return ParseError(message, tok.line, tok.col)
 
     def accept(self, text: str) -> Optional[Token]:
-        tok = self.peek()
-        if tok.text == text and tok.kind in ("sym", "kw"):
-            return self.advance()
+        """The next token if it is the given symbol or keyword."""
+        tok = self.tokens[self.pos]
+        if tok.text == text:
+            self.pos += 1
+            return tok
         return None
 
     def expect(self, text: str) -> Token:
@@ -305,6 +322,21 @@ class _Parser:
         if tok is None:
             raise self.error(f"expected '{text}', found '{self.peek().text or 'end of input'}'")
         return tok
+
+    # -- scopes --------------------------------------------------------------
+
+    def declare(self, name: str, line: int) -> None:
+        if name in self.visible:
+            raise ParseError(f"redeclaration of '{name}'", line, 1)
+        self.visible.add(name)
+        self.scopes[-1].append(name)
+
+    def require(self, name: str, line: int) -> None:
+        if name not in self.visible:
+            raise UndeclaredVariable(name, line)
+
+    def close_scope(self) -> None:
+        self.visible.difference_update(self.scopes.pop())
 
     # -- program structure --------------------------------------------------
 
@@ -321,27 +353,33 @@ class _Parser:
 
     def skip_prologue(self) -> None:
         # Forward declarations, e.g. `int nondet();`, before main.
-        while (self.peek().text == "int" and self.peek(1).kind == "ident"
-               and self.peek(2).text == "(" and self.peek(3).text == ")"
-               and self.peek(4).text == ";"):
-            for _ in range(5):
-                self.advance()
+        def ahead(k: int) -> Token:
+            return self.tokens[min(self.pos + k, len(self.tokens) - 1)]
+
+        while (ahead(0).text == "int" and ahead(1).kind == "ident"
+               and ahead(2).text == "(" and ahead(3).text == ")"
+               and ahead(4).text == ";"):
+            self.pos += 5
 
     def parse_block(self) -> List[Stmt]:
-        self.expect("{")
+        brace = self.expect("{")
+        self.depth += 1
+        if self.depth > MAX_BLOCK_DEPTH:
+            raise self.error(f"blocks nested deeper than {MAX_BLOCK_DEPTH}"
+                             " levels", brace)
+        self.scopes.append([])
         stmts: List[Stmt] = []
         while not self.accept("}"):
             if self.peek().kind == "eof":
                 raise self.error("unterminated block")
             stmts.append(self.parse_stmt())
+        self.close_scope()
+        self.depth -= 1
         return stmts
 
     def parse_loop_body(self) -> List[Stmt]:
-        tok = self.peek()
-        if tok.text == ";":
-            self.advance()
-            return [Skip(tok.line)]
-        return self.parse_block()
+        tok = self.accept(";")
+        return [Skip(tok.line)] if tok else self.parse_block()
 
     # -- statements ----------------------------------------------------------
 
@@ -363,7 +401,7 @@ class _Parser:
         if tok.text == "assert":
             self.advance()
             self.expect("(")
-            cond = self.parse_expr()
+            cond = self.parse_expr(tok.line)
             self.expect(")")
             self.expect(";")
             return Assert(cond, tok.line)
@@ -371,11 +409,11 @@ class _Parser:
             self.advance()
             expr = None
             if self.peek().text != ";":
-                expr = self.parse_expr()
+                expr = self.parse_expr(tok.line)
             self.expect(";")
             return Return(expr, tok.line)
         if tok.kind == "ident":
-            stmt = self.parse_assign_like()
+            stmt = self.parse_assign_like(implicit=False)
             self.expect(";")
             return stmt
         raise self.error(f"expected statement, found '{tok.text or 'end of input'}'")
@@ -385,17 +423,27 @@ class _Parser:
         name = self.expect_ident()
         init = None
         if self.accept("="):
-            init = self.parse_expr()
+            init = self.parse_expr(tok.line)
+        self.declare(name.text, tok.line)
         return Decl(name.text, init, tok.line)
 
-    def parse_assign_like(self) -> Assign:
+    def parse_assign_like(self, implicit: bool) -> Assign:
+        """An assignment, `++` or `--`.  With `implicit` (a for
+        initializer) an undeclared target is declared by it."""
         name = self.expect_ident()
-        if self.accept("++"):
-            return Assign(name.text, Binary("+", Var(name.text), IntLit(1)), name.line)
-        if self.accept("--"):
-            return Assign(name.text, Binary("-", Var(name.text), IntLit(1)), name.line)
-        self.expect("=")
-        return Assign(name.text, self.parse_expr(), name.line)
+        target, line = name.text, name.line
+        if not implicit:
+            self.require(target, line)
+        if self.peek().text in ("++", "--"):
+            op = self.advance().text[0]
+            self.require(target, line)
+            expr: Expr = ((VAR, target), (LIT, 1), (BINARY, op))
+        else:
+            self.expect("=")
+            expr = self.parse_expr(line)
+        if implicit and target not in self.visible:
+            self.declare(target, line)
+        return Assign(target, expr, line)
 
     def expect_ident(self) -> Token:
         tok = self.peek()
@@ -406,7 +454,7 @@ class _Parser:
     def parse_if(self) -> If:
         tok = self.expect("if")
         self.expect("(")
-        cond = self.parse_expr()
+        cond = self.parse_expr(tok.line)
         self.expect(")")
         then = self.parse_block()
         orelse: List[Stmt] = []
@@ -417,7 +465,7 @@ class _Parser:
     def parse_while(self) -> While:
         tok = self.expect("while")
         self.expect("(")
-        cond = self.parse_expr()
+        cond = self.parse_expr(tok.line)
         self.expect(")")
         body = self.parse_loop_body()
         return While(cond, body, tok.line)
@@ -425,150 +473,90 @@ class _Parser:
     def parse_for(self) -> For:
         tok = self.expect("for")
         self.expect("(")
+        self.scopes.append([])  # the initializer's variable
         init: Optional[Stmt] = None
         if self.peek().text != ";":
-            init = self.parse_decl() if self.peek().text == "int" else self.parse_assign_like()
+            if self.peek().text == "int":
+                init = self.parse_decl()
+            else:
+                init = self.parse_assign_like(implicit=True)
         self.expect(";")
         cond = None
         if self.peek().text != ";":
-            cond = self.parse_expr()
+            cond = self.parse_expr(tok.line)
         self.expect(";")
         update: Optional[Stmt] = None
         if self.peek().text != ")":
-            update = self.parse_assign_like()
+            update = self.parse_assign_like(implicit=False)
         self.expect(")")
         body = self.parse_loop_body()
+        self.close_scope()
         return For(init, cond, update, body, tok.line)
 
     # -- expressions ---------------------------------------------------------
 
-    def parse_expr(self, min_prec: int = 1) -> Expr:
-        lhs = self.parse_unary()
+    def parse_expr(self, line: int) -> Expr:
+        """An expression as postfix code, by shunting-yard: an operator
+        waits on `pending` until one binding no tighter follows its right
+        operand.  Undeclared variables are reported at `line`."""
+        code: list = []
+        pending: List[tuple] = []
+        opened = 0  # open parentheses on `pending`
         while True:
             tok = self.peek()
-            prec = PRECEDENCE.get(tok.text) if tok.kind == "sym" else None
-            if prec is None or prec < min_prec:
-                return lhs
+            while tok.text in ("!", "-", "("):
+                self.advance()
+                if tok.text == "(":
+                    pending.append(_OPEN)
+                    opened += 1
+                else:
+                    pending.append((UNARY_PRECEDENCE, (UNARY, tok.text), -1))
+                tok = self.peek()
+            code.append(self.parse_primary(tok, line))
+            tok = self.peek()
+            while opened and tok.text == ")":
+                self.advance()
+                while pending[-1] is not _OPEN:
+                    _emit(code, pending.pop())
+                pending.pop()
+                opened -= 1
+                tok = self.peek()
+            prec = PRECEDENCE.get(tok.text)
+            if prec is None:
+                break
             self.advance()
-            rhs = self.parse_expr(prec + 1)
-            lhs = Binary(tok.text, lhs, rhs)
+            while pending and pending[-1][0] >= prec:
+                _emit(code, pending.pop())
+            skip = -1
+            if tok.text in _SKIPS:
+                skip = len(code)
+                code.append(None)  # set when the operator is emitted
+            pending.append((prec, (BINARY, tok.text), skip))
+        if opened:
+            raise self.error(f"expected ')', found '{tok.text or 'end of input'}'")
+        while pending:
+            _emit(code, pending.pop())
+        return tuple(code)
 
-    def parse_unary(self) -> Expr:
-        tok = self.peek()
-        if tok.text in ("!", "-") and tok.kind == "sym":
-            self.advance()
-            return Unary(tok.text, self.parse_unary())
-        return self.parse_primary()
-
-    def parse_primary(self) -> Expr:
-        tok = self.peek()
+    def parse_primary(self, tok: Token, line: int) -> Tuple[str, object]:
         if tok.kind == "int":
             self.advance()
-            return IntLit(int(tok.text))
-        if tok.text == "true":
+            try:
+                return LIT, int(tok.text)
+            except ValueError:  # longer than int() converts
+                raise self.error(f"integer literal of {len(tok.text)} digits"
+                                 " is too long", tok) from None
+        if tok.text == "true" or tok.text == "false":
             self.advance()
-            return IntLit(1)
-        if tok.text == "false":
-            self.advance()
-            return IntLit(0)
+            return LIT, 1 if tok.text == "true" else 0
         if tok.kind == "ident":
             self.advance()
             if tok.text == "nondet" and self.accept("("):
                 self.expect(")")
-                return Nondet()
-            return Var(tok.text)
-        if self.accept("("):
-            expr = self.parse_expr()
-            self.expect(")")
-            return expr
+                return NONDET, None
+            self.require(tok.text, line)
+            return VAR, tok.text
         raise self.error(f"expected expression, found '{tok.text or 'end of input'}'")
-
-
-# ---------------------------------------------------------------------------
-# Scope checking
-# ---------------------------------------------------------------------------
-
-
-class _Scopes:
-    def __init__(self) -> None:
-        self.stack: List[set] = [set()]
-
-    def push(self) -> None:
-        self.stack.append(set())
-
-    def pop(self) -> None:
-        self.stack.pop()
-
-    def declared(self, name: str) -> bool:
-        return any(name in scope for scope in self.stack)
-
-    def declare(self, name: str, line: int) -> None:
-        if self.declared(name):
-            raise ParseError(f"redeclaration of '{name}'", line, 1)
-        self.stack[-1].add(name)
-
-
-def _check_expr(expr: Expr, scopes: _Scopes, line: int) -> None:
-    if isinstance(expr, Var):
-        if not scopes.declared(expr.name):
-            raise UndeclaredVariable(expr.name, line)
-    elif isinstance(expr, Unary):
-        _check_expr(expr.operand, scopes, line)
-    elif isinstance(expr, Binary):
-        _check_expr(expr.lhs, scopes, line)
-        _check_expr(expr.rhs, scopes, line)
-
-
-def _check_block(stmts: List[Stmt], scopes: _Scopes) -> None:
-    for stmt in stmts:
-        _check_stmt(stmt, scopes)
-
-
-def _check_stmt(stmt: Stmt, scopes: _Scopes) -> None:
-    if isinstance(stmt, Decl):
-        if stmt.init is not None:
-            _check_expr(stmt.init, scopes, stmt.line)
-        scopes.declare(stmt.name, stmt.line)
-    elif isinstance(stmt, Assign):
-        if not scopes.declared(stmt.name):
-            raise UndeclaredVariable(stmt.name, stmt.line)
-        _check_expr(stmt.expr, scopes, stmt.line)
-    elif isinstance(stmt, If):
-        _check_expr(stmt.cond, scopes, stmt.line)
-        scopes.push()
-        _check_block(stmt.then, scopes)
-        scopes.pop()
-        scopes.push()
-        _check_block(stmt.orelse, scopes)
-        scopes.pop()
-    elif isinstance(stmt, While):
-        _check_expr(stmt.cond, scopes, stmt.line)
-        scopes.push()
-        _check_block(stmt.body, scopes)
-        scopes.pop()
-    elif isinstance(stmt, For):
-        scopes.push()
-        if isinstance(stmt.init, Decl):
-            _check_stmt(stmt.init, scopes)
-        elif isinstance(stmt.init, Assign):
-            # A for-initializer assignment to an undeclared name declares it.
-            _check_expr(stmt.init.expr, scopes, stmt.init.line)
-            if not scopes.declared(stmt.init.name):
-                scopes.declare(stmt.init.name, stmt.init.line)
-                stmt.implicit_decls.append(stmt.init.name)
-        if stmt.cond is not None:
-            _check_expr(stmt.cond, scopes, stmt.line)
-        if stmt.update is not None:
-            _check_stmt(stmt.update, scopes)
-        scopes.push()
-        _check_block(stmt.body, scopes)
-        scopes.pop()
-        scopes.pop()
-    elif isinstance(stmt, Assert):
-        _check_expr(stmt.cond, scopes, stmt.line)
-    elif isinstance(stmt, Return):
-        if stmt.expr is not None:
-            _check_expr(stmt.expr, scopes, stmt.line)
 
 
 def parse_program(source: str, name: str = "main") -> Program:
@@ -578,43 +566,62 @@ def parse_program(source: str, name: str = "main") -> Program:
     """
     program = _Parser(tokenize(source)).parse_program()
     program.name = name
-    _check_block(program.body, _Scopes())
     return program
 
 
 # ---------------------------------------------------------------------------
-# Expression rendering
+# Readers of expression code
 # ---------------------------------------------------------------------------
 
 
 def expr_to_text(expr: Expr) -> str:
     """Deterministic source-like rendering, minimal parentheses."""
-    return _render(expr, 0)
+    # Entries: (text, precedence of its outermost operator); literals,
+    # variables and unary operations never need parentheses.
+    stack: List[Tuple[str, int]] = []
+    for op, arg in expr:
+        if op is BINARY:
+            (lhs, lhs_prec), (rhs, rhs_prec) = stack[-2:]
+            prec = PRECEDENCE[arg]
+            if lhs_prec < prec:
+                lhs = f"({lhs})"
+            if rhs_prec <= prec:
+                rhs = f"({rhs})"
+            stack[-2:] = [(f"{lhs} {arg} {rhs}", prec)]
+        elif op is UNARY:
+            text, prec = stack.pop()
+            text = f"({text})" if prec < UNARY_PRECEDENCE else text
+            stack.append((arg + text, UNARY_PRECEDENCE))
+        elif op is not AND_SKIP and op is not OR_SKIP:
+            text = "nondet()" if op is NONDET else str(arg)
+            stack.append((text, UNARY_PRECEDENCE))
+    return stack[-1][0]
 
 
-def _render(expr: Expr, parent_prec: int) -> str:
-    if isinstance(expr, IntLit):
-        return str(expr.value)
-    if isinstance(expr, Var):
-        return expr.name
-    if isinstance(expr, Nondet):
-        return "nondet()"
-    if isinstance(expr, Unary):
-        if isinstance(expr.operand, Binary):
-            return f"{expr.op}({_render(expr.operand, 0)})"
-        return f"{expr.op}{_render(expr.operand, UNARY_PRECEDENCE)}"
-    prec = PRECEDENCE[expr.op]
-    lhs = _render(expr.lhs, prec)
-    rhs = _render(expr.rhs, prec + 1)
-    text = f"{lhs} {expr.op} {rhs}"
-    if prec < parent_prec:
-        return f"({text})"
-    return text
+def expr_variables(expr: Expr) -> dict:
+    """Names of all variables occurring in the expression, as the keys of
+    a dict in left-to-right order of first occurrence."""
+    return dict.fromkeys([arg for op, arg in expr if op is VAR])
 
 
-# ---------------------------------------------------------------------------
-# Concrete evaluation
-# ---------------------------------------------------------------------------
+def implied_equality(guard: Expr) -> Optional[Tuple[str, int]]:
+    """`(name, c)` when the guard has the shape `name == c` or `c == name`,
+    c a literal possibly under one unary minus, under any number of `!`
+    (an odd number of them turning `!=` into `==`)."""
+    end = len(guard)
+    while guard[end - 1] == _NOT:
+        end -= 1
+    if guard[end - 1] != (BINARY, "!=" if (len(guard) - end) % 2 else "=="):
+        return None
+    operands = guard[:end - 1]
+    if operands[0][0] is VAR:
+        var, const = operands[0], operands[1:]
+    else:
+        var, const = operands[-1], operands[:-1]
+    if var[0] is not VAR or const[0][0] is not LIT or \
+            const[1:] not in ((), (_NEG,)):
+        return None
+    return var[1], -const[0][1] if const[1:] else const[0][1]
 
 
 def c_div(a: int, b: int) -> int:
@@ -630,6 +637,23 @@ def c_mod(a: int, b: int) -> int:
     return a - c_div(a, b) * b
 
 
+# The one binary operator table.  `&&`/`||` give the value of their
+# short-circuit form; whether the right operand is evaluated at all is the
+# evaluator's choice.
+_BINARY_OPS: Dict[str, Callable[[int, int], int]] = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": c_div, "%": c_mod,
+    "<": lambda a, b: 1 if a < b else 0,
+    "<=": lambda a, b: 1 if a <= b else 0,
+    ">": lambda a, b: 1 if a > b else 0,
+    ">=": lambda a, b: 1 if a >= b else 0,
+    "==": lambda a, b: 1 if a == b else 0,
+    "!=": lambda a, b: 1 if a != b else 0,
+    "&&": lambda a, b: 1 if a != 0 and b != 0 else 0,
+    "||": lambda a, b: 1 if a != 0 or b != 0 else 0,
+}
+
+
 def concrete_eval(expr: Expr, env: dict, next_nondet: Callable[[], int]) -> int:
     """Evaluate under a concrete environment.
 
@@ -637,72 +661,54 @@ def concrete_eval(expr: Expr, env: dict, next_nondet: Callable[[], int]) -> int:
     left-to-right evaluation order.  `&&`/`||` short-circuit, so an
     unreached operand consumes no nondet occurrences.
     """
-    if isinstance(expr, IntLit):
-        return expr.value
-    if isinstance(expr, Var):
-        return env[expr.name]
-    if isinstance(expr, Nondet):
-        return next_nondet()
-    if isinstance(expr, Unary):
-        v = concrete_eval(expr.operand, env, next_nondet)
-        return (0 if v else 1) if expr.op == "!" else -v
-    op = expr.op
-    if op == "&&":
-        if concrete_eval(expr.lhs, env, next_nondet) == 0:
-            return 0
-        return 0 if concrete_eval(expr.rhs, env, next_nondet) == 0 else 1
-    if op == "||":
-        if concrete_eval(expr.lhs, env, next_nondet) != 0:
-            return 1
-        return 0 if concrete_eval(expr.rhs, env, next_nondet) == 0 else 1
-    return apply_binary(op, concrete_eval(expr.lhs, env, next_nondet),
-                        concrete_eval(expr.rhs, env, next_nondet))
+    stack: List[int] = []
+    push = stack.append
+    ops = iter(expr)
+    for op, arg in ops:
+        if op is LIT:
+            push(arg)
+        elif op is VAR:
+            push(env[arg])
+        elif op is BINARY:
+            b = stack.pop()
+            stack[-1] = _BINARY_OPS[arg](stack[-1], b)
+        elif op is NONDET:
+            push(next_nondet())
+        elif op is UNARY:
+            stack[-1] = -stack[-1] if arg == "-" else 0 if stack[-1] else 1
+        elif (stack[-1] != 0) == (op is OR_SKIP):  # the left operand decides
+            stack[-1] = 1 if op is OR_SKIP else 0
+            for _ in range(arg):
+                next(ops)
+    return stack[-1]
 
 
-def apply_binary(op: str, a: int, b: int) -> int:
-    """Apply a binary operator to two evaluated operands.
-
-    `&&`/`||` give the value of their short-circuit form; the caller
-    decides whether the right operand is evaluated at all.
-    """
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return c_div(a, b)
-    if op == "%":
-        return c_mod(a, b)
-    if op == "<":
-        return 1 if a < b else 0
-    if op == "<=":
-        return 1 if a <= b else 0
-    if op == ">":
-        return 1 if a > b else 0
-    if op == ">=":
-        return 1 if a >= b else 0
-    if op == "==":
-        return 1 if a == b else 0
-    if op == "!=":
-        return 1 if a != b else 0
-    if op == "&&":
-        return 1 if a != 0 and b != 0 else 0
-    if op == "||":
-        return 1 if a != 0 or b != 0 else 0
-    raise AssertionError(f"unknown operator {op}")
+# The abstract value of an integer the analysis does not know.
+TOP = "top"
 
 
-def expr_variables(expr: Expr, into: Optional[dict] = None) -> dict:
-    """Names of all variables occurring in the expression, as the keys of
-    a dict in left-to-right order of first occurrence."""
-    out = into if into is not None else {}
-    if isinstance(expr, Var):
-        out.setdefault(expr.name)
-    elif isinstance(expr, Unary):
-        expr_variables(expr.operand, out)
-    elif isinstance(expr, Binary):
-        expr_variables(expr.lhs, out)
-        expr_variables(expr.rhs, out)
-    return out
+def abstract_eval(expr: Expr, valuation: tuple, index: Dict[str, int]) -> object:
+    """Evaluate to an int or TOP over a valuation indexed by `index`.  Any
+    top operand makes the result top: `&&`/`||` do not short-circuit, so
+    `0 && nondet()` is TOP."""
+    stack: list = []
+    push = stack.append
+    for op, arg in expr:
+        if op is LIT:
+            push(arg)
+        elif op is VAR:
+            push(valuation[index[arg]])
+        elif op is BINARY:
+            b = stack.pop()
+            if b is TOP:
+                stack[-1] = TOP
+            elif stack[-1] is not TOP:
+                try:
+                    stack[-1] = _BINARY_OPS[arg](stack[-1], b)
+                except EvalError:
+                    stack[-1] = TOP
+        elif op is NONDET:
+            push(TOP)
+        elif op is UNARY and stack[-1] is not TOP:
+            stack[-1] = -stack[-1] if arg == "-" else 0 if stack[-1] else 1
+    return stack[-1]

@@ -59,14 +59,9 @@ class _Lowerer:
             current = nxt
         self.lower_stmt(stmts[-1], current, dst)
 
-    def lower_body(self, stmts: List[lang.Stmt], src: int, dst: int) -> None:
-        """A block that may be empty; empty means src and dst coincide."""
-        if stmts:
-            self.lower_block(stmts, src, dst)
-
     def lower_stmt(self, stmt: lang.Stmt, src: int, dst: int) -> None:
         if isinstance(stmt, lang.Decl):
-            init = stmt.init if stmt.init is not None else lang.Nondet()
+            init = stmt.init if stmt.init is not None else lang.NONDET_EXPR
             self.edge(src, dst, ASSIGN, var=stmt.name, expr=init, line=stmt.line)
         elif isinstance(stmt, lang.Assign):
             self.edge(src, dst, ASSIGN, var=stmt.name, expr=stmt.expr, line=stmt.line)
@@ -85,7 +80,7 @@ class _Lowerer:
             if stmt.init is not None:
                 head = self.fresh()
                 self.lower_stmt(stmt.init, src, head)
-            cond = stmt.cond if stmt.cond is not None else lang.IntLit(1)
+            cond = stmt.cond if stmt.cond is not None else lang.ONE
             self.lower_loop(cond, stmt.update, stmt.body, head, dst, stmt.line)
         else:
             raise AssertionError(f"unhandled statement {stmt!r}")
@@ -97,7 +92,7 @@ class _Lowerer:
             self.lower_block(stmt.then, then_head, dst)
         else:
             self.edge(src, dst, ASSUME, expr=stmt.cond, line=stmt.line)
-        negated = lang.Unary("!", stmt.cond)
+        negated = lang.negate(stmt.cond)
         if stmt.orelse:
             else_head = self.fresh()
             self.edge(src, else_head, ASSUME, expr=negated, line=stmt.line)
@@ -108,7 +103,7 @@ class _Lowerer:
     def lower_loop(self, cond: lang.Expr, update: Optional[lang.Stmt],
                    body: List[lang.Stmt], head: int, dst: int, line: int) -> None:
         # Exit-side assume first: see module docstring.
-        self.edge(head, dst, ASSUME, expr=lang.Unary("!", cond), line=line)
+        self.edge(head, dst, ASSUME, expr=lang.negate(cond), line=line)
         back = head
         if update is not None:
             back = self.fresh()

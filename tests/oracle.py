@@ -12,8 +12,9 @@ under test can be checked against a second, dumber opinion:
 * a control-path enumerator working on the AST alone, for checking that
   CFA paths and source control paths agree.
 
-Only data types (AST nodes, Statement/Edge containers, the automaton
-record) are shared with the package; all logic is reimplemented.
+Only data types (AST nodes, expression code, Statement/Edge containers,
+the automaton record) are shared with the package; all logic is
+reimplemented.
 """
 
 from __future__ import annotations
@@ -43,42 +44,42 @@ def eval_branches(expr: lang.Expr, env: Dict[str, int],
     """All evaluations of `expr`: list of (value-or-ERR, nondet draws).
 
     Draws are listed in left-to-right evaluation order; `&&`/`||`
-    short-circuit, so a skipped operand contributes no draws.
+    short-circuit, so a skipped operand contributes no draws.  Results
+    come in lexicographic order of their draws.
     """
-    if isinstance(expr, lang.IntLit):
-        return [(expr.value, ())]
-    if isinstance(expr, lang.Var):
-        return [(env[expr.name], ())]
-    if isinstance(expr, lang.Nondet):
-        return [(v, (v,)) for v in domain]
-    if isinstance(expr, lang.Unary):
-        out = []
-        for value, draws in eval_branches(expr.operand, env, domain):
-            if value is ERR:
-                out.append((ERR, draws))
-            elif expr.op == "!":
-                out.append((0 if value else 1, draws))
-            else:
-                out.append((-value, draws))
-        return out
-    assert isinstance(expr, lang.Binary)
-    op = expr.op
     out = []
-    for lhs, ld in eval_branches(expr.lhs, env, domain):
-        if lhs is ERR:
-            out.append((ERR, ld))
-            continue
-        if op == "&&" and lhs == 0:
-            out.append((0, ld))
-            continue
-        if op == "||" and lhs != 0:
-            out.append((1, ld))
-            continue
-        for rhs, rd in eval_branches(expr.rhs, env, domain):
-            if rhs is ERR:
-                out.append((ERR, ld + rd))
-            else:
-                out.append((_apply(op, lhs, rhs), ld + rd))
+    # Runs in progress: (next op, value stack, draws so far); each nondet()
+    # occurrence forks one run per domain value.
+    runs = [(0, (), ())]
+    while runs:
+        pc, stack, draws = runs.pop()
+        while pc < len(expr):
+            op, arg = expr[pc]
+            pc += 1
+            if op == lang.NONDET:
+                runs.extend((pc, stack + (v,), draws + (v,))
+                            for v in reversed(domain))
+                break
+            if op == lang.LIT:
+                stack += (arg,)
+            elif op == lang.VAR:
+                stack += (env[arg],)
+            elif op == lang.UNARY:
+                value = stack[-1]
+                stack = stack[:-1] + ((0 if value else 1) if arg == "!"
+                                      else -value,)
+            elif op == lang.BINARY:
+                value = _apply(arg, stack[-2], stack[-1])
+                if value is ERR:
+                    out.append((ERR, draws))
+                    break
+                stack = stack[:-2] + (value,)
+            elif op == lang.AND_SKIP and stack[-1] == 0:
+                stack, pc = stack[:-1] + (0,), pc + arg
+            elif op == lang.OR_SKIP and stack[-1] != 0:
+                stack, pc = stack[:-1] + (1,), pc + arg
+        else:
+            out.append((stack[-1], draws))
     return out
 
 
@@ -270,7 +271,7 @@ def ast_label_paths(program: lang.Program, max_len: int = 50,
         rest = frames[:-1] + [(stmts, idx + 1)]
         stmt = stmts[idx]
         if isinstance(stmt, lang.Decl):
-            init = stmt.init if stmt.init is not None else lang.Nondet()
+            init = stmt.init if stmt.init is not None else lang.NONDET_EXPR
             walk(rest, labels + [("assign", stmt.name, text(init))])
         elif isinstance(stmt, lang.Assign):
             walk(rest, labels + [("assign", stmt.name, text(stmt.expr))])
@@ -285,11 +286,11 @@ def ast_label_paths(program: lang.Program, max_len: int = 50,
             walk(rest + [(tuple(stmt.then), 0)],
                  labels + [("assume", None, text(stmt.cond))])
             walk(rest + [(tuple(stmt.orelse), 0)],
-                 labels + [("assume", None, text(lang.Unary("!", stmt.cond)))])
+                 labels + [("assume", None, text(lang.negate(stmt.cond)))])
         elif isinstance(stmt, lang.While):
             _loop(frames, idx, stmt.cond, tuple(stmt.body), labels)
         elif isinstance(stmt, lang.For):
-            cond = stmt.cond if stmt.cond is not None else lang.IntLit(1)
+            cond = stmt.cond if stmt.cond is not None else lang.ONE
             body = tuple(stmt.body)
             if stmt.update is not None:
                 body = body + (stmt.update,)
@@ -305,7 +306,7 @@ def ast_label_paths(program: lang.Program, max_len: int = 50,
     def _loop(frames: List[_Frame], idx: int, cond: lang.Expr,
               body: Tuple[lang.Stmt, ...], labels: List[Label]) -> None:
         stmts, _ = frames[-1]
-        exit_label = ("assume", None, text(lang.Unary("!", cond)))
+        exit_label = ("assume", None, text(lang.negate(cond)))
         walk(frames[:-1] + [(stmts, idx + 1)], labels + [exit_label])
         walk(frames[:-1] + [(stmts, idx), (body, 0)],
              labels + [("assume", None, text(cond))])

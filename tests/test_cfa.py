@@ -215,6 +215,28 @@ def test_live_variables_fixpoint_runs_once_per_cfa(monkeypatch):
     assert runs == 1
 
 
+def test_postorder_dfs_runs_once_per_cfa(monkeypatch):
+    runs = 0
+    dfs = cfa_module._postorder_dfs
+
+    def counted(cfa):
+        nonlocal runs
+        runs += 1
+        return dfs(cfa)
+
+    monkeypatch.setattr(cfa_module, "_postorder_dfs", counted)
+    cfa = fixture_cfa("chain_ifs.c")
+    all_runs = AssumptionAutomaton(name="all", initial=TRUE_STATE)
+    report = exact_coverage(cfa, all_runs,
+                            Budget(max_nodes=500, max_counterexamples=1))
+    assert report.rounds >= 3
+    explore(cfa, Spec.assertions(), Budget(max_nodes=50))
+    explore(cfa, Spec.assertions(), Budget(max_nodes=50),
+            make_strategy("bfs"))
+    assert runs == 1
+    assert cfa_module.postorder_index(cfa) == dfs(cfa)
+
+
 # Validation ------------------------------------------------------------------
 
 

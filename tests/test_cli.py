@@ -48,6 +48,40 @@ def test_missing_file_is_a_usage_error(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_unwritable_aa_out_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.aa"
+    assert main(["verify", BIGLOOP, "--max-nodes", "20",
+                 "--aa-out", str(target)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.exists()
+
+
+def test_non_utf8_program_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "latin1.c"
+    bad.write_bytes(b"int main() { int caf\xe9 = 1; }")
+    assert main(["cfa-dump", str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: cannot read {bad}: not UTF-8 text (byte 20)\n")
+
+
+def test_huge_literal_is_a_positioned_parse_error(tmp_path, capsys):
+    bad = tmp_path / "huge.c"
+    bad.write_text("int main() {\n  int x = " + "9" * 5000 + ";\n}\n")
+    assert main(["cfa-dump", str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: 2:11: integer literal of 5000 digits is too long\n")
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
+    def broken(*_args, **_kwargs):
+        raise ValueError("inconsistent state")
+
+    monkeypatch.setattr("vericov.cli.dump_cfa", broken)
+    assert main(["cfa-dump", BIGLOOP]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: inconsistent state\n"
+
+
 def test_verify_safe_program(capsys):
     assert main(["verify", str(FIXTURES / "loop_concrete.c")]) == EXIT_OK
     out = capsys.readouterr().out

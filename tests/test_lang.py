@@ -1,14 +1,17 @@
-"""Frontend: lexing, parsing, scope rules, rendering, concrete evaluation."""
+"""Frontend: lexing, parsing, scope rules, postfix code, rendering and
+evaluation."""
 
 from __future__ import annotations
 
 import pytest
 
 from vericov import lang
-from vericov.lang import (Assign, Binary, Decl, EvalError, For, If, IntLit,
-                          Nondet, ParseError, Return, Skip, Unary,
-                          UndeclaredVariable, Var, While, concrete_eval,
-                          expr_to_text, parse_program)
+from vericov.lang import (AND_SKIP, BINARY, LIT, NONDET, OR_SKIP, TOP, UNARY,
+                          VAR, Assign, Decl, EvalError, For, ParseError,
+                          Return, Skip, UndeclaredVariable, While,
+                          abstract_eval, concrete_eval, expr_to_text,
+                          expr_variables, implied_equality, negate,
+                          parse_program, tokenize)
 
 from conftest import fixture_source
 
@@ -32,47 +35,69 @@ def test_declarations_and_assignment():
     program = parse_program(
         "int main() { int x = 3; int y; y = x + 1; return 0; }")
     decl_x, decl_y, assign = program.body[:3]
-    assert isinstance(decl_x, Decl) and decl_x.init == IntLit(3)
+    assert isinstance(decl_x, Decl) and decl_x.init == ((LIT, 3),)
     assert isinstance(decl_y, Decl) and decl_y.init is None
     assert isinstance(assign, Assign)
-    assert assign.expr == Binary("+", Var("x"), IntLit(1))
+    assert assign.expr == ((VAR, "x"), (LIT, 1), (BINARY, "+"))
 
 
 def test_true_false_are_literals():
     program = parse_program(
         "int main() { int x = true; assert(false); return 0; }")
-    assert program.body[0].init == IntLit(1)
-    assert program.body[1].cond == IntLit(0)
+    assert program.body[0].init == ((LIT, 1),)
+    assert program.body[1].cond == ((LIT, 0),)
 
 
 def test_increment_decrement_sugar():
     program = parse_program("int main() { int i = 0; i++; i--; return 0; }")
     inc, dec = program.body[1], program.body[2]
-    assert inc == Assign("i", Binary("+", Var("i"), IntLit(1)), inc.line)
-    assert dec == Assign("i", Binary("-", Var("i"), IntLit(1)), dec.line)
+    assert inc == Assign("i", ((VAR, "i"), (LIT, 1), (BINARY, "+")), inc.line)
+    assert dec == Assign("i", ((VAR, "i"), (LIT, 1), (BINARY, "-")), dec.line)
+
+
+def _init(expr: str, names: str = "abc"):
+    """The code of `expr` as the initializer of r, after int a, b, c."""
+    decls = "".join(f"int {name} = 1; " for name in names)
+    program = parse_program("int nondet();\n"
+                            f"int main() {{ {decls}int r = {expr}; }}")
+    return program.body[len(names)].init
 
 
 def test_precedence_tree():
-    program = parse_program(
-        "int main() { int x = 1 + 2 * 3 < 7 && 1; return 0; }")
-    expr = program.body[0].init
-    assert expr == Binary(
-        "&&",
-        Binary("<", Binary("+", IntLit(1), Binary("*", IntLit(2), IntLit(3))),
-               IntLit(7)),
-        IntLit(1))
+    assert _init("1 + 2 * 3 < 7 && 1") == (
+        (LIT, 1), (LIT, 2), (LIT, 3), (BINARY, "*"), (BINARY, "+"),
+        (LIT, 7), (BINARY, "<"), (AND_SKIP, 2), (LIT, 1), (BINARY, "&&"))
+
+
+def test_operators_are_left_associative():
+    assert _init("a - b - c") == (
+        (VAR, "a"), (VAR, "b"), (BINARY, "-"), (VAR, "c"), (BINARY, "-"))
+    assert _init("a - (b - c)") == (
+        (VAR, "a"), (VAR, "b"), (VAR, "c"), (BINARY, "-"), (BINARY, "-"))
+
+
+def test_skip_ops_jump_past_the_right_operand():
+    # Each skip counts the ops of the right operand plus the operator.
+    assert _init("a && b || c") == (
+        (VAR, "a"), (AND_SKIP, 2), (VAR, "b"), (BINARY, "&&"),
+        (OR_SKIP, 2), (VAR, "c"), (BINARY, "||"))
+    assert _init("a || (b && -c)") == (
+        (VAR, "a"), (OR_SKIP, 6), (VAR, "b"), (AND_SKIP, 3), (VAR, "c"),
+        (UNARY, "-"), (BINARY, "&&"), (BINARY, "||"))
 
 
 def test_unary_parsing():
     program = parse_program("int main() { int x = -1; int y = !x; return 0; }")
-    assert program.body[0].init == Unary("-", IntLit(1))
-    assert program.body[1].init == Unary("!", Var("x"))
+    assert program.body[0].init == ((LIT, 1), (UNARY, "-"))
+    assert program.body[1].init == ((VAR, "x"), (UNARY, "!"))
+    assert _init("-!(a + 1)") == (
+        (VAR, "a"), (LIT, 1), (BINARY, "+"), (UNARY, "!"), (UNARY, "-"))
 
 
 def test_nondet_call():
     program = parse_program(
         "int nondet();\nint main() { int x = nondet(); return 0; }")
-    assert program.body[0].init == Nondet()
+    assert program.body[0].init == lang.NONDET_EXPR == ((NONDET, None),)
 
 
 def test_if_requires_blocks():
@@ -94,18 +119,36 @@ def test_for_loop_with_implicit_declaration():
     program = parse_program(fixture_source("bigloop.c"))
     loop = program.body[0]
     assert isinstance(loop, For)
-    assert loop.implicit_decls == ["i"]
     assert isinstance(loop.init, Assign)
-    assert loop.cond == Binary("<", Var("i"), IntLit(1000000))
+    assert loop.cond == ((VAR, "i"), (LIT, 1000000), (BINARY, "<"))
     assert len(loop.body) == 1 and isinstance(loop.body[0], Skip)
+    # The assignment declares i for the loop: in scope in the body,
+    # undeclared after it.
+    parse_program("int main() { for (i = 0; i < 2; i++) { int j = i; } }")
+    with pytest.raises(UndeclaredVariable) as info:
+        parse_program("int main() {\n for (i = 0; i < 2; i++) { }\n"
+                      " i = 3;\n}")
+    assert (info.value.name, info.value.line) == ("i", 3)
+
+
+def test_for_initializer_assignment_keeps_a_declared_variable():
+    # Nothing new is declared, so i outlives the loop and the body cannot
+    # declare it again.
+    parse_program("int main() { int i = 5; for (i = 0; i < 2; i++) { } "
+                  "i = 3; }")
+    with pytest.raises(ParseError, match="redeclaration of 'i'"):
+        parse_program("int main() { int i = 5; "
+                      "for (i = 0; i < 2; i++) { int i = 1; } }")
 
 
 def test_for_with_declared_initializer():
     program = parse_program(
-        "int main() { for (int i = 0; i < 2; i++) { } return 0; }")
+        "int main() { for (int i = 0; i < 2; i++) { int j = i; } return 0; }")
     loop = program.body[0]
     assert isinstance(loop.init, Decl)
-    assert loop.implicit_decls == []
+    with pytest.raises(UndeclaredVariable):
+        parse_program("int main() { for (int i = 0; i < 2; i++) { } "
+                      "i = 0; }")
 
 
 def test_statement_level_assignment_to_undeclared_fails():
@@ -116,6 +159,8 @@ def test_statement_level_assignment_to_undeclared_fails():
 def test_use_before_declaration_fails():
     with pytest.raises(UndeclaredVariable):
         parse_program("int main() { int y = x; int x = 1; return 0; }")
+    with pytest.raises(UndeclaredVariable):
+        parse_program("int main() { int x = x + 1; return 0; }")
 
 
 def test_block_scope_ends():
@@ -134,6 +179,52 @@ def test_shadowing_rejected():
         parse_program(
             "int main() { int x = 1; if (x) { int x = 2; } else { } "
             "return 0; }")
+
+
+def test_scope_errors_name_the_statement_line():
+    with pytest.raises(UndeclaredVariable) as info:
+        parse_program("int main() {\n  int y = 1 +\n    x;\n}")
+    assert (info.value.name, info.value.line) == ("x", 2)
+    with pytest.raises(UndeclaredVariable) as info:
+        parse_program("int main() {\n  for (int i = 0;\n j < 3; i++) { }\n}")
+    assert (info.value.name, info.value.line) == ("j", 2)
+    with pytest.raises(ParseError) as info:
+        parse_program("int main() {\n  int x = 1;\n  int x = 2;\n}")
+    assert (info.value.line, info.value.col) == (3, 1)
+
+
+def test_first_error_in_the_text_wins():
+    # Scopes are checked while parsing, so a scope error before a syntax
+    # error is the one reported, and the other way round.
+    with pytest.raises(UndeclaredVariable):
+        parse_program("int main() {\n  y = 1;\n  int x = ;\n}")
+    with pytest.raises(ParseError):
+        parse_program("int main() {\n  int x = ;\n  y = 1;\n}")
+
+
+def test_tokens_and_positions():
+    source = ("#include <x.h>\nint main() {\t/* a\n  b */ x1 = 12;"
+              " // c\n  y>=-- z;}")
+    assert [tuple(tok) for tok in tokenize(source)] == [
+        ("kw", "int", 2, 1), ("kw", "main", 2, 5), ("sym", "(", 2, 9),
+        ("sym", ")", 2, 10), ("sym", "{", 2, 12), ("ident", "x1", 3, 8),
+        ("sym", "=", 3, 11), ("int", "12", 3, 13), ("sym", ";", 3, 15),
+        ("ident", "y", 4, 3), ("sym", ">=", 4, 4), ("sym", "--", 4, 6),
+        ("ident", "z", 4, 9), ("sym", ";", 4, 10), ("sym", "}", 4, 11),
+        ("eof", "", 4, 12)]
+
+
+def test_lexical_errors_have_positions():
+    with pytest.raises(ParseError) as info:
+        tokenize("int main() {\n  /* open\n}")
+    assert (info.value.message, info.value.line, info.value.col) == (
+        "unterminated comment", 2, 3)
+    # A superscript two continues an identifier but cannot start one.
+    assert tokenize("x\u00b2")[0].text == "x\u00b2"
+    with pytest.raises(ParseError) as info:
+        tokenize("int \u00b2x;")
+    assert (info.value.message, info.value.line, info.value.col) == (
+        "unexpected character '\u00b2'", 1, 5)
 
 
 def test_parse_error_has_position():
@@ -183,8 +274,8 @@ def test_expression_rendering(source, expected):
 
 def test_rendering_negated_comparison_single_parens():
     # The negated branch guard must render with exactly one paren layer.
-    assert expr_to_text(
-        Unary("!", Binary("<", Var("i"), IntLit(10)))) == "!(i < 10)"
+    assert expr_to_text(negate(_init("i < 10", "i"))) == "!(i < 10)"
+    assert expr_to_text(negate(_init("(i < 10)", "i"))) == "!(i < 10)"
 
 
 # Concrete evaluation --------------------------------------------------------
@@ -224,6 +315,8 @@ def _eval_text(source: str, env=None, draws=()):
     ("0 && 3", 0),
     ("0 || 0", 0),
     ("0 || 9", 1),
+    ("5 || 0", 1),
+    ("-5 && 2", 1),
 ])
 def test_concrete_eval_table(source, expected):
     assert _eval_text(source) == expected
@@ -252,3 +345,57 @@ def test_division_by_zero_raises():
 
 def test_big_integers_do_not_wrap():
     assert _eval_text("1000000 * 1000000") == 10 ** 12
+
+
+def test_nested_short_circuits():
+    assert _eval_text("0 || (1 && nondet())", draws=[5]) == 1
+    assert _eval_text("0 || (0 && nondet()) || nondet() - 2",
+                      draws=[2]) == 0
+    assert _eval_text("!(1 && 0) && nondet() || nondet()", draws=[0, 7]) == 1
+
+
+def test_long_and_deep_expressions_do_not_recurse():
+    chain = " + ".join(["a"] * 5000)
+    code = _init(chain, "a")
+    assert len(code) == 9999
+    assert concrete_eval(code, {"a": 2}, lambda: 0) == 10000
+    assert expr_to_text(code) == chain
+    code = _init("(" * 1000 + "!-" * 1000 + "a" + ")" * 1000, "a")
+    assert concrete_eval(code, {"a": 3}, lambda: 0) == 1
+    assert expr_to_text(code) == "!-" * 1000 + "a"
+
+
+def test_abstract_eval_does_not_short_circuit():
+    index = {"a": 0}
+    assert abstract_eval(_init("0 && nondet()", "a"), (1,), index) is TOP
+    assert abstract_eval(_init("a || 1", "a"), (TOP,), index) is TOP
+    assert abstract_eval(_init("a && 0", "a"), (5,), index) == 0
+    assert abstract_eval(_init("-a + 7 / (a - 5)", "a"), (5,), index) is TOP
+    assert abstract_eval(_init("!-(a % 3)", "a"), (-4,), index) == 0
+
+
+def test_expr_variables_in_order_of_first_occurrence():
+    assert list(expr_variables(_init("c * a + (b && c) - a"))) == [
+        "c", "a", "b"]
+
+
+@pytest.mark.parametrize("guard, expected", [
+    ("a == 3", ("a", 3)),
+    ("3 == a", ("a", 3)),
+    ("a == -3", ("a", -3)),
+    ("-3 == a", ("a", -3)),
+    ("!(a != 2)", ("a", 2)),
+    ("!!(a == 2)", ("a", 2)),
+    ("!(a == 2)", None),
+    ("a != 2", None),
+    ("a == b", None),
+    ("-a == 2", None),
+    ("a == -(-2)", None),
+    ("a + 0 == 2", None),
+    ("a == 2 + 0", None),
+    ("a < 2", None),
+    ("-(a == 2)", None),
+    ("a == 1 && b == 2", None),
+])
+def test_implied_equality(guard, expected):
+    assert implied_equality(_init(guard)) == expected
