@@ -144,6 +144,11 @@ def _coverage_rounds(mode: str, cfa: Cfa, aa: AssumptionAutomaton,
     is coverable.  Under asks for one execution per round, stops after
     `max_counterexamples` recorded executions, and aborts on a confirmed
     failing assert.
+
+    The rounds share one record of witness searches: a search depends only
+    on the CFA, the path, the replay mode and the domain, so a candidate
+    execution an earlier round already confirmed or refuted is not
+    searched again.
     """
     check_alphabet(aa, statement_ids(cfa))
     if strategy is None:
@@ -159,6 +164,7 @@ def _coverage_rounds(mode: str, cfa: Cfa, aa: AssumptionAutomaton,
     exhausted = False
     bug_found = False
     rounds = 0
+    searches: Dict = {}
     while remaining and len(per_execution) < cap:
         left = None if deadline is None else deadline - time.monotonic()
         if left is not None and left <= 0:
@@ -170,7 +176,7 @@ def _coverage_rounds(mode: str, cfa: Cfa, aa: AssumptionAutomaton,
         result = explore(cfa, Spec.cover(remaining, aa,
                                          stop_on_violation=under),
                          round_budget, strategy=strategy,
-                         nondet_domain=nondet_domain)
+                         nondet_domain=nondet_domain, searches=searches)
         if result.bug_found:
             bug_found = True
             break

@@ -31,6 +31,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import lang
@@ -161,11 +162,18 @@ class ArtStats:
 class ExplorationResult:
     verdict: str
     counterexamples: List[Execution]
-    aa: AssumptionAutomaton
+    cfa: Cfa
     art_stats: ArtStats
     bug_found: bool = False
     bug_execution: Optional[Execution] = None
     nodes: List[ArtNode] = field(default_factory=list)
+
+    @cached_property
+    def aa(self) -> AssumptionAutomaton:
+        """The explored region as an assumption automaton, emitted on
+        first read."""
+        return emit_assumption_automaton(self.nodes, self.cfa, self.verdict,
+                                         name=self.cfa.name)
 
 
 # ---------------------------------------------------------------------------
@@ -214,16 +222,24 @@ class ReplayResult:
     witness: Optional[Dict[int, int]] = None
 
 
+# Witness searches already run: (path, replay mode) -> result.
+_Searches = Dict[Tuple[Tuple[int, ...], str], ReplayResult]
+
+
 class _StepBudget:
     def __init__(self, limit: int):
         self.left = limit
 
 
 _PlanStep = Tuple[Statement, int, int]  # statement, read mask, write bit
+# Where a run can resume: a statement's plan index, copies of the
+# environment and the dependency record before it, and the choices used
+# before it.
+_Checkpoint = Tuple[int, Dict[str, int], Dict[int, int], int]
 
 
 def _run_path(plan: Sequence[_PlanStep], choices: List[int], mode: str,
-              steps: _StepBudget) -> Tuple[str, int]:
+              steps: _StepBudget, marks: List[_Checkpoint]) -> Tuple[str, int]:
     """Run the path under the given nondet choices.
 
     Returns (status, conflict) with status "ok" (all constraints met),
@@ -238,23 +254,46 @@ def _run_path(plan: Sequence[_PlanStep], choices: List[int], mode: str,
     statements combining them evaluate as here.  Agreeing on the named
     choices alone is not enough, since an `&&`/`||` skipping a nondet()
     at an unnamed lower choice can hand them to other occurrences.
+
+    Checkpoints: `marks[k]` is the checkpoint of the statement that draws
+    choice k, taken at its first draw; the run appends one per draw, and
+    on "need" one for the missing choice.  A run starts from entry when
+    `marks` is empty and otherwise resumes from `marks[-1]`, dropping the
+    checkpoints of the choices it draws again.  The statements before a
+    checkpoint read only choices below the ones its statement draws, so
+    while those stay fixed, resuming is the same as running from entry.
+    A resumed run charges `steps` for the statements it skips first, so
+    a step budget runs out exactly where it would from entry.
     """
-    env: Dict[str, int] = {}
-    depends: Dict[int, int] = {}  # variable bit -> choices its value used
-    used = 0
+    # env: variable -> value; depends: variable bit -> choices its value used
+    if marks:
+        mark = marks[-1]  # the first statement's checkpoint
+        first, env, depends, used = mark
+        env, depends = dict(env), dict(depends)
+        del marks[used:]
+        if steps.left < first:
+            steps.left = 0
+            raise _OutOfSteps
+        steps.left -= first
+    else:
+        mark, first, env, depends, used = None, 0, {}, {}, 0
 
     def next_nondet() -> int:
-        nonlocal used
+        nonlocal used, mark
+        if mark is None:
+            mark = (i, dict(env), dict(depends), start)
+        marks.append(mark)
         if used < len(choices):
             used += 1
             return choices[used - 1]
         raise _NeedChoice
 
     last = len(plan) - 1
-    for i, (stmt, reads, write) in enumerate(plan):
+    for i in range(first, len(plan)):
         if steps.left <= 0:
             raise _OutOfSteps
         steps.left -= 1
+        stmt, reads, write = plan[i]
         kind = stmt.kind
         if kind != ASSIGN and kind != ASSUME and kind != ASSERT:
             continue
@@ -265,6 +304,7 @@ def _run_path(plan: Sequence[_PlanStep], choices: List[int], mode: str,
             return "need", 0
         except lang.EvalError:  # division or modulo by zero
             value = None
+        mark = None
         mask = (1 << used) - (1 << start)
         while reads:
             bit = reads & -reads
@@ -316,6 +356,13 @@ def _search_witness(edges: Sequence[Edge], variables: Numbering,
     keep their values, because the choices deciding whether a nondet()
     runs are in every conflict that names it; and each of its values has
     already failed for reasons named in the record.
+
+    Each run resumes from the checkpoint of the lowest choice changed
+    since the last one (see `_run_path`): the level a failure jumped to,
+    or the new level a "need" added.  Every choice below it is unchanged,
+    so a search evaluates each statement about once per value tried at
+    the choices before it, not once per run from entry.  `step_limit`
+    still counts every statement of every run, skipped prefixes included.
     """
     domain = list(domain)
     plan = [(e.stmt, variables.reads[e.stmt.id], variables.writes[e.stmt.id])
@@ -323,11 +370,12 @@ def _search_witness(edges: Sequence[Edge], variables: Numbering,
     steps = _StepBudget(step_limit)
     stack: List[int] = []  # indices into domain, one per occurrence
     conflicts: List[int] = []  # per occurrence: why its values so far failed
+    marks: List[_Checkpoint] = []  # per occurrence: where a run resumes
     last_value = len(domain) - 1
     while True:
         choices = [domain[i] for i in stack]
         try:
-            status, conflict = _run_path(plan, choices, mode, steps)
+            status, conflict = _run_path(plan, choices, mode, steps, marks)
         except _OutOfSteps:
             return ReplayResult(INCONCLUSIVE)
         if status == "ok":
@@ -349,6 +397,7 @@ def _search_witness(edges: Sequence[Edge], variables: Numbering,
                 stack[level] += 1
                 break
             conflict = conflicts[level]
+        del marks[level + 1:]
 
 
 def _edges_for_path(cfa: Cfa, path: Sequence[int]) -> List[Edge]:
@@ -374,8 +423,11 @@ def replay(cfa: Cfa, path: Sequence[int],
     backjumps to the last choice the failing statement depends on, so a
     guard that reads only its own choice is refuted in one sweep of the
     domain rather than once per combination of the choices before it.
-    Returns inconclusive when `step_limit`, which counts one step per
-    executed statement over all runs, runs out first.
+    A run after the first resumes from a checkpoint taken where the
+    lowest changed choice is drawn instead of replaying from entry.
+    Returns inconclusive when `step_limit` runs out first.  It counts one
+    step per statement of every run, the prefix a resumed run skips
+    included, so the answer is the same as replaying each run from entry.
     """
     edges = _edges_for_path(cfa, path)
     return _search_witness(edges, cfa.numbering(), nondet_domain,
@@ -428,7 +480,7 @@ class _CoverIndex:
 class _Explorer:
     def __init__(self, cfa: Cfa, spec: Spec, budget: Budget,
                  strategy: TraversalStrategy,
-                 nondet_domain: Sequence[int]):
+                 nondet_domain: Sequence[int], searches: _Searches):
         self.cfa = cfa
         self.spec = spec
         self.budget = budget
@@ -437,6 +489,7 @@ class _Explorer:
         self.postorder = postorder_index(cfa)
         self.live = live_variables(cfa)
         self.variables = cfa.numbering()
+        self.searches = searches
         self.nodes: List[ArtNode] = []
         self.index = _CoverIndex(self.live)
         self.cex: List[Execution] = []
@@ -460,9 +513,13 @@ class _Explorer:
         return tuple(path)
 
     def _replay_path(self, path: Tuple[int, ...], mode: str) -> ReplayResult:
-        edges = [self.cfa.edge(i) for i in path]
-        return _search_witness(edges, self.variables, self.domain, mode,
-                               DEFAULT_REPLAY_STEP_LIMIT)
+        result = self.searches.get((path, mode))
+        if result is None:
+            edges = [self.cfa.edge(i) for i in path]
+            result = self.searches[path, mode] = _search_witness(
+                edges, self.variables, self.domain, mode,
+                DEFAULT_REPLAY_STEP_LIMIT)
+        return result
 
     def _covers(self, j: ArtNode, v: ArtNode) -> bool:
         """Whether j covers v, both of one cover group: j tracks at least
@@ -668,12 +725,10 @@ class _Explorer:
             verdict = UNKNOWN
         else:
             verdict = SAFE
-        aa = emit_assumption_automaton(self.nodes, self.cfa, verdict,
-                                       name=self.cfa.name)
         return ExplorationResult(
             verdict=verdict,
             counterexamples=self.cex,
-            aa=aa,
+            cfa=self.cfa,
             art_stats=self._stats(),
             bug_found=self.bug is not None,
             bug_execution=self.bug,
@@ -696,16 +751,25 @@ class _Explorer:
 
 def explore(cfa: Cfa, spec: Spec, budget: Budget,
             strategy: Optional[TraversalStrategy] = None,
-            nondet_domain: Sequence[int] = DEFAULT_NONDET_DOMAIN) -> ExplorationResult:
+            nondet_domain: Sequence[int] = DEFAULT_NONDET_DOMAIN,
+            searches: Optional[_Searches] = None) -> ExplorationResult:
     """Explore the program under the spec until a verdict or a budget stop.
 
     Deterministic: identical inputs produce identical trees, automata and
     counterexample lists.  A node budget never truncates an expansion in
     progress; the node being expanded is completed first.
+
+    `searches` maps (path, replay mode) to a witness search already run
+    on this CFA over this domain.  Each candidate is looked up there
+    before it is searched, and each new search is added, so explores that
+    share the dict search a path once.  Its witnesses are shared, not
+    copied.
     """
     if strategy is None:
         strategy = make_strategy(DFS_POSTORDER)
-    ex = _Explorer(cfa, spec, budget, strategy, nondet_domain)
+    if searches is None:
+        searches = {}
+    ex = _Explorer(cfa, spec, budget, strategy, nondet_domain, searches)
     return ex.run()
 
 

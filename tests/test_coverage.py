@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from vericov import explorer
 from vericov import (Budget, Cfa, Edge, Spec, Statement, StatementIdMismatch,
                      exact_coverage, exercised_within_analysis, explore,
                      is_covered, line_projection, make_strategy,
@@ -194,6 +195,33 @@ def test_under_respects_node_budget_with_exhausted_flag():
                                    Budget(max_nodes=500))
     assert report.covered_ids == []
     assert report.exhausted
+
+
+def test_rounds_search_each_path_once_and_emit_nothing(monkeypatch):
+    # The rounds of one computation share their witness searches, and no
+    # round reads the automaton of its own exploration, so none is emitted.
+    cfa = fixture_cfa("chain_ifs.c")
+    aa = explore(cfa, Spec.assertions(), Budget(max_nodes=200)).aa
+    searched = []
+    emitted = 0
+    search, emit = explorer._search_witness, explorer.emit_assumption_automaton
+
+    def counted_search(edges, variables, domain, mode, step_limit):
+        searched.append((tuple(e.stmt.id for e in edges), mode))
+        return search(edges, variables, domain, mode, step_limit)
+
+    def counted_emit(*args, **kwargs):
+        nonlocal emitted
+        emitted += 1
+        return emit(*args, **kwargs)
+
+    monkeypatch.setattr(explorer, "_search_witness", counted_search)
+    monkeypatch.setattr(explorer, "emit_assumption_automaton", counted_emit)
+    report = under_approx_coverage(cfa, aa, Budget(max_nodes=600),
+                                   nondet_domain=range(-2, 3))
+    assert report.rounds > 1
+    assert len(searched) == len(set(searched)) == 4
+    assert emitted == 0
 
 
 # Over -------------------------------------------------------------------------

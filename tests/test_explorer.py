@@ -264,40 +264,167 @@ _CORPORA = [
 ]
 
 
+def _corpus_searches(rng, generator, domains):
+    """(source, cfa, mode, edges, domain) for 120 random programs, two
+    random paths each, in every mode that applies."""
+    for _ in range(120):
+        source = _random_program(rng, **generator)
+        cfa = source_to_cfa(source)
+        for _ in range(2):
+            path = _random_path(rng, cfa)
+            asserts = [i for i, e in enumerate(path) if e.stmt.kind == ASSERT]
+            runs = [(MODE_ASSUMES, path), (MODE_PHI, path)]
+            if asserts:
+                runs.append((MODE_VIOLATION, path[:rng.choice(asserts) + 1]))
+            for mode, edges in runs:
+                yield source, cfa, mode, edges, rng.choice(domains)
+
+
 def test_backjumping_matches_chronological_search():
     # Whenever the reference finishes within the step limit, the new search
     # returns the same verdict and witness, so it is never inconclusive
     # where the reference is not.
     for seed, generator, domains in _CORPORA:
+        seen = {FEASIBLE: 0, INFEASIBLE: 0, INCONCLUSIVE: 0}
+        mismatches = []
+        for source, cfa, mode, edges, domain in _corpus_searches(
+                random.Random(seed), generator, domains):
+            want = _reference_search(edges, domain, mode, 1000)
+            got = explorer._search_witness(edges, cfa.numbering(), domain,
+                                           mode, 1000)
+            seen[want.verdict] += 1
+            if want.verdict == INCONCLUSIVE:
+                continue
+            if (got.verdict, got.witness) != (want.verdict, want.witness):
+                mismatches.append((source, [e.stmt.id for e in edges], mode,
+                                   list(domain), want, got))
+        assert mismatches == [], seed
+        assert min(seen[FEASIBLE], seen[INFEASIBLE]) >= 100, (seed, seen)
+
+
+# The backjumping search as it was before runs resumed from checkpoints,
+# kept as the reference for step counting: every run replays the path
+# from entry and is charged one step per statement it executes.
+
+
+def _restart_run_path(plan, choices, mode, steps):
+    env = {}
+    depends = {}  # variable bit -> choices its value used
+    used = 0
+
+    def next_nondet():
+        nonlocal used
+        if used < len(choices):
+            used += 1
+            return choices[used - 1]
+        raise _RefNeedChoice
+
+    last = len(plan) - 1
+    for i, (stmt, reads, write) in enumerate(plan):
+        if steps[0] <= 0:
+            raise _RefOutOfSteps
+        steps[0] -= 1
+        kind = stmt.kind
+        if kind != ASSIGN and kind != ASSUME and kind != ASSERT:
+            continue
+        start = used
+        try:
+            value = lang.concrete_eval(stmt.expr, env, next_nondet)
+        except _RefNeedChoice:
+            return "need", 0
+        except lang.EvalError:
+            value = None
+        mask = (1 << used) - (1 << start)
+        while reads:
+            bit = reads & -reads
+            mask |= depends[bit]
+            reads ^= bit
+        if value is None:
+            return "fail", mask
+        if kind == ASSIGN:
+            env[stmt.var] = value
+            depends[write] = mask
+        elif kind == ASSUME or mode == MODE_PHI:
+            if value == 0:
+                return "fail", mask
+        elif mode == MODE_VIOLATION and (value != 0) == (i == last):
+            return "fail", mask
+    return "ok", 0
+
+
+def _restart_search(edges, variables, domain, mode, step_limit):
+    """(result, steps consumed)."""
+    domain = list(domain)
+    plan = [(e.stmt, variables.reads[e.stmt.id], variables.writes[e.stmt.id])
+            for e in edges]
+    steps = [step_limit]
+    stack = []
+    conflicts = []
+    last_value = len(domain) - 1
+    while True:
+        choices = [domain[i] for i in stack]
+        try:
+            status, conflict = _restart_run_path(plan, choices, mode, steps)
+        except _RefOutOfSteps:
+            return ReplayResult(INCONCLUSIVE), step_limit - steps[0]
+        if status == "ok":
+            return (ReplayResult(FEASIBLE, dict(enumerate(choices))),
+                    step_limit - steps[0])
+        if status == "need":
+            if not domain:
+                return ReplayResult(INFEASIBLE), step_limit - steps[0]
+            stack.append(0)
+            conflicts.append(0)
+            continue
+        while True:
+            if not conflict:
+                return ReplayResult(INFEASIBLE), step_limit - steps[0]
+            level = conflict.bit_length() - 1
+            del stack[level + 1:]
+            del conflicts[level + 1:]
+            conflicts[level] |= conflict ^ (1 << level)
+            if stack[level] < last_value:
+                stack[level] += 1
+                break
+            conflict = conflicts[level]
+
+
+def test_checkpointed_runs_count_steps_like_restarts(monkeypatch):
+    # Resuming from a checkpoint charges the skipped prefix, so verdict,
+    # witness and steps consumed equal those of replaying every run from
+    # entry at every step limit, `inconclusive` included.  Each search is
+    # checked at the limits around the step count it needs, and at a few
+    # random limits up to 300.
+    budgets = []
+
+    class RecordedBudget(explorer._StepBudget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(explorer, "_StepBudget", RecordedBudget)
+    for seed, generator, domains in _CORPORA:
         rng = random.Random(seed)
         seen = {FEASIBLE: 0, INFEASIBLE: 0, INCONCLUSIVE: 0}
         mismatches = []
-        for _ in range(120):
-            source = _random_program(rng, **generator)
-            cfa = source_to_cfa(source)
-            for _ in range(2):
-                path = _random_path(rng, cfa)
-                asserts = [i for i, e in enumerate(path)
-                           if e.stmt.kind == ASSERT]
-                runs = [(MODE_ASSUMES, path), (MODE_PHI, path)]
-                if asserts:
-                    runs.append((MODE_VIOLATION,
-                                 path[:rng.choice(asserts) + 1]))
-                for mode, edges in runs:
-                    domain = rng.choice(domains)
-                    want = _reference_search(edges, domain, mode, 1000)
-                    got = explorer._search_witness(edges, cfa.numbering(),
-                                                   domain, mode, 1000)
-                    seen[want.verdict] += 1
-                    if want.verdict == INCONCLUSIVE:
-                        continue
-                    if (got.verdict, got.witness) != \
-                            (want.verdict, want.witness):
-                        mismatches.append(
-                            (source, [e.stmt.id for e in edges], mode,
-                             list(domain), want, got))
+        for source, cfa, mode, edges, domain in _corpus_searches(
+                rng, generator, domains):
+            variables = cfa.numbering()
+            _, needed = _restart_search(edges, variables, domain, mode, 300)
+            limits = {1, needed - 1, needed, needed + 1,
+                      *(rng.randint(1, 300) for _ in range(3))}
+            for limit in sorted(x for x in limits if 1 <= x <= 300):
+                want = _restart_search(edges, variables, domain, mode, limit)
+                got = explorer._search_witness(edges, variables, domain,
+                                               mode, limit)
+                got = got, limit - budgets[-1].left
+                seen[want[0].verdict] += 1
+                if (got[0].verdict, got[0].witness, got[1]) != \
+                        (want[0].verdict, want[0].witness, want[1]):
+                    mismatches.append((source, [e.stmt.id for e in edges],
+                                       mode, list(domain), limit, want, got))
         assert mismatches == [], seed
-        assert min(seen[FEASIBLE], seen[INFEASIBLE]) >= 100, (seed, seen)
+        assert min(seen.values()) >= 100, (seed, seen)
 
 
 # Spec and budget validation --------------------------------------------------
@@ -521,6 +648,25 @@ def test_interrupted_diamond_sends_both_assumes_to_false():
     assert psi(result.aa, (0,)) is True
     assert psi(result.aa, (0, 1)) is False
     assert psi(result.aa, (0, 3)) is False
+
+
+def test_automaton_emitted_once_on_first_read(monkeypatch):
+    emitted = 0
+    emit = explorer.emit_assumption_automaton
+
+    def counted(*args, **kwargs):
+        nonlocal emitted
+        emitted += 1
+        return emit(*args, **kwargs)
+
+    monkeypatch.setattr(explorer, "emit_assumption_automaton", counted)
+    result = explore(source_to_cfa(DIAMOND), Spec.assertions(),
+                     Budget(max_nodes=3))
+    assert emitted == 0
+    assert result.aa is result.aa
+    assert emitted == 1
+    assert serialize_aa(result.aa) == serialize_aa(emit(
+        result.nodes, result.cfa, result.verdict, name=result.cfa.name))
 
 
 def test_unexpanded_root_gives_false_initial():
@@ -840,8 +986,9 @@ _GUARD_DOMAIN = range(-2, 3)
 
 
 def _replays_to_refute(monkeypatch, prefix):
-    """`_run_path` calls that `replay` makes to refute `a * a < 0` after
-    the prefix, along the then-side of every branch, over _GUARD_DOMAIN."""
+    """`_run_path` and `lang.concrete_eval` calls that `replay` makes to
+    refute `a * a < 0` after the prefix, along the then-side of every
+    branch, over _GUARD_DOMAIN."""
     cfa = source_to_cfa("int nondet();\nint main() {\n" + prefix +
                         "  int a = nondet();\n  if (a * a < 0) { a = 1; }\n"
                         "  return 0;\n}\n")
@@ -851,28 +998,34 @@ def _replays_to_refute(monkeypatch, prefix):
         edge = cfa.out_edges(node)[0]
         path.append(edge.stmt.id)
         node = edge.dst
-    calls = 0
-    run_path = explorer._run_path
+    calls = {"runs": 0, "evaluations": 0}
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return run_path(*args)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
 
-    monkeypatch.setattr(explorer, "_run_path", counted)
+    monkeypatch.setattr(explorer, "_run_path",
+                        counted("runs", explorer._run_path))
+    monkeypatch.setattr(lang, "concrete_eval",
+                        counted("evaluations", lang.concrete_eval))
     assert replay(cfa, path, nondet_domain=_GUARD_DOMAIN).verdict == INFEASIBLE
-    return calls
+    return calls["runs"], calls["evaluations"]
 
 
-@pytest.mark.parametrize("k", [4, 6])
+@pytest.mark.parametrize("k", [4, 6, 12])
 def test_infeasible_guard_replays_grow_linearly_with_choices(monkeypatch, k):
     # k fresh nondet() branches, then a guard no value satisfies.  It reads
     # only its own choice, so refuting it must not enumerate the earlier
-    # ones: about |domain|^(k+1) runs of chronological backtracking.
+    # ones: about |domain|^(k+1) runs of chronological backtracking.  Runs
+    # resume where the changed choice is drawn, so the statements they
+    # evaluate stay linear in k too; from entry they grow with k squared.
     branches = "".join(f"  int a{j} = nondet();\n"
                        f"  if (a{j} >= 0) {{ a{j} = 1; }}\n" for j in range(k))
-    assert _replays_to_refute(monkeypatch, branches) <= \
-        (k + 1) * len(_GUARD_DOMAIN) + k + 1
+    runs, evaluations = _replays_to_refute(monkeypatch, branches)
+    assert runs <= (k + 1) * len(_GUARD_DOMAIN) + k + 1
+    assert evaluations <= 10 * (k + 2)
 
 
 @pytest.mark.parametrize("k", [4, 6])
@@ -881,8 +1034,8 @@ def test_skippable_nondet_does_not_block_backjumping(monkeypatch, k):
     # the guard's choice index depends on every earlier choice; the guard
     # still reads only its own, so refuting it stays linear.
     skips = "".join(f"  int b{j} = nondet() || nondet();\n" for j in range(k))
-    assert _replays_to_refute(monkeypatch, skips) <= \
-        (k + 1) * len(_GUARD_DOMAIN) + k + 1
+    runs, _ = _replays_to_refute(monkeypatch, skips)
+    assert runs <= (k + 1) * len(_GUARD_DOMAIN) + k + 1
 
 
 @pytest.mark.parametrize("strategy, golden_name", [
