@@ -54,18 +54,23 @@ class StatementIdMismatch(Exception):
 
 @dataclass
 class AssumptionAutomaton:
+    """`location_of` maps each declared state to its CFA node, in
+    declaration order; it is the one state table."""
+
     name: str
     initial: str
-    states: List[str] = field(default_factory=list)
     location_of: Dict[str, int] = field(default_factory=dict)
     transitions: Dict[Tuple[str, int], str] = field(default_factory=dict)
+
+    @property
+    def states(self) -> List[str]:
+        return list(self.location_of)
 
     def add_state(self, state: str, location: int) -> None:
         if state in _SINKS:
             raise ValueError(f"{state} is reserved")
         if state in self.location_of:
-            raise ValueError(f"state {state} already declared")
-        self.states.append(state)
+            raise ValueError(f"state {state} declared twice")
         self.location_of[state] = location
 
     def add_transition(self, state: str, stmt_id: int, target: str) -> None:
@@ -109,8 +114,8 @@ def serialize_aa(aa: AssumptionAutomaton) -> str:
     for (src, sid), tgt in aa.transitions.items():
         ons.setdefault(src, []).append((sid, tgt))
     lines = [f"AUTOMATON {aa.name}", f"INITIAL {aa.initial}"]
-    for state in aa.states:
-        lines.append(f"STATE {state} @L{aa.location_of[state]}")
+    for state, location in aa.location_of.items():
+        lines.append(f"STATE {state} @L{location}")
         for sid, tgt in sorted(ons.get(state, ())):
             lines.append(f"  ON {sid} -> {tgt}")
     lines.append("END")
@@ -120,7 +125,9 @@ def serialize_aa(aa: AssumptionAutomaton) -> str:
 def parse_aa(text: str) -> AssumptionAutomaton:
     aa = AssumptionAutomaton(name="", initial="")
     current: str = ""
-    seen_header = seen_initial = seen_end = False
+    seen_end = False
+    initial_line = 0
+    target_line: Dict[str, int] = {}  # first line naming each target
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -129,37 +136,34 @@ def parse_aa(text: str) -> AssumptionAutomaton:
             raise FormatError(lineno, "content after END")
         parts = line.split()
         if parts[0] == "AUTOMATON":
-            if seen_header:
+            if aa.name:
                 raise FormatError(lineno, "duplicate AUTOMATON header")
             if len(parts) != 2:
                 raise FormatError(lineno, "AUTOMATON needs exactly one name")
             aa.name = parts[1]
-            seen_header = True
         elif parts[0] == "INITIAL":
-            if not seen_header:
+            if not aa.name:
                 raise FormatError(lineno, "INITIAL before AUTOMATON")
-            if seen_initial:
+            if initial_line:
                 raise FormatError(lineno, "duplicate INITIAL")
             if len(parts) != 2:
                 raise FormatError(lineno, "INITIAL needs exactly one state")
             aa.initial = parts[1]
-            seen_initial = True
+            initial_line = lineno
         elif parts[0] == "STATE":
-            if not seen_initial:
+            if not initial_line:
                 raise FormatError(lineno, "STATE before INITIAL")
             if len(parts) != 3 or not parts[2].startswith("@L"):
                 raise FormatError(lineno, "expected: STATE <name> @L<node>")
-            name = parts[1]
-            if name in _SINKS:
-                raise FormatError(lineno, f"{name} is reserved")
             try:
                 location = int(parts[2][2:])
             except ValueError:
                 raise FormatError(lineno, f"bad location {parts[2]!r}") from None
-            if name in aa.location_of:
-                raise FormatError(lineno, f"state {name} declared twice")
-            aa.add_state(name, location)
-            current = name
+            try:
+                aa.add_state(parts[1], location)
+            except ValueError as exc:
+                raise FormatError(lineno, str(exc)) from None
+            current = parts[1]
         elif parts[0] == "ON":
             if not current:
                 raise FormatError(lineno, "ON outside a STATE block")
@@ -169,25 +173,28 @@ def parse_aa(text: str) -> AssumptionAutomaton:
                 stmt_id = int(parts[1])
             except ValueError:
                 raise FormatError(lineno, f"bad statement id {parts[1]!r}") from None
-            if (current, stmt_id) in aa.transitions:
-                raise FormatError(lineno, f"duplicate transition from"
-                                          f" {current} on {stmt_id}")
-            aa.add_transition(current, stmt_id, parts[3])
+            try:
+                aa.add_transition(current, stmt_id, parts[3])
+            except DuplicateTransition as exc:
+                raise FormatError(lineno, str(exc)) from None
+            target_line.setdefault(parts[3], lineno)
         elif parts[0] == "END":
-            if not seen_initial:
+            if not initial_line:
                 raise FormatError(lineno, "END before INITIAL")
             seen_end = True
         else:
             raise FormatError(lineno, f"unrecognized directive {parts[0]!r}")
-    if not seen_header:
+    if not aa.name:
         raise FormatError(1, "missing AUTOMATON header")
     if not seen_end:
         raise FormatError(1, "missing END")
     if aa.initial not in _SINKS and aa.initial not in aa.location_of:
-        raise FormatError(1, f"initial state {aa.initial!r} never declared")
-    for (src, sid), tgt in aa.transitions.items():
-        if tgt not in _SINKS and tgt not in aa.location_of:
-            raise FormatError(1, f"transition target {tgt!r} never declared")
+        raise FormatError(initial_line,
+                          f"initial state {aa.initial!r} never declared")
+    for target, lineno in target_line.items():
+        if target not in _SINKS and target not in aa.location_of:
+            raise FormatError(lineno,
+                              f"transition target {target!r} never declared")
     return aa
 
 

@@ -62,13 +62,15 @@ class Numbering:
 
 @dataclass
 class Cfa:
+    """`edges[i]` carries statement i, so the edge list is the statement
+    table."""
+
     name: str
     nodes: List[int]
     edges: List[Edge]
     entry: int
     exit: int
     _out: Dict[int, List[Edge]] = field(default_factory=dict, repr=False)
-    _by_id: Dict[int, Edge] = field(default_factory=dict, repr=False)
     _numbering: Optional[Numbering] = field(default=None, repr=False)
     _live: Optional[Dict[int, int]] = field(default=None, repr=False)
     _postorder: Optional[Dict[int, int]] = field(default=None, repr=False)
@@ -77,18 +79,15 @@ class Cfa:
         """Outgoing edges ordered by statement ID."""
         if not self._out:
             self._out = {n: [] for n in self.nodes}
-            for e in sorted(self.edges, key=lambda e: e.stmt.id):
+            for e in self.edges:
                 self._out[e.src].append(e)
         return self._out[node]
 
     def edge(self, stmt_id: int) -> Edge:
         """The edge carrying a statement; ValueError for an unknown ID."""
-        if not self._by_id:
-            self._by_id = {e.stmt.id: e for e in self.edges}
-        edge = self._by_id.get(stmt_id)
-        if edge is None:
+        if not 0 <= stmt_id < len(self.edges):
             raise ValueError(f"no statement with id {stmt_id}")
-        return edge
+        return self.edges[stmt_id]
 
     def numbering(self) -> Numbering:
         """The variable numbering, worked out on first use."""
@@ -114,10 +113,9 @@ class Cfa:
         node_set = set(self.nodes)
         if len(node_set) != len(self.nodes):
             raise ValueError("duplicate node ids")
-        ids = sorted(e.stmt.id for e in self.edges)
-        if ids != list(range(len(self.edges))):
-            raise ValueError("statement ids are not dense from 0")
-        for e in self.edges:
+        for i, e in enumerate(self.edges):
+            if e.stmt.id != i:
+                raise ValueError(f"edge {i} carries statement {e.stmt.id}")
             if e.src not in node_set or e.dst not in node_set:
                 raise ValueError("edge endpoint outside node set")
             if e.src == self.exit:
@@ -128,7 +126,7 @@ class Cfa:
 
 def statements(cfa: Cfa) -> List[Statement]:
     """All statements of the automaton, ordered by ID."""
-    return sorted((e.stmt for e in cfa.edges), key=lambda s: s.id)
+    return [e.stmt for e in cfa.edges]
 
 
 def statement_ids(cfa: Cfa) -> Set[int]:

@@ -24,15 +24,16 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Dict, Optional, Sequence
 
 from . import automaton, coverage, heuristic
 from .automaton import AssumptionAutomaton, FormatError, StatementIdMismatch
 from .cfa import Cfa, dump_cfa, statement_ids
-from .explorer import (Budget, COUNTEREXAMPLES, Execution, MissingScores,
-                       UNKNOWN, Spec, explore, make_strategy)
+from .explorer import (BFS, Budget, COUNTEREXAMPLES, DEFAULT_NONDET_DOMAIN,
+                       DFS_POSTORDER, DFS_POSTORDER_SCORE, MissingScores,
+                       STRATEGIES, UNKNOWN, Spec, explore, make_strategy)
 from .lang import ParseError, UndeclaredVariable
 from .lowering import source_to_cfa
 
@@ -41,22 +42,20 @@ EXIT_BUG = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
-STRATEGIES = ("bfs", "dfs-postorder", "dfs-postorder+score")
-
 
 @dataclass
 class RunConfig:
     """Everything one invocation needs.  The parser takes its defaults from
-    here, so each is written once."""
+    here and these come from the explorer's, so each is written once."""
 
     command: str
     program: str
-    time_limit: float = 900.0  # seconds; zero or negative means unlimited
+    time_limit: float = Budget.time_limit  # seconds; 0 or less: unlimited
     max_nodes: int = 0  # zero means unlimited
-    max_cex: int = 10
-    strategy: str = "dfs-postorder"
-    nondet_min: int = -8
-    nondet_max: int = 8
+    max_cex: int = Budget.max_counterexamples
+    strategy: str = DFS_POSTORDER
+    nondet_min: int = DEFAULT_NONDET_DOMAIN[0]
+    nondet_max: int = DEFAULT_NONDET_DOMAIN[-1]
     aa_in: Optional[str] = None
     aa_out: Optional[str] = None
     format: str = "text"
@@ -111,22 +110,14 @@ def _domain(config: RunConfig) -> range:
     return range(config.nondet_min, config.nondet_max + 1)
 
 
-def _strategy(config: RunConfig, cfa: Cfa,
-              aa: Optional[AssumptionAutomaton]):
-    if config.strategy == "dfs-postorder+score":
-        if aa is None:
-            raise _CliError("--strategy dfs-postorder+score needs --aa")
+def _strategy(config: RunConfig, cfa: Cfa, aa: AssumptionAutomaton):
+    if config.strategy == DFS_POSTORDER_SCORE:
         return make_strategy(config.strategy, heuristic.score(aa, cfa))
     return make_strategy(config.strategy)
 
 
 def _witness_text(witness: Dict[int, int]) -> str:
     return " ".join(f"n{i}={witness[i]}" for i in sorted(witness))
-
-
-def _execution_json(execution: Execution) -> Dict:
-    return {"statements": list(execution.statements),
-            "witness": dict(execution.witness)}
 
 
 def _cmd_cfa_dump(config: RunConfig) -> int:
@@ -136,8 +127,7 @@ def _cmd_cfa_dump(config: RunConfig) -> int:
 
 def _cmd_verify(config: RunConfig) -> int:
     cfa = _load_cfa(config)
-    aa_in = _load_aa(config, cfa) if config.aa_in else None
-    strategy = _strategy(config, cfa, aa_in)
+    strategy = make_strategy(config.strategy)
     result = explore(cfa, Spec.assertions(), _budget(config),
                      strategy=strategy, nondet_domain=_domain(config))
     if config.aa_out:
@@ -147,13 +137,8 @@ def _cmd_verify(config: RunConfig) -> int:
         payload = {
             "program": cfa.name,
             "verdict": result.verdict,
-            "nodes_created": stats.nodes_created,
-            "nodes_expanded": stats.nodes_expanded,
-            "nodes_frontier": stats.nodes_frontier,
-            "nodes_covered": stats.nodes_covered,
-            "nodes_pruned": stats.nodes_pruned,
-            "counterexamples": [_execution_json(e)
-                                for e in result.counterexamples],
+            **asdict(stats),
+            "counterexamples": [asdict(e) for e in result.counterexamples],
             "automaton_written": config.aa_out or None,
         }
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
@@ -204,9 +189,7 @@ def _cmd_score(config: RunConfig) -> int:
     cfa = _load_cfa(config)
     aa = _load_aa(config, cfa)
     scores = heuristic.score(aa, cfa)
-    first_use = {state: i for i, state in enumerate(aa.states)}
-    ordered = sorted(aa.states,
-                     key=lambda s: (-scores.get(s, 0), first_use[s]))
+    ordered = sorted(aa.states, key=lambda s: -scores.get(s, 0))
     if config.format == "structured":
         payload = {"program": cfa.name,
                    "scores": {s: scores.get(s, 0) for s in ordered}}
@@ -287,12 +270,13 @@ def build_parser() -> argparse.ArgumentParser:
                                         " automaton")
     p.add_argument("program")
 
-    p = sub.add_parser("verify", help="run the assertion analysis")
+    # No abbreviations: `--aa`, an option of the other commands, would
+    # otherwise mean `--aa-out` here and overwrite its file.
+    p = sub.add_parser("verify", help="run the assertion analysis",
+                       allow_abbrev=False)
     p.add_argument("program")
-    p.add_argument("--strategy", choices=STRATEGIES,
+    p.add_argument("--strategy", choices=(BFS, DFS_POSTORDER),
                    default=RunConfig.strategy)
-    p.add_argument("--aa", dest="aa_in", metavar="FILE",
-                   help="automaton used only to derive strategy scores")
     p.add_argument("--aa-out", metavar="FILE",
                    help="write the assumption automaton of the explored"
                         " region here")

@@ -15,13 +15,14 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .automaton import (FALSE_STATE, AssumptionAutomaton, check_alphabet, step)
 from .cfa import Cfa, statement_ids
-from .explorer import (Budget, DEFAULT_NONDET_DOMAIN, Execution, Spec,
-                       TraversalStrategy, UNKNOWN, explore, make_strategy)
+from .explorer import (Budget, DEFAULT_NONDET_DOMAIN, DFS_POSTORDER, Execution,
+                       Spec, TraversalStrategy, UNKNOWN, explore,
+                       make_strategy)
 from .heuristic import compose
 
 MODE_EXACT = "exact"
@@ -76,18 +77,8 @@ class CoverageReport:
     rounds: int = 0  # bookkeeping; not part of the serialized report
 
     def to_dict(self) -> Dict:
-        return {
-            "program": self.program,
-            "mode": self.mode,
-            "total_statements": self.total_statements,
-            "covered_count": self.covered_count,
-            "value": self.value,
-            "executions_used": self.executions_used,
-            "bug_found": self.bug_found,
-            "exhausted": self.exhausted,
-            "covered_ids": self.covered_ids,
-            "per_execution": self.per_execution,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "rounds"}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -152,7 +143,7 @@ def _coverage_rounds(mode: str, cfa: Cfa, aa: AssumptionAutomaton,
     """
     check_alphabet(aa, statement_ids(cfa))
     if strategy is None:
-        strategy = make_strategy("dfs-postorder")
+        strategy = make_strategy(DFS_POSTORDER)
     under = mode == MODE_UNDER
     per_round = 1 if under else budget.max_counterexamples
     cap = budget.max_counterexamples if under else math.inf

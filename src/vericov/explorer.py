@@ -164,9 +164,12 @@ class ExplorationResult:
     counterexamples: List[Execution]
     cfa: Cfa
     art_stats: ArtStats
-    bug_found: bool = False
     bug_execution: Optional[Execution] = None
     nodes: List[ArtNode] = field(default_factory=list)
+
+    @property
+    def bug_found(self) -> bool:
+        return self.bug_execution is not None
 
     @cached_property
     def aa(self) -> AssumptionAutomaton:
@@ -183,6 +186,7 @@ class ExplorationResult:
 BFS = "bfs"
 DFS_POSTORDER = "dfs-postorder"
 DFS_POSTORDER_SCORE = "dfs-postorder+score"
+STRATEGIES = (BFS, DFS_POSTORDER, DFS_POSTORDER_SCORE)
 
 
 class MissingScores(Exception):
@@ -196,7 +200,7 @@ class TraversalStrategy:
 
 
 def make_strategy(kind: str, scores: Optional[Dict[str, int]] = None) -> TraversalStrategy:
-    if kind not in (BFS, DFS_POSTORDER, DFS_POSTORDER_SCORE):
+    if kind not in STRATEGIES:
         raise ValueError(f"unknown strategy kind {kind!r}")
     if kind == DFS_POSTORDER_SCORE and scores is None:
         raise MissingScores("dfs-postorder+score needs a score map")
@@ -525,7 +529,7 @@ class _Explorer:
         """Whether j covers v, both of one cover group: j tracks at least
         what v tracks, and j's dead variables subsume v's.  The group key
         makes the live entries equal, so only dead ones can differ."""
-        if self.spec.kind == COVER and not j.tracked >= v.tracked:
+        if not j.tracked >= v.tracked:
             return False
         return all(jv == vv or (jv is TOP and vv is not UNASSIGNED)
                    for jv, vv in zip(j.valuation, v.valuation))
@@ -544,13 +548,11 @@ class _Explorer:
     # -- node creation -------------------------------------------------------
 
     def make_root(self) -> ArtNode:
-        aa_state = None
-        if self.spec.kind == COVER:
-            aa_state = self.spec.aa.initial
+        aa_state = self.spec.aa.initial if self.spec.kind == COVER else None
         valuation = (UNASSIGNED,) * len(self.variables.index)
         root = ArtNode(0, self.cfa.entry, valuation, None, None,
                        aa_state=aa_state)
-        if self.spec.kind == COVER and aa_state == FALSE_STATE:
+        if aa_state == FALSE_STATE:
             # Collection can never start: nothing to explore.
             root.status = STATUS_PRUNED
             self.nodes.append(root)
@@ -596,7 +598,7 @@ class _Explorer:
             return
         if node.cfa_node != self.cfa.exit:
             return
-        if self.spec.kind == COVER and node.tracked:
+        if node.tracked:
             path = self.path_to(node)
             result = self._replay_path(path, MODE_PHI)
             if result.verdict == FEASIBLE:
@@ -686,8 +688,8 @@ class _Explorer:
 
         def key(c: ArtNode) -> Tuple:
             if self.strategy.kind == DFS_POSTORDER_SCORE:
-                score = scores.get(c.aa_state, 0) if c.aa_state else 0
-                return (self.postorder[c.cfa_node], -score, c.id)
+                return (self.postorder[c.cfa_node], -scores.get(c.aa_state, 0),
+                        c.id)
             return (self.postorder[c.cfa_node], c.id)
 
         for child in sorted(children, key=key, reverse=True):
@@ -730,7 +732,6 @@ class _Explorer:
             counterexamples=self.cex,
             cfa=self.cfa,
             art_stats=self._stats(),
-            bug_found=self.bug is not None,
             bug_execution=self.bug,
             nodes=self.nodes,
         )

@@ -688,9 +688,10 @@ TOP = "top"
 
 
 def abstract_eval(expr: Expr, valuation: tuple, index: Dict[str, int]) -> object:
-    """Evaluate to an int or TOP over a valuation indexed by `index`.  Any
-    top operand makes the result top: `&&`/`||` do not short-circuit, so
-    `0 && nondet()` is TOP."""
+    """Evaluate to an int or TOP over a valuation indexed by `index`.  A
+    top operand makes the result top, except that a definite operand that
+    decides `&&`/`||` alone decides it from either side: `0 && nondet()`
+    and `nondet() && 0` are 0, `a || 1` and `1 || a` are 1 for any `a`."""
     stack: list = []
     push = stack.append
     for op, arg in expr:
@@ -700,13 +701,20 @@ def abstract_eval(expr: Expr, valuation: tuple, index: Dict[str, int]) -> object
             push(valuation[index[arg]])
         elif op is BINARY:
             b = stack.pop()
-            if b is TOP:
-                stack[-1] = TOP
-            elif stack[-1] is not TOP:
+            a = stack[-1]
+            if a is not TOP and b is not TOP:
                 try:
-                    stack[-1] = _BINARY_OPS[arg](stack[-1], b)
+                    stack[-1] = _BINARY_OPS[arg](a, b)
                 except EvalError:
                     stack[-1] = TOP
+                continue
+            known = a if b is TOP else b  # TOP when both are
+            if arg == "&&" and known is not TOP and known == 0:
+                stack[-1] = 0
+            elif arg == "||" and known is not TOP and known != 0:
+                stack[-1] = 1
+            else:
+                stack[-1] = TOP
         elif op is NONDET:
             push(TOP)
         elif op is UNARY and stack[-1] is not TOP:

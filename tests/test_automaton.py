@@ -168,6 +168,18 @@ def test_format_errors(text, fragment):
     assert fragment in str(info.value)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("AUTOMATON a\nINITIAL q0\nSTATE q0 @L0\n  ON 0 -> q0\n"
+     "  ON 1 -> q7\n  ON 2 -> q7\nEND\n", 5),
+    ("AUTOMATON a\n# comment\n\nINITIAL q9\nSTATE q0 @L0\nEND\n", 4),
+])
+def test_undeclared_state_error_names_its_first_line(text, line):
+    with pytest.raises(FormatError) as info:
+        parse_aa(text)
+    assert info.value.line == line
+    assert "never declared" in str(info.value)
+
+
 def test_parse_duplicate_on_line_raises():
     text = ("AUTOMATON a\nINITIAL q0\nSTATE q0 @L0\n"
             "  ON 0 -> __TRUE\n  ON 0 -> __FALSE\nEND\n")

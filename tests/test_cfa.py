@@ -10,7 +10,7 @@ from vericov import (Budget, Spec, dump_cfa, exact_coverage, explore,
                      statements)
 from vericov import cfa as cfa_module
 from vericov.automaton import TRUE_STATE, AssumptionAutomaton
-from vericov.cfa import ASSIGN, ASSUME, HALT, Cfa, Edge, Statement
+from vericov.cfa import ASSIGN, ASSUME, HALT, SKIP, Cfa, Edge, Statement
 from vericov.lowering import lower
 
 import oracle
@@ -244,6 +244,20 @@ def test_validate_rejects_sparse_statement_ids():
     edges = [Edge(0, Statement(1, HALT), 1)]
     with pytest.raises(ValueError):
         Cfa("bad", [0, 1], edges, entry=0, exit=1).validate()
+
+
+def test_validate_rejects_dense_ids_out_of_order():
+    edges = [Edge(2, Statement(1, HALT), 1), Edge(0, Statement(0, SKIP), 2)]
+    with pytest.raises(ValueError):
+        Cfa("bad", [0, 1, 2], edges, entry=0, exit=1).validate()
+
+
+def test_edge_rejects_ids_outside_the_table():
+    cfa = fixture_cfa("deadbranch.c")
+    assert cfa.edge(len(cfa.edges) - 1).stmt.id == len(cfa.edges) - 1
+    for stmt_id in (-1, len(cfa.edges)):
+        with pytest.raises(ValueError):
+            cfa.edge(stmt_id)
 
 
 def test_validate_rejects_edge_into_entry():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -122,6 +123,26 @@ def test_bad_strategy_rejected_by_argument_parser(capsys):
     assert "--strategy" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--aa", "--strategy"])
+def test_verify_has_no_score_strategy(option, tmp_path, capsys):
+    given = tmp_path / "given.aa"
+    given.write_text(FULL_AA_TEXT)
+    value = str(given) if option == "--aa" else "dfs-postorder+score"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", BIGLOOP, "--max-nodes", "20", option, value])
+    assert exc.value.code == EXIT_USAGE
+    assert option in capsys.readouterr().err
+    # `--aa` is not taken as an abbreviation of `--aa-out`.
+    assert given.read_text() == FULL_AA_TEXT
+
+
+def test_verify_config_asking_for_scores_is_a_usage_error(capsys):
+    config = RunConfig(command="verify", program=DEADBRANCH,
+                       strategy="dfs-postorder+score")
+    assert run(config) == EXIT_USAGE
+    assert "score" in capsys.readouterr().err
+
+
 def test_nonpositive_cex_budget_is_usage_error(capsys):
     assert main(["verify", DEADBRANCH, "--max-cex", "0"]) == EXIT_USAGE
     assert "--max-cex" in capsys.readouterr().err
@@ -153,7 +174,6 @@ def test_foreign_automaton_is_usage_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [
     ["cover-exact"], ["cover-under"], ["score"],
-    ["verify", "--strategy", "dfs-postorder+score"],
 ])
 def test_duplicate_on_line_is_usage_error(tmp_path, capsys, command):
     aa = tmp_path / "dup.aa"
@@ -263,6 +283,26 @@ def test_run_config_defaults():
     assert config.strategy == "dfs-postorder"
     assert (config.nondet_min, config.nondet_max) == (-8, 8)
     assert config.format == "text"
+
+
+BUDGET_OPTIONS = ["--time-limit", "--max-nodes", "--max-cex", "--nondet-min",
+                  "--nondet-max"]
+
+
+def test_option_strings_of_each_subcommand():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    options = {name: [s for a in p._actions for s in a.option_strings]
+               for name, p in sub.choices.items()}
+    assert options == {
+        "cfa-dump": ["-h", "--help"],
+        "verify": ["-h", "--help", "--strategy", "--aa-out", *BUDGET_OPTIONS,
+                   "--format"],
+        "cover-exact": ["-h", "--help", "--aa", *BUDGET_OPTIONS, "--format"],
+        "cover-under": ["-h", "--help", "--aa", "--strategy", *BUDGET_OPTIONS,
+                        "--format"],
+        "score": ["-h", "--help", "--aa", "--format"],
+    }
 
 
 def test_config_from_args_copies_everything():

@@ -1050,3 +1050,24 @@ def test_emitted_automaton_bytes_pinned(tmp_path, capsys, strategy,
     assert main(["verify", str(program), "--max-nodes", "300",
                  "--strategy", strategy, "--aa-out", str(out)]) == EXIT_OK
     assert out.read_text() == golden(golden_name)
+
+
+def test_always_true_assert_gets_no_witness_search(tmp_path, capsys,
+                                                   monkeypatch):
+    # `e || 1` holds whatever the nondet() values in e are, so the assert is
+    # never a candidate violation.
+    chain = " + ".join(["x", "nondet()"] * 19 + ["x"] * 12)
+    program = tmp_path / "always_true.c"
+    program.write_text("int nondet();\nint main() { int x = nondet(); "
+                       f"assert({chain} || 1); return 0; }}\n")
+    searches = []
+    search = explorer._search_witness
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(explorer, "_search_witness", counted)
+    assert main(["verify", str(program), "--max-nodes", "40"]) == EXIT_OK
+    assert "verdict: safe" in capsys.readouterr().out
+    assert searches == []

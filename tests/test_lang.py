@@ -367,11 +367,21 @@ def test_long_and_deep_expressions_do_not_recurse():
 
 def test_abstract_eval_does_not_short_circuit():
     index = {"a": 0}
-    assert abstract_eval(_init("0 && nondet()", "a"), (1,), index) is TOP
-    assert abstract_eval(_init("a || 1", "a"), (TOP,), index) is TOP
+    assert abstract_eval(_init("0 && nondet()", "a"), (1,), index) == 0
+    assert abstract_eval(_init("a || 1", "a"), (TOP,), index) == 1
     assert abstract_eval(_init("a && 0", "a"), (5,), index) == 0
     assert abstract_eval(_init("-a + 7 / (a - 5)", "a"), (5,), index) is TOP
     assert abstract_eval(_init("!-(a % 3)", "a"), (-4,), index) == 0
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("nondet() && 0", 0), ("a && 0", 0), ("0 && a", 0),
+    ("nondet() || 3", 1), ("-2 || a", 1),
+    ("a && 1", TOP), ("1 && nondet()", TOP), ("a || 0", TOP),
+    ("0 || a", TOP), ("a && nondet()", TOP), ("a * 0", TOP),
+])
+def test_abstract_eval_definite_operand_decides_and_or(text, expected):
+    assert abstract_eval(_init(text, "a"), (TOP,), {"a": 0}) == expected
 
 
 def test_expr_variables_in_order_of_first_occurrence():

@@ -151,7 +151,7 @@ def test_generated_automata_never_exit_internal(tmp_path, capsys):
                 for name in ("nested_logic.c", "loop_b10.c", "chain_ifs.c")]
     commands = [["cover-exact"], ["cover-under", "--strategy", "bfs"],
                 ["cover-under", "--strategy", "dfs-postorder+score"],
-                ["score"], ["verify", "--strategy", "dfs-postorder+score"]]
+                ["score"]]
     for program in programs:
         aa = tmp_path / "emitted.aa"
         _run(["verify", program, "--max-nodes", "30", "--aa-out", str(aa)],
