@@ -109,7 +109,11 @@ class Cfa:
         return self._numbering
 
     def validate(self) -> None:
-        """Check structural invariants; raises ValueError on violation."""
+        """Check structural invariants; raises ValueError on violation.
+
+        Only `halt` edges enter exit, so a path into exit never ends in an
+        assert: the witness search tells a coverage witness from a
+        counterexample by the path's last statement alone."""
         node_set = set(self.nodes)
         if len(node_set) != len(self.nodes):
             raise ValueError("duplicate node ids")
@@ -122,6 +126,9 @@ class Cfa:
                 raise ValueError("exit node has an outgoing edge")
             if e.dst == self.entry:
                 raise ValueError("entry node has an incoming edge")
+            if e.dst == self.exit and e.stmt.kind != HALT:
+                raise ValueError(f"statement {i} enters exit but is not a"
+                                 " halt")
 
 
 def statements(cfa: Cfa) -> List[Statement]:

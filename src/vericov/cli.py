@@ -51,7 +51,7 @@ class RunConfig:
     command: str
     program: str
     time_limit: float = Budget.time_limit  # seconds; 0 or less: unlimited
-    max_nodes: int = 0  # zero means unlimited
+    max_nodes: int = 0  # 0 or less: unlimited
     max_cex: int = Budget.max_counterexamples
     strategy: str = DFS_POSTORDER
     nondet_min: int = DEFAULT_NONDET_DOMAIN[0]
@@ -225,8 +225,10 @@ def run(config: RunConfig) -> int:
         except (OSError, ValueError, AttributeError):
             pass
         return EXIT_OK
-    except Exception as exc:  # pragma: no cover - defensive
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # A MemoryError has no message: name the type instead.
+        print(f"internal error: {str(exc) or type(exc).__name__}",
+              file=sys.stderr)
         return EXIT_INTERNAL
 
 
@@ -237,8 +239,8 @@ def _add_budget_options(parser: argparse.ArgumentParser) -> None:
                              " (default: %(default)s)")
     parser.add_argument("--max-nodes", type=int, default=RunConfig.max_nodes,
                         metavar="N",
-                        help="stop after creating N tree nodes; 0 means"
-                             " unlimited (default: %(default)s)")
+                        help="stop after creating N tree nodes; 0 or less"
+                             " means unlimited (default: %(default)s)")
     parser.add_argument("--max-cex", type=int, default=RunConfig.max_cex,
                         metavar="N",
                         help="keep at most N counterexamples / executions"

@@ -25,10 +25,6 @@ from .explorer import (Budget, DEFAULT_NONDET_DOMAIN, DFS_POSTORDER, Execution,
                        make_strategy)
 from .heuristic import compose
 
-MODE_EXACT = "exact"
-MODE_UNDER = "under"
-MODE_OVER = "over"
-
 
 def exercised_within_analysis(cex: Sequence[int],
                               aa: AssumptionAutomaton) -> FrozenSet[int]:
@@ -125,26 +121,25 @@ def _execution_entry(execution: Execution, newly: Sequence[int]) -> Dict:
     }
 
 
-def _coverage_rounds(mode: str, cfa: Cfa, aa: AssumptionAutomaton,
-                     budget: Budget, strategy: Optional[TraversalStrategy],
-                     nondet_domain: Sequence[int]) -> CoverageReport:
+def _coverage_rounds(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
+                     strategy: Optional[TraversalStrategy],
+                     nondet_domain: Sequence[int],
+                     under: bool) -> CoverageReport:
     """Rounds of cover-queries, each targeting the still-uncovered statements.
 
-    The modes differ in three ways only.  Exact asks for up to
-    `max_counterexamples` executions per round and runs until nothing new
-    is coverable.  Under asks for one execution per round, stops after
-    `max_counterexamples` recorded executions, and aborts on a confirmed
-    failing assert.
+    The exact and the under mode differ in three ways only.  Exact asks
+    for up to `max_counterexamples` executions per round and runs until
+    nothing new is coverable.  Under asks for one execution per round,
+    stops after `max_counterexamples` recorded executions, and aborts on a
+    confirmed failing assert.
 
     The rounds share one record of witness searches: a search depends only
-    on the CFA, the path, the replay mode and the domain, so a candidate
-    execution an earlier round already confirmed or refuted is not
-    searched again.
+    on the CFA, the path and the domain, so a candidate execution an
+    earlier round already confirmed or refuted is not searched again.
     """
     check_alphabet(aa, statement_ids(cfa))
     if strategy is None:
         strategy = make_strategy(DFS_POSTORDER)
-    under = mode == MODE_UNDER
     per_round = 1 if under else budget.max_counterexamples
     cap = budget.max_counterexamples if under else math.inf
     deadline = (None if budget.time_limit is None
@@ -186,8 +181,9 @@ def _coverage_rounds(mode: str, cfa: Cfa, aa: AssumptionAutomaton,
         if covered == before:
             break
         remaining = remaining - covered
-    return _make_report(cfa, mode, covered, per_execution,
-                        bug_found=bug_found, exhausted=exhausted, rounds=rounds)
+    return _make_report(cfa, "under" if under else "exact", covered,
+                        per_execution, bug_found=bug_found,
+                        exhausted=exhausted, rounds=rounds)
 
 
 def exact_coverage(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
@@ -200,8 +196,8 @@ def exact_coverage(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
     round per statement.  A round that ends without a verdict leaves the
     result an under-approximation, flagged via `exhausted`.
     """
-    return _coverage_rounds(MODE_EXACT, cfa, aa, budget, strategy,
-                            nondet_domain)
+    return _coverage_rounds(cfa, aa, budget, strategy, nondet_domain,
+                            under=False)
 
 
 def under_approx_coverage(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
@@ -212,8 +208,8 @@ def under_approx_coverage(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
     Watches assertions while exploring: a confirmed failing assert aborts
     the whole computation and the report carries `bug_found`.
     """
-    return _coverage_rounds(MODE_UNDER, cfa, aa, budget, strategy,
-                            nondet_domain)
+    return _coverage_rounds(cfa, aa, budget, strategy, nondet_domain,
+                            under=True)
 
 
 def over_approx_coverage(cfa: Cfa, aa: AssumptionAutomaton) -> CoverageReport:
@@ -232,7 +228,7 @@ def over_approx_coverage(cfa: Cfa, aa: AssumptionAutomaton) -> CoverageReport:
         for edge, (target, _loc) in zip(edges, product.successors[state]):
             if target != FALSE_STATE:
                 covered.add(edge.stmt.id)
-    return _make_report(cfa, MODE_OVER, frozenset(covered), [],
+    return _make_report(cfa, "over", frozenset(covered), [],
                         bug_found=False, exhausted=False, rounds=0)
 
 

@@ -215,10 +215,6 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 INCONCLUSIVE = "inconclusive"
 
-MODE_ASSUMES = "assumes"
-MODE_PHI = "phi"
-MODE_VIOLATION = "violation"
-
 
 @dataclass
 class ReplayResult:
@@ -226,14 +222,8 @@ class ReplayResult:
     witness: Optional[Dict[int, int]] = None
 
 
-# Witness searches already run: (path, replay mode) -> result.
-_Searches = Dict[Tuple[Tuple[int, ...], str], ReplayResult]
-
-
-class _StepBudget:
-    def __init__(self, limit: int):
-        self.left = limit
-
+# Witness searches already run: path -> result.
+_Searches = Dict[Tuple[int, ...], ReplayResult]
 
 _PlanStep = Tuple[Statement, int, int]  # statement, read mask, write bit
 # Where a run can resume: a statement's plan index, copies of the
@@ -242,15 +232,18 @@ _PlanStep = Tuple[Statement, int, int]  # statement, read mask, write bit
 _Checkpoint = Tuple[int, Dict[str, int], Dict[int, int], int]
 
 
-def _run_path(plan: Sequence[_PlanStep], choices: List[int], mode: str,
-              steps: _StepBudget, marks: List[_Checkpoint]) -> Tuple[str, int]:
-    """Run the path under the given nondet choices.
+def _run_path(plan: Sequence[_PlanStep], choices: List[int], steps: int,
+              marks: List[_Checkpoint]) -> Tuple[str, int, int]:
+    """Run the path under the given nondet choices, `steps` statements at
+    most.
 
-    Returns (status, conflict) with status "ok" (all constraints met),
-    "fail" (some constraint failed), or "need" (one more nondet choice
-    is required).  On "fail", bit i of `conflict` is set for each choice i
-    the failing statement consumed and each choice the values it reads
-    were computed from; `conflict` is 0 on "ok" and "need".
+    Returns (status, conflict, steps left) with status "ok" (every assume
+    holds, and every assert except a final one, which fails), "fail"
+    (some statement breaks that rule), "need" (one more nondet choice is
+    required) or "out" (`steps` ran out first).  On "fail", bit i of
+    `conflict` is set for each choice i the failing statement consumed
+    and each choice the values it reads were computed from; `conflict` is
+    0 otherwise.
 
     Every run that keeps all choices up to the highest one named fails
     the same way: each named choice was consumed after only lower ones,
@@ -266,8 +259,8 @@ def _run_path(plan: Sequence[_PlanStep], choices: List[int], mode: str,
     checkpoints of the choices it draws again.  The statements before a
     checkpoint read only choices below the ones its statement draws, so
     while those stay fixed, resuming is the same as running from entry.
-    A resumed run charges `steps` for the statements it skips first, so
-    a step budget runs out exactly where it would from entry.
+    A resumed run is charged first for the statements it skips, so the
+    steps run out exactly where they would from entry.
     """
     # env: variable -> value; depends: variable bit -> choices its value used
     if marks:
@@ -275,10 +268,9 @@ def _run_path(plan: Sequence[_PlanStep], choices: List[int], mode: str,
         first, env, depends, used = mark
         env, depends = dict(env), dict(depends)
         del marks[used:]
-        if steps.left < first:
-            steps.left = 0
-            raise _OutOfSteps
-        steps.left -= first
+        if steps < first:
+            return "out", 0, 0
+        steps -= first
     else:
         mark, first, env, depends, used = None, 0, {}, {}, 0
 
@@ -294,9 +286,9 @@ def _run_path(plan: Sequence[_PlanStep], choices: List[int], mode: str,
 
     last = len(plan) - 1
     for i in range(first, len(plan)):
-        if steps.left <= 0:
-            raise _OutOfSteps
-        steps.left -= 1
+        if steps <= 0:
+            return "out", 0, 0
+        steps -= 1
         stmt, reads, write = plan[i]
         kind = stmt.kind
         if kind != ASSIGN and kind != ASSUME and kind != ASSERT:
@@ -305,7 +297,7 @@ def _run_path(plan: Sequence[_PlanStep], choices: List[int], mode: str,
         try:
             value = lang.concrete_eval(stmt.expr, env, next_nondet)
         except _NeedChoice:
-            return "need", 0
+            return "need", 0, steps
         except lang.EvalError:  # division or modulo by zero
             value = None
         mark = None
@@ -315,32 +307,23 @@ def _run_path(plan: Sequence[_PlanStep], choices: List[int], mode: str,
             mask |= depends[bit]
             reads ^= bit
         if value is None:
-            return "fail", mask
+            return "fail", mask, steps
         if kind == ASSIGN:
             env[stmt.var] = value
             depends[write] = mask
-        elif kind == ASSUME or mode == MODE_PHI:
-            if value == 0:
-                return "fail", mask
-        elif mode == MODE_VIOLATION and (value != 0) == (i == last):
-            # The last assert must fail, every earlier one hold.
-            return "fail", mask
-    return "ok", 0
+        elif (value != 0) == (kind == ASSERT and i == last):
+            return "fail", mask, steps
+    return "ok", 0, steps
 
 
 class _NeedChoice(Exception):
     pass
 
 
-class _OutOfSteps(Exception):
-    pass
-
-
 def _search_witness(edges: Sequence[Edge], variables: Numbering,
-                    domain: Sequence[int], mode: str,
-                    step_limit: int) -> ReplayResult:
-    """Search nondet choices satisfying the path mode, by conflict-directed
-    backjumping (Prosser 1993).
+                    domain: Sequence[int], step_limit: int) -> ReplayResult:
+    """Search nondet choices under which the path's run is "ok" (see
+    `_run_path`), by conflict-directed backjumping (Prosser 1993).
 
     Each choice runs through `domain` in order, so the first witness found
     is the first in lexicographic order.  A failed run jumps to the
@@ -371,16 +354,15 @@ def _search_witness(edges: Sequence[Edge], variables: Numbering,
     domain = list(domain)
     plan = [(e.stmt, variables.reads[e.stmt.id], variables.writes[e.stmt.id])
             for e in edges]
-    steps = _StepBudget(step_limit)
+    steps = step_limit
     stack: List[int] = []  # indices into domain, one per occurrence
     conflicts: List[int] = []  # per occurrence: why its values so far failed
     marks: List[_Checkpoint] = []  # per occurrence: where a run resumes
     last_value = len(domain) - 1
     while True:
         choices = [domain[i] for i in stack]
-        try:
-            status, conflict = _run_path(plan, choices, mode, steps, marks)
-        except _OutOfSteps:
+        status, conflict, steps = _run_path(plan, choices, steps, marks)
+        if status == "out":
             return ReplayResult(INCONCLUSIVE)
         if status == "ok":
             return ReplayResult(FEASIBLE, dict(enumerate(choices)))
@@ -419,23 +401,24 @@ def _edges_for_path(cfa: Cfa, path: Sequence[int]) -> List[Edge]:
 def replay(cfa: Cfa, path: Sequence[int],
            nondet_domain: Sequence[int] = DEFAULT_NONDET_DOMAIN,
            step_limit: int = DEFAULT_REPLAY_STEP_LIMIT) -> ReplayResult:
-    """Search nondet choices under which every assume on the path holds.
+    """Search nondet choices under which every assume on the path holds,
+    and every assert holds except a final one, which must fail.
 
-    The path must start at entry and be edge-connected.  Returns feasible
-    with the first witness in lexicographic domain order, or infeasible
-    when no choices from the domain satisfy the path: each failed run
-    backjumps to the last choice the failing statement depends on, so a
-    guard that reads only its own choice is refuted in one sweep of the
-    domain rather than once per combination of the choices before it.
-    A run after the first resumes from a checkpoint taken where the
-    lowest changed choice is drawn instead of replaying from entry.
-    Returns inconclusive when `step_limit` runs out first.  It counts one
-    step per statement of every run, the prefix a resumed run skips
-    included, so the answer is the same as replaying each run from entry.
+    The path must start at entry and be edge-connected.  A path into exit
+    ends in a `halt` (see `Cfa.validate`), so its witness is a feasible,
+    assertion-clean execution; a path ending in an assert asks for a
+    counterexample.  Returns feasible with the first witness in
+    lexicographic domain order, or infeasible when no choices from the
+    domain satisfy the path: each failed run backjumps to the last choice
+    the failing statement depends on, so a guard that reads only its own
+    choice is refuted in one sweep of the domain rather than once per
+    combination of the choices before it.  Returns inconclusive when
+    `step_limit` runs out first.  It counts one step per statement of
+    every run, the prefix a resumed run skips included, so the answer is
+    the same as replaying each run from entry.
     """
     edges = _edges_for_path(cfa, path)
-    return _search_witness(edges, cfa.numbering(), nondet_domain,
-                           MODE_ASSUMES, step_limit)
+    return _search_witness(edges, cfa.numbering(), nondet_domain, step_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +499,10 @@ class _Explorer:
             path.append(extra)
         return tuple(path)
 
-    def _replay_path(self, path: Tuple[int, ...], mode: str) -> ReplayResult:
-        result = self.searches.get((path, mode))
+    def _replay_path(self, path: Tuple[int, ...]) -> ReplayResult:
+        result = self.searches.get(path)
         if result is None:
-            edges = [self.cfa.edge(i) for i in path]
-            result = self.searches[path, mode] = _search_witness(
-                edges, self.variables, self.domain, mode,
-                DEFAULT_REPLAY_STEP_LIMIT)
+            result = self.searches[path] = replay(self.cfa, path, self.domain)
         return result
 
     def _covers(self, j: ArtNode, v: ArtNode) -> bool:
@@ -600,7 +580,7 @@ class _Explorer:
             return
         if node.tracked:
             path = self.path_to(node)
-            result = self._replay_path(path, MODE_PHI)
+            result = self._replay_path(path)
             if result.verdict == FEASIBLE:
                 self.cex.append(Execution(path, result.witness))
 
@@ -613,7 +593,7 @@ class _Explorer:
                 len(self.cex) >= self.budget.max_counterexamples:
             return
         path = self.path_to(parent, extra=edge.stmt.id)
-        result = self._replay_path(path, MODE_VIOLATION)
+        result = self._replay_path(path)
         if result.verdict != FEASIBLE:
             return
         execution = Execution(path, result.witness)
@@ -684,16 +664,14 @@ class _Explorer:
         if self.strategy.kind == BFS:
             self.waitlist.extend(children)
             return
+        # Without a score map every score is 0: plain dfs-postorder.
         scores = self.strategy.scores or {}
 
         def key(c: ArtNode) -> Tuple:
-            if self.strategy.kind == DFS_POSTORDER_SCORE:
-                return (self.postorder[c.cfa_node], -scores.get(c.aa_state, 0),
-                        c.id)
-            return (self.postorder[c.cfa_node], c.id)
+            return (self.postorder[c.cfa_node], -scores.get(c.aa_state, 0),
+                    c.id)
 
-        for child in sorted(children, key=key, reverse=True):
-            self.waitlist.append(child)
+        self.waitlist.extend(sorted(children, key=key, reverse=True))
 
     def pop(self) -> ArtNode:
         if self.strategy.kind == BFS:
@@ -756,12 +734,14 @@ def explore(cfa: Cfa, spec: Spec, budget: Budget,
             searches: Optional[_Searches] = None) -> ExplorationResult:
     """Explore the program under the spec until a verdict or a budget stop.
 
-    Deterministic: identical inputs produce identical trees, automata and
-    counterexample lists.  A node budget never truncates an expansion in
-    progress; the node being expanded is completed first.
+    The CFA must pass `Cfa.validate`: the witness search of a path into
+    exit relies on its ending in a `halt`.  Deterministic: identical
+    inputs produce identical trees, automata and counterexample lists.  A
+    node budget never truncates an expansion in progress; the node being
+    expanded is completed first.
 
-    `searches` maps (path, replay mode) to a witness search already run
-    on this CFA over this domain.  Each candidate is looked up there
+    `searches` maps each path to the result of `replay` on it, already
+    run on this CFA over this domain.  Each candidate is looked up there
     before it is searched, and each new search is added, so explores that
     share the dict search a path once.  Its witnesses are shared, not
     copied.

@@ -14,7 +14,8 @@ Conventions, all load-bearing for downstream determinism:
 * `int x;` without initializer lowers to `x = nondet()`: reading an
   uninitialized local may observe any integer.
 * `return` lowers to a single halt edge into exit; the returned value is
-  unobservable (single function) and is discarded.  Statements after a
+  unobservable (single function) and is discarded.  Only halt edges enter
+  exit: the witness search relies on it (see `Cfa.validate`).  Statements after a
   `return` are still lowered — their locations are unreachable from entry
   and deliberately kept, so syntactically dead code deflates coverage.
 * If control can fall off the end of main, an implicit halt edge with its

@@ -10,7 +10,8 @@ from vericov import (Budget, Spec, dump_cfa, exact_coverage, explore,
                      statements)
 from vericov import cfa as cfa_module
 from vericov.automaton import TRUE_STATE, AssumptionAutomaton
-from vericov.cfa import ASSIGN, ASSUME, HALT, SKIP, Cfa, Edge, Statement
+from vericov.cfa import (ASSERT, ASSIGN, ASSUME, HALT, SKIP, Cfa, Edge,
+                         Statement)
 from vericov.lowering import lower
 
 import oracle
@@ -261,16 +262,25 @@ def test_edge_rejects_ids_outside_the_table():
 
 
 def test_validate_rejects_edge_into_entry():
-    edges = [Edge(0, Statement(0, ASSUME, expr=None), 1),
-             Edge(1, Statement(1, HALT), 0)]
-    with pytest.raises(ValueError):
-        Cfa("bad", [0, 1], edges, entry=0, exit=1).validate()
+    edges = [Edge(0, Statement(0, HALT), 1),
+             Edge(2, Statement(1, SKIP), 0)]
+    with pytest.raises(ValueError, match="entry node has an incoming edge"):
+        Cfa("bad", [0, 1, 2], edges, entry=0, exit=1).validate()
 
 
 def test_validate_rejects_edge_out_of_exit():
     edges = [Edge(0, Statement(0, HALT), 1),
              Edge(1, Statement(1, HALT), 0)]
     with pytest.raises(ValueError):
+        Cfa("bad", [0, 1], edges, entry=0, exit=1).validate()
+
+
+@pytest.mark.parametrize("kind", [ASSUME, ASSERT, SKIP])
+def test_validate_rejects_non_halt_edge_into_exit(kind):
+    # A path into exit must end in a halt: the witness search reads a
+    # final assert as a request for a counterexample.
+    edges = [Edge(0, Statement(0, kind), 1)]
+    with pytest.raises(ValueError, match="statement 0 enters exit"):
         Cfa("bad", [0, 1], edges, entry=0, exit=1).validate()
 
 

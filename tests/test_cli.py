@@ -83,6 +83,17 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
     assert capsys.readouterr().err == "internal error: inconsistent state\n"
 
 
+def test_memory_error_names_its_type(monkeypatch, capsys):
+    # A MemoryError carries no message; the report must still say what
+    # went wrong.
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr("vericov.cli.dump_cfa", exhausted)
+    assert main(["cfa-dump", BIGLOOP]) == EXIT_INTERNAL
+    assert capsys.readouterr().err == "internal error: MemoryError\n"
+
+
 def test_verify_safe_program(capsys):
     assert main(["verify", str(FIXTURES / "loop_concrete.c")]) == EXIT_OK
     out = capsys.readouterr().out

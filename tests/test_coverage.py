@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
-from vericov import explorer
+from vericov import coverage, explorer
 from vericov import (Budget, Cfa, Edge, Spec, Statement, StatementIdMismatch,
                      exact_coverage, exercised_within_analysis, explore,
                      is_covered, line_projection, make_strategy,
@@ -98,6 +99,22 @@ def test_exact_flags_exhaustion_when_budget_cuts_the_search():
     assert report.covered_ids == []
     assert report.exhausted
     assert not report.bug_found
+
+
+def test_exact_flags_exhaustion_when_the_deadline_passes(monkeypatch):
+    # The rounds' clock reads 0 for the deadline and the first round, then
+    # 2 s: the second round, which would prove {3, 4} uncoverable, never
+    # starts.  The explorer's clock stands still.
+    monkeypatch.setattr(coverage, "time", SimpleNamespace(
+        monotonic=iter([0.0, 0.0, 2.0]).__next__))
+    monkeypatch.setattr(explorer, "time", SimpleNamespace(
+        monotonic=lambda: 0.0))
+    report = exact_coverage(fixture_cfa("deadbranch.c"), _full_aa(),
+                            Budget(time_limit=1.0))
+    assert report.covered_ids == [0, 1, 2, 5, 6, 7]
+    assert report.rounds == 1
+    assert report.exhausted
+    assert report.to_dict()["exhausted"] is True
 
 
 def test_exact_false_initial_resolves_in_one_round():
@@ -206,9 +223,9 @@ def test_rounds_search_each_path_once_and_emit_nothing(monkeypatch):
     emitted = 0
     search, emit = explorer._search_witness, explorer.emit_assumption_automaton
 
-    def counted_search(edges, variables, domain, mode, step_limit):
-        searched.append((tuple(e.stmt.id for e in edges), mode))
-        return search(edges, variables, domain, mode, step_limit)
+    def counted_search(edges, variables, domain, step_limit):
+        searched.append(tuple(e.stmt.id for e in edges))
+        return search(edges, variables, domain, step_limit)
 
     def counted_emit(*args, **kwargs):
         nonlocal emitted

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -14,8 +16,7 @@ from vericov.automaton import AssumptionAutomaton, TRUE_STATE
 from vericov.cfa import ASSERT, ASSIGN, ASSUME
 from vericov.cli import EXIT_OK, main
 from vericov.explorer import (COUNTEREXAMPLES, COVER, FEASIBLE, INCONCLUSIVE,
-                              INFEASIBLE, MODE_ASSUMES, MODE_PHI,
-                              MODE_VIOLATION, SAFE, STATUS_COVERED,
+                              INFEASIBLE, SAFE, STATUS_COVERED,
                               STATUS_EXPANDED, TOP, UNASSIGNED, UNKNOWN,
                               ReplayResult)
 
@@ -116,7 +117,9 @@ def test_replay_rejects_disconnected_path():
 
 # The chronological backtracking search that conflict-directed backjumping
 # replaced, kept as the reference: it enumerates every combination of
-# earlier choices before it gives up on a path.
+# earlier choices before it gives up on a path.  Both references keep the
+# rule of `replay`: every assume holds, and every assert except a final
+# one, which must fail.
 
 
 class _RefNeedChoice(Exception):
@@ -127,7 +130,7 @@ class _RefOutOfSteps(Exception):
     pass
 
 
-def _reference_run_path(edges, choices, mode, steps):
+def _reference_run_path(edges, choices, steps):
     """(status, used): "ok", "fail" or "need", and the choices consumed."""
     env = {}
     used = 0
@@ -153,13 +156,8 @@ def _reference_run_path(edges, choices, mode, steps):
                     return "fail", used
             elif stmt.kind == ASSERT:
                 holds = lang.concrete_eval(stmt.expr, env, next_nondet) != 0
-                if mode == MODE_PHI and not holds:
+                if holds == (i == last):
                     return "fail", used
-                if mode == MODE_VIOLATION:
-                    if i == last and holds:
-                        return "fail", used
-                    if i != last and not holds:
-                        return "fail", used
         except _RefNeedChoice:
             return "need", used
         except lang.EvalError:
@@ -167,14 +165,14 @@ def _reference_run_path(edges, choices, mode, steps):
     return "ok", used
 
 
-def _reference_search(edges, domain, mode, step_limit):
+def _reference_search(edges, domain, step_limit):
     domain = list(domain)
     steps = [step_limit]
     stack = []  # indices into domain, one per occurrence
     while True:
         choices = [domain[i] for i in stack]
         try:
-            status, used = _reference_run_path(edges, choices, mode, steps)
+            status, used = _reference_run_path(edges, choices, steps)
         except _RefOutOfSteps:
             return ReplayResult(INCONCLUSIVE)
         if status == "ok":
@@ -265,19 +263,24 @@ _CORPORA = [
 
 
 def _corpus_searches(rng, generator, domains):
-    """(source, cfa, mode, edges, domain) for 120 random programs, two
-    random paths each, in every mode that applies."""
+    """(source, cfa, edges, domain) for 120 random programs, two random
+    paths into exit each, every one searched under two random domains, and
+    when it has an assert, one prefix of it ending in an assert."""
     for _ in range(120):
         source = _random_program(rng, **generator)
         cfa = source_to_cfa(source)
         for _ in range(2):
             path = _random_path(rng, cfa)
             asserts = [i for i, e in enumerate(path) if e.stmt.kind == ASSERT]
-            runs = [(MODE_ASSUMES, path), (MODE_PHI, path)]
+            runs = [path, path]
             if asserts:
-                runs.append((MODE_VIOLATION, path[:rng.choice(asserts) + 1]))
-            for mode, edges in runs:
-                yield source, cfa, mode, edges, rng.choice(domains)
+                runs.append(path[:rng.choice(asserts) + 1])
+            for edges in runs:
+                yield source, cfa, edges, rng.choice(domains)
+
+
+def _ids_of(edges):
+    return [e.stmt.id for e in edges]
 
 
 def test_backjumping_matches_chronological_search():
@@ -287,17 +290,16 @@ def test_backjumping_matches_chronological_search():
     for seed, generator, domains in _CORPORA:
         seen = {FEASIBLE: 0, INFEASIBLE: 0, INCONCLUSIVE: 0}
         mismatches = []
-        for source, cfa, mode, edges, domain in _corpus_searches(
+        for source, cfa, edges, domain in _corpus_searches(
                 random.Random(seed), generator, domains):
-            want = _reference_search(edges, domain, mode, 1000)
-            got = explorer._search_witness(edges, cfa.numbering(), domain,
-                                           mode, 1000)
+            want = _reference_search(edges, domain, 1000)
+            got = replay(cfa, _ids_of(edges), domain, 1000)
             seen[want.verdict] += 1
             if want.verdict == INCONCLUSIVE:
                 continue
             if (got.verdict, got.witness) != (want.verdict, want.witness):
-                mismatches.append((source, [e.stmt.id for e in edges], mode,
-                                   list(domain), want, got))
+                mismatches.append((source, _ids_of(edges), list(domain),
+                                   want, got))
         assert mismatches == [], seed
         assert min(seen[FEASIBLE], seen[INFEASIBLE]) >= 100, (seed, seen)
 
@@ -307,7 +309,7 @@ def test_backjumping_matches_chronological_search():
 # from entry and is charged one step per statement it executes.
 
 
-def _restart_run_path(plan, choices, mode, steps):
+def _restart_run_path(plan, choices, steps):
     env = {}
     depends = {}  # variable bit -> choices its value used
     used = 0
@@ -344,15 +346,12 @@ def _restart_run_path(plan, choices, mode, steps):
         if kind == ASSIGN:
             env[stmt.var] = value
             depends[write] = mask
-        elif kind == ASSUME or mode == MODE_PHI:
-            if value == 0:
-                return "fail", mask
-        elif mode == MODE_VIOLATION and (value != 0) == (i == last):
+        elif (value != 0) == (kind == ASSERT and i == last):
             return "fail", mask
     return "ok", 0
 
 
-def _restart_search(edges, variables, domain, mode, step_limit):
+def _restart_search(edges, variables, domain, step_limit):
     """(result, steps consumed)."""
     domain = list(domain)
     plan = [(e.stmt, variables.reads[e.stmt.id], variables.writes[e.stmt.id])
@@ -364,7 +363,7 @@ def _restart_search(edges, variables, domain, mode, step_limit):
     while True:
         choices = [domain[i] for i in stack]
         try:
-            status, conflict = _restart_run_path(plan, choices, mode, steps)
+            status, conflict = _restart_run_path(plan, choices, steps)
         except _RefOutOfSteps:
             return ReplayResult(INCONCLUSIVE), step_limit - steps[0]
         if status == "ok":
@@ -395,34 +394,34 @@ def test_checkpointed_runs_count_steps_like_restarts(monkeypatch):
     # entry at every step limit, `inconclusive` included.  Each search is
     # checked at the limits around the step count it needs, and at a few
     # random limits up to 300.
-    budgets = []
+    steps_left = []  # of each run, as `_run_path` returns it
+    run_path = explorer._run_path
 
-    class RecordedBudget(explorer._StepBudget):
-        def __init__(self, limit):
-            super().__init__(limit)
-            budgets.append(self)
+    def recorded(*args):
+        status, conflict, steps = run_path(*args)
+        steps_left.append(steps)
+        return status, conflict, steps
 
-    monkeypatch.setattr(explorer, "_StepBudget", RecordedBudget)
+    monkeypatch.setattr(explorer, "_run_path", recorded)
     for seed, generator, domains in _CORPORA:
         rng = random.Random(seed)
         seen = {FEASIBLE: 0, INFEASIBLE: 0, INCONCLUSIVE: 0}
         mismatches = []
-        for source, cfa, mode, edges, domain in _corpus_searches(
+        for source, cfa, edges, domain in _corpus_searches(
                 rng, generator, domains):
             variables = cfa.numbering()
-            _, needed = _restart_search(edges, variables, domain, mode, 300)
+            _, needed = _restart_search(edges, variables, domain, 300)
             limits = {1, needed - 1, needed, needed + 1,
                       *(rng.randint(1, 300) for _ in range(3))}
             for limit in sorted(x for x in limits if 1 <= x <= 300):
-                want = _restart_search(edges, variables, domain, mode, limit)
-                got = explorer._search_witness(edges, variables, domain,
-                                               mode, limit)
-                got = got, limit - budgets[-1].left
+                want = _restart_search(edges, variables, domain, limit)
+                got = replay(cfa, _ids_of(edges), domain, limit)
+                got = got, limit - steps_left[-1]
                 seen[want[0].verdict] += 1
                 if (got[0].verdict, got[0].witness, got[1]) != \
                         (want[0].verdict, want[0].witness, want[1]):
-                    mismatches.append((source, [e.stmt.id for e in edges],
-                                       mode, list(domain), limit, want, got))
+                    mismatches.append((source, _ids_of(edges), list(domain),
+                                       limit, want, got))
         assert mismatches == [], seed
         assert min(seen.values()) >= 100, (seed, seen)
 
@@ -455,6 +454,18 @@ def test_make_strategy_validation():
 
 
 # Verdicts --------------------------------------------------------------------
+
+
+def test_time_limit_stops_exploration_with_unknown(monkeypatch):
+    # A clock that moves 5 s per reading: the limit has passed before the
+    # root is expanded.
+    clock = SimpleNamespace(monotonic=itertools.count(0, 5).__next__)
+    monkeypatch.setattr(explorer, "time", clock)
+    result = explore(fixture_cfa("bigloop.c"), Spec.assertions(),
+                     Budget(time_limit=1.0))
+    assert result.verdict == UNKNOWN
+    assert result.art_stats.nodes_created == 1
+    assert result.art_stats.nodes_frontier == 1
 
 
 def test_assertions_safe_when_no_asserts():
