@@ -232,19 +232,25 @@ def run(config: RunConfig) -> int:
         return EXIT_INTERNAL
 
 
-def _add_budget_options(parser: argparse.ArgumentParser) -> None:
+# --max-nodes on the coverage commands, whose rounds extend one tree.
+_ROUND_NODES = "stop each coverage round once it has created N tree nodes"
+
+
+def _add_budget_options(parser: argparse.ArgumentParser, max_nodes: str,
+                        max_cex: str) -> None:
+    """The budget options, with the help texts of --max-nodes and
+    --max-cex, which mean different things on different commands."""
     parser.add_argument("--time-limit", type=float,
                         default=RunConfig.time_limit, metavar="SECONDS",
                         help="soft time budget; 0 or less means unlimited"
                              " (default: %(default)s)")
     parser.add_argument("--max-nodes", type=int, default=RunConfig.max_nodes,
                         metavar="N",
-                        help="stop after creating N tree nodes; 0 or less"
-                             " means unlimited (default: %(default)s)")
+                        help=max_nodes + "; 0 or less means unlimited"
+                                         " (default: %(default)s)")
     parser.add_argument("--max-cex", type=int, default=RunConfig.max_cex,
                         metavar="N",
-                        help="keep at most N counterexamples / executions"
-                             " (default: %(default)s)")
+                        help=max_cex + " (default: %(default)s)")
     parser.add_argument("--nondet-min", type=int,
                         default=RunConfig.nondet_min, metavar="INT",
                         help="smallest value tried for nondet()"
@@ -282,14 +288,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aa-out", metavar="FILE",
                    help="write the assumption automaton of the explored"
                         " region here")
-    _add_budget_options(p)
+    _add_budget_options(p, "stop after creating N tree nodes",
+                        "keep at most N counterexamples")
     _add_format_option(p)
 
     p = sub.add_parser("cover-exact", help="exact statement coverage under"
                                            " an assumption automaton")
     p.add_argument("program")
     p.add_argument("--aa", dest="aa_in", metavar="FILE", required=True)
-    _add_budget_options(p)
+    _add_budget_options(p, _ROUND_NODES,
+                        "find at most N executions per round")
     _add_format_option(p)
 
     p = sub.add_parser("cover-under", help="coverage lower bound from"
@@ -298,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--aa", dest="aa_in", metavar="FILE", required=True)
     p.add_argument("--strategy", choices=STRATEGIES,
                    default=RunConfig.strategy)
-    _add_budget_options(p)
+    _add_budget_options(p, _ROUND_NODES,
+                        "record at most N executions in total")
     _add_format_option(p)
 
     p = sub.add_parser("score", help="print per-state exploration scores,"

@@ -133,9 +133,12 @@ def _coverage_rounds(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
     stops after `max_counterexamples` recorded executions, and aborts on a
     confirmed failing assert.
 
-    The rounds share one record of witness searches: a search depends only
-    on the CFA, the path and the domain, so a candidate execution an
-    earlier round already confirmed or refuted is not searched again.
+    The rounds share one tree: each round resumes the previous round's
+    exploration (`explore`'s `resume`), which narrows the tree to the
+    new remaining set instead of rebuilding it from the root, so a round
+    creates only nodes no earlier round reached, up to `max_nodes` of
+    them.  The witness searches travel with the tree, so a candidate
+    execution an earlier round confirmed or refuted is not searched again.
     """
     check_alphabet(aa, statement_ids(cfa))
     if strategy is None:
@@ -150,7 +153,7 @@ def _coverage_rounds(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
     exhausted = False
     bug_found = False
     rounds = 0
-    searches: Dict = {}
+    result = None
     while remaining and len(per_execution) < cap:
         left = None if deadline is None else deadline - time.monotonic()
         if left is not None and left <= 0:
@@ -162,7 +165,7 @@ def _coverage_rounds(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
         result = explore(cfa, Spec.cover(remaining, aa,
                                          stop_on_violation=under),
                          round_budget, strategy=strategy,
-                         nondet_domain=nondet_domain, searches=searches)
+                         nondet_domain=nondet_domain, resume=result)
         if result.bug_found:
             bug_found = True
             break

@@ -32,6 +32,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import lang
@@ -108,7 +109,8 @@ class Spec:
 
 @dataclass
 class Budget:
-    """Positive resource limits; None means unlimited."""
+    """Positive resource limits; None means unlimited.  `max_nodes`
+    counts the nodes one `explore` call creates."""
 
     time_limit: Optional[float] = 900.0
     max_nodes: Optional[int] = None
@@ -166,6 +168,9 @@ class ExplorationResult:
     art_stats: ArtStats
     bug_execution: Optional[Execution] = None
     nodes: List[ArtNode] = field(default_factory=list)
+    # The tree of a cover-mode explore, until an explore resumes it.
+    _tree: Optional["_Explorer"] = field(default=None, repr=False,
+                                         compare=False)
 
     @property
     def bug_found(self) -> bool:
@@ -466,8 +471,7 @@ class _CoverIndex:
 
 class _Explorer:
     def __init__(self, cfa: Cfa, spec: Spec, budget: Budget,
-                 strategy: TraversalStrategy,
-                 nondet_domain: Sequence[int], searches: _Searches):
+                 strategy: TraversalStrategy, nondet_domain: Sequence[int]):
         self.cfa = cfa
         self.spec = spec
         self.budget = budget
@@ -476,8 +480,9 @@ class _Explorer:
         self.postorder = postorder_index(cfa)
         self.live = live_variables(cfa)
         self.variables = cfa.numbering()
-        self.searches = searches
+        self.searches: _Searches = {}
         self.nodes: List[ArtNode] = []
+        self.first = 0  # id of the first node the current run creates
         self.index = _CoverIndex(self.live)
         self.cex: List[Execution] = []
         self.bug: Optional[Execution] = None
@@ -678,11 +683,45 @@ class _Explorer:
             return self.waitlist.popleft()
         return self.waitlist.pop()
 
+    # -- narrowing -----------------------------------------------------------
+
+    def narrow(self, spec: Spec, budget: Budget) -> None:
+        """Prepare the tree for a cover spec whose remaining set is a
+        subset of the current one's.
+
+        Under the new spec a node tracks its current set intersected
+        with the new remaining set, as it would in a fresh explore.  A
+        cover `j.tracked >= v.tracked` survives intersection with one
+        set, and a pruned node stays pruned, so every status stays sound;
+        a fresh explore can form covers the larger sets ruled out.  A
+        FALSE node left tracking nothing is pruned; its subtree and the
+        nodes it covers are FALSE and track subsets of its set, so they
+        are pruned with it.  Group keys do not hold tracked sets, so the
+        cover index stays, and so does the search record.  Every exit
+        node is asked again, in creation order, and the waitlist keeps
+        the nodes not pruned.
+        """
+        remaining = spec.remaining
+        self.spec, self.budget = spec, budget
+        self.cex, self.first = [], len(self.nodes)
+        # Nodes share tracked sets; so do their narrowed sets.
+        narrowed: Dict[FrozenSet[int], FrozenSet[int]] = {}
+        for node in self.nodes:
+            tracked = narrowed.get(node.tracked)
+            if tracked is None:
+                tracked = narrowed[node.tracked] = node.tracked & remaining
+            node.tracked = tracked
+            if not tracked and node.aa_state == FALSE_STATE:
+                node.status = STATUS_PRUNED
+                node.covered_by = None
+            self.check_violation(node)
+        self.waitlist = type(self.waitlist)(
+            node for node in self.waitlist if node.status == STATUS_FRONTIER)
+
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> ExplorationResult:
         start = time.monotonic()
-        self.make_root()
         interrupted = False
         while self.waitlist:
             if self.bug is not None:
@@ -690,7 +729,7 @@ class _Explorer:
             if len(self.cex) >= self.budget.max_counterexamples:
                 break
             if self.budget.max_nodes is not None and \
-                    len(self.nodes) >= self.budget.max_nodes:
+                    len(self.nodes) - self.first >= self.budget.max_nodes:
                 interrupted = True
                 break
             if self.budget.time_limit is not None and \
@@ -712,11 +751,13 @@ class _Explorer:
             art_stats=self._stats(),
             bug_execution=self.bug,
             nodes=self.nodes,
+            _tree=self if self.spec.kind == COVER else None,
         )
 
     def _stats(self) -> ArtStats:
-        stats = ArtStats(nodes_created=len(self.nodes))
-        for node in self.nodes:
+        """Counts of the nodes the current run created."""
+        stats = ArtStats(nodes_created=len(self.nodes) - self.first)
+        for node in islice(self.nodes, self.first, None):
             if node.status == STATUS_EXPANDED:
                 stats.nodes_expanded += 1
             elif node.status == STATUS_FRONTIER:
@@ -731,26 +772,42 @@ class _Explorer:
 def explore(cfa: Cfa, spec: Spec, budget: Budget,
             strategy: Optional[TraversalStrategy] = None,
             nondet_domain: Sequence[int] = DEFAULT_NONDET_DOMAIN,
-            searches: Optional[_Searches] = None) -> ExplorationResult:
+            resume: Optional[ExplorationResult] = None) -> ExplorationResult:
     """Explore the program under the spec until a verdict or a budget stop.
 
     The CFA must pass `Cfa.validate`: the witness search of a path into
     exit relies on its ending in a `halt`.  Deterministic: identical
     inputs produce identical trees, automata and counterexample lists.  A
-    node budget never truncates an expansion in progress; the node being
-    expanded is completed first.
+    node budget counts the nodes this call creates, and never truncates
+    an expansion in progress; the node being expanded is completed first.
 
-    `searches` maps each path to the result of `replay` on it, already
-    run on this CFA over this domain.  Each candidate is looked up there
-    before it is searched, and each new search is added, so explores that
-    share the dict search a path once.  Its witnesses are shared, not
-    copied.
+    `resume` continues the tree of an earlier cover-mode explore on the
+    same CFA, automaton, strategy and domain, for a spec whose remaining
+    set is a subset of that explore's.  The tree is narrowed to the new
+    spec in place (see `_Explorer.narrow`), every exit node is asked
+    again, and the exploration goes on from the nodes still waiting.  The
+    earlier result's tree passes to the new one, so read the earlier
+    result's nodes and automaton first; a result is resumed at most once.
+    Witness searches travel with the tree: a path is searched once.  The
+    new result's `art_stats` count only the nodes this call created.
     """
     if strategy is None:
         strategy = make_strategy(DFS_POSTORDER)
-    if searches is None:
-        searches = {}
-    ex = _Explorer(cfa, spec, budget, strategy, nondet_domain, searches)
+    if resume is None:
+        ex = _Explorer(cfa, spec, budget, strategy, nondet_domain)
+        ex.make_root()
+        return ex.run()
+    ex = resume._tree
+    if ex is None or ex.bug is not None or spec.kind != COVER or \
+            ex.cfa is not cfa or spec.aa is not ex.spec.aa or \
+            spec.stop_on_violation != ex.spec.stop_on_violation or \
+            not spec.remaining <= ex.spec.remaining or \
+            strategy != ex.strategy or list(nondet_domain) != ex.domain:
+        raise ValueError("resume needs an unresumed cover-mode result of "
+                         "the same CFA, automaton, strategy and domain, "
+                         "and a spec remaining within its own")
+    resume._tree = None
+    ex.narrow(spec, budget)
     return ex.run()
 
 

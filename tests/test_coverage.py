@@ -11,7 +11,7 @@ from vericov import coverage, explorer
 from vericov import (Budget, Cfa, Edge, Spec, Statement, StatementIdMismatch,
                      exact_coverage, exercised_within_analysis, explore,
                      is_covered, line_projection, make_strategy,
-                     over_approx_coverage, parse_aa, source_to_cfa,
+                     over_approx_coverage, parse_aa, score, source_to_cfa,
                      under_approx_coverage)
 from vericov.automaton import (FALSE_STATE, TRUE_STATE, AssumptionAutomaton)
 from vericov.cfa import HALT, ASSIGN
@@ -234,11 +234,159 @@ def test_rounds_search_each_path_once_and_emit_nothing(monkeypatch):
 
     monkeypatch.setattr(explorer, "_search_witness", counted_search)
     monkeypatch.setattr(explorer, "emit_assumption_automaton", counted_emit)
+    rounds = _record_rounds(monkeypatch)
     report = under_approx_coverage(cfa, aa, Budget(max_nodes=600),
                                    nondet_domain=range(-2, 3))
-    assert report.rounds > 1
+    assert report.rounds == len(rounds) > 1
     assert len(searched) == len(set(searched)) == 4
     assert emitted == 0
+    # One tree: each round's nodes take the ids after the previous round's.
+    nodes = rounds[0][0]
+    assert all(tree is nodes for tree, _, _ in rounds)
+    assert [node.id for node in nodes] == list(range(len(nodes)))
+    first = 0
+    for _, size, created in rounds:
+        assert size - first == created > 0
+        first = size
+
+
+def _record_rounds(monkeypatch):
+    """Per round of the coverage computations that follow: the tree, its
+    size after the round and the nodes the round created."""
+    rounds = []
+
+    def recorded(*args, **kwargs):
+        result = explorer.explore(*args, **kwargs)
+        rounds.append((result.nodes, len(result.nodes),
+                       result.art_stats.nodes_created))
+        return result
+
+    monkeypatch.setattr(coverage, "explore", recorded)
+    return rounds
+
+
+# The benchmark's `gen.branch_chain(Random(1))` program.
+BRANCH_CHAIN = """int nondet();
+int main() {
+  int r = 0;
+  int a0 = nondet();
+  if (a0 == 0) { r = r + 1; }
+  int a1 = nondet();
+  if (a1 == 2) { r = r + 1; }
+  int a2 = nondet();
+  if ((a2 * a2) < 0) { r = r + 1; }
+  int a3 = nondet();
+  if (a3 == 0) { r = r + 1; }
+  int a4 = nondet();
+  if ((a4 * a4) >= 0) { r = r + 1; }
+  int a5 = nondet();
+  if (a5 == 1) { r = r + 1; }
+  assert(r >= 0);
+  return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("mode, bound", [("exact", 330), ("under", 300)])
+def test_rounds_narrow_one_tree_instead_of_rebuilding_it(monkeypatch, mode,
+                                                         bound):
+    # A rebuild from the root every round created 473 nodes over the exact
+    # rounds and 667 over the under rounds.
+    cfa = source_to_cfa(BRANCH_CHAIN)
+    domain = range(-2, 3)
+    aa = explore(cfa, Spec.assertions(), Budget(), nondet_domain=domain).aa
+    rounds = _record_rounds(monkeypatch)
+    compute = exact_coverage if mode == "exact" else under_approx_coverage
+    report = compute(cfa, aa, Budget(), make_strategy("dfs-postorder"),
+                     nondet_domain=domain)
+    assert report.covered_count == 24
+    assert not report.exhausted
+    created = sum(n for _, _, n in rounds)
+    assert created == rounds[-1][1] <= bound
+
+
+def _rebuild_each_round(cfa, spec, budget, *args, resume=None, **kwargs):
+    """The reference for narrowing: every round explores from the root."""
+    return explorer.explore(cfa, spec, budget, *args, **kwargs)
+
+
+def _sweep_automata():
+    """The automaton of each fixture's `verify` under each strategy at
+    node budgets 60 and 400, as in the digest golden."""
+    for name in ALL_FIXTURES:
+        cfa = fixture_cfa(name)
+        for strategy in ("bfs", "dfs-postorder"):
+            for max_nodes in (60, 400):
+                aa = explore(cfa, Spec.assertions(),
+                             Budget(max_nodes=max_nodes),
+                             make_strategy(strategy)).aa
+                yield (name, strategy, max_nodes), cfa, aa
+
+
+def _coverage_sweep():
+    """(covered ids, exhausted) of every exact and under computation on
+    the sweep's automata, at cover budgets 60 and 400 and 1, 2 and 10
+    executions."""
+    out = {}
+    for run, cfa, aa in _sweep_automata():
+        scores = score(aa, cfa)
+        strategies = {kind: make_strategy(kind, scores)
+                      for kind in explorer.STRATEGIES}
+        for max_nodes in (60, 400):
+            for max_cex in (1, 2, 10):
+                budget = Budget(max_nodes=max_nodes,
+                                max_counterexamples=max_cex)
+                key = (*run, max_nodes, max_cex)
+                report = exact_coverage(cfa, aa, budget,
+                                        nondet_domain=oracle.DEFAULT_DOMAIN)
+                out[(*key, "exact")] = (report.covered_ids, report.exhausted)
+                for kind, strategy in strategies.items():
+                    report = under_approx_coverage(
+                        cfa, aa, budget, strategy,
+                        nondet_domain=oracle.DEFAULT_DOMAIN)
+                    out[(*key, kind)] = (report.covered_ids, report.exhausted)
+    return out
+
+
+# Runs where narrowing covers more than the rebuild: all of chain_ifs.c.
+# The rebuild loses statements 10 and 11 (`a > 1`, `r = 3`) to the cover
+# defect of test_a_dead_top_cover_can_lose_the_only_witness; the narrowed
+# tree built those nodes under round 1's larger tracked sets, so that
+# cover never forms.
+NARROWING_GAINS = {("chain_ifs.c", verify, verify_nodes, nodes, 10, "bfs")
+                   for verify in ("bfs", "dfs-postorder")
+                   for verify_nodes in (60, 400) for nodes in (60, 400)}
+
+
+def test_narrowed_rounds_match_a_rebuild_per_round(monkeypatch):
+    narrowed = _coverage_sweep()
+    monkeypatch.setattr(coverage, "explore", _rebuild_each_round)
+    rebuilt = _coverage_sweep()
+    assert len(narrowed) == 2592
+    assert [run for run in narrowed
+            if not set(rebuilt[run][0]) <= set(narrowed[run][0])] == []
+    assert {run for run in narrowed
+            if narrowed[run] != rebuilt[run]} == NARROWING_GAINS
+    automata = {run: (cfa, aa) for run, cfa, aa in _sweep_automata()}
+    for run in NARROWING_GAINS:
+        cfa, aa = automata[run[:3]]
+        expected = oracle.exact_covered(cfa, aa, oracle.DEFAULT_DOMAIN)
+        assert set(narrowed[run][0]) == expected > set(rebuilt[run][0])
+
+
+@pytest.mark.xfail(strict=True, reason="a cover on a dead top can lose the "
+                   "only witness of a statement")
+def test_a_dead_top_cover_can_lose_the_only_witness():
+    # At L10, after `r = 3`, the node on the infeasible path a < 0,
+    # a != 0, a > 1 covers the one on the feasible path a >= 0, a != 0,
+    # a > 1 once both track only {10, 11}: `a` is dead there and TOP on
+    # both sides, and the strict policy guards only live tops.  The
+    # covered node's witness a = 2 is never searched.
+    cfa = fixture_cfa("chain_ifs.c")
+    report = exact_coverage(cfa, _full_aa(), Budget(max_counterexamples=1),
+                            nondet_domain=range(-2, 3))
+    assert set(report.covered_ids) == \
+        oracle.exact_covered(cfa, _full_aa(), oracle.DEFAULT_DOMAIN)
 
 
 # Over -------------------------------------------------------------------------

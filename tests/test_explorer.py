@@ -804,6 +804,36 @@ def test_cover_spec_bug_short_circuit():
     assert result.bug_execution.statements[-1] == 5  # the assert edge
 
 
+def test_resume_narrows_one_tree_and_checks_what_it_resumes():
+    cfa = fixture_cfa("deadbranch.c")
+    aa = AssumptionAutomaton(name="all", initial=TRUE_STATE)
+    first = explore(cfa, Spec.cover(frozenset(range(8)), aa),
+                    Budget(max_nodes=3))
+    assert first.verdict == UNKNOWN
+    assert len(first.nodes) == first.art_stats.nodes_created == 3
+    with pytest.raises(ValueError):  # a larger remaining set
+        explore(cfa, Spec.cover(frozenset(range(9)), aa), Budget(),
+                resume=first)
+    with pytest.raises(ValueError):
+        explore(cfa, Spec.cover(frozenset({3, 4}), aa), Budget(),
+                make_strategy("bfs"), resume=first)
+    with pytest.raises(ValueError):
+        explore(cfa, Spec.cover(frozenset({3, 4}), aa), Budget(),
+                nondet_domain=range(3), resume=first)
+    second = explore(cfa, Spec.cover(frozenset({3, 4}), aa), Budget(),
+                     resume=first)
+    # {3, 4} lies on the infeasible then-branch: nothing to find.
+    assert second.verdict == SAFE
+    assert second.nodes is first.nodes
+    assert second.art_stats.nodes_created == len(second.nodes) - 3
+    assert all(node.tracked <= {3, 4} for node in second.nodes)
+    with pytest.raises(ValueError):  # resumed already
+        explore(cfa, Spec.cover(frozenset({3}), aa), Budget(), resume=first)
+    with pytest.raises(ValueError):  # no tree to resume
+        explore(cfa, Spec.cover(frozenset({3}), aa), Budget(),
+                resume=explore(cfa, Spec.assertions(), Budget()))
+
+
 def test_stats_costs_add_up():
     result = explore(fixture_cfa("deadbranch.c"), Spec.assertions(), Budget())
     stats = result.art_stats
