@@ -44,6 +44,8 @@ def _nested_blocks(depth: int, head: str) -> str:
 def _mutated_source(rng: random.Random, source: str) -> str:
     chars = list(source)
     for _ in range(rng.randint(1, 4)):
+        if not chars:  # an earlier edit deleted everything
+            break
         i = rng.randrange(len(chars))
         action = rng.randrange(4)
         if action == 0:
