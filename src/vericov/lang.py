@@ -43,7 +43,15 @@ and shadowing of an outer variable are both rejected (the analyses key
 program states by variable name).  The parser checks scopes as it reads
 the text, in one pass, so among several errors the first one the parser
 reaches is reported; a lexical error anywhere is reported before all
-others.  A scope error names the line of its statement.
+others, the first in the text if there are several.  A scope error names
+the line of its statement.
+
+The lexer makes two passes over the text, neither of which moves a line
+or a column: the first blanks the comments, the second reads each line
+with one regular-expression `findall`.  Its result is two parallel lists,
+the token texts and the line of each, and a table of the kind of each
+distinct text; the parser reads these lists.  A column is worked out only
+for an error message, by scanning the token's line again.
 
 Expressions are flat postfix code: a tuple of ``(opcode, argument)``
 pairs, operands in source order, each operator after its operands.
@@ -76,6 +84,8 @@ infeasible.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import operator
 import re
 from dataclasses import dataclass
@@ -201,22 +211,24 @@ class Program:
 KEYWORDS = {"int", "main", "if", "else", "while", "for", "assert", "return",
             "true", "false"}
 
-# One alternative per token class, tried in order (the tokenizer recipe of
-# the `re` documentation), then the blanks that follow on the same line.
-# Unnamed alternatives are skipped.  Two-character symbols come first so a
-# symbol is never split.  `ident` also admits non-decimal numeric
-# characters such as `²`, which `tokenize` rejects.
-_TOKEN = re.compile(r"""(?:
-    (?P<newline>\n)
-  | [ \t\r]+
-  | (?:\#|//)[^\n]*
-  | (?P<comment>/\*.*?\*/)
-  | (?P<unterminated>/\*)
-  | (?P<int>[0-9]+)
-  | (?P<ident>[^\W\d]\w*)
-  | (?P<sym>&&|\|\||[=!<>]=|\+\+|--|[{}();=<>+\-*/%!])
-  | (?P<bad>.)
-)[ \t\r]*""", re.VERBOSE | re.DOTALL)
+# The lexer reads the text in two passes, and neither moves a line or a
+# column.  The first blanks every comment: each of its characters but a
+# newline becomes a space.  The second reads each line with one `findall`
+# of `_TOKEN`: blanks, then one token, its alternatives tried in order.
+# Two-character symbols come before one-character ones, so a symbol is
+# never split, and `/*` before `/`, so an unterminated comment stays one
+# token.  `ident` also admits a non-decimal numeric character such as `²`
+# at its start, which the kind table rejects.  The catch-all takes one
+# character that is not a blank, so trailing blanks are no token; lines
+# lose them before the scan, which would otherwise retry the blank run at
+# each of its characters.
+_COMMENT = re.compile(r"(?:\#|//)[^\n]*|/\*.*?\*/", re.DOTALL)
+_SYMBOLS = ("&&", "||", "==", "!=", "<=", ">=", "++", "--",
+            "{", "}", "(", ")", ";", "=", "<", ">", "+", "-", "*", "/", "%",
+            "!")
+_TOKEN = re.compile(r"[ \t\r]*([0-9]+|[^\W\d]\w*|/\*|"
+                    + "|".join(map(re.escape, _SYMBOLS)) + r"|[^ \t\r])")
+_BLANKS = " \t\r"
 
 
 class Token(NamedTuple):
@@ -226,34 +238,74 @@ class Token(NamedTuple):
     col: int
 
 
+def _blank(comment: re.Match) -> str:
+    return re.sub(r"[^\n]", " ", comment.group())
+
+
+def _kind(text: str) -> str:
+    """The kind of a token text: one of Token's, "unterminated" for `/*`
+    or "bad" for a character no token starts with."""
+    if not text:
+        return "eof"
+    if "0" <= text[0] <= "9":
+        return "int"
+    if text in _SYMBOLS:
+        return "sym"
+    if text == "/*":
+        return "unterminated"
+    if text[0].isalpha() or text[0] == "_":
+        return "kw" if text in KEYWORDS else "ident"
+    return "bad"
+
+
+class _Scan:
+    """The tokens of a source text as two parallel lists, `texts` and the
+    `lines` they start on, closed by the eof text "", with the kind of each
+    distinct text in `kinds`.  A lexical error anywhere is raised here, the
+    first one in the text, before the parser reads a token."""
+
+    def __init__(self, source: str):
+        self.rows = _COMMENT.sub(_blank, source).split("\n")
+        self.texts = texts = []
+        self.lines = lines = []
+        findall = _TOKEN.findall
+        for number, row in enumerate(self.rows, 1):
+            found = findall(row.rstrip(_BLANKS))
+            if found:
+                texts += found
+                lines += [number] * len(found)
+        texts.append("")
+        lines.append(len(self.rows))
+        self.kinds = {text: _kind(text) for text in set(self.texts)}
+        bad = {text for text, kind in self.kinds.items()
+               if kind == "bad" or kind == "unterminated"}
+        if bad:
+            first = operator.indexOf(map(bad.__contains__, self.texts), True)
+            text = self.texts[first]
+            raise self.error("unterminated comment" if text == "/*"
+                             else f"unexpected character {text[0]!r}", first)
+
+    def column(self, i: int) -> int:
+        """The column of token `i`, found by scanning its line again."""
+        row = self.rows[self.lines[i] - 1]
+        if i == len(self.texts) - 1:  # eof
+            return len(row) + 1
+        k = i - bisect.bisect_left(self.lines, self.lines[i])
+        match = next(itertools.islice(_TOKEN.finditer(row), k, None))
+        return match.start(1) + 1
+
+    def error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, self.lines[i], self.column(i))
+
+
 def tokenize(source: str) -> List[Token]:
     """The tokens of a source text, closed by an eof token."""
-    tokens: List[Token] = []
-    line, line_start = 1, 0
-    for match in _TOKEN.finditer(source):
-        kind = match.lastgroup
-        if kind is None:
-            continue
-        start = match.start()
-        text = match.group(kind)
-        if kind == "newline" or kind == "comment":
-            newlines = text.count("\n")
-            if newlines:
-                line += newlines
-                line_start = start + text.rindex("\n") + 1
-            continue
-        col = start - line_start + 1
-        if kind == "ident":
-            if text in KEYWORDS:
-                kind = "kw"
-            elif not (text[0].isalpha() or text[0] == "_"):
-                kind = "bad"
-        if kind == "bad":
-            raise ParseError(f"unexpected character {text[0]!r}", line, col)
-        if kind == "unterminated":
-            raise ParseError("unterminated comment", line, col)
-        tokens.append(Token(kind, text, line, col))
-    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
+    scan = _Scan(source)
+    tokens = [Token(scan.kinds[match.group(1)], match.group(1), number,
+                    match.start(1) + 1)
+              for number, row in enumerate(scan.rows, 1)
+              for match in _TOKEN.finditer(row.rstrip(_BLANKS))]
+    tokens.append(Token("eof", "", len(scan.rows), len(scan.rows[-1]) + 1))
     return tokens
 
 
@@ -290,38 +342,47 @@ def _emit(code: list, entry: tuple) -> None:
 
 
 class _Parser:
-    def __init__(self, tokens: List[Token]):
-        self.tokens = tokens
+    """Reads a `_Scan`'s lists at `pos`, never past the final eof text."""
+
+    def __init__(self, scan: _Scan):
+        self.scan = scan
+        self.texts = scan.texts
+        self.lines = scan.lines
+        self.kinds = scan.kinds
         self.pos = 0
         self.depth = 0  # blocks open around the current statement
         self.visible: set = set()  # every variable in scope
         self.scopes: List[List[str]] = []  # names declared per open scope
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]  # never past the final eof token
+    def error(self, message: str, pos: Optional[int] = None) -> ParseError:
+        return self.scan.error(message, self.pos if pos is None else pos)
 
-    def advance(self) -> Token:
-        """The next token, which callers know is not the final eof."""
-        self.pos += 1
-        return self.tokens[self.pos - 1]
+    def found(self) -> str:
+        """The next token's text, as an error message names it."""
+        return self.texts[self.pos] or "end of input"
 
-    def error(self, message: str, tok: Optional[Token] = None) -> ParseError:
-        tok = tok or self.peek()
-        return ParseError(message, tok.line, tok.col)
-
-    def accept(self, text: str) -> Optional[Token]:
-        """The next token if it is the given symbol or keyword."""
-        tok = self.tokens[self.pos]
-        if tok.text == text:
+    def accept(self, text: str) -> bool:
+        """Whether the next token is the given symbol or keyword; if so,
+        it is consumed."""
+        if self.texts[self.pos] == text:
             self.pos += 1
-            return tok
-        return None
+            return True
+        return False
 
-    def expect(self, text: str) -> Token:
-        tok = self.accept(text)
-        if tok is None:
-            raise self.error(f"expected '{text}', found '{self.peek().text or 'end of input'}'")
-        return tok
+    def expect(self, text: str) -> int:
+        """Consume the given symbol or keyword; the line it is on."""
+        pos = self.pos
+        if self.texts[pos] != text:
+            raise self.error(f"expected '{text}', found '{self.found()}'")
+        self.pos = pos + 1
+        return self.lines[pos]
+
+    def expect_ident(self) -> str:
+        text = self.texts[self.pos]
+        if self.kinds[text] != "ident":
+            raise self.error(f"expected identifier, found '{self.found()}'")
+        self.pos += 1
+        return text
 
     # -- scopes --------------------------------------------------------------
 
@@ -347,97 +408,99 @@ class _Parser:
         self.expect("(")
         self.expect(")")
         body = self.parse_block()
-        if self.peek().kind != "eof":
+        if self.texts[self.pos]:
             raise self.error("trailing input after main")
         return Program(body)
 
     def skip_prologue(self) -> None:
         # Forward declarations, e.g. `int nondet();`, before main.
-        def ahead(k: int) -> Token:
-            return self.tokens[min(self.pos + k, len(self.tokens) - 1)]
-
-        while (ahead(0).text == "int" and ahead(1).kind == "ident"
-               and ahead(2).text == "(" and ahead(3).text == ")"
-               and ahead(4).text == ";"):
+        texts = self.texts
+        while (texts[self.pos] == "int"
+               and self.kinds[texts[self.pos + 1]] == "ident"
+               and texts[self.pos + 2:self.pos + 5] == ["(", ")", ";"]):
             self.pos += 5
 
     def parse_block(self) -> List[Stmt]:
-        brace = self.expect("{")
+        brace = self.pos
+        self.expect("{")
         self.depth += 1
         if self.depth > MAX_BLOCK_DEPTH:
             raise self.error(f"blocks nested deeper than {MAX_BLOCK_DEPTH}"
                              " levels", brace)
         self.scopes.append([])
         stmts: List[Stmt] = []
-        while not self.accept("}"):
-            if self.peek().kind == "eof":
+        texts = self.texts
+        while texts[self.pos] != "}":
+            if not texts[self.pos]:
                 raise self.error("unterminated block")
             stmts.append(self.parse_stmt())
+        self.pos += 1
         self.close_scope()
         self.depth -= 1
         return stmts
 
     def parse_loop_body(self) -> List[Stmt]:
-        tok = self.accept(";")
-        return [Skip(tok.line)] if tok else self.parse_block()
+        line = self.lines[self.pos]
+        return [Skip(line)] if self.accept(";") else self.parse_block()
 
     # -- statements ----------------------------------------------------------
 
     def parse_stmt(self) -> Stmt:
-        tok = self.peek()
-        if tok.text == ";":
-            self.advance()
-            return Skip(tok.line)
-        if tok.text == "int":
+        text, line = self.texts[self.pos], self.lines[self.pos]
+        if text == ";":
+            self.pos += 1
+            return Skip(line)
+        if text == "int":
             stmt = self.parse_decl()
             self.expect(";")
             return stmt
-        if tok.text == "if":
+        if text == "if":
             return self.parse_if()
-        if tok.text == "while":
+        if text == "while":
             return self.parse_while()
-        if tok.text == "for":
+        if text == "for":
             return self.parse_for()
-        if tok.text == "assert":
-            self.advance()
+        if text == "assert":
+            self.pos += 1
             self.expect("(")
-            cond = self.parse_expr(tok.line)
+            cond = self.parse_expr(line)
             self.expect(")")
             self.expect(";")
-            return Assert(cond, tok.line)
-        if tok.text == "return":
-            self.advance()
+            return Assert(cond, line)
+        if text == "return":
+            self.pos += 1
             expr = None
-            if self.peek().text != ";":
-                expr = self.parse_expr(tok.line)
+            if self.texts[self.pos] != ";":
+                expr = self.parse_expr(line)
             self.expect(";")
-            return Return(expr, tok.line)
-        if tok.kind == "ident":
+            return Return(expr, line)
+        if self.kinds[text] == "ident":
             stmt = self.parse_assign_like(implicit=False)
             self.expect(";")
             return stmt
-        raise self.error(f"expected statement, found '{tok.text or 'end of input'}'")
+        raise self.error(f"expected statement, found '{self.found()}'")
 
     def parse_decl(self) -> Decl:
-        tok = self.expect("int")
+        line = self.expect("int")
         name = self.expect_ident()
         init = None
         if self.accept("="):
-            init = self.parse_expr(tok.line)
-        self.declare(name.text, tok.line)
-        return Decl(name.text, init, tok.line)
+            init = self.parse_expr(line)
+        self.declare(name, line)
+        return Decl(name, init, line)
 
     def parse_assign_like(self, implicit: bool) -> Assign:
         """An assignment, `++` or `--`.  With `implicit` (a for
         initializer) an undeclared target is declared by it."""
-        name = self.expect_ident()
-        target, line = name.text, name.line
+        line = self.lines[self.pos]
+        target = self.expect_ident()
         if not implicit:
             self.require(target, line)
-        if self.peek().text in ("++", "--"):
-            op = self.advance().text[0]
+        text = self.texts[self.pos]
+        if text == "++" or text == "--":
+            self.pos += 1
             self.require(target, line)
-            expr: Expr = ((VAR, target), (LIT, 1), (BINARY, op))
+            expr: Expr = ((VAR, target), (LIT, 1), (BINARY, text[0]))
         else:
             self.expect("=")
             expr = self.parse_expr(line)
@@ -445,53 +508,47 @@ class _Parser:
             self.declare(target, line)
         return Assign(target, expr, line)
 
-    def expect_ident(self) -> Token:
-        tok = self.peek()
-        if tok.kind != "ident":
-            raise self.error(f"expected identifier, found '{tok.text or 'end of input'}'")
-        return self.advance()
-
     def parse_if(self) -> If:
-        tok = self.expect("if")
+        line = self.expect("if")
         self.expect("(")
-        cond = self.parse_expr(tok.line)
+        cond = self.parse_expr(line)
         self.expect(")")
         then = self.parse_block()
         orelse: List[Stmt] = []
         if self.accept("else"):
             orelse = self.parse_block()
-        return If(cond, then, orelse, tok.line)
+        return If(cond, then, orelse, line)
 
     def parse_while(self) -> While:
-        tok = self.expect("while")
+        line = self.expect("while")
         self.expect("(")
-        cond = self.parse_expr(tok.line)
+        cond = self.parse_expr(line)
         self.expect(")")
         body = self.parse_loop_body()
-        return While(cond, body, tok.line)
+        return While(cond, body, line)
 
     def parse_for(self) -> For:
-        tok = self.expect("for")
+        line = self.expect("for")
         self.expect("(")
         self.scopes.append([])  # the initializer's variable
         init: Optional[Stmt] = None
-        if self.peek().text != ";":
-            if self.peek().text == "int":
+        if self.texts[self.pos] != ";":
+            if self.texts[self.pos] == "int":
                 init = self.parse_decl()
             else:
                 init = self.parse_assign_like(implicit=True)
         self.expect(";")
         cond = None
-        if self.peek().text != ";":
-            cond = self.parse_expr(tok.line)
+        if self.texts[self.pos] != ";":
+            cond = self.parse_expr(line)
         self.expect(";")
         update: Optional[Stmt] = None
-        if self.peek().text != ")":
+        if self.texts[self.pos] != ")":
             update = self.parse_assign_like(implicit=False)
         self.expect(")")
         body = self.parse_loop_body()
         self.close_scope()
-        return For(init, cond, update, body, tok.line)
+        return For(init, cond, update, body, line)
 
     # -- expressions ---------------------------------------------------------
 
@@ -499,64 +556,68 @@ class _Parser:
         """An expression as postfix code, by shunting-yard: an operator
         waits on `pending` until one binding no tighter follows its right
         operand.  Undeclared variables are reported at `line`."""
+        texts = self.texts
         code: list = []
         pending: List[tuple] = []
         opened = 0  # open parentheses on `pending`
         while True:
-            tok = self.peek()
-            while tok.text in ("!", "-", "("):
-                self.advance()
-                if tok.text == "(":
+            text = texts[self.pos]
+            while text == "!" or text == "-" or text == "(":
+                self.pos += 1
+                if text == "(":
                     pending.append(_OPEN)
                     opened += 1
                 else:
-                    pending.append((UNARY_PRECEDENCE, (UNARY, tok.text), -1))
-                tok = self.peek()
-            code.append(self.parse_primary(tok, line))
-            tok = self.peek()
-            while opened and tok.text == ")":
-                self.advance()
+                    pending.append((UNARY_PRECEDENCE, (UNARY, text), -1))
+                text = texts[self.pos]
+            code.append(self.parse_primary(line))
+            text = texts[self.pos]
+            while opened and text == ")":
+                self.pos += 1
                 while pending[-1] is not _OPEN:
                     _emit(code, pending.pop())
                 pending.pop()
                 opened -= 1
-                tok = self.peek()
-            prec = PRECEDENCE.get(tok.text)
+                text = texts[self.pos]
+            prec = PRECEDENCE.get(text)
             if prec is None:
                 break
-            self.advance()
+            self.pos += 1
             while pending and pending[-1][0] >= prec:
                 _emit(code, pending.pop())
             skip = -1
-            if tok.text in _SKIPS:
+            if text in _SKIPS:
                 skip = len(code)
                 code.append(None)  # set when the operator is emitted
-            pending.append((prec, (BINARY, tok.text), skip))
+            pending.append((prec, (BINARY, text), skip))
         if opened:
-            raise self.error(f"expected ')', found '{tok.text or 'end of input'}'")
+            raise self.error(f"expected ')', found '{self.found()}'")
         while pending:
             _emit(code, pending.pop())
         return tuple(code)
 
-    def parse_primary(self, tok: Token, line: int) -> Tuple[str, object]:
-        if tok.kind == "int":
-            self.advance()
+    def parse_primary(self, line: int) -> Tuple[str, object]:
+        pos = self.pos
+        text = self.texts[pos]
+        kind = self.kinds[text]
+        if kind == "int":
+            self.pos = pos + 1
             try:
-                return LIT, int(tok.text)
+                return LIT, int(text)
             except ValueError:  # longer than int() converts
-                raise self.error(f"integer literal of {len(tok.text)} digits"
-                                 " is too long", tok) from None
-        if tok.text == "true" or tok.text == "false":
-            self.advance()
-            return LIT, 1 if tok.text == "true" else 0
-        if tok.kind == "ident":
-            self.advance()
-            if tok.text == "nondet" and self.accept("("):
+                raise self.error(f"integer literal of {len(text)} digits"
+                                 " is too long", pos) from None
+        if text == "true" or text == "false":
+            self.pos = pos + 1
+            return LIT, 1 if text == "true" else 0
+        if kind == "ident":
+            self.pos = pos + 1
+            if text == "nondet" and self.accept("("):
                 self.expect(")")
                 return NONDET, None
-            self.require(tok.text, line)
-            return VAR, tok.text
-        raise self.error(f"expected expression, found '{tok.text or 'end of input'}'")
+            self.require(text, line)
+            return VAR, text
+        raise self.error(f"expected expression, found '{self.found()}'")
 
 
 def parse_program(source: str, name: str = "main") -> Program:
@@ -564,7 +625,7 @@ def parse_program(source: str, name: str = "main") -> Program:
 
     Raises ParseError or UndeclaredVariable on ill-formed input.
     """
-    program = _Parser(tokenize(source)).parse_program()
+    program = _Parser(_Scan(source)).parse_program()
     program.name = name
     return program
 

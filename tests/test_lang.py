@@ -3,6 +3,8 @@ evaluation."""
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from vericov import lang
@@ -225,6 +227,30 @@ def test_lexical_errors_have_positions():
         tokenize("int \u00b2x;")
     assert (info.value.message, info.value.line, info.value.col) == (
         "unexpected character '\u00b2'", 1, 5)
+
+
+@pytest.mark.parametrize("bad, position", [
+    ("a + \u00b3b * \u00b2c @ \u00b2c", (3, 11)),
+    ("/* \u00b2 @ */ a @ \u00b2d", (3, 19)),
+    (" ".join(f"\u00b2a{i}" for i in range(2000, 0, -1)), (3, 7)),
+])
+def test_the_first_of_many_lexical_errors_is_reported(bad, position):
+    source = f"int main() {{\n  int a = 1;\n  a = {bad};\n  /* open\n}}"
+    with pytest.raises(ParseError) as info:
+        parse_program(source)
+    assert (info.value.line, info.value.col) == position
+    assert info.value.message == (
+        f"unexpected character {bad[position[1] - 7]!r}")
+
+
+def test_lexing_is_linear_in_trailing_blanks():
+    # A blank run that no token follows is matched once, not once per
+    # character of it.
+    blanks = " " * 50_000
+    start = time.perf_counter()
+    parse_program(f"int main() {{ return 0; }}{blanks}\n// {blanks}\n"
+                  f"/* {blanks}\n{blanks} */")
+    assert time.perf_counter() - start < 2.0
 
 
 def test_parse_error_has_position():
