@@ -697,9 +697,9 @@ class _Explorer:
         FALSE node left tracking nothing is pruned; its subtree and the
         nodes it covers are FALSE and track subsets of its set, so they
         are pruned with it.  Group keys do not hold tracked sets, so the
-        cover index stays, and so does the search record.  Every exit
-        node is asked again, in creation order, and the waitlist keeps
-        the nodes not pruned.
+        cover index stays, less its pruned members, which can cover no
+        node; so does the search record.  Every exit node is asked again,
+        in creation order, and the waitlist keeps the nodes not pruned.
         """
         remaining = spec.remaining
         self.spec, self.budget = spec, budget
@@ -715,6 +715,10 @@ class _Explorer:
                 node.status = STATUS_PRUNED
                 node.covered_by = None
             self.check_violation(node)
+        nodes = self.nodes
+        for group in self.index.groups.values():
+            group[:] = [jid for jid in group
+                        if nodes[jid].status != STATUS_PRUNED]
         self.waitlist = type(self.waitlist)(
             node for node in self.waitlist if node.status == STATUS_FRONTIER)
 

@@ -305,6 +305,30 @@ def test_rounds_narrow_one_tree_instead_of_rebuilding_it(monkeypatch, mode,
     assert created == rounds[-1][1] <= bound
 
 
+
+def test_narrowing_drops_pruned_nodes_from_their_cover_groups(monkeypatch):
+    # Round 1 covers what some FALSE nodes of the partial automaton
+    # track, so narrowing prunes them.  A pruned node can cover no node;
+    # left in their groups, these would take 512 more `_covers` calls.
+    cfa = source_to_cfa(BRANCH_CHAIN)
+    aa = explore(cfa, Spec.assertions(), Budget(max_nodes=63),
+                 make_strategy("bfs")).aa
+    probed = []  # the status of each cover candidate
+    covers = explorer._Explorer._covers
+
+    def recorded_covers(self, j, v):
+        probed.append(j.status)
+        return covers(self, j, v)
+
+    monkeypatch.setattr(explorer._Explorer, "_covers", recorded_covers)
+    report = exact_coverage(cfa, aa, Budget(max_nodes=400,
+                                            max_counterexamples=3),
+                            make_strategy("bfs"),
+                            nondet_domain=oracle.DEFAULT_DOMAIN)
+    assert report.rounds > 1
+    assert len(probed) == 2381 - 512
+    assert explorer.STATUS_PRUNED not in probed
+
 def _rebuild_each_round(cfa, spec, budget, *args, resume=None, **kwargs):
     """The reference for narrowing: every round explores from the root."""
     return explorer.explore(cfa, spec, budget, *args, **kwargs)
