@@ -217,11 +217,11 @@ KEYWORDS = {"int", "main", "if", "else", "while", "for", "assert", "return",
 # of `_TOKEN`: blanks, then one token, its alternatives tried in order.
 # Two-character symbols come before one-character ones, so a symbol is
 # never split, and `/*` before `/`, so an unterminated comment stays one
-# token.  `ident` also admits a non-decimal numeric character such as `²`
-# at its start, which the kind table rejects.  The catch-all takes one
-# character that is not a blank, so trailing blanks are no token; lines
-# lose them before the scan, which would otherwise retry the blank run at
-# each of its characters.
+# token.  The identifier alternative also admits a non-decimal numeric
+# character such as `²` at its start, which the kind table rejects.  The
+# catch-all takes one character that is not a blank, so trailing blanks
+# are no token; lines lose them before the scan, which would otherwise
+# retry the blank run at each of its characters.
 _COMMENT = re.compile(r"(?:\#|//)[^\n]*|/\*.*?\*/", re.DOTALL)
 _SYMBOLS = ("&&", "||", "==", "!=", "<=", ">=", "++", "--",
             "{", "}", "(", ")", ";", "=", "<", ">", "+", "-", "*", "/", "%",
@@ -276,12 +276,12 @@ class _Scan:
                 lines += [number] * len(found)
         texts.append("")
         lines.append(len(self.rows))
-        self.kinds = {text: _kind(text) for text in set(self.texts)}
+        self.kinds = {text: _kind(text) for text in set(texts)}
         bad = {text for text, kind in self.kinds.items()
                if kind == "bad" or kind == "unterminated"}
-        if bad:
-            first = operator.indexOf(map(bad.__contains__, self.texts), True)
-            text = self.texts[first]
+        if bad:  # one pass finds the first, however many texts are bad
+            first = operator.indexOf(map(bad.__contains__, texts), True)
+            text = texts[first]
             raise self.error("unterminated comment" if text == "/*"
                              else f"unexpected character {text[0]!r}", first)
 
