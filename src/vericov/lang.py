@@ -429,12 +429,10 @@ class _Parser:
                              " levels", brace)
         self.scopes.append([])
         stmts: List[Stmt] = []
-        texts = self.texts
-        while texts[self.pos] != "}":
-            if not texts[self.pos]:
+        while not self.accept("}"):
+            if not self.texts[self.pos]:
                 raise self.error("unterminated block")
             stmts.append(self.parse_stmt())
-        self.pos += 1
         self.close_scope()
         self.depth -= 1
         return stmts
@@ -562,7 +560,7 @@ class _Parser:
         opened = 0  # open parentheses on `pending`
         while True:
             text = texts[self.pos]
-            while text == "!" or text == "-" or text == "(":
+            while text in ("!", "-", "("):
                 self.pos += 1
                 if text == "(":
                     pending.append(_OPEN)
