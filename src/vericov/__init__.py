@@ -17,8 +17,7 @@ from .cfa import (ASSERT, ASSIGN, ASSUME, HALT, SKIP, Cfa, Edge, Statement,
                   statements)
 from .cli import RunConfig, run
 from .coverage import (CoverageReport, exact_coverage,
-                       exercised_within_analysis, is_covered,
-                       line_projection, over_approx_coverage,
+                       exercised_within_analysis, over_approx_coverage,
                        under_approx_coverage)
 from .explorer import (ArtNode, ArtStats, Budget, Execution,
                        ExplorationResult, MissingScores, ReplayResult, Spec,
@@ -41,8 +40,8 @@ __all__ = [
     "TraversalStrategy", "UndeclaredVariable", "UnknownState",
     "check_alphabet", "compose", "concrete_eval", "dump_cfa",
     "emit_assumption_automaton", "exact_coverage",
-    "exercised_within_analysis", "explore", "expr_to_text", "is_covered",
-    "line_projection", "live_variables", "lower", "make_strategy",
+    "exercised_within_analysis", "explore", "expr_to_text",
+    "live_variables", "lower", "make_strategy",
     "over_approx_coverage", "parse_aa", "parse_program",
     "postorder_index", "psi", "reach_fixpoint", "replay", "run", "score",
     "serialize_aa", "source_to_cfa", "statement_ids", "statements", "step",

@@ -16,12 +16,18 @@ saved anywhere), 3 unexpected internal errors.
 Time limits are soft: they are checked between node expansions, so a
 single long expansion can overshoot before the run stops.  Deterministic
 runs should use --max-nodes instead.
+
+`main` builds the argument parser on its first call and keeps it for the
+process: parsing only reads it, so every later in-process call skips the
+rebuild.  `build_parser` still returns a fresh parser on each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -96,6 +102,8 @@ def _load_aa(config: RunConfig, cfa: Cfa) -> AssumptionAutomaton:
 
 
 def _budget(config: RunConfig) -> Budget:
+    if math.isnan(config.time_limit):
+        raise _CliError("--time-limit must be a number, not nan")
     time_limit = config.time_limit if config.time_limit > 0 else None
     max_nodes = config.max_nodes if config.max_nodes > 0 else None
     if config.max_cex <= 0:
@@ -326,8 +334,13 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
                         for f in fields(RunConfig) if hasattr(args, f.name)})
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return run(config_from_args(args))
 
 

@@ -16,7 +16,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 from .automaton import (FALSE_STATE, AssumptionAutomaton, check_alphabet, step)
 from .cfa import Cfa, statement_ids
@@ -44,18 +44,6 @@ def exercised_within_analysis(cex: Sequence[int],
         seen.add(stmt_id)
         state = nxt
     return frozenset(seen)
-
-
-def is_covered(s: int, t: Sequence[int], aa: AssumptionAutomaton,
-               phi_holds: bool) -> bool:
-    """Does the terminating execution t witness coverage of statement s?
-
-    True when the execution satisfies the safety property and some prefix
-    of it that the automaton accepts contains s — which is exactly
-    membership in the exercised set, since accepted prefixes are the ones
-    ending before FALSE.
-    """
-    return phi_holds and s in exercised_within_analysis(t, aa)
 
 
 @dataclass
@@ -233,23 +221,3 @@ def over_approx_coverage(cfa: Cfa, aa: AssumptionAutomaton) -> CoverageReport:
                 covered.add(edge.stmt.id)
     return _make_report(cfa, "over", frozenset(covered), [],
                         bug_found=False, exhausted=False, rounds=0)
-
-
-def line_projection(cfa: Cfa, covered_ids: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """Project statement coverage onto source lines.
-
-    A line is covered when at least one statement lowered from it is.
-    Synthetic statements without a source line (line 0) are ignored.
-    Returns (covered_lines, all_lines), both sorted.
-    """
-    covered = set(covered_ids)
-    all_lines = set()
-    covered_lines = set()
-    for edge in cfa.edges:
-        line = edge.stmt.source_line
-        if line <= 0:
-            continue
-        all_lines.add(line)
-        if edge.stmt.id in covered:
-            covered_lines.add(line)
-    return sorted(covered_lines), sorted(all_lines)

@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from vericov import cli
 from vericov.cli import (EXIT_BUG, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                          RunConfig, build_parser, config_from_args, main, run)
 
@@ -27,6 +28,11 @@ def _full_aa_file(tmp_path):
     path = tmp_path / "all.aa"
     path.write_text(FULL_AA_TEXT)
     return str(path)
+
+
+def _subparsers(parser):
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
 
 
 # Exit codes -------------------------------------------------------------------
@@ -157,6 +163,28 @@ def test_verify_config_asking_for_scores_is_a_usage_error(capsys):
 def test_nonpositive_cex_budget_is_usage_error(capsys):
     assert main(["verify", DEADBRANCH, "--max-cex", "0"]) == EXIT_USAGE
     assert "--max-cex" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "cover-exact", "cover-under"])
+@pytest.mark.parametrize("value", ["nan", "NaN", "-nan"])
+def test_nan_time_limit_is_usage_error(command, value, tmp_path, capsys):
+    out_aa = tmp_path / "out.aa"
+    extra = (["--aa-out", str(out_aa)] if command == "verify"
+             else ["--aa", _full_aa_file(tmp_path)])
+    code = main([command, DEADBRANCH, f"--time-limit={value}", *extra])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "error: --time-limit must be a number, not nan\n"
+    assert not out_aa.exists()
+
+
+@pytest.mark.parametrize("value", ["inf", "0", "-1"])
+def test_infinite_or_nonpositive_time_limit_is_unlimited(value, capsys):
+    assert run(RunConfig(command="verify", program=DEADBRANCH)) == EXIT_OK
+    default = capsys.readouterr()
+    assert main(["verify", DEADBRANCH, f"--time-limit={value}"]) == EXIT_OK
+    assert capsys.readouterr() == default
 
 
 def test_empty_nondet_range_is_usage_error(tmp_path, capsys):
@@ -301,10 +329,8 @@ BUDGET_OPTIONS = ["--time-limit", "--max-nodes", "--max-cex", "--nondet-min",
 
 
 def test_option_strings_of_each_subcommand():
-    sub = next(a for a in build_parser()._actions
-               if isinstance(a, argparse._SubParsersAction))
     options = {name: [s for a in p._actions for s in a.option_strings]
-               for name, p in sub.choices.items()}
+               for name, p in _subparsers(build_parser()).items()}
     assert options == {
         "cfa-dump": ["-h", "--help"],
         "verify": ["-h", "--help", "--strategy", "--aa-out", *BUDGET_OPTIONS,
@@ -357,6 +383,77 @@ def test_closed_output_pipe_is_not_an_error(monkeypatch, capsys):
     monkeypatch.setattr(sys, "stdout", _ClosedPipe())
     assert run(RunConfig(command="cfa-dump", program=BIGLOOP)) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+# One parser per process ------------------------------------------------------
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert main(["cfa-dump", BIGLOOP]) == EXIT_OK
+    assert main(["verify", DEADBRANCH]) == EXIT_OK
+    assert len(built) == 1
+    assert capsys.readouterr().out.startswith(golden("bigloop.dump") * 3)
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert build_parser() is not build_parser()
+    assert build_parser() is not cli._parser()
+
+
+def test_importing_the_cli_builds_no_parser():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import vericov.cli as c;"
+                               " print(c._parser.cache_info().currsize)"],
+        capture_output=True, text=True)
+    assert proc.returncode == EXIT_OK
+    assert proc.stdout == "0\n"
+
+
+def test_options_do_not_carry_over_between_calls(capsys):
+    assert run(RunConfig(command="verify", program=DEADBRANCH)) == EXIT_OK
+    default = capsys.readouterr()
+    assert main(["verify", DEADBRANCH, "--strategy", "bfs",
+                 "--max-nodes", "7"]) == EXIT_USAGE
+    assert capsys.readouterr() != default
+    assert main(["verify", DEADBRANCH]) == EXIT_OK
+    assert capsys.readouterr() == default
+
+
+def test_usage_error_between_calls_changes_nothing(capsys):
+    bad = ["verify", BIGLOOP, "--strategy", "random"]
+    with pytest.raises(SystemExit) as fresh:
+        build_parser().parse_args(bad)
+    usage = capsys.readouterr()
+    assert main(["cfa-dump", BIGLOOP]) == EXIT_OK
+    first = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(bad)
+    assert exc.value.code == fresh.value.code == EXIT_USAGE
+    assert capsys.readouterr() == usage
+    assert main(["cfa-dump", BIGLOOP]) == EXIT_OK
+    assert capsys.readouterr() == first
+
+
+@pytest.mark.parametrize("command", [None, "cfa-dump", "verify",
+                                     "cover-exact", "cover-under", "score"])
+def test_help_text_is_a_fresh_parsers(command, capsys):
+    fresh = build_parser()
+    expected = (fresh if command is None
+                else _subparsers(fresh)[command]).format_help()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"] if command else ["--help"])
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out == expected
 
 
 def test_module_entry_point_runs_in_a_subprocess():

@@ -8,13 +8,11 @@ from types import SimpleNamespace
 import pytest
 
 from vericov import coverage, explorer
-from vericov import (Budget, Cfa, Edge, Spec, Statement, StatementIdMismatch,
-                     exact_coverage, exercised_within_analysis, explore,
-                     is_covered, line_projection, make_strategy,
+from vericov import (Budget, Spec, StatementIdMismatch, exact_coverage,
+                     exercised_within_analysis, explore, make_strategy,
                      over_approx_coverage, parse_aa, score, source_to_cfa,
                      under_approx_coverage)
 from vericov.automaton import (FALSE_STATE, TRUE_STATE, AssumptionAutomaton)
-from vericov.cfa import HALT, ASSIGN
 
 from conftest import ALL_FIXTURES, fixture_cfa, golden
 
@@ -61,13 +59,6 @@ def test_exercised_keeps_collecting_inside_verified_region():
 def test_exercised_deduplicates_repeated_statements():
     aa = parse_aa(golden("unroll5.aa"))
     assert exercised_within_analysis((0, 2, 2, 1), aa) == {0, 1, 2}
-
-
-def test_is_covered_requires_phi_and_membership():
-    aa = parse_aa(golden("bigloop_partial.aa"))
-    assert is_covered(0, (0, 2, 3), aa, phi_holds=True)
-    assert not is_covered(3, (0, 2, 3), aa, phi_holds=True)
-    assert not is_covered(0, (0, 2, 3), aa, phi_holds=False)
 
 
 # Exact ------------------------------------------------------------------------
@@ -502,31 +493,3 @@ def test_report_text_rendering():
         "bug found: no\n"
         "exhausted: no\n"
         "covered ids: 0 1 2 5 6\n")
-
-
-# Line projection --------------------------------------------------------------
-
-
-def test_line_projection_marks_lines_with_covered_statements():
-    source = ("int main() {\n"
-              "  int a = 1;\n"
-              "  a = 2;\n"
-              "  return 0;\n"
-              "}\n")
-    cfa = source_to_cfa(source)
-    covered, all_lines = line_projection(cfa, [0])
-    assert covered == [2]
-    assert all_lines == [2, 3, 4]
-    covered, _ = line_projection(cfa, [0, 1, 2])
-    assert covered == [2, 3, 4]
-
-
-def test_line_projection_ignores_synthetic_statements():
-    stmts = [Statement(0, ASSIGN, "a", None, 1),
-             Statement(1, HALT, None, None, 0)]
-    cfa = Cfa(name="tiny", nodes=[0, 1, 2],
-              edges=[Edge(0, stmts[0], 2), Edge(2, stmts[1], 1)],
-              entry=0, exit=1)
-    covered, all_lines = line_projection(cfa, [0, 1])
-    assert covered == [1]
-    assert all_lines == [1]
