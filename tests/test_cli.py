@@ -445,7 +445,7 @@ def test_usage_error_between_calls_changes_nothing(capsys):
 
 @pytest.mark.parametrize("command", [None, "cfa-dump", "verify",
                                      "cover-exact", "cover-under", "score"])
-def test_help_text_is_a_fresh_parsers(command, capsys):
+def test_help_text_matches_a_fresh_parser(command, capsys):
     fresh = build_parser()
     expected = (fresh if command is None
                 else _subparsers(fresh)[command]).format_help()
