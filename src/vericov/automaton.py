@@ -3,8 +3,8 @@
 An automaton reads statement IDs.  Two reserved absorbing sinks exist:
 ``__FALSE`` (the walk left the explored state space) and ``__TRUE`` (the
 walk entered a fully verified region).  A sequence satisfies the automaton
-(`psi`) exactly when its walk never enters FALSE; any transition not
-declared falls to FALSE, so unexplored means unverified.
+exactly when its walk never enters FALSE; any transition not declared
+falls to FALSE, so unexplored means unverified.
 
 Text format (canonical serialization; `#` starts a comment line):
 
@@ -23,7 +23,7 @@ files.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 FALSE_STATE = "__FALSE"
 TRUE_STATE = "__TRUE"
@@ -35,13 +35,6 @@ class FormatError(Exception):
         super().__init__(f"line {line}: {message}")
         self.line = line
         self.message = message
-
-
-class DuplicateTransition(Exception):
-    def __init__(self, state: str, stmt_id: int):
-        super().__init__(f"duplicate transition from {state} on {stmt_id}")
-        self.state = state
-        self.stmt_id = stmt_id
 
 
 class UnknownState(Exception):
@@ -76,7 +69,7 @@ class AssumptionAutomaton:
     def add_transition(self, state: str, stmt_id: int, target: str) -> None:
         key = (state, stmt_id)
         if key in self.transitions:
-            raise DuplicateTransition(state, stmt_id)
+            raise ValueError(f"duplicate transition from {state} on {stmt_id}")
         self.transitions[key] = target
 
     def alphabet(self) -> set:
@@ -90,18 +83,6 @@ def step(aa: AssumptionAutomaton, state: str, stmt_id: int) -> str:
     if state not in aa.location_of:
         raise UnknownState(state)
     return aa.transitions.get((state, stmt_id), FALSE_STATE)
-
-
-def psi(aa: AssumptionAutomaton, stmt_seq: Sequence[int]) -> bool:
-    """True iff the walk over the sequence never enters FALSE."""
-    state = aa.initial
-    if state == FALSE_STATE:
-        return False
-    for stmt_id in stmt_seq:
-        state = step(aa, state, stmt_id)
-        if state == FALSE_STATE:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +156,7 @@ def parse_aa(text: str) -> AssumptionAutomaton:
                 raise FormatError(lineno, f"bad statement id {parts[1]!r}") from None
             try:
                 aa.add_transition(current, stmt_id, parts[3])
-            except DuplicateTransition as exc:
+            except ValueError as exc:
                 raise FormatError(lineno, str(exc)) from None
             target_line.setdefault(parts[3], lineno)
         elif parts[0] == "END":

@@ -115,6 +115,9 @@ def _budget(config: RunConfig) -> Budget:
 def _domain(config: RunConfig) -> range:
     if config.nondet_min > config.nondet_max:
         raise _CliError("--nondet-min must not exceed --nondet-max")
+    if config.nondet_max - config.nondet_min >= sys.maxsize:
+        raise _CliError(f"--nondet-min..--nondet-max may span at most"
+                        f" {sys.maxsize} values")
     return range(config.nondet_min, config.nondet_max + 1)
 
 

@@ -180,8 +180,7 @@ class ExplorationResult:
     def aa(self) -> AssumptionAutomaton:
         """The explored region as an assumption automaton, emitted on
         first read."""
-        return emit_assumption_automaton(self.nodes, self.cfa, self.verdict,
-                                         name=self.cfa.name)
+        return emit_assumption_automaton(self.nodes, self.cfa, self.verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +355,6 @@ def _search_witness(edges: Sequence[Edge], variables: Numbering,
     the choices before it, not once per run from entry.  `step_limit`
     still counts every statement of every run, skipped prefixes included.
     """
-    domain = list(domain)
     plan = [(e.stmt, variables.reads[e.stmt.id], variables.writes[e.stmt.id])
             for e in edges]
     steps = step_limit
@@ -476,7 +474,7 @@ class _Explorer:
         self.spec = spec
         self.budget = budget
         self.strategy = strategy
-        self.domain = list(nondet_domain)
+        self.domain = nondet_domain
         self.postorder = postorder_index(cfa)
         self.live = live_variables(cfa)
         self.variables = cfa.numbering()
@@ -806,7 +804,7 @@ def explore(cfa: Cfa, spec: Spec, budget: Budget,
             ex.cfa is not cfa or spec.aa is not ex.spec.aa or \
             spec.stop_on_violation != ex.spec.stop_on_violation or \
             not spec.remaining <= ex.spec.remaining or \
-            strategy != ex.strategy or list(nondet_domain) != ex.domain:
+            strategy != ex.strategy or nondet_domain != ex.domain:
         raise ValueError("resume needs an unresumed cover-mode result of "
                          "the same CFA, automaton, strategy and domain, "
                          "and a spec remaining within its own")
@@ -820,9 +818,10 @@ def explore(cfa: Cfa, spec: Spec, budget: Budget,
 # ---------------------------------------------------------------------------
 
 
-def emit_assumption_automaton(art: List[ArtNode], cfa: Cfa, verdict: str,
-                              name: str = "art") -> AssumptionAutomaton:
-    """Serialize the explored region of an ART as an assumption automaton.
+def emit_assumption_automaton(art: List[ArtNode], cfa: Cfa,
+                              verdict: str) -> AssumptionAutomaton:
+    """The explored region of an ART as an assumption automaton named
+    after the CFA.
 
     Expanded nodes become states, merged when their abstract states agree;
     covered nodes redirect to their coverer.  Edges into frontier or pruned
@@ -831,7 +830,7 @@ def emit_assumption_automaton(art: List[ArtNode], cfa: Cfa, verdict: str,
     is unreachable in the automaton of a completed exploration.
     """
     nodes = art
-    aa = AssumptionAutomaton(name=name, initial=FALSE_STATE)
+    aa = AssumptionAutomaton(name=cfa.name, initial=FALSE_STATE)
     if not nodes or nodes[0].status != STATUS_EXPANDED:
         return aa
 

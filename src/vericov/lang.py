@@ -89,7 +89,7 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 
 class ParseError(Exception):
@@ -231,20 +231,14 @@ _TOKEN = re.compile(r"[ \t\r]*([0-9]+|[^\W\d]\w*|/\*|"
 _BLANKS = " \t\r"
 
 
-class Token(NamedTuple):
-    kind: str  # "int", "ident", "kw", "sym", "eof"
-    text: str
-    line: int
-    col: int
-
-
 def _blank(comment: re.Match) -> str:
     return re.sub(r"[^\n]", " ", comment.group())
 
 
 def _kind(text: str) -> str:
-    """The kind of a token text: one of Token's, "unterminated" for `/*`
-    or "bad" for a character no token starts with."""
+    """The kind of a token text: "int", "ident", "kw", "sym" or "eof"
+    ("" closes the texts), "unterminated" for `/*` or "bad" for a
+    character no token starts with."""
     if not text:
         return "eof"
     if "0" <= text[0] <= "9":
@@ -296,17 +290,6 @@ class _Scan:
 
     def error(self, message: str, i: int) -> ParseError:
         return ParseError(message, self.lines[i], self.column(i))
-
-
-def tokenize(source: str) -> List[Token]:
-    """The tokens of a source text, closed by an eof token."""
-    scan = _Scan(source)
-    tokens = [Token(scan.kinds[match.group(1)], match.group(1), number,
-                    match.start(1) + 1)
-              for number, row in enumerate(scan.rows, 1)
-              for match in _TOKEN.finditer(row.rstrip(_BLANKS))]
-    tokens.append(Token("eof", "", len(scan.rows), len(scan.rows[-1]) + 1))
-    return tokens
 
 
 # ---------------------------------------------------------------------------

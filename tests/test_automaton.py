@@ -1,15 +1,17 @@
-"""Assumption automata: stepping, ψ, text format, alphabet checks."""
+"""Assumption automata: stepping, accepted languages, text format, alphabet
+checks."""
 
 from __future__ import annotations
 
 import pytest
 
-from vericov import (FALSE_STATE, TRUE_STATE, check_alphabet, parse_aa, psi,
+from vericov import (FALSE_STATE, TRUE_STATE, check_alphabet, parse_aa,
                      serialize_aa, statement_ids, step)
-from vericov.automaton import (AssumptionAutomaton, DuplicateTransition,
-                               FormatError, StatementIdMismatch, UnknownState)
+from vericov.automaton import (AssumptionAutomaton, FormatError,
+                               StatementIdMismatch, UnknownState)
 
 from conftest import fixture_cfa, golden
+from oracle import psi_holds
 
 
 def _two_state() -> AssumptionAutomaton:
@@ -56,50 +58,19 @@ def test_sinks_cannot_be_declared_or_redeclared():
 
 def test_duplicate_transition_rejected():
     aa = _two_state()
-    with pytest.raises(DuplicateTransition):
+    with pytest.raises(ValueError, match="duplicate transition from q0 on 0"):
         aa.add_transition("q0", 0, FALSE_STATE)
 
 
-# psi -------------------------------------------------------------------------
-
-
-def test_psi_empty_path_true_unless_initial_false():
-    assert psi(_two_state(), []) is True
-    dead = AssumptionAutomaton(name="dead", initial=FALSE_STATE)
-    assert psi(dead, []) is False
-    assert psi(dead, [0, 1]) is False
-
-
-def test_psi_false_on_second_statement():
-    aa = _two_state()
-    assert psi(aa, [0]) is True
-    assert psi(aa, [0, 2]) is False
-
-
-def test_psi_true_when_ending_in_true_sink():
-    aa = _two_state()
-    assert psi(aa, [0, 1]) is True
-    # TRUE absorbs: anything after stays satisfying.
-    assert psi(aa, [0, 1, 99, 98]) is True
-
-
-def test_psi_prefix_monotone():
-    aa = parse_aa(golden("unroll5.aa"))
-    paths = [(0, 2, 2, 1, 3), (0, 2, 2, 2, 2, 2, 3), (0, 1, 3), (5, 5)]
-    for path in paths:
-        verdicts = [psi(aa, path[:k]) for k in range(len(path) + 1)]
-        # Once false, always false; truth never recovers along a path.
-        for earlier, later in zip(verdicts, verdicts[1:]):
-            if not earlier:
-                assert not later
+# Accepted languages ----------------------------------------------------------
 
 
 def test_unroll5_accepts_up_to_four_iterations():
     aa = parse_aa(golden("unroll5.aa"))
     for iterations in range(5):
         path = (0,) + (2,) * iterations + (1, 3)
-        assert psi(aa, path) is True, iterations
-    assert psi(aa, (0,) + (2,) * 5 + (1, 3)) is False
+        assert psi_holds(path, aa) is True, iterations
+    assert psi_holds((0,) + (2,) * 5 + (1, 3), aa) is False
 
 
 # Text format -----------------------------------------------------------------
@@ -140,7 +111,7 @@ def test_serialize_sorts_transitions_by_statement_id():
 
 def test_initial_false_only_automaton():
     aa = parse_aa("AUTOMATON empty\nINITIAL __FALSE\nEND\n")
-    assert psi(aa, []) is False
+    assert psi_holds([], aa) is False
     assert serialize_aa(aa) == "AUTOMATON empty\nINITIAL __FALSE\nEND\n"
 
 

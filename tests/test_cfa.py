@@ -6,12 +6,11 @@ import pytest
 
 from vericov import (Budget, Spec, dump_cfa, exact_coverage, explore,
                      live_variables, make_strategy, parse_program,
-                     postorder_index, source_to_cfa, statement_ids,
-                     statements)
+                     postorder_index, source_to_cfa, statement_ids)
 from vericov import cfa as cfa_module
 from vericov.automaton import TRUE_STATE, AssumptionAutomaton
 from vericov.cfa import (ASSERT, ASSIGN, ASSUME, HALT, SKIP, Cfa, Edge,
-                         Statement)
+                         Statement, statements)
 from vericov.lowering import lower
 
 import oracle

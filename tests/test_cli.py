@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import subprocess
 import sys
 
@@ -19,6 +20,7 @@ BIGLOOP = str(FIXTURES / "bigloop.c")
 DEADBRANCH = str(FIXTURES / "deadbranch.c")
 TINYLOOP_BUG = str(FIXTURES / "tinyloop_bug.c")
 ASSERT_NONDET = str(FIXTURES / "assert_nondet.c")
+SKIP_STMTS = str(FIXTURES / "skip_stmts.c")
 PARTIAL_AA = str(GOLDENS / "bigloop_partial.aa")
 
 FULL_AA_TEXT = "AUTOMATON all\nINITIAL __TRUE\nEND\n"
@@ -193,6 +195,37 @@ def test_empty_nondet_range_is_usage_error(tmp_path, capsys):
                  "--nondet-min", "3", "--nondet-max", "-3"])
     assert code == EXIT_USAGE
     assert "--nondet-min" in capsys.readouterr().err
+
+
+def _run_capped(argv, limit=10**9):
+    """The CLI in a child process whose address space alone is capped at
+    `limit` bytes."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run([sys.executable, "-m", "vericov", *argv],
+                          capture_output=True, text=True, preexec_fn=cap)
+
+
+@pytest.mark.parametrize("command, wide_exit", [
+    (["verify", DEADBRANCH, "--max-nodes", "10"], EXIT_USAGE),
+    # skip_stmts.c calls no nondet(): over 2e9 values, deadbranch.c's
+    # refuted guard is searched to the step limit, which takes seconds.
+    (["cover-exact", SKIP_STMTS, "--aa", str(GOLDENS / "trivial_true.aa"),
+      "--max-nodes", "10"], EXIT_OK),
+], ids=["verify", "cover-exact"])
+def test_a_wide_nondet_domain_is_never_an_internal_error(command, wide_exit):
+    # A list of 2e9 values needs 16 GB; the domain must stay a range.
+    wide = _run_capped(command + ["--nondet-min", "-1000000000",
+                                  "--nondet-max", "1000000000"])
+    assert wide.returncode == wide_exit, wide.stderr
+    assert "internal error" not in wide.stderr
+    # More values than sys.maxsize: a range that long has no len().
+    wider = _run_capped(command + ["--nondet-min", str(-10**19),
+                                   "--nondet-max", str(10**19)])
+    assert wider.returncode == EXIT_USAGE
+    assert wider.stderr == (f"error: --nondet-min..--nondet-max may span"
+                            f" at most {sys.maxsize} values\n")
 
 
 def test_malformed_automaton_is_usage_error(tmp_path, capsys):

@@ -9,10 +9,10 @@ import pytest
 
 from vericov import coverage, explorer
 from vericov import (Budget, Spec, StatementIdMismatch, exact_coverage,
-                     exercised_within_analysis, explore, make_strategy,
-                     over_approx_coverage, parse_aa, score, source_to_cfa,
-                     under_approx_coverage)
+                     explore, make_strategy, over_approx_coverage, parse_aa,
+                     score, source_to_cfa, under_approx_coverage)
 from vericov.automaton import (FALSE_STATE, TRUE_STATE, AssumptionAutomaton)
+from vericov.coverage import exercised_within_analysis
 
 from conftest import ALL_FIXTURES, fixture_cfa, golden
 

@@ -9,18 +9,19 @@ from types import SimpleNamespace
 import pytest
 
 from vericov import (Budget, FALSE_STATE, MissingScores, Spec,
-                     explore, make_strategy, parse_aa, psi, replay, score,
-                     serialize_aa, source_to_cfa, statement_ids, statements)
+                     explore, make_strategy, parse_aa, score, serialize_aa,
+                     source_to_cfa, statement_ids)
 from vericov import explorer, lang
 from vericov.automaton import AssumptionAutomaton, TRUE_STATE
-from vericov.cfa import ASSERT, ASSIGN, ASSUME
+from vericov.cfa import ASSERT, ASSIGN, ASSUME, statements
 from vericov.cli import EXIT_OK, main
 from vericov.explorer import (COUNTEREXAMPLES, COVER, FEASIBLE, INCONCLUSIVE,
                               INFEASIBLE, SAFE, STATUS_COVERED,
                               STATUS_EXPANDED, TOP, UNASSIGNED, UNKNOWN,
-                              ReplayResult)
+                              ReplayResult, replay)
 
 from conftest import ALL_FIXTURES, fixture_cfa, golden
+from oracle import psi_holds
 
 RETURN_ONLY = "int main() { return 0; }"
 DIAMOND = ("int nondet();\n"
@@ -646,7 +647,7 @@ def test_unscored_states_default_to_zero():
 def test_safe_exploration_emits_false_free_automaton():
     result = explore(source_to_cfa(RETURN_ONLY), Spec.assertions(), Budget())
     assert result.verdict == SAFE
-    assert psi(result.aa, (0,)) is True
+    assert psi_holds((0,), result.aa) is True
     assert "__FALSE" not in serialize_aa(result.aa)
 
 
@@ -656,9 +657,9 @@ def test_interrupted_diamond_sends_both_assumes_to_false():
     text = serialize_aa(result.aa)
     assert "ON 1 -> __FALSE" in text
     assert "ON 3 -> __FALSE" in text
-    assert psi(result.aa, (0,)) is True
-    assert psi(result.aa, (0, 1)) is False
-    assert psi(result.aa, (0, 3)) is False
+    assert psi_holds((0,), result.aa) is True
+    assert psi_holds((0, 1), result.aa) is False
+    assert psi_holds((0, 3), result.aa) is False
 
 
 def test_automaton_emitted_once_on_first_read(monkeypatch):
@@ -677,14 +678,14 @@ def test_automaton_emitted_once_on_first_read(monkeypatch):
     assert result.aa is result.aa
     assert emitted == 1
     assert serialize_aa(result.aa) == serialize_aa(emit(
-        result.nodes, result.cfa, result.verdict, name=result.cfa.name))
+        result.nodes, result.cfa, result.verdict))
 
 
 def test_unexpanded_root_gives_false_initial():
     result = explore(source_to_cfa(DIAMOND), Spec.assertions(),
                      Budget(max_nodes=1))
     assert result.aa.initial == FALSE_STATE
-    assert psi(result.aa, ()) is False
+    assert psi_holds((), result.aa) is False
 
 
 def _bigloop_accepted_unrollings(max_nodes):
@@ -694,7 +695,7 @@ def _bigloop_accepted_unrollings(max_nodes):
     accepted = []
     for k in range(0, 80):
         path = (0,) + (2, 3, 4) * k
-        if psi(result.aa, path):
+        if psi_holds(path, result.aa):
             accepted.append(k)
     return accepted
 
@@ -743,7 +744,7 @@ def test_emitted_automaton_paths_exist_in_tree():
         node, path = stack.pop()
         if len(path) > 12:
             continue
-        if path and psi(result.aa, path):
+        if path and psi_holds(path, result.aa):
             checked += 1
             assert path in tree_paths
         for edge in cfa.out_edges(node):

@@ -13,7 +13,7 @@ from vericov.lang import (AND_SKIP, BINARY, LIT, NONDET, OR_SKIP, TOP, UNARY,
                           Return, Skip, UndeclaredVariable, While,
                           abstract_eval, concrete_eval, expr_to_text,
                           expr_variables, implied_equality, negate,
-                          parse_program, tokenize)
+                          parse_program)
 
 from conftest import fixture_source
 
@@ -207,7 +207,10 @@ def test_first_error_in_the_text_wins():
 def test_tokens_and_positions():
     source = ("#include <x.h>\nint main() {\t/* a\n  b */ x1 = 12;"
               " // c\n  y>=-- z;}")
-    assert [tuple(tok) for tok in tokenize(source)] == [
+    scan = lang._Scan(source)
+    assert [(scan.kinds[text], text, line, scan.column(i))
+            for i, (text, line) in enumerate(zip(scan.texts, scan.lines))
+            ] == [
         ("kw", "int", 2, 1), ("kw", "main", 2, 5), ("sym", "(", 2, 9),
         ("sym", ")", 2, 10), ("sym", "{", 2, 12), ("ident", "x1", 3, 8),
         ("sym", "=", 3, 11), ("int", "12", 3, 13), ("sym", ";", 3, 15),
@@ -218,13 +221,14 @@ def test_tokens_and_positions():
 
 def test_lexical_errors_have_positions():
     with pytest.raises(ParseError) as info:
-        tokenize("int main() {\n  /* open\n}")
+        parse_program("int main() {\n  /* open\n}")
     assert (info.value.message, info.value.line, info.value.col) == (
         "unterminated comment", 2, 3)
     # A superscript two continues an identifier but cannot start one.
-    assert tokenize("x\u00b2")[0].text == "x\u00b2"
+    program = parse_program("int main() { int x\u00b2 = 1; return 0; }")
+    assert program.body[0].name == "x\u00b2"
     with pytest.raises(ParseError) as info:
-        tokenize("int \u00b2x;")
+        parse_program("int \u00b2x;")
     assert (info.value.message, info.value.line, info.value.col) == (
         "unexpected character '\u00b2'", 1, 5)
 

@@ -1,16 +1,51 @@
-"""Properties of the source tree: what the package imports, and the names
-the benchmark's tracer wraps."""
+"""Properties of the source tree: what the package imports, the names it
+exports and the benchmark's tracer wraps, and the README examples."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
+import os
+import re
+import shlex
+import subprocess
 import sys
 from pathlib import Path
 
+import vericov
+
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "vericov"
+README = ROOT / "README.md"
+
+
+def _spans():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+def _readme_blocks(section: str):
+    """(language, text) of each fenced block in README's `## section`."""
+    text = README.read_text()
+    start = text.index(f"\n## {section}\n")
+    end = text.find("\n## ", start + 1)
+    return re.findall(r"^```(\w*)\n(.*?)^```$", text[start:end], re.M | re.S)
+
+
+def _library_block() -> str:
+    [block] = [text for lang, text in _readme_blocks("Library use")
+               if lang == "python"]
+    return block
+
+
+def _imported_from(tree: ast.AST, module: str) -> set:
+    return {alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == module
+            for alias in node.names}
 
 
 def test_runtime_imports_only_the_standard_library():
@@ -33,11 +68,99 @@ def test_runtime_imports_only_the_standard_library():
 def test_benchmark_tracer_bindings_resolve():
     # perfbench/spans.py wraps these functions at these module bindings;
     # a binding that disappears breaks the benchmark's traced run.
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_spans", ROOT / "perfbench" / "spans.py")
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _spans()
     missing = [(module, attr) for module, attr, _span in spans.BINDINGS
                if not hasattr(importlib.import_module(module), attr)]
     assert spans.BINDINGS
     assert missing == []
+
+
+def _package_uses() -> set:
+    """(sibling, name) for each name a package module but `__init__` takes
+    from a sibling module: `from .sibling import name`, or `sibling.name`
+    after `from . import sibling`."""
+    uses = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        siblings = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:
+                    siblings.update(alias.asname or alias.name
+                                    for alias in node.names)
+                else:
+                    uses.update((node.module, alias.name)
+                                for alias in node.names)
+        uses.update((node.value.id, node.attr) for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in siblings)
+    return uses
+
+
+def test_public_names_follow_the_export_rule():
+    # A name is exported only if it is defined in cli.py, imported by
+    # README's Library use block, bound by the benchmark's tracer, or used
+    # by a package module other than its own.
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    origin = {alias.asname or alias.name: node.module
+              for node in tree.body
+              if isinstance(node, ast.ImportFrom) and node.level == 1
+              for alias in node.names}
+    [exported] = [ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["__all__"]]
+    assert sorted(origin) == sorted(exported)
+    library = _imported_from(ast.parse(_library_block()), "vericov")
+    bound = {attr for _module, attr, _span in _spans().BINDINGS}
+    uses = _package_uses()
+    unused = [name for name in exported
+              if origin[name] != "cli" and name not in library
+              and name not in bound and (origin[name], name) not in uses]
+    assert unused == []
+
+
+def _vericov_command(line: str) -> str:
+    """A README console line, with `vericov` run from this source tree."""
+    assert line.startswith("vericov ")
+    return f"{shlex.quote(sys.executable)} -m {line}"
+
+
+def _stripped(text: str):
+    return [line.rstrip() for line in text.splitlines()]
+
+
+def test_readme_examples_run_as_written(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    for lang, text in _readme_blocks("Quick start"):
+        if lang == "c":
+            (tmp_path / "spin.c").write_text(text)
+        elif lang == "text":  # the automaton `verify --aa-out` wrote
+            shown = text.split("...\n")[0]
+            assert (tmp_path / "spin.aa").read_text().startswith(shown)
+        else:
+            assert lang == "console"
+            for command, output in re.findall(
+                    r"^\$ (.*)\n((?:(?!\$ ).*\n)*)", text, re.M):
+                proc = subprocess.run(
+                    _vericov_command(command), shell=True, cwd=tmp_path,
+                    env=env, capture_output=True, text=True)
+                assert proc.returncode == 0, (command, proc.stderr)
+                assert _stripped(proc.stdout) == _stripped(output), command
+    block = _library_block()
+    assert _imported_from(ast.parse(block), "vericov") <= set(vericov.__all__)
+    proc = subprocess.run([sys.executable, "-X", "dev", "-c", block],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    # Each print is one line; a trailing `# "text"` names what it shows.
+    prints = [re.search(r'# "(.*)"$', line) for line in block.splitlines()
+              if line.startswith("print(")]
+    shown = proc.stdout.splitlines()
+    assert len(shown) == len(prints)
+    for line, expected in zip(shown, prints):
+        if expected:
+            assert line == expected.group(1)
