@@ -105,33 +105,31 @@ def serialize_aa(aa: AssumptionAutomaton) -> str:
 
 def parse_aa(text: str) -> AssumptionAutomaton:
     aa = AssumptionAutomaton(name="", initial="")
+    location_of, transitions = aa.location_of, aa.transitions
     current: str = ""
-    seen_end = False
     initial_line = 0
-    target_line: Dict[str, int] = {}  # first line naming each target
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    lines = enumerate(text.splitlines(), start=1)
+    # ON and STATE lines come first: canonical files are almost all ON
+    # and STATE lines.
+    for lineno, raw in lines:
+        parts = raw.split()
+        if not parts:
             continue
-        if seen_end:
-            raise FormatError(lineno, "content after END")
-        parts = line.split()
-        if parts[0] == "AUTOMATON":
-            if aa.name:
-                raise FormatError(lineno, "duplicate AUTOMATON header")
-            if len(parts) != 2:
-                raise FormatError(lineno, "AUTOMATON needs exactly one name")
-            aa.name = parts[1]
-        elif parts[0] == "INITIAL":
-            if not aa.name:
-                raise FormatError(lineno, "INITIAL before AUTOMATON")
-            if initial_line:
-                raise FormatError(lineno, "duplicate INITIAL")
-            if len(parts) != 2:
-                raise FormatError(lineno, "INITIAL needs exactly one state")
-            aa.initial = parts[1]
-            initial_line = lineno
-        elif parts[0] == "STATE":
+        head = parts[0]
+        if head == "ON":
+            if not current:
+                raise FormatError(lineno, "ON outside a STATE block")
+            if len(parts) != 4 or parts[2] != "->":
+                raise FormatError(lineno, "expected: ON <stmt-id> -> <state>")
+            try:
+                key = (current, int(parts[1]))
+            except ValueError:
+                raise FormatError(lineno, f"bad statement id {parts[1]!r}") from None
+            if key in transitions:
+                raise FormatError(lineno, f"duplicate transition from "
+                                          f"{current} on {key[1]}")
+            transitions[key] = parts[3]
+        elif head == "STATE":
             if not initial_line:
                 raise FormatError(lineno, "STATE before INITIAL")
             if len(parts) != 3 or not parts[2].startswith("@L"):
@@ -140,42 +138,52 @@ def parse_aa(text: str) -> AssumptionAutomaton:
                 location = int(parts[2][2:])
             except ValueError:
                 raise FormatError(lineno, f"bad location {parts[2]!r}") from None
-            try:
-                aa.add_state(parts[1], location)
-            except ValueError as exc:
-                raise FormatError(lineno, str(exc)) from None
             current = parts[1]
-        elif parts[0] == "ON":
-            if not current:
-                raise FormatError(lineno, "ON outside a STATE block")
-            if len(parts) != 4 or parts[2] != "->":
-                raise FormatError(lineno, "expected: ON <stmt-id> -> <state>")
-            try:
-                stmt_id = int(parts[1])
-            except ValueError:
-                raise FormatError(lineno, f"bad statement id {parts[1]!r}") from None
-            try:
-                aa.add_transition(current, stmt_id, parts[3])
-            except ValueError as exc:
-                raise FormatError(lineno, str(exc)) from None
-            target_line.setdefault(parts[3], lineno)
-        elif parts[0] == "END":
+            if current in _SINKS:
+                raise FormatError(lineno, f"{current} is reserved")
+            if current in location_of:
+                raise FormatError(lineno, f"state {current} declared twice")
+            location_of[current] = location
+        elif head[0] == "#":
+            continue
+        elif head == "AUTOMATON":
+            if aa.name:
+                raise FormatError(lineno, "duplicate AUTOMATON header")
+            if len(parts) != 2:
+                raise FormatError(lineno, "AUTOMATON needs exactly one name")
+            aa.name = parts[1]
+        elif head == "INITIAL":
+            if not aa.name:
+                raise FormatError(lineno, "INITIAL before AUTOMATON")
+            if initial_line:
+                raise FormatError(lineno, "duplicate INITIAL")
+            if len(parts) != 2:
+                raise FormatError(lineno, "INITIAL needs exactly one state")
+            aa.initial = parts[1]
+            initial_line = lineno
+        elif head == "END":
             if not initial_line:
                 raise FormatError(lineno, "END before INITIAL")
-            seen_end = True
+            break
         else:
-            raise FormatError(lineno, f"unrecognized directive {parts[0]!r}")
-    if not aa.name:
-        raise FormatError(1, "missing AUTOMATON header")
-    if not seen_end:
-        raise FormatError(1, "missing END")
-    if aa.initial not in _SINKS and aa.initial not in aa.location_of:
+            raise FormatError(lineno, f"unrecognized directive {head!r}")
+    else:  # no END; one needs an INITIAL, so an AUTOMATON header too
+        raise FormatError(1, "missing END" if aa.name else "missing AUTOMATON header")
+    for lineno, raw in lines:  # after END: blank and comment lines only
+        parts = raw.split()
+        if parts and parts[0][0] != "#":
+            raise FormatError(lineno, "content after END")
+    if aa.initial not in _SINKS and aa.initial not in location_of:
         raise FormatError(initial_line,
                           f"initial state {aa.initial!r} never declared")
-    for target, lineno in target_line.items():
-        if target not in _SINKS and target not in aa.location_of:
-            raise FormatError(lineno,
-                              f"transition target {target!r} never declared")
+    undeclared = set(transitions.values()).difference(location_of, _SINKS)
+    if undeclared:
+        # Report the first line naming one: the text parsed, so every line
+        # whose first word is ON is an accepted ON line.
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            parts = raw.split()
+            if parts and parts[0] == "ON" and parts[3] in undeclared:
+                raise FormatError(lineno, f"transition target {parts[3]!r} never declared")
     return aa
 
 

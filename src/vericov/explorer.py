@@ -28,11 +28,13 @@ being reported.
 
 from __future__ import annotations
 
+import re
 import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import lang
@@ -821,7 +823,8 @@ def explore(cfa: Cfa, spec: Spec, budget: Budget,
 def emit_assumption_automaton(art: List[ArtNode], cfa: Cfa,
                               verdict: str) -> AssumptionAutomaton:
     """The explored region of an ART as an assumption automaton named
-    after the CFA.
+    after the CFA, each run of whitespace replaced by ``_`` so that the
+    name stays one token of the text format.
 
     Expanded nodes become states, merged when their abstract states agree;
     covered nodes redirect to their coverer.  Edges into frontier or pruned
@@ -830,7 +833,8 @@ def emit_assumption_automaton(art: List[ArtNode], cfa: Cfa,
     is unreachable in the automaton of a completed exploration.
     """
     nodes = art
-    aa = AssumptionAutomaton(name=cfa.name, initial=FALSE_STATE)
+    aa = AssumptionAutomaton(name=re.sub(r"\s+", "_", cfa.name),
+                             initial=FALSE_STATE)
     if not nodes or nodes[0].status != STATUS_EXPANDED:
         return aa
 
@@ -839,7 +843,8 @@ def emit_assumption_automaton(art: List[ArtNode], cfa: Cfa,
             node = nodes[node.covered_by]
         return node
 
-    state_of: Dict[int, str] = {}  # expanded node id -> state name
+    # Node id -> state name, None for a node that was not expanded.
+    state_of: List[Optional[str]] = [None] * len(nodes)
     state_name: Dict[Tuple, str] = {}
     for node in nodes:
         if node.status != STATUS_EXPANDED:
@@ -848,27 +853,22 @@ def emit_assumption_automaton(art: List[ArtNode], cfa: Cfa,
         name = state_name.get(key)
         if name is None:
             name = state_name[key] = f"q{len(state_name)}"
-            aa.add_state(name, node.cfa_node)
+            aa.location_of[name] = node.cfa_node
         state_of[node.id] = name
 
     aa.initial = state_of[0]
-
-    children: Dict[int, List[ArtNode]] = {}
-    for node in nodes:
-        if node.parent is not None:
-            children.setdefault(node.parent, []).append(node)
-
-    transitions: Dict[Tuple[str, int], str] = {}
-    for node in nodes:
-        if node.status != STATUS_EXPANDED:
+    transitions = aa.transitions
+    # An expansion creates all of a node's children, so a stable sort by
+    # parent (the root has none) visits each expanded node's children in
+    # creation order, parents in id order.  Where merged states share a
+    # statement, the first target in that order that is not FALSE wins.
+    for child in sorted(islice(nodes, 1, None), key=attrgetter("parent")):
+        src = state_of[child.parent]
+        if src is None:
             continue
-        src = state_of[node.id]
-        for child in children.get(node.id, []):
-            tgt = state_of.get(resolve(child).id, FALSE_STATE)
-            key = (src, child.incoming_stmt)
-            old = transitions.get(key)
-            if old is None or (old == FALSE_STATE and tgt != FALSE_STATE):
-                transitions[key] = tgt
+        key = (src, child.incoming_stmt)
+        if transitions.get(key, FALSE_STATE) == FALSE_STATE:
+            transitions[key] = state_of[resolve(child).id] or FALSE_STATE
     if verdict == SAFE:
         # A completed exploration proved the untaken and deliberately cut
         # directions irrelevant to the spec: route them to TRUE so FALSE
@@ -881,6 +881,4 @@ def emit_assumption_automaton(art: List[ArtNode], cfa: Cfa,
                 key = (src, edge.stmt.id)
                 if transitions.get(key, FALSE_STATE) == FALSE_STATE:
                     transitions[key] = TRUE_STATE
-    for (src, stmt_id), tgt in transitions.items():
-        aa.add_transition(src, stmt_id, tgt)
     return aa

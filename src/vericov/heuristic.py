@@ -28,6 +28,9 @@ class Product:
     initial: ProductState
     states: List[ProductState] = field(default_factory=list)
     successors: Dict[ProductState, List[ProductState]] = field(default_factory=dict)
+    # Whether every successor not paired with FALSE comes later in
+    # `states` than its source.
+    forward: bool = False
 
 
 def compose(aa: AssumptionAutomaton, cfa: Cfa) -> Product:
@@ -37,14 +40,16 @@ def compose(aa: AssumptionAutomaton, cfa: Cfa) -> Product:
     stop there, which is exactly the cut the reach sets must respect.
     """
     initial = (aa.initial, cfa.entry)
-    product = Product(initial=initial)
+    product = Product(initial=initial, states=[initial])
+    states, successors = product.states, product.successors
     seen = {initial}
-    product.states.append(initial)
+    forward = True
     # The loop also visits the states appended while it runs: BFS order.
-    for state in product.states:
+    # The states before `state` are exactly those already in `successors`.
+    for state in states:
         q, loc = state
         if q == FALSE_STATE:
-            product.successors[state] = []
+            successors[state] = []
             continue
         succs: List[ProductState] = []
         for edge in cfa.out_edges(loc):
@@ -52,8 +57,12 @@ def compose(aa: AssumptionAutomaton, cfa: Cfa) -> Product:
             succs.append(nxt)
             if nxt not in seen:
                 seen.add(nxt)
-                product.states.append(nxt)
-        product.successors[state] = succs
+                states.append(nxt)
+            elif forward and nxt[0] != FALSE_STATE and \
+                    (nxt == state or nxt in successors):
+                forward = False
+        successors[state] = succs
+    product.forward = forward
     return product
 
 
@@ -62,9 +71,11 @@ def reach_fixpoint(product: Product) -> Dict[ProductState, FrozenSet[int]]:
 
     Iterates from the empty map, so cycles converge to the set of
     locations visitable before the automaton enters FALSE.  Each sweep runs
-    against the breadth-first order of `product.states`, so an acyclic
-    chain settles in one sweep (and one more to see that nothing changed)
-    instead of one sweep per state.
+    against the order of `product.states`, last state first.  When the
+    product is `forward`, each state's successors are final before it is
+    reached (a FALSE state's empty set is final from the start), so one
+    sweep settles them all; otherwise the sweeps repeat until nothing
+    changes.
     """
     reach: Dict[ProductState, FrozenSet[int]] = {
         state: frozenset() for state in product.states}
@@ -81,7 +92,7 @@ def reach_fixpoint(product: Product) -> Dict[ProductState, FrozenSet[int]]:
             new = frozenset(acc)
             if new != reach[state]:
                 reach[state] = new
-                changed = True
+                changed = not product.forward
     return reach
 
 

@@ -290,6 +290,19 @@ def test_safe_verify_gives_full_over_approximation(tmp_path, capsys):
     assert "covered ids: 0 1 2 5 6 7" in out
 
 
+def test_program_stem_with_whitespace_round_trips(tmp_path, capsys):
+    program = tmp_path / "my prog.c"
+    program.write_text((FIXTURES / "deadbranch.c").read_text())
+    out_aa = tmp_path / "o.aa"
+    assert main(["verify", str(program), "--aa-out", str(out_aa)]) == EXIT_OK
+    capsys.readouterr()
+    assert out_aa.read_text().startswith("AUTOMATON my_prog\n")
+    assert main(["cover-exact", str(program), "--aa", str(out_aa)]) == EXIT_OK
+    assert "covered ids: 0 1 2 5 6 7" in capsys.readouterr().out
+    assert main(["score", str(program), "--aa", str(out_aa)]) == EXIT_OK
+    assert capsys.readouterr().out.strip()
+
+
 def test_cover_under_reports_bug_with_exit_one(tmp_path, capsys):
     code = main(["cover-under", TINYLOOP_BUG, "--aa", _full_aa_file(tmp_path)])
     assert code == EXIT_BUG

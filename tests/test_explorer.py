@@ -688,6 +688,30 @@ def test_unexpanded_root_gives_false_initial():
     assert psi_holds((), result.aa) is False
 
 
+def test_merged_states_take_the_first_target_in_parent_order():
+    # Nodes 1 and 2 agree, so they merge into q1.  Node 2 was expanded
+    # first and its child has the lower id, yet node 1's child decides
+    # q1's transition on statement 5: parents are read in id order.
+    def node(id, location, parent, stmt, value):
+        return explorer.ArtNode(id, location, (value,), parent, stmt,
+                                status=STATUS_EXPANDED)
+
+    nodes = [node(0, 0, None, None, 0), node(1, 2, 0, 0, 1),
+             node(2, 2, 0, 1, 1), node(3, 3, 2, 5, 2), node(4, 3, 1, 5, 3)]
+    aa = explorer.emit_assumption_automaton(
+        nodes, source_to_cfa(RETURN_ONLY), UNKNOWN)
+    assert aa.location_of == {"q0": 0, "q1": 2, "q2": 3, "q3": 3}
+    assert aa.transitions == {("q0", 0): "q1", ("q0", 1): "q1",
+                              ("q1", 5): "q3"}
+
+
+def test_emitted_name_is_one_token():
+    cfa = source_to_cfa(RETURN_ONLY, name="my prog\t 2")
+    result = explore(cfa, Spec.assertions(), Budget())
+    assert result.aa.name == "my_prog_2"
+    assert parse_aa(serialize_aa(result.aa)).name == "my_prog_2"
+
+
 def _bigloop_accepted_unrollings(max_nodes):
     cfa = fixture_cfa("bigloop.c")
     result = explore(cfa, Spec.assertions(), Budget(max_nodes=max_nodes))

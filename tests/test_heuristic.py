@@ -6,11 +6,14 @@ from the product definition before the implementation existed.
 
 from __future__ import annotations
 
-from vericov import (Budget, Spec, compose, explore, parse_aa,
+import pytest
+
+from vericov import (Budget, Spec, compose, explore, make_strategy, parse_aa,
                      reach_fixpoint, score, source_to_cfa)
 from vericov.automaton import (FALSE_STATE, TRUE_STATE, AssumptionAutomaton)
+from vericov.heuristic import Product
 
-from conftest import fixture_cfa, golden
+from conftest import ALL_FIXTURES, fixture_cfa, golden
 
 CHAIN = "int main() { int a = 1; a = 2; return 0; }"
 # Edges: 0: L0->L2 a=1; 1: L2->L3 a=2; 2: L3->L1 halt.
@@ -212,17 +215,95 @@ class _CountingSuccessors(dict):
         return super().get(*args)
 
 
-def test_reach_fixpoint_settles_a_chain_in_two_sweeps():
+def test_reach_fixpoint_settles_a_chain_in_one_sweep():
     # An interrupted run over a long straight-line program leaves a product
-    # that is one chain: sweeping it against its breadth-first order takes
-    # one sweep to settle and one to confirm, not one per state.
+    # that is one chain: every edge leads later in its breadth-first order,
+    # so one sweep against that order settles it, not one per state.
     body = "".join(f"  a = {i};\n" for i in range(299))
     cfa = source_to_cfa("int main() {\n  int a = 0;\n" + body +
                         "  return 0;\n}\n")
     aa = explore(cfa, Spec.assertions(), Budget(max_nodes=200)).aa
     product = compose(aa, cfa)
+    assert product.forward
     product.successors = _CountingSuccessors(product.successors)
     reach = reach_fixpoint(product)
-    assert product.successors.gets <= 2 * len(product.states)
+    assert product.successors.gets <= len(product.states)
     # Entry is location 0 and exit 1; the run expanded 0 and 2..199.
     assert reach[product.initial] == {0} | set(range(2, 200))
+
+
+def _swept_until_unchanged(product):
+    """The reach fixpoint by the plain rule: sweep until no set changes."""
+    reach = {state: frozenset() for state in product.states}
+    changed = True
+    while changed:
+        changed = False
+        for state in reversed(product.states):
+            q, loc = state
+            if q == FALSE_STATE:
+                continue
+            new = frozenset({loc}).union(
+                *(reach[nxt] for nxt in product.successors[state]))
+            if new != reach[state]:
+                reach[state] = new
+                changed = True
+    return reach
+
+
+ALL_TRUE = "AUTOMATON all\nINITIAL __TRUE\nEND\n"
+# The join L3 is found through the else side first, so the then side's
+# last edge, 4: L6->L3, leads back in breadth-first order without a cycle.
+UNEVEN_DIAMOND = ("int nondet();\n"
+                  "int main() { int x = nondet(); if (x > 0) { x = 1; "
+                  "x = 3; x = 4; } else { x = 2; } return 0; }")
+
+
+SELF_LOOP = ("int nondet();\n"
+             "int main() { int x = nondet(); while (x > 0) { } return 0; }")
+# Edges: 0: L0->L2 x=nondet(); 1: L2->L3 assume !(x>0); 2: L2->L2 assume x>0.
+
+
+@pytest.mark.parametrize("source, forward", [
+    (DIAMOND, True), (UNEVEN_DIAMOND, False), (TWO_CYCLE, False),
+    (SELF_LOOP, False)])
+def test_reach_fixpoint_matches_sweeping_until_unchanged(source, forward):
+    cfa = source_to_cfa(source)
+    product = compose(parse_aa(ALL_TRUE), cfa)
+    assert product.forward is forward
+    reach = reach_fixpoint(product)
+    assert reach == _swept_until_unchanged(product)
+    assert reach[product.initial] == set(cfa.nodes)
+
+
+def test_reach_fixpoint_matches_sweeping_on_emitted_automata():
+    for name in ALL_FIXTURES:
+        cfa = fixture_cfa(name)
+        for strategy in ("bfs", "dfs-postorder"):
+            aa = explore(cfa, Spec.assertions(), Budget(max_nodes=60),
+                         make_strategy(strategy)).aa
+            product = compose(aa, cfa)
+            assert reach_fixpoint(product) == \
+                _swept_until_unchanged(product), (name, strategy)
+
+
+def test_edges_back_into_false_states_keep_a_product_forward():
+    # Every unrolled iteration of an interrupted bigloop run leaves the
+    # loop into one shared FALSE state, found from the first iteration.
+    cfa = fixture_cfa("bigloop.c")
+    aa = explore(cfa, Spec.assertions(), Budget(max_nodes=60)).aa
+    product = compose(aa, cfa)
+    position = {state: i for i, state in enumerate(product.states)}
+    back = [nxt for state in product.states
+            for nxt in product.successors[state]
+            if position[nxt] <= position[state]]
+    assert back and all(q == FALSE_STATE for q, _loc in back)
+    assert product.forward
+
+
+def test_a_built_product_is_swept_until_unchanged():
+    # Product() does not claim its edges lead forward: the back edge from
+    # b to a needs a second sweep.
+    product = Product(initial=("a", 0), states=[("a", 0), ("b", 1)],
+                      successors={("a", 0): [("b", 1)],
+                                  ("b", 1): [("a", 0)]})
+    assert reach_fixpoint(product) == {("a", 0): {0, 1}, ("b", 1): {0, 1}}
