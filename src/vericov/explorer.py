@@ -819,6 +819,8 @@ def explore(cfa: Cfa, spec: Spec, budget: Budget,
 # Automaton emission
 # ---------------------------------------------------------------------------
 
+_WHITESPACE = re.compile(r"\s+")
+
 
 def emit_assumption_automaton(art: List[ArtNode], cfa: Cfa,
                               verdict: str) -> AssumptionAutomaton:
@@ -833,7 +835,7 @@ def emit_assumption_automaton(art: List[ArtNode], cfa: Cfa,
     is unreachable in the automaton of a completed exploration.
     """
     nodes = art
-    aa = AssumptionAutomaton(name=re.sub(r"\s+", "_", cfa.name),
+    aa = AssumptionAutomaton(name=_WHITESPACE.sub("_", cfa.name),
                              initial=FALSE_STATE)
     if not nodes or nodes[0].status != STATUS_EXPANDED:
         return aa

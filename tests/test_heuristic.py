@@ -251,13 +251,13 @@ def _swept_until_unchanged(product):
 
 
 ALL_TRUE = "AUTOMATON all\nINITIAL __TRUE\nEND\n"
-# The join L3 is found through the else side first, so the then side's
-# last edge, 4: L6->L3, leads back in breadth-first order without a cycle.
 UNEVEN_DIAMOND = ("int nondet();\n"
                   "int main() { int x = nondet(); if (x > 0) { x = 1; "
                   "x = 3; x = 4; } else { x = 2; } return 0; }")
-
-
+# Edges: 1: L2->L4 assume x>0, then 2: L4->L5, 3: L5->L6, 4: L6->L3;
+#        5: L2->L7 assume !(x>0), then 6: L7->L3.  Breadth-first, L3 is
+#        found through the else side first, so edge 4 leads back in that
+#        order without a cycle.
 SELF_LOOP = ("int nondet();\n"
              "int main() { int x = nondet(); while (x > 0) { } return 0; }")
 # Edges: 0: L0->L2 x=nondet(); 1: L2->L3 assume !(x>0); 2: L2->L2 assume x>0.
