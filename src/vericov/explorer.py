@@ -24,18 +24,28 @@ bits live there.  Subsumption then compares dead variables only, and only
 within that group, so a cover check never scans the whole location.
 Candidate counterexamples are always confirmed by concrete replay before
 being reported.
+
+The tree holds no object per node.  It is nine parallel lists indexed by
+node id: location, valuation, parent, incoming statement, status,
+coverer, automaton state, tracked set and fresh mask.  Nodes share the
+values these hold where they can: an assume that changes nothing keeps
+its parent's valuation, and a tracked set is its parent's until a
+statement is added.  A cover group is keyed by one flat tuple
+``(location, automaton state, *live values)`` and holds a bare node id
+until a second member joins it; in a long concrete loop every iteration
+has its own key, so most groups never do.  `ExplorationResult.nodes` reads
+the lists as `ArtNode` records built on access.
 """
 
 from __future__ import annotations
 
 import re
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice
-from operator import attrgetter
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from itertools import count, islice
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from . import lang
 from .automaton import (FALSE_STATE, TRUE_STATE, AssumptionAutomaton, step)
@@ -119,7 +129,8 @@ class Budget:
     max_counterexamples: int = 10
 
     def __post_init__(self) -> None:
-        if self.time_limit is not None and self.time_limit <= 0:
+        # `not > 0` also rejects nan, which no elapsed time would exceed.
+        if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
         if self.max_nodes is not None and self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
@@ -137,20 +148,21 @@ class Execution:
 
 @dataclass
 class ArtNode:
-    """A node of the abstract reachability tree.  `valuation` is its
-    abstract state over the CFA's variable numbering; bit i of `fresh` is
-    set when variable i is a fresh top."""
+    """A node of the abstract reachability tree, as a record built when
+    the tree is read.  `valuation` is its abstract state over the CFA's
+    variable numbering; bit i of `fresh` is set when variable i is a fresh
+    top."""
 
     id: int
     cfa_node: int
     valuation: Valuation
     parent: Optional[int]
     incoming_stmt: Optional[int]
-    status: str = STATUS_FRONTIER
-    covered_by: Optional[int] = None
-    aa_state: Optional[str] = None
-    tracked: FrozenSet[int] = frozenset()
-    fresh: int = 0
+    status: str
+    covered_by: Optional[int]
+    aa_state: Optional[str]
+    tracked: FrozenSet[int]
+    fresh: int
 
 
 @dataclass
@@ -169,10 +181,11 @@ class ExplorationResult:
     cfa: Cfa
     art_stats: ArtStats
     bug_execution: Optional[Execution] = None
-    nodes: List[ArtNode] = field(default_factory=list)
-    # The tree of a cover-mode explore, until an explore resumes it.
-    _tree: Optional["_Explorer"] = field(default=None, repr=False,
-                                         compare=False)
+    # The tree, read-only; resumed rounds share it.
+    nodes: Sequence[ArtNode] = ()
+    # The explorer of a cover-mode explore, until an explore resumes it.
+    _explorer: Optional["_Explorer"] = field(default=None, repr=False,
+                                             compare=False)
 
     @property
     def bug_found(self) -> bool:
@@ -431,42 +444,43 @@ def replay(cfa: Cfa, path: Sequence[int],
 # ---------------------------------------------------------------------------
 
 
-class _CoverIndex:
-    """Indexed nodes grouped by what the strict cover policy must match
-    exactly.
+class _Tree(Sequence[ArtNode]):
+    """An exploration tree as parallel lists indexed by node id, read as a
+    sequence of `ArtNode` records built on access.  The root is node 0,
+    with no parent and no incoming statement."""
 
-    A group key is the node's location and automaton state and its
-    valuation's entries at the bits live at the location, in variable
-    number order, a fresh top as ``TOP``.  A coverer always shares the key
-    of the node it covers, so the dead-variable subsumption test only runs
-    inside one group.  A node with a constrained top on a live variable (a
-    ``TOP`` whose fresh bit is clear) has no key: it can neither cover nor
-    be covered.
-    """
+    def __init__(self) -> None:
+        # One list per `ArtNode` field after the id, in field order.
+        self.columns: Tuple[List, ...] = tuple([] for _ in range(9))
+        (self.location, self.valuation, self.parent, self.incoming,
+         self.status, self.covered_by, self.aa_state, self.tracked,
+         self.fresh) = self.columns
 
-    __slots__ = ("live", "positions", "groups")
+    def add(self, location: int, valuation: Valuation,
+            parent: Optional[int], incoming: Optional[int], status: str,
+            aa_state: Optional[str] = None,
+            tracked: FrozenSet[int] = frozenset(), fresh: int = 0) -> int:
+        """Append a node that no node covers; returns its id."""
+        self.location.append(location)
+        self.valuation.append(valuation)
+        self.parent.append(parent)
+        self.incoming.append(incoming)
+        self.status.append(status)
+        self.covered_by.append(None)
+        self.aa_state.append(aa_state)
+        self.tracked.append(tracked)
+        self.fresh.append(fresh)
+        return len(self.location) - 1
 
-    def __init__(self, live: Dict[int, int]):
-        self.live = live
-        self.positions: Dict[int, Tuple[int, ...]] = {}  # location -> live bits
-        self.groups: Dict[Tuple, List[int]] = {}
+    def __len__(self) -> int:
+        return len(self.location)
 
-    def group(self, node: ArtNode) -> Optional[List[int]]:
-        """The node's group, created empty if new; None when it has no key."""
-        positions = self.positions.get(node.cfa_node)
-        if positions is None:
-            bits = reversed(bin(self.live[node.cfa_node]))
-            positions = self.positions[node.cfa_node] = \
-                tuple(i for i, bit in enumerate(bits) if bit == "1")
-        valuation = node.valuation
-        values = []
-        for i in positions:
-            value = valuation[i]
-            if value is TOP and not node.fresh >> i & 1:
-                return None
-            values.append(value)
-        key = (node.cfa_node, node.aa_state, tuple(values))
-        return self.groups.setdefault(key, [])
+    def __getitem__(self, i: int) -> ArtNode:
+        i = range(len(self))[i]
+        return ArtNode(i, *(column[i] for column in self.columns))
+
+    def __iter__(self):
+        return map(ArtNode, count(), *self.columns)
 
 
 class _Explorer:
@@ -481,28 +495,24 @@ class _Explorer:
         self.live = live_variables(cfa)
         self.variables = cfa.numbering()
         self.searches: _Searches = {}
-        self.nodes: List[ArtNode] = []
+        self.tree = _Tree()
         self.first = 0  # id of the first node the current run creates
-        self.index = _CoverIndex(self.live)
+        # Cover groups by key (see `group_key`): a bare id or a list of ids.
+        self.groups: Dict[tuple, Union[int, List[int]]] = {}
+        self.positions: Dict[int, Tuple[int, ...]] = {}  # location -> live bits
         self.cex: List[Execution] = []
         self.bug: Optional[Execution] = None
-        if strategy.kind == BFS:
-            self.waitlist: deque = deque()
-        else:
-            self.waitlist = []
+        self.waitlist: deque = deque()  # bfs pops its left end, dfs its right
 
     # -- plumbing ------------------------------------------------------------
 
-    def path_to(self, node: ArtNode, extra: Optional[int] = None) -> Tuple[int, ...]:
+    def path_to(self, nid: int) -> Tuple[int, ...]:
+        parent, incoming = self.tree.parent, self.tree.incoming
         path: List[int] = []
-        cur: Optional[ArtNode] = node
-        while cur is not None and cur.incoming_stmt is not None:
-            path.append(cur.incoming_stmt)
-            cur = self.nodes[cur.parent] if cur.parent is not None else None
-        path.reverse()
-        if extra is not None:
-            path.append(extra)
-        return tuple(path)
+        while nid:  # every node but the root (id 0) has an incoming statement
+            path.append(incoming[nid])
+            nid = parent[nid]
+        return tuple(reversed(path))
 
     def _replay_path(self, path: Tuple[int, ...]) -> ReplayResult:
         result = self.searches.get(path)
@@ -510,86 +520,110 @@ class _Explorer:
             result = self.searches[path] = replay(self.cfa, path, self.domain)
         return result
 
-    def _covers(self, j: ArtNode, v: ArtNode) -> bool:
+    # -- covering ------------------------------------------------------------
+
+    def group_key(self, nid: int) -> Optional[tuple]:
+        """What the strict cover policy must match exactly: the node's
+        location and automaton state, then its valuation's entries at the
+        bits live at the location, in variable number order, a fresh top
+        as ``TOP``.  A coverer always shares the key of the node it
+        covers, so the dead-variable subsumption test only runs inside
+        one group.  None for a node with a constrained top on a live
+        variable (a ``TOP`` whose fresh bit is clear): it can neither
+        cover nor be covered."""
+        tree = self.tree
+        location = tree.location[nid]
+        positions = self.positions.get(location)
+        if positions is None:
+            bits = reversed(bin(self.live[location]))
+            positions = self.positions[location] = \
+                tuple(i for i, bit in enumerate(bits) if bit == "1")
+        valuation, fresh = tree.valuation[nid], tree.fresh[nid]
+        key = [location, tree.aa_state[nid]]
+        for i in positions:
+            value = valuation[i]
+            if value is TOP and not fresh >> i & 1:
+                return None
+            key.append(value)
+        return tuple(key)
+
+    def _covers(self, j: int, v: int) -> bool:
         """Whether j covers v, both of one cover group: j tracks at least
         what v tracks, and j's dead variables subsume v's.  The group key
         makes the live entries equal, so only dead ones can differ."""
-        if not j.tracked >= v.tracked:
-            return False
-        return all(jv == vv or (jv is TOP and vv is not UNASSIGNED)
-                   for jv, vv in zip(j.valuation, v.valuation))
+        tracked, valuation = self.tree.tracked, self.tree.valuation
+        return tracked[j] >= tracked[v] and \
+            all(jv == vv or (jv is TOP and vv is not UNASSIGNED)
+                for jv, vv in zip(valuation[j], valuation[v]))
 
-    def _coverers(self, group: List[int], node: ArtNode):
-        """The group in insertion order, members with the node's valuation
-        first."""
-        rest = []
-        for jid in group:
-            if self.nodes[jid].valuation == node.valuation:
-                yield jid
-            else:
-                rest.append(jid)
-        yield from rest
+    def cover(self, nid: int) -> None:
+        """Cover the node by the first member of its group that covers
+        it, members with its valuation first, each in insertion order;
+        otherwise add it to its group.  Members pruned by narrowing cover
+        no node and are skipped."""
+        key = self.group_key(nid)
+        if key is None:
+            return
+        group = self.groups.get(key)
+        if group is None:
+            self.groups[key] = nid
+            return
+        tree = self.tree
+        members = (group,) if type(group) is int else group
+        own = tree.valuation[nid]
+        for jid in sorted(members, key=lambda j: tree.valuation[j] != own):
+            if tree.status[jid] != STATUS_PRUNED and self._covers(jid, nid):
+                tree.status[nid] = STATUS_COVERED
+                tree.covered_by[nid] = jid
+                return
+        if type(group) is int:
+            self.groups[key] = [group, nid]
+        else:
+            group.append(nid)
 
     # -- node creation -------------------------------------------------------
 
-    def make_root(self) -> ArtNode:
+    def make_root(self) -> None:
         aa_state = self.spec.aa.initial if self.spec.kind == COVER else None
-        valuation = (UNASSIGNED,) * len(self.variables.index)
-        root = ArtNode(0, self.cfa.entry, valuation, None, None,
-                       aa_state=aa_state)
-        if aa_state == FALSE_STATE:
-            # Collection can never start: nothing to explore.
-            root.status = STATUS_PRUNED
-            self.nodes.append(root)
-            return root
-        self.nodes.append(root)
-        self.waitlist.append(root)
-        self.index.group(root).append(root.id)
-        return root
+        # With a FALSE initial state collection can never start.
+        status = STATUS_PRUNED if aa_state == FALSE_STATE else STATUS_FRONTIER
+        root = self.tree.add(self.cfa.entry,
+                             (UNASSIGNED,) * len(self.variables.index),
+                             None, None, status, aa_state)
+        if status == STATUS_FRONTIER:
+            self.waitlist.append(root)
+            self.groups[self.group_key(root)] = root
 
-    def create_child(self, parent: ArtNode, edge: Edge, valuation: Valuation,
-                     fresh: int) -> Optional[ArtNode]:
-        stmt = edge.stmt
+    def create_child(self, parent: int, edge: Edge, valuation: Valuation,
+                     fresh: int) -> int:
+        stmt_id = edge.stmt.id
+        tree = self.tree
         aa_state = None
-        tracked = parent.tracked
-        prune = False
+        tracked = tree.tracked[parent]
+        status = STATUS_FRONTIER
         if self.spec.kind == COVER:
-            aa_state = step(self.spec.aa, parent.aa_state, stmt.id)
-            if aa_state != FALSE_STATE and stmt.id in self.spec.remaining:
-                tracked = tracked | {stmt.id}
+            aa_state = step(self.spec.aa, tree.aa_state[parent], stmt_id)
+            if aa_state != FALSE_STATE and stmt_id in self.spec.remaining:
+                tracked = tracked | {stmt_id}
             if aa_state == FALSE_STATE and not tracked:
-                prune = True
-        node = ArtNode(len(self.nodes), edge.dst, valuation, parent.id,
-                       stmt.id, aa_state=aa_state, tracked=tracked,
-                       fresh=fresh)
-        self.nodes.append(node)
-        if prune:
-            node.status = STATUS_PRUNED
-            return node
-        self.check_violation(node)
-        group = self.index.group(node)
-        if group is None:
-            return node
-        for jid in self._coverers(group, node):
-            if self._covers(self.nodes[jid], node):
-                node.status = STATUS_COVERED
-                node.covered_by = jid
-                return node
-        group.append(node.id)
-        return node
+                status = STATUS_PRUNED
+        nid = tree.add(edge.dst, valuation, parent, stmt_id, status,
+                       aa_state, tracked, fresh)
+        if status == STATUS_FRONTIER:
+            self.check_violation(nid)
+            self.cover(nid)
+        return nid
 
-    def check_violation(self, node: ArtNode) -> None:
-        if len(self.cex) >= self.budget.max_counterexamples:
-            return
-        if node.cfa_node != self.cfa.exit:
-            return
-        if node.tracked:
-            path = self.path_to(node)
+    def check_violation(self, nid: int) -> None:
+        if len(self.cex) < self.budget.max_counterexamples and \
+                self.tree.location[nid] == self.cfa.exit and \
+                self.tree.tracked[nid]:
+            path = self.path_to(nid)
             result = self._replay_path(path)
             if result.verdict == FEASIBLE:
                 self.cex.append(Execution(path, result.witness))
 
-    def check_assert(self, parent: ArtNode, edge: Edge) -> None:
+    def check_assert(self, parent: int, edge: Edge) -> None:
         """Candidate assertion violation at this edge; confirm by replay."""
         watching = self.spec.kind == ASSERTIONS or self.spec.stop_on_violation
         if not watching:
@@ -597,7 +631,7 @@ class _Explorer:
         if self.spec.kind == ASSERTIONS and \
                 len(self.cex) >= self.budget.max_counterexamples:
             return
-        path = self.path_to(parent, extra=edge.stmt.id)
+        path = self.path_to(parent) + (edge.stmt.id,)
         result = self._replay_path(path)
         if result.verdict != FEASIBLE:
             return
@@ -609,24 +643,26 @@ class _Explorer:
 
     # -- expansion -----------------------------------------------------------
 
-    def expand(self, node: ArtNode) -> None:
-        node.status = STATUS_EXPANDED
-        children: List[ArtNode] = []
-        for edge in self.cfa.out_edges(node.cfa_node):
-            child = self.transfer(node, edge)
+    def expand(self, nid: int) -> None:
+        status = self.tree.status
+        status[nid] = STATUS_EXPANDED
+        children: List[int] = []
+        for edge in self.cfa.out_edges(self.tree.location[nid]):
+            child = self.transfer(nid, edge)
             if self.bug is not None:
                 return
-            if child is not None and child.status == STATUS_FRONTIER:
+            if child is not None and status[child] == STATUS_FRONTIER:
                 children.append(child)
         self.push_children(children)
 
-    def transfer(self, node: ArtNode, edge: Edge) -> Optional[ArtNode]:
+    def transfer(self, nid: int, edge: Edge) -> Optional[int]:
         """The child down one edge.  Reading a variable clears its fresh
         bit: a read top is coupled to the context."""
         stmt = edge.stmt
-        val = node.valuation
+        val = self.tree.valuation[nid]
+        node_fresh = self.tree.fresh[nid]
         index = self.variables.index
-        read_fresh = node.fresh & ~self.variables.reads[stmt.id]
+        read_fresh = node_fresh & ~self.variables.reads[stmt.id]
         if stmt.kind == ASSIGN:
             value = lang.abstract_eval(stmt.expr, val, index)
             out = list(val)
@@ -635,53 +671,44 @@ class _Explorer:
             fresh = read_fresh & ~bit
             if stmt.expr == lang.NONDET_EXPR:  # a fresh top
                 fresh |= bit
-            return self.create_child(node, edge, tuple(out), fresh)
+            return self.create_child(nid, edge, tuple(out), fresh)
         if stmt.kind == ASSUME:
             t = truth(lang.abstract_eval(stmt.expr, val, index))
             if t is False:
                 return None
             if t is True:
-                return self.create_child(node, edge, val, node.fresh)
+                return self.create_child(nid, edge, val, node_fresh)
             match = lang.implied_equality(stmt.expr)
             if match is not None and val[index[match[0]]] is TOP:
                 out = list(val)
                 out[index[match[0]]] = match[1]
                 val = tuple(out)
-            return self.create_child(node, edge, val, read_fresh)
+            return self.create_child(nid, edge, val, read_fresh)
         if stmt.kind == ASSERT:
             t = truth(lang.abstract_eval(stmt.expr, val, index))
             if t is not True:
-                self.check_assert(node, edge)
+                self.check_assert(nid, edge)
                 if self.bug is not None:
                     return None
             if t is False and self.spec.kind == COVER:
                 # No assertion-clean continuation exists down this edge.
-                child = ArtNode(len(self.nodes), edge.dst, val, node.id,
-                                stmt.id, status=STATUS_PRUNED)
-                self.nodes.append(child)
-                return child
-            fresh = node.fresh if t is not None else read_fresh
-            return self.create_child(node, edge, val, fresh)
+                return self.tree.add(edge.dst, val, nid, stmt.id,
+                                     STATUS_PRUNED)
+            fresh = node_fresh if t is not None else read_fresh
+            return self.create_child(nid, edge, val, fresh)
         # skip / halt
-        return self.create_child(node, edge, val, node.fresh)
+        return self.create_child(nid, edge, val, node_fresh)
 
-    def push_children(self, children: List[ArtNode]) -> None:
-        if self.strategy.kind == BFS:
-            self.waitlist.extend(children)
-            return
-        # Without a score map every score is 0: plain dfs-postorder.
-        scores = self.strategy.scores or {}
-
-        def key(c: ArtNode) -> Tuple:
-            return (self.postorder[c.cfa_node], -scores.get(c.aa_state, 0),
-                    c.id)
-
-        self.waitlist.extend(sorted(children, key=key, reverse=True))
-
-    def pop(self) -> ArtNode:
-        if self.strategy.kind == BFS:
-            return self.waitlist.popleft()
-        return self.waitlist.pop()
+    def push_children(self, children: List[int]) -> None:
+        if len(children) > 1 and self.strategy.kind != BFS:
+            # Without a score map every score is 0: plain dfs-postorder.
+            scores = self.strategy.scores or {}
+            postorder = self.postorder
+            location, aa_state = self.tree.location, self.tree.aa_state
+            children.sort(key=lambda c: (postorder[location[c]],
+                                         -scores.get(aa_state[c], 0), c),
+                          reverse=True)
+        self.waitlist.extend(children)
 
     # -- narrowing -----------------------------------------------------------
 
@@ -697,51 +724,51 @@ class _Explorer:
         FALSE node left tracking nothing is pruned; its subtree and the
         nodes it covers are FALSE and track subsets of its set, so they
         are pruned with it.  Group keys do not hold tracked sets, so the
-        cover index stays, less its pruned members, which can cover no
-        node; so does the search record.  Every exit node is asked again,
-        in creation order, and the waitlist keeps the nodes not pruned.
+        cover groups stay, and so does the search record.  Every exit node
+        is asked again, in creation order, and the waitlist keeps the nodes
+        not pruned.
         """
         remaining = spec.remaining
         self.spec, self.budget = spec, budget
-        self.cex, self.first = [], len(self.nodes)
+        tree = self.tree
+        self.cex, self.first = [], len(tree)
+        status, aa_state = tree.status, tree.aa_state
         # Nodes share tracked sets; so do their narrowed sets.
         narrowed: Dict[FrozenSet[int], FrozenSet[int]] = {}
-        for node in self.nodes:
-            tracked = narrowed.get(node.tracked)
-            if tracked is None:
-                tracked = narrowed[node.tracked] = node.tracked & remaining
-            node.tracked = tracked
-            if not tracked and node.aa_state == FALSE_STATE:
-                node.status = STATUS_PRUNED
-                node.covered_by = None
-            self.check_violation(node)
-        nodes = self.nodes
-        for group in self.index.groups.values():
-            group[:] = [jid for jid in group
-                        if nodes[jid].status != STATUS_PRUNED]
-        self.waitlist = type(self.waitlist)(
-            node for node in self.waitlist if node.status == STATUS_FRONTIER)
+        for nid, tracked in enumerate(tree.tracked):
+            new = narrowed.get(tracked)
+            if new is None:
+                new = narrowed[tracked] = tracked & remaining
+            tree.tracked[nid] = new
+            if not new and aa_state[nid] == FALSE_STATE:
+                status[nid] = STATUS_PRUNED
+                tree.covered_by[nid] = None
+            self.check_violation(nid)
+        self.waitlist = deque(nid for nid in self.waitlist
+                              if status[nid] == STATUS_FRONTIER)
 
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> ExplorationResult:
         start = time.monotonic()
         interrupted = False
+        budget, location = self.budget, self.tree.location
+        pop = self.waitlist.popleft if self.strategy.kind == BFS \
+            else self.waitlist.pop
         while self.waitlist:
             if self.bug is not None:
                 break
-            if len(self.cex) >= self.budget.max_counterexamples:
+            if len(self.cex) >= budget.max_counterexamples:
                 break
-            if self.budget.max_nodes is not None and \
-                    len(self.nodes) - self.first >= self.budget.max_nodes:
+            if budget.max_nodes is not None and \
+                    len(location) - self.first >= budget.max_nodes:
                 interrupted = True
                 break
-            if self.budget.time_limit is not None and \
-                    time.monotonic() - start > self.budget.time_limit:
+            if budget.time_limit is not None and \
+                    time.monotonic() - start > budget.time_limit:
                 interrupted = True
                 break
-            node = self.pop()
-            self.expand(node)
+            self.expand(pop())
         if self.cex:
             verdict = COUNTEREXAMPLES
         elif interrupted or self.bug is not None:
@@ -754,23 +781,16 @@ class _Explorer:
             cfa=self.cfa,
             art_stats=self._stats(),
             bug_execution=self.bug,
-            nodes=self.nodes,
-            _tree=self if self.spec.kind == COVER else None,
+            nodes=self.tree,
+            _explorer=self if self.spec.kind == COVER else None,
         )
 
     def _stats(self) -> ArtStats:
         """Counts of the nodes the current run created."""
-        stats = ArtStats(nodes_created=len(self.nodes) - self.first)
-        for node in islice(self.nodes, self.first, None):
-            if node.status == STATUS_EXPANDED:
-                stats.nodes_expanded += 1
-            elif node.status == STATUS_FRONTIER:
-                stats.nodes_frontier += 1
-            elif node.status == STATUS_COVERED:
-                stats.nodes_covered += 1
-            else:
-                stats.nodes_pruned += 1
-        return stats
+        counts = Counter(islice(self.tree.status, self.first, None))
+        return ArtStats(sum(counts.values()), counts[STATUS_EXPANDED],
+                        counts[STATUS_FRONTIER], counts[STATUS_COVERED],
+                        counts[STATUS_PRUNED])
 
 
 def explore(cfa: Cfa, spec: Spec, budget: Budget,
@@ -801,7 +821,7 @@ def explore(cfa: Cfa, spec: Spec, budget: Budget,
         ex = _Explorer(cfa, spec, budget, strategy, nondet_domain)
         ex.make_root()
         return ex.run()
-    ex = resume._tree
+    ex = resume._explorer
     if ex is None or ex.bug is not None or spec.kind != COVER or \
             ex.cfa is not cfa or spec.aa is not ex.spec.aa or \
             spec.stop_on_violation != ex.spec.stop_on_violation or \
@@ -810,7 +830,7 @@ def explore(cfa: Cfa, spec: Spec, budget: Budget,
         raise ValueError("resume needs an unresumed cover-mode result of "
                          "the same CFA, automaton, strategy and domain, "
                          "and a spec remaining within its own")
-    resume._tree = None
+    resume._explorer = None
     ex.narrow(spec, budget)
     return ex.run()
 
@@ -822,9 +842,9 @@ def explore(cfa: Cfa, spec: Spec, budget: Budget,
 _WHITESPACE = re.compile(r"\s+")
 
 
-def emit_assumption_automaton(art: List[ArtNode], cfa: Cfa,
+def emit_assumption_automaton(nodes: _Tree, cfa: Cfa,
                               verdict: str) -> AssumptionAutomaton:
-    """The explored region of an ART as an assumption automaton named
+    """The explored region of a tree as an assumption automaton named
     after the CFA, each run of whitespace replaced by ``_`` so that the
     name stays one token of the text format.
 
@@ -834,52 +854,50 @@ def emit_assumption_automaton(art: List[ArtNode], cfa: Cfa,
     direction the analysis did not take is routed to TRUE instead, so FALSE
     is unreachable in the automaton of a completed exploration.
     """
-    nodes = art
     aa = AssumptionAutomaton(name=_WHITESPACE.sub("_", cfa.name),
                              initial=FALSE_STATE)
-    if not nodes or nodes[0].status != STATUS_EXPANDED:
+    status, location = nodes.status, nodes.location
+    if not status or status[0] != STATUS_EXPANDED:
         return aa
 
-    def resolve(node: ArtNode) -> ArtNode:
-        while node.status == STATUS_COVERED:
-            node = nodes[node.covered_by]
-        return node
-
     # Node id -> state name, None for a node that was not expanded.
-    state_of: List[Optional[str]] = [None] * len(nodes)
+    state_of: List[Optional[str]] = [None] * len(status)
     state_name: Dict[Tuple, str] = {}
-    for node in nodes:
-        if node.status != STATUS_EXPANDED:
-            continue
-        key = (node.cfa_node, node.valuation, node.aa_state, node.tracked)
+    expanded = [i for i, s in enumerate(status) if s == STATUS_EXPANDED]
+    for i in expanded:
+        key = (location[i], nodes.valuation[i], nodes.aa_state[i],
+               nodes.tracked[i])
         name = state_name.get(key)
         if name is None:
             name = state_name[key] = f"q{len(state_name)}"
-            aa.location_of[name] = node.cfa_node
-        state_of[node.id] = name
+            aa.location_of[name] = location[i]
+        state_of[i] = name
 
     aa.initial = state_of[0]
     transitions = aa.transitions
+    parent, incoming, covered_by = nodes.parent, nodes.incoming, \
+        nodes.covered_by
     # An expansion creates all of a node's children, so a stable sort by
     # parent (the root has none) visits each expanded node's children in
     # creation order, parents in id order.  Where merged states share a
     # statement, the first target in that order that is not FALSE wins.
-    for child in sorted(islice(nodes, 1, None), key=attrgetter("parent")):
-        src = state_of[child.parent]
+    for child in sorted(range(1, len(status)), key=parent.__getitem__):
+        src = state_of[parent[child]]
         if src is None:
             continue
-        key = (src, child.incoming_stmt)
+        key = (src, incoming[child])
         if transitions.get(key, FALSE_STATE) == FALSE_STATE:
-            transitions[key] = state_of[resolve(child).id] or FALSE_STATE
+            target = child
+            while status[target] == STATUS_COVERED:
+                target = covered_by[target]
+            transitions[key] = state_of[target] or FALSE_STATE
     if verdict == SAFE:
         # A completed exploration proved the untaken and deliberately cut
         # directions irrelevant to the spec: route them to TRUE so FALSE
         # is unreachable in the emitted automaton.
-        for node in nodes:
-            if node.status != STATUS_EXPANDED:
-                continue
-            src = state_of[node.id]
-            for edge in cfa.out_edges(node.cfa_node):
+        for i in expanded:
+            src = state_of[i]
+            for edge in cfa.out_edges(location[i]):
                 key = (src, edge.stmt.id)
                 if transitions.get(key, FALSE_STATE) == FALSE_STATE:
                     transitions[key] = TRUE_STATE

@@ -308,7 +308,7 @@ def test_narrowing_drops_pruned_nodes_from_their_cover_groups(monkeypatch):
     covers = explorer._Explorer._covers
 
     def recorded_covers(self, j, v):
-        probed.append(j.status)
+        probed.append(self.tree.status[j])
         return covers(self, j, v)
 
     monkeypatch.setattr(explorer._Explorer, "_covers", recorded_covers)

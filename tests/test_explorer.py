@@ -13,11 +13,12 @@ from vericov import (Budget, FALSE_STATE, MissingScores, Spec,
                      source_to_cfa, statement_ids)
 from vericov import explorer, lang
 from vericov.automaton import AssumptionAutomaton, TRUE_STATE
-from vericov.cfa import ASSERT, ASSIGN, ASSUME, statements
+from vericov.cfa import ASSERT, ASSIGN, ASSUME, live_variables, statements
 from vericov.cli import EXIT_OK, main
 from vericov.explorer import (COUNTEREXAMPLES, COVER, FEASIBLE, INCONCLUSIVE,
                               INFEASIBLE, SAFE, STATUS_COVERED,
-                              STATUS_EXPANDED, TOP, UNASSIGNED, UNKNOWN,
+                              STATUS_EXPANDED, STATUS_PRUNED, TOP,
+                              UNASSIGNED, UNKNOWN,
                               ReplayResult, replay)
 
 from conftest import ALL_FIXTURES, fixture_cfa, golden
@@ -446,6 +447,13 @@ def test_budget_rejects_nonpositive_limits(kwargs):
         Budget(**kwargs)
 
 
+def test_budget_rejects_a_nan_time_limit():
+    # nan <= 0 and elapsed > nan are both false: accepted, it would mean
+    # no limit at all.
+    with pytest.raises(ValueError, match="time_limit must be positive"):
+        Budget(time_limit=float("nan"))
+
+
 def test_make_strategy_validation():
     with pytest.raises(ValueError):
         make_strategy("random-walk")
@@ -692,14 +700,13 @@ def test_merged_states_take_the_first_target_in_parent_order():
     # Nodes 1 and 2 agree, so they merge into q1.  Node 2 was expanded
     # first and its child has the lower id, yet node 1's child decides
     # q1's transition on statement 5: parents are read in id order.
-    def node(id, location, parent, stmt, value):
-        return explorer.ArtNode(id, location, (value,), parent, stmt,
-                                status=STATUS_EXPANDED)
-
-    nodes = [node(0, 0, None, None, 0), node(1, 2, 0, 0, 1),
-             node(2, 2, 0, 1, 1), node(3, 3, 2, 5, 2), node(4, 3, 1, 5, 3)]
+    tree = explorer._Tree()
+    for location, parent, stmt, value in [(0, None, None, 0), (2, 0, 0, 1),
+                                          (2, 0, 1, 1), (3, 2, 5, 2),
+                                          (3, 1, 5, 3)]:
+        tree.add(location, (value,), parent, stmt, STATUS_EXPANDED)
     aa = explorer.emit_assumption_automaton(
-        nodes, source_to_cfa(RETURN_ONLY), UNKNOWN)
+        tree, source_to_cfa(RETURN_ONLY), UNKNOWN)
     assert aa.location_of == {"q0": 0, "q1": 2, "q2": 3, "q3": 3}
     assert aa.transitions == {("q0", 0): "q1", ("q0", 1): "q1",
                               ("q1", 5): "q3"}
@@ -943,27 +950,11 @@ int main() {
 """
 
 
-class _LocationBuckets:
-    """Reference index: one group per location and automaton state."""
-
-    def __init__(self, live):
-        self.groups = {}
-
-    def group(self, node):
-        return self.groups.setdefault((node.cfa_node, node.aa_state), [])
-
-
-def _reference_coverers(self, group, node):
-    equal = [j for j in group if self.nodes[j].valuation == node.valuation]
-    return equal + [j for j in group
-                    if self.nodes[j].valuation != node.valuation]
-
-
-def _reference_covers(self, j, v):
+def _reference_covers(spec, live, j, v):
     """The strict cover policy, checked on every variable."""
-    if self.spec.kind == COVER and not j.tracked >= v.tracked:
+    if spec.kind == COVER and not j.tracked >= v.tracked:
         return False
-    live_here = self.live[v.cfa_node]
+    live_here = live[v.cfa_node]
     for i, (jv, vv) in enumerate(zip(j.valuation, v.valuation)):
         if (jv is UNASSIGNED) != (vv is UNASSIGNED):
             return False
@@ -976,6 +967,30 @@ def _reference_covers(self, j, v):
         elif jv is not TOP and (vv is TOP or jv != vv):
             return False
     return True
+
+
+def _reference_coverers(cfa, spec, nodes):
+    """Per node of a tree one explore built, its coverer under a
+    brute-force scan of every node created before it at its location and
+    automaton state that is neither pruned nor covered: equal valuations
+    first, then the others, each in creation order; None when none covers
+    it.  One explore decides a node's cover as it creates the node, and
+    prunes a node only then."""
+    live = live_variables(cfa)
+    buckets = {}
+    coverers = []
+    for v in nodes:
+        coverer = None
+        if v.status != STATUS_PRUNED:
+            bucket = buckets.setdefault((v.cfa_node, v.aa_state), [])
+            scan = [j for j in bucket if j.valuation == v.valuation] + \
+                [j for j in bucket if j.valuation != v.valuation]
+            coverer = next((j.id for j in scan
+                            if _reference_covers(spec, live, j, v)), None)
+            if coverer is None:
+                bucket.append(v)
+        coverers.append(coverer)
+    return coverers
 
 
 def _cover_runs(cfa, aa, extra_specs):
@@ -992,7 +1007,7 @@ def _cover_runs(cfa, aa, extra_specs):
                        Budget(max_nodes=max_nodes), strategy)
 
 
-def test_cover_groups_choose_the_reference_coverer(monkeypatch):
+def test_cover_groups_choose_the_reference_coverer():
     # Each node's status and coverer equal those of a brute-force scan of
     # every indexed node at the location: equal valuations first, then
     # the others, each in insertion order.
@@ -1010,15 +1025,9 @@ def test_cover_groups_choose_the_reference_coverer(monkeypatch):
         for label, spec, budget, strategy in _cover_runs(cfa, aa,
                                                          extra_specs):
             nodes = explore(cfa, spec, budget, strategy).nodes
-            with monkeypatch.context() as patch:
-                patch.setattr(explorer, "_CoverIndex", _LocationBuckets)
-                patch.setattr(explorer._Explorer, "_coverers",
-                              _reference_coverers)
-                patch.setattr(explorer._Explorer, "_covers",
-                              _reference_covers)
-                reference = explore(cfa, spec, budget, strategy).nodes
-            got = [(n.status, n.covered_by) for n in nodes]
-            want = [(n.status, n.covered_by) for n in reference]
+            got = [(n.status == STATUS_COVERED, n.covered_by) for n in nodes]
+            want = [(j is not None, j)
+                    for j in _reference_coverers(cfa, spec, nodes)]
             if got != want:
                 mismatches.append((name, label))
             for node in nodes:
