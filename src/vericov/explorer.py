@@ -585,11 +585,11 @@ class _Explorer:
 
     def make_root(self) -> None:
         aa_state = self.spec.aa.initial if self.spec.kind == COVER else None
+        valuation = (UNASSIGNED,) * len(self.variables.index)
         # With a FALSE initial state collection can never start.
         status = STATUS_PRUNED if aa_state == FALSE_STATE else STATUS_FRONTIER
-        root = self.tree.add(self.cfa.entry,
-                             (UNASSIGNED,) * len(self.variables.index),
-                             None, None, status, aa_state)
+        root = self.tree.add(self.cfa.entry, valuation, None, None, status,
+                             aa_state)
         if status == STATUS_FRONTIER:
             self.waitlist.append(root)
             self.groups[self.group_key(root)] = root
@@ -788,9 +788,11 @@ class _Explorer:
     def _stats(self) -> ArtStats:
         """Counts of the nodes the current run created."""
         counts = Counter(islice(self.tree.status, self.first, None))
-        return ArtStats(sum(counts.values()), counts[STATUS_EXPANDED],
-                        counts[STATUS_FRONTIER], counts[STATUS_COVERED],
-                        counts[STATUS_PRUNED])
+        return ArtStats(nodes_created=len(self.tree) - self.first,
+                        nodes_expanded=counts[STATUS_EXPANDED],
+                        nodes_frontier=counts[STATUS_FRONTIER],
+                        nodes_covered=counts[STATUS_COVERED],
+                        nodes_pruned=counts[STATUS_PRUNED])
 
 
 def explore(cfa: Cfa, spec: Spec, budget: Budget,
