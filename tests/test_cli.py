@@ -244,6 +244,25 @@ def test_foreign_automaton_is_usage_error(tmp_path, capsys):
     assert "statement id" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("command", ["cover-exact", "cover-under"])
+@pytest.mark.parametrize("options", [
+    ["--max-cex", "0"],
+    ["--nondet-min", "5", "--nondet-max", "1"],
+    ["--time-limit", "nan"],
+], ids=["max-cex", "nondet-range", "time-limit"])
+def test_foreign_automaton_is_reported_before_bad_option_values(
+        tmp_path, capsys, command, options):
+    # Errors come in this order: the program, the automaton's format, its
+    # statement ids, then option values.
+    aa = tmp_path / "foreign.aa"
+    aa.write_text("AUTOMATON f\nINITIAL q0\nSTATE q0 @L0\n"
+                  "  ON 42 -> __TRUE\nEND\n")
+    code = main([command, DEADBRANCH, "--aa", str(aa), *options])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "error: automaton 'f' refers to unknown statement ids [42]\n")
+
+
 @pytest.mark.parametrize("command", [
     ["cover-exact"], ["cover-under"], ["score"],
 ])

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
+from random import Random
 from types import SimpleNamespace
 
 import pytest
@@ -10,11 +12,12 @@ import pytest
 from vericov import coverage, explorer
 from vericov import (Budget, Spec, StatementIdMismatch, exact_coverage,
                      explore, make_strategy, over_approx_coverage, parse_aa,
-                     score, source_to_cfa, under_approx_coverage)
+                     score, serialize_aa, source_to_cfa,
+                     under_approx_coverage)
 from vericov.automaton import (FALSE_STATE, TRUE_STATE, AssumptionAutomaton)
 from vericov.coverage import exercised_within_analysis
 
-from conftest import ALL_FIXTURES, fixture_cfa, golden
+from conftest import ALL_FIXTURES, ORACLE_CORPUS, fixture_cfa, golden
 
 import oracle
 
@@ -134,10 +137,13 @@ def test_exact_monotone_in_the_automaton_language():
 
 
 def test_exact_rounds_never_exceed_statement_count():
+    # In both modes, every round but the last records an execution.
     for name in ("deadbranch.c", "deadcode_nested.c", "chain_ifs.c",
                  "early_return.c"):
-        report = exact_coverage(fixture_cfa(name), _full_aa(), Budget())
-        assert report.rounds <= report.total_statements, name
+        for compute in (exact_coverage, under_approx_coverage):
+            report = compute(fixture_cfa(name), _full_aa(), Budget())
+            assert report.rounds <= report.total_statements, name
+            assert report.rounds <= report.executions_used + 1, name
 
 
 def test_exact_execution_entries_partition_the_covered_set():
@@ -459,6 +465,101 @@ def test_coverage_never_shrinks_as_the_verify_budget_grows(strategy):
             before = now
     assert shrunk == []
     assert exact_pairs >= 100
+
+
+# Random automata --------------------------------------------------------------
+
+
+def _random_automaton(rng, cfa):
+    """1-4 states at random locations, each with ON lines on a random
+    share of the statements into states or sinks, and an initial state
+    that may be either sink; read back from its text."""
+    names = [f"q{i}" for i in range(rng.randint(1, 4))]
+    targets = names + [TRUE_STATE, FALSE_STATE]
+    aa = AssumptionAutomaton(name="random", initial=rng.choice(targets))
+    density = rng.random()
+    for name in names:
+        aa.add_state(name, rng.choice(cfa.nodes))
+        for edge in cfa.edges:
+            if rng.random() < density:
+                aa.add_transition(name, edge.stmt.id, rng.choice(targets))
+    return parse_aa(serialize_aa(aa))
+
+
+def _random_sweep():
+    """(fixture, executions per run, CFA, automaton, exact report, under
+    report) for 1,500 seeded automata over the oracle corpus, each
+    fixture taking 1, 2 and 10 executions in turn."""
+    rng = Random(17)
+    cfas = {name: fixture_cfa(name) for name in ORACLE_CORPUS}
+    for i in range(1500):
+        name = ORACLE_CORPUS[i % len(ORACLE_CORPUS)]
+        max_cex = (1, 2, 10)[i // len(ORACLE_CORPUS) % 3]
+        cfa = cfas[name]
+        aa = _random_automaton(rng, cfa)
+        budget = Budget(max_nodes=2000, max_counterexamples=max_cex)
+        yield (name, max_cex, cfa, aa,
+               exact_coverage(cfa, aa, budget,
+                              nondet_domain=oracle.DEFAULT_DOMAIN),
+               under_approx_coverage(cfa, aa, budget,
+                                     nondet_domain=oracle.DEFAULT_DOMAIN))
+
+
+def _walk(statements, aa):
+    """The automaton state after each statement of a path, None where no
+    ON line matches; the sinks and None absorb."""
+    state, states = aa.initial, []
+    for stmt_id in statements:
+        if state not in (TRUE_STATE, FALSE_STATE, None):
+            state = aa.transitions.get((state, stmt_id))
+        states.append(state)
+    return states
+
+
+def test_random_automata_cover_what_the_oracle_walk_exercises():
+    # Each recorded execution newly covers what the oracle's walk says it
+    # exercises, less what earlier executions covered, and the three
+    # answers nest.  The sweep must reach each case of that walk.
+    seen = Counter()
+    wrong = []
+    for name, max_cex, cfa, aa, exact, under in _random_sweep():
+        seen[f"initial {aa.initial}"] += 1
+        for report in (exact, under):
+            covered = set()
+            for entry in report.per_execution:
+                statements = entry["statements"]
+                expected = oracle.exercised(statements, aa) - covered
+                if entry["newly_covered"] != sorted(expected):
+                    wrong.append((name, max_cex, report.mode, statements))
+                covered |= expected
+                states = _walk(statements, aa)
+                seen["__FALSE by an ON line"] += FALSE_STATE in states
+                seen["__FALSE by no ON line"] += None in states
+                seen["__TRUE mid-path"] += TRUE_STATE in states[:-1] and \
+                    aa.initial != TRUE_STATE
+                seen["a repeated statement"] += \
+                    len(set(statements)) < len(statements)
+        over = set(over_approx_coverage(cfa, aa).covered_ids)
+        if not set(exact.covered_ids) <= over:
+            wrong.append((name, max_cex, "over"))
+        if not under.bug_found and \
+                not set(under.covered_ids) <= set(exact.covered_ids):
+            wrong.append((name, max_cex, "under"))
+    assert wrong == []
+    cases = ("initial __TRUE", "initial __FALSE", "__FALSE by an ON line",
+             "__FALSE by no ON line", "__TRUE mid-path",
+             "a repeated statement")
+    assert [case for case in cases if not seen[case]] == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: a cover on a dead "
+                   "top can lose the only witness of a statement")
+def test_exact_coverage_of_random_automata_matches_the_oracle():
+    wrong = [(name, max_cex, aa) for name, max_cex, cfa, aa, exact, _
+             in _random_sweep() if not exact.exhausted
+             and set(exact.covered_ids) != oracle.exact_covered(
+                 cfa, aa, oracle.DEFAULT_DOMAIN)]
+    assert wrong == []
 
 
 # Reports ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Properties of the source tree: what the package imports, the names it
-exports and the benchmark's tracer wraps, and the README examples."""
+exports and the benchmark's tracer wraps, the README examples, and the
+code-line count ROADMAP's figures use."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import vericov
@@ -40,6 +42,57 @@ def _library_block() -> str:
     [block] = [text for lang, text in _readme_blocks("Library use")
                if lang == "python"]
     return block
+
+
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.INDENT, tokenize.DEDENT,
+             tokenize.ENCODING}
+
+
+def code_lines(path: Path) -> int:
+    """Lines of a module that hold a code token outside a docstring.
+
+    Blank lines, comments and string statements (docstrings) do not
+    count; every line a multi-line token or statement spans does.  Print
+    the package's figure with `PYTHONPATH=src:tests python -c "from
+    pathlib import Path; from test_project import code_lines;
+    print(sum(map(code_lines, Path('src/vericov').glob('*.py'))))"`.
+    """
+    lines = set()
+    statement = []  # the tokens of the current logical line
+    with path.open("rb") as f:
+        for token in tokenize.tokenize(f.readline):
+            if token.type in (tokenize.NEWLINE, tokenize.ENDMARKER):
+                if [t.type for t in statement] != [tokenize.STRING]:
+                    for t in statement:
+                        lines.update(range(t.start[0], t.end[0] + 1))
+                statement = []
+            elif token.type not in _NOT_CODE:
+                statement.append(token)
+    return len(lines)
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
+    module = tmp_path / "sample.py"
+    module.write_text('''"""Module docstring,
+over two lines."""
+
+# A comment.
+import os  # a trailing comment
+
+
+def f(a,
+      b):
+    """Docstring."""
+    x = (a +
+         b)
+    y = a \\
+        + b
+    s = """text
+over two lines"""
+    return x, y, s, os
+''')
+    # import, the def's two lines, x's two, y's two, s's two and return.
+    assert code_lines(module) == 10
 
 
 def _imported_from(tree: ast.AST, module: str) -> set:
