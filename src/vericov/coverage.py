@@ -5,9 +5,12 @@ terminating execution exercises it while the run's assumption automaton
 has not yet given up (entered FALSE).  The exact metric is computed by
 repeatedly asking the explorer for executions that touch still-uncovered
 statements; each round either covers something new or proves the rest
-uncoverable.  Cheaper one-sided answers are also available: an
-under-approximation from a bounded number of generated executions and an
-over-approximation read off the automaton–CFA product.
+uncoverable.  The explorer hands each execution over with the statements
+it exercises, read from its exit node in the exploration tree, so no
+execution is walked through the automaton a second time.  Cheaper
+one-sided answers are also available: an under-approximation from a
+bounded number of generated executions and an over-approximation read off
+the automaton–CFA product.
 """
 
 from __future__ import annotations
@@ -16,34 +19,14 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import Dict, FrozenSet, List, Optional, Sequence
+from typing import AbstractSet, Dict, List, Optional, Sequence
 
-from .automaton import (FALSE_STATE, AssumptionAutomaton, check_alphabet, step)
+from .automaton import FALSE_STATE, AssumptionAutomaton, check_alphabet
 from .cfa import Cfa, statement_ids
 from .explorer import (Budget, DEFAULT_NONDET_DOMAIN, DFS_POSTORDER, Execution,
                        Spec, TraversalStrategy, UNKNOWN, explore,
                        make_strategy)
 from .heuristic import compose
-
-
-def exercised_within_analysis(cex: Sequence[int],
-                              aa: AssumptionAutomaton) -> FrozenSet[int]:
-    """Statements of the trace seen strictly before the automaton fails.
-
-    The statement whose transition enters FALSE is not collected; reaching
-    TRUE keeps collecting (the verified region still exercises statements).
-    """
-    state = aa.initial
-    seen = set()
-    for stmt_id in cex:
-        if state == FALSE_STATE:
-            break
-        nxt = step(aa, state, stmt_id)
-        if nxt == FALSE_STATE:
-            break
-        seen.add(stmt_id)
-        state = nxt
-    return frozenset(seen)
 
 
 @dataclass
@@ -81,10 +64,9 @@ class CoverageReport:
         return "\n".join(lines) + "\n"
 
 
-def _make_report(cfa: Cfa, mode: str, covered: FrozenSet[int],
+def _make_report(cfa: Cfa, total: int, mode: str, covered: AbstractSet[int],
                  per_execution: List[Dict], bug_found: bool,
                  exhausted: bool, rounds: int) -> CoverageReport:
-    total = len(statement_ids(cfa))
     return CoverageReport(
         program=cfa.name,
         mode=mode,
@@ -127,16 +109,18 @@ def _coverage_rounds(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
     creates only nodes no earlier round reached, up to `max_nodes` of
     them.  The witness searches travel with the tree, so a candidate
     execution an earlier round confirmed or refuted is not searched again.
+    Each execution comes with its exercised set, the tracked set of the
+    exit node that produced it, so the rounds never walk the automaton.
     """
-    check_alphabet(aa, statement_ids(cfa))
+    ids = statement_ids(cfa)
+    check_alphabet(aa, ids)
     if strategy is None:
         strategy = make_strategy(DFS_POSTORDER)
     per_round = 1 if under else budget.max_counterexamples
     cap = budget.max_counterexamples if under else math.inf
     deadline = (None if budget.time_limit is None
                 else time.monotonic() + budget.time_limit)
-    remaining = frozenset(statement_ids(cfa))
-    covered: FrozenSet[int] = frozenset()
+    remaining = frozenset(ids)
     per_execution: List[Dict] = []
     exhausted = False
     bug_found = False
@@ -161,19 +145,16 @@ def _coverage_rounds(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
             if result.verdict == UNKNOWN:
                 exhausted = True
             break
-        before = covered
-        for execution in result.counterexamples:
-            exercised = exercised_within_analysis(execution.statements, aa)
-            newly = exercised - covered
-            if not newly:
-                continue
-            covered = covered | newly
-            per_execution.append(_execution_entry(execution, newly))
-        if covered == before:
-            break
-        remaining = remaining - covered
-    return _make_report(cfa, "under" if under else "exact", covered,
-                        per_execution, bug_found=bug_found,
+        # An exercised set is a non-empty subset of the round's remaining
+        # set, so the round's first execution covers something new.
+        for execution, exercised in zip(result.counterexamples,
+                                        result.exercised):
+            newly = exercised & remaining
+            if newly:
+                remaining -= newly
+                per_execution.append(_execution_entry(execution, newly))
+    return _make_report(cfa, len(ids), "under" if under else "exact",
+                        ids - remaining, per_execution, bug_found=bug_found,
                         exhausted=exhausted, rounds=rounds)
 
 
@@ -211,7 +192,8 @@ def over_approx_coverage(cfa: Cfa, aa: AssumptionAutomaton) -> CoverageReport:
     reachable product state by a step the automaton does not reject;
     steps from TRUE never fail.
     """
-    check_alphabet(aa, statement_ids(cfa))
+    ids = statement_ids(cfa)
+    check_alphabet(aa, ids)
     product = compose(aa, cfa)
     covered = set()
     for state in product.states:
@@ -219,5 +201,5 @@ def over_approx_coverage(cfa: Cfa, aa: AssumptionAutomaton) -> CoverageReport:
         for edge, (target, _loc) in zip(edges, product.successors[state]):
             if target != FALSE_STATE:
                 covered.add(edge.stmt.id)
-    return _make_report(cfa, "over", frozenset(covered), [],
+    return _make_report(cfa, len(ids), "over", covered, [],
                         bug_found=False, exhausted=False, rounds=0)

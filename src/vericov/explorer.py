@@ -178,6 +178,10 @@ class ArtStats:
 class ExplorationResult:
     verdict: str
     counterexamples: List[Execution]
+    # Per counterexample, what it exercises of a cover spec's remaining set
+    # before the automaton gives up: its exit node's tracked set, which a
+    # later resume leaves as recorded.  Empty under `Spec.assertions()`.
+    exercised: List[FrozenSet[int]]
     cfa: Cfa
     art_stats: ArtStats
     bug_execution: Optional[Execution] = None
@@ -501,6 +505,7 @@ class _Explorer:
         self.groups: Dict[tuple, Union[int, List[int]]] = {}
         self.positions: Dict[int, Tuple[int, ...]] = {}  # location -> live bits
         self.cex: List[Execution] = []
+        self.exercised: List[FrozenSet[int]] = []  # parallel to `cex`
         self.bug: Optional[Execution] = None
         self.waitlist: deque = deque()  # bfs pops its left end, dfs its right
 
@@ -622,6 +627,7 @@ class _Explorer:
             result = self._replay_path(path)
             if result.verdict == FEASIBLE:
                 self.cex.append(Execution(path, result.witness))
+                self.exercised.append(self.tree.tracked[nid])
 
     def check_assert(self, parent: int, edge: Edge) -> None:
         """Candidate assertion violation at this edge; confirm by replay."""
@@ -638,6 +644,7 @@ class _Explorer:
         execution = Execution(path, result.witness)
         if self.spec.kind == ASSERTIONS:
             self.cex.append(execution)
+            self.exercised.append(frozenset())
         else:
             self.bug = execution
 
@@ -731,7 +738,7 @@ class _Explorer:
         remaining = spec.remaining
         self.spec, self.budget = spec, budget
         tree = self.tree
-        self.cex, self.first = [], len(tree)
+        self.cex, self.exercised, self.first = [], [], len(tree)
         status, aa_state = tree.status, tree.aa_state
         # Nodes share tracked sets; so do their narrowed sets.
         narrowed: Dict[FrozenSet[int], FrozenSet[int]] = {}
@@ -778,6 +785,7 @@ class _Explorer:
         return ExplorationResult(
             verdict=verdict,
             counterexamples=self.cex,
+            exercised=self.exercised,
             cfa=self.cfa,
             art_stats=self._stats(),
             bug_execution=self.bug,

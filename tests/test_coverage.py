@@ -1,4 +1,6 @@
-"""Coverage metric: exercised sets, exact/under/over drivers, reports."""
+"""Coverage metric: exact/under/over drivers, reports, and the exercised
+sets the explorer's tree hands to the coverage rounds, checked against
+the oracle's own automaton walk."""
 
 from __future__ import annotations
 
@@ -15,7 +17,6 @@ from vericov import (Budget, Spec, StatementIdMismatch, exact_coverage,
                      score, serialize_aa, source_to_cfa,
                      under_approx_coverage)
 from vericov.automaton import (FALSE_STATE, TRUE_STATE, AssumptionAutomaton)
-from vericov.coverage import exercised_within_analysis
 
 from conftest import ALL_FIXTURES, ORACLE_CORPUS, fixture_cfa, golden
 
@@ -28,40 +29,6 @@ def _full_aa():
 
 def _false_aa():
     return AssumptionAutomaton(name="none", initial=FALSE_STATE)
-
-
-# Exercised-within-analysis ----------------------------------------------------
-
-
-def test_exercised_collects_everything_under_true_initial():
-    assert exercised_within_analysis((0, 1, 2), _full_aa()) == {0, 1, 2}
-
-
-def test_exercised_empty_for_false_initial():
-    assert exercised_within_analysis((0, 1), _false_aa()) == frozenset()
-    assert exercised_within_analysis((), _false_aa()) == frozenset()
-
-
-def test_exercised_stops_before_the_failing_statement():
-    aa = parse_aa(golden("bigloop_partial.aa"))
-    # q0 -0-> q1 -2-> q3 -3-> __FALSE: statement 3 is not collected.
-    assert exercised_within_analysis((0, 2, 3), aa) == {0, 2}
-    # An unmatched statement also fails the walk.
-    assert exercised_within_analysis((0, 6), aa) == {0}
-
-
-def test_exercised_keeps_collecting_inside_verified_region():
-    cfa = source_to_cfa("int main() { int a = 1; a = 2; return 0; }")
-    aa = AssumptionAutomaton(name="early", initial="q0")
-    aa.add_state("q0", 0)
-    aa.add_transition("q0", 0, TRUE_STATE)
-    assert exercised_within_analysis((0, 1, 2), aa) == {0, 1, 2}
-    del cfa
-
-
-def test_exercised_deduplicates_repeated_statements():
-    aa = parse_aa(golden("unroll5.aa"))
-    assert exercised_within_analysis((0, 2, 2, 1), aa) == {0, 1, 2}
 
 
 # Exact ------------------------------------------------------------------------
