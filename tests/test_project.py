@@ -52,10 +52,8 @@ def code_lines(path: Path) -> int:
     """Lines of a module that hold a code token outside a docstring.
 
     Blank lines, comments and string statements (docstrings) do not
-    count; every line a multi-line token or statement spans does.  Print
-    the package's figure with `PYTHONPATH=src:tests python -c "from
-    pathlib import Path; from test_project import code_lines;
-    print(sum(map(code_lines, Path('src/vericov').glob('*.py'))))"`.
+    count; every line a multi-line token or statement spans does.  The
+    tier-1 workflow prints the sum over `src/vericov`.
     """
     lines = set()
     statement = []  # the tokens of the current logical line
