@@ -8,6 +8,7 @@ assumption automata built on top.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Dict, List, Optional, Set
 
 from . import lang
@@ -19,12 +20,16 @@ SKIP = "skip"
 HALT = "halt"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Statement:
     """A labeled CFA edge payload.
 
     kind is one of assign/assume/assert/skip/halt; `var` is set for
     assigns, `expr` for assign/assume/assert.
+
+    Slotted, so a record holds no per-instance dict.  Lowering builds each
+    statement once and nothing mutates it afterwards; it compares by value
+    but is not hashable.
     """
 
     id: int
@@ -41,8 +46,12 @@ class Statement:
         return ""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Edge:
+    """Statement `stmt` leads from node `src` to node `dst`.  Slotted,
+    built once by lowering, never mutated, and not hashable, like
+    `Statement`."""
+
     src: int
     stmt: Statement
     dst: int
@@ -124,8 +133,6 @@ class Cfa:
                 raise ValueError("edge endpoint outside node set")
             if e.src == self.exit:
                 raise ValueError("exit node has an outgoing edge")
-            if e.dst == self.entry:
-                raise ValueError("entry node has an incoming edge")
             if e.dst == self.exit and e.stmt.kind != HALT:
                 raise ValueError(f"statement {i} enters exit but is not a"
                                  " halt")
@@ -220,12 +227,14 @@ def _live_fixpoint(cfa: Cfa) -> Dict[int, int]:
 def dump_cfa(cfa: Cfa) -> str:
     """Stable text listing: entry/exit header, then one line per edge.
 
-    Edges are ordered by (source node, statement ID); statement text is the
-    rendered expression, omitted for skip/halt.
+    Edges are ordered by (source node, statement ID): `edges` is in
+    statement-ID order, so a stable sort by source node suffices.  Statement
+    text is the rendered expression, omitted for skip/halt.
     """
     lines = [f"entry L{cfa.entry}", f"exit L{cfa.exit}"]
-    for e in sorted(cfa.edges, key=lambda e: (e.src, e.stmt.id)):
-        text = e.stmt.text()
-        label = f"{e.stmt.id}:{e.stmt.kind}" + (f" {text}" if text else "")
-        lines.append(f"L{e.src} -[{label}]-> L{e.dst}")
+    for e in sorted(cfa.edges, key=attrgetter("src")):
+        s = e.stmt
+        text = s.text()
+        lines.append(f"L{e.src} -[{s.id}:{s.kind} {text}]-> L{e.dst}" if text
+                     else f"L{e.src} -[{s.id}:{s.kind}]-> L{e.dst}")
     return "\n".join(lines) + "\n"

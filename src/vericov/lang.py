@@ -53,6 +53,10 @@ the token texts and the line of each, and a table of the kind of each
 distinct text; the parser reads these lists.  A column is worked out only
 for an error message, by scanning the token's line again.
 
+Statements and the program are slotted dataclasses: a record holds no
+per-instance dict, compares by value and is not hashable.  The parser
+builds each once and nothing mutates it afterwards.
+
 Expressions are flat postfix code: a tuple of ``(opcode, argument)``
 pairs, operands in source order, each operator after its operands.
 
@@ -140,21 +144,21 @@ def negate(expr: Expr) -> Expr:
     return expr + (_NOT,)
 
 
-@dataclass
+@dataclass(slots=True)
 class Decl:
     name: str
     init: Optional[Expr]
     line: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign:
     name: str
     expr: Expr
     line: int
 
 
-@dataclass
+@dataclass(slots=True)
 class If:
     cond: Expr
     then: List["Stmt"]
@@ -162,14 +166,14 @@ class If:
     line: int
 
 
-@dataclass
+@dataclass(slots=True)
 class While:
     cond: Expr
     body: List["Stmt"]
     line: int
 
 
-@dataclass
+@dataclass(slots=True)
 class For:
     init: Optional["Stmt"]  # Decl or Assign
     cond: Optional[Expr]
@@ -178,19 +182,19 @@ class For:
     line: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Assert:
     cond: Expr
     line: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Return:
     expr: Optional[Expr]
     line: int
 
 
-@dataclass
+@dataclass(slots=True)
 class Skip:
     line: int
 
@@ -198,7 +202,7 @@ class Skip:
 Stmt = Union[Decl, Assign, If, While, For, Assert, Return, Skip]
 
 
-@dataclass
+@dataclass(slots=True)
 class Program:
     body: List[Stmt]
     name: str = "main"
@@ -384,7 +388,7 @@ class _Parser:
 
     # -- program structure --------------------------------------------------
 
-    def parse_program(self) -> Program:
+    def parse_program(self, name: str) -> Program:
         self.skip_prologue()
         self.expect("int")
         self.expect("main")
@@ -393,7 +397,7 @@ class _Parser:
         body = self.parse_block()
         if self.texts[self.pos]:
             raise self.error("trailing input after main")
-        return Program(body)
+        return Program(body, name)
 
     def skip_prologue(self) -> None:
         # Forward declarations, e.g. `int nondet();`, before main.
@@ -606,9 +610,7 @@ def parse_program(source: str, name: str = "main") -> Program:
 
     Raises ParseError or UndeclaredVariable on ill-formed input.
     """
-    program = _Parser(_Scan(source)).parse_program()
-    program.name = name
-    return program
+    return _Parser(_Scan(source)).parse_program(name)
 
 
 # ---------------------------------------------------------------------------

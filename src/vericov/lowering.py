@@ -3,7 +3,8 @@
 Conventions, all load-bearing for downstream determinism:
 
 * Node 0 is entry, node 1 is exit; further locations are allocated in
-  lowering order.
+  lowering order.  Entry may have incoming edges: a loop at the start of
+  main has its head, and so the target of its back edge, at entry.
 * Statement IDs are allocated in a pre-order walk of the AST.  Within a
   loop, the exit-side assume receives the lower ID, before the body-side
   assume; an `if` keeps source order (then-side assume first).  DFS
@@ -43,7 +44,7 @@ class _Lowerer:
 
     def edge(self, src: int, dst: int, kind: str, var: Optional[str] = None,
              expr: Optional[lang.Expr] = None, line: int = 0) -> None:
-        stmt = Statement(self.next_stmt, kind, var=var, expr=expr, source_line=line)
+        stmt = Statement(self.next_stmt, kind, var, expr, line)
         self.next_stmt += 1
         self.edges.append(Edge(src, stmt, dst))
 

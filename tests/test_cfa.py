@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from vericov import (Budget, Spec, dump_cfa, exact_coverage, explore,
                      live_variables, make_strategy, parse_program,
                      postorder_index, source_to_cfa, statement_ids)
 from vericov import cfa as cfa_module
+from vericov import lang
 from vericov.automaton import TRUE_STATE, AssumptionAutomaton
 from vericov.cfa import (ASSERT, ASSIGN, ASSUME, HALT, SKIP, Cfa, Edge,
                          Statement, statements)
@@ -260,11 +263,14 @@ def test_edge_rejects_ids_outside_the_table():
             cfa.edge(stmt_id)
 
 
-def test_validate_rejects_edge_into_entry():
+def test_validate_accepts_edge_into_entry():
+    # A loop at the start of main has its head at entry, so its back edge
+    # enters entry.
     edges = [Edge(0, Statement(0, HALT), 1),
              Edge(2, Statement(1, SKIP), 0)]
-    with pytest.raises(ValueError, match="entry node has an incoming edge"):
-        Cfa("bad", [0, 1, 2], edges, entry=0, exit=1).validate()
+    Cfa("loop", [0, 1, 2], edges, entry=0, exit=1).validate()
+    cfa = source_to_cfa("int main() { while (0) ; return 0; }")
+    assert [e.src for e in cfa.edges if e.dst == cfa.entry] == [3]
 
 
 def test_validate_rejects_edge_out_of_exit():
@@ -305,3 +311,25 @@ def test_statements_stable_across_lowerings():
     a = dump_cfa(fixture_cfa("deadbranch.c"))
     b = dump_cfa(fixture_cfa("deadbranch.c"))
     assert a == b
+
+
+# Record layout ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("cls", [
+    Statement, Edge, lang.Decl, lang.Assign, lang.If, lang.While, lang.For,
+    lang.Assert, lang.Return, lang.Skip, lang.Program])
+def test_front_end_records_hold_no_instance_dict(cls):
+    # Lowering builds one Statement and one Edge per statement.  A frozen
+    # dataclass takes about four times as long to build as a slotted one,
+    # and a plain one carries a dict per instance.
+    record = cls(*[None] * len(fields(cls)))
+    assert not hasattr(record, "__dict__")
+
+
+def test_equal_statements_compare_equal():
+    expr = lang.parse_program("int main() { int x = 1; }").body[0].init
+    assert Statement(3, ASSIGN, "x", expr, 1) == Statement(3, ASSIGN, "x",
+                                                           expr, 1)
+    assert Statement(3, ASSIGN, "x", expr, 1) != Statement(3, ASSIGN, "y",
+                                                           expr, 1)

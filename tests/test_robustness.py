@@ -168,6 +168,23 @@ def test_generated_automata_never_exit_internal(tmp_path, capsys):
                  capsys)
 
 
+@pytest.mark.parametrize("source", [
+    "int main() { for (;;) ; }",
+    "int main() { while (0) ; return 0; }",
+    "int nondet(); int main() { while (nondet()) { } return 0; }"],
+    ids=["for-ever", "while-false", "while-nondet"])
+def test_a_loop_at_the_start_of_main_runs(source, tmp_path, capsys):
+    # The loop head is entry, so the back edge enters entry.  These
+    # programs hold no assertion: every command answers 0.
+    path, aa = str(tmp_path / "lead.c"), str(tmp_path / "lead.aa")
+    (tmp_path / "lead.c").write_text(source)
+    assert _run(["cfa-dump", path], capsys) == EXIT_OK
+    assert _run(["verify", path, "--max-nodes", "50", "--aa-out", aa],
+                capsys) == EXIT_OK
+    for command in ("score", "cover-exact", "cover-under"):
+        assert _run([command, path, "--aa", aa], capsys) == EXIT_OK
+
+
 @pytest.mark.parametrize("command", ["cfa-dump", "verify"])
 def test_long_chain_runs(command, tmp_path, capsys):
     path = tmp_path / "deep.c"
