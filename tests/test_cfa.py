@@ -328,8 +328,6 @@ def test_front_end_records_hold_no_instance_dict(cls):
 
 
 def test_equal_statements_compare_equal():
-    expr = lang.parse_program("int main() { int x = 1; }").body[0].init
-    assert Statement(3, ASSIGN, "x", expr, 1) == Statement(3, ASSIGN, "x",
-                                                           expr, 1)
-    assert Statement(3, ASSIGN, "x", expr, 1) != Statement(3, ASSIGN, "y",
-                                                           expr, 1)
+    one = Statement(3, ASSIGN, "x", lang.ONE, 1)
+    assert one == Statement(3, ASSIGN, "x", lang.ONE, 1)
+    assert one != Statement(3, ASSIGN, "y", lang.ONE, 1)

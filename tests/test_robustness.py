@@ -176,8 +176,9 @@ def test_generated_automata_never_exit_internal(tmp_path, capsys):
 def test_a_loop_at_the_start_of_main_runs(source, tmp_path, capsys):
     # The loop head is entry, so the back edge enters entry.  These
     # programs hold no assertion: every command answers 0.
-    path, aa = str(tmp_path / "lead.c"), str(tmp_path / "lead.aa")
-    (tmp_path / "lead.c").write_text(source)
+    program = tmp_path / "lead.c"
+    program.write_text(source)
+    path, aa = str(program), str(tmp_path / "lead.aa")
     assert _run(["cfa-dump", path], capsys) == EXIT_OK
     assert _run(["verify", path, "--max-nodes", "50", "--aa-out", aa],
                 capsys) == EXIT_OK
