@@ -25,7 +25,9 @@ rebuild.  `build_parser` still returns a fresh parser on each call.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
+import io
 import json
 import math
 import os
@@ -72,13 +74,21 @@ class _CliError(Exception):
 
 
 def _read_text(path: str) -> str:
+    """A file's text, decoded as UTF-8 after an optional byte-order mark,
+    with universal newlines as text mode reads them.  The bytes are kept
+    so that a decoding error names a file offset: `utf-8-sig` counts it
+    from after the mark."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror or exc}")
+    decoder = codecs.getincrementaldecoder("utf-8-sig")()
+    try:
+        return io.IncrementalNewlineDecoder(decoder, True).decode(data, True)
     except UnicodeDecodeError as exc:
+        mark = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
         raise _CliError(f"cannot read {path}: not UTF-8 text (byte"
-                        f" {exc.start})")
+                        f" {exc.start + mark})")
 
 
 def _write_text(path: str, text: str) -> None:

@@ -47,9 +47,10 @@ others, the first in the text if there are several.  A scope error names
 the line of its statement.
 
 The lexer makes two passes over the text, neither of which moves a line
-or a column: the first blanks the comments, the second reads each line
-with one regular-expression `findall`.  Its result is two parallel lists,
-the token texts and the line of each, and a table of the kind of each
+or a column: the first blanks the comments, trying a match only where a
+`#` or a `/` occurs; the second reads each line with one
+regular-expression `findall`.  Its result is two parallel lists, the
+token texts and the line of each, and a table of the kind of each
 distinct text; the parser reads these lists.  A column is worked out only
 for an error message, by scanning the token's line again.
 
@@ -75,7 +76,12 @@ pairs, operands in source order, each operator after its operands.
 
 The parser builds the code with an explicit operator stack (Dijkstra's
 shunting-yard), and every reader of it is one loop, so neither nesting
-nor long operator chains recurse.  Only this module reads the opcodes;
+nor long operator chains recurse.  Code shares its pairs: within one
+parse, every occurrence of a variable or of a literal text is the same
+`(VAR, name)` or `(LIT, n)` object, and every `(BINARY, op)` is the one
+module-level pair of its operator, so a large program holds one pair per
+distinct operand rather than one per occurrence (hash-consing).  No pair
+of an operand outlives its parse.  Only this module reads the opcodes;
 other modules go through `concrete_eval`, `abstract_eval`,
 `expr_variables`, `expr_to_text`, `implied_equality`, `negate` and the
 constants `NONDET_EXPR` and `ONE`.
@@ -133,7 +139,8 @@ OR_SKIP = "or-skip"
 
 Expr = Tuple[Tuple[str, object], ...]
 
-NONDET_EXPR: Expr = ((NONDET, None),)
+_NONDET = (NONDET, None)
+NONDET_EXPR: Expr = (_NONDET,)
 ONE: Expr = ((LIT, 1),)
 _NOT = (UNARY, "!")
 _NEG = (UNARY, "-")
@@ -217,16 +224,21 @@ KEYWORDS = {"int", "main", "if", "else", "while", "for", "assert", "return",
 
 # The lexer reads the text in two passes, and neither moves a line or a
 # column.  The first blanks every comment: each of its characters but a
-# newline becomes a space.  The second reads each line with one `findall`
-# of `_TOKEN`: blanks, then one token, its alternatives tried in order.
-# Two-character symbols come before one-character ones, so a symbol is
-# never split, and `/*` before `/`, so an unterminated comment stays one
-# token.  The identifier alternative also admits a non-decimal numeric
-# character such as `²` at its start, which the kind table rejects.  The
-# catch-all takes one character that is not a blank, so trailing blanks
-# are no token; lines lose them before the scan, which would otherwise
-# retry the blank run at each of its characters.
-_COMMENT = re.compile(r"(?:\#|//)[^\n]*|/\*.*?\*/", re.DOTALL)
+# newline becomes a space.  Every alternative of `_COMMENT` starts with a
+# literal character, which gives the regular-expression engine a
+# first-character prefix: it tries a match only where a `#` or a `/`
+# occurs, not at every position (a group in front of the alternatives
+# would hide that prefix).  The second pass reads each line with one
+# `findall` of `_TOKEN`: blanks, then one token, its alternatives tried in
+# order; the line's tokens go to `texts`, and as many copies of its number
+# to `lines`.  Two-character symbols come before one-character ones, so a
+# symbol is never split, and `/*` before `/`, so an unterminated comment
+# stays one token.  The identifier alternative also admits a non-decimal
+# numeric character such as `²` at its start, which the kind table
+# rejects.  The catch-all takes one character that is not a blank, so
+# trailing blanks are no token; lines lose them before the scan, which
+# would otherwise retry the blank run at each of its characters.
+_COMMENT = re.compile(r"\#[^\n]*|//[^\n]*|/\*.*?\*/", re.DOTALL)
 _SYMBOLS = ("&&", "||", "==", "!=", "<=", ">=", "++", "--",
             "{", "}", "(", ")", ";", "=", "<", ">", "+", "-", "*", "/", "%",
             "!")
@@ -313,9 +325,17 @@ UNARY_PRECEDENCE = 7
 
 MAX_BLOCK_DEPTH = 127
 
+# The one `(BINARY, op)` pair of each operator, shared by all code.
+_BINARY = {op: (BINARY, op) for op in PRECEDENCE}
+
 # Operator-stack entries: (precedence, op to emit, index of its skip op or
 # -1).  An open parenthesis binds loosest, so no operator pops past it.
+# Only a short-circuit operator's entry is built per occurrence, since it
+# holds the index of its skip op.
 _OPEN = (0, None, -1)
+_PREFIXES = {"(": _OPEN, "!": (UNARY_PRECEDENCE, _NOT, -1),
+             "-": (UNARY_PRECEDENCE, _NEG, -1)}
+_INFIXES = {op: (prec, _BINARY[op], -1) for op, prec in PRECEDENCE.items()}
 _SKIPS = {"&&": AND_SKIP, "||": OR_SKIP}
 
 
@@ -329,7 +349,14 @@ def _emit(code: list, entry: tuple) -> None:
 
 
 class _Parser:
-    """Reads a `_Scan`'s lists at `pos`, never past the final eof text."""
+    """Reads a `_Scan`'s lists at `pos`, never past the final eof text.
+
+    `operands` maps the text of each operand the parser can read as a
+    pair, to that pair: every variable in scope, and every literal read so
+    far.  A literal text is never a name, so the scope checks read the
+    same dict.  `names` keeps the pair of every name declared, so a name
+    declared again in a later scope gets the same pair.  Each distinct
+    operand of a parse so has one pair object, however often it occurs."""
 
     def __init__(self, scan: _Scan):
         self.scan = scan
@@ -338,7 +365,8 @@ class _Parser:
         self.kinds = scan.kinds
         self.pos = 0
         self.depth = 0  # blocks open around the current statement
-        self.visible: set = set()  # every variable in scope
+        self.operands: Dict[str, tuple] = {}
+        self.names: Dict[str, tuple] = {}
         self.scopes: List[List[str]] = []  # names declared per open scope
 
     def error(self, message: str, pos: Optional[int] = None) -> ParseError:
@@ -374,17 +402,14 @@ class _Parser:
     # -- scopes --------------------------------------------------------------
 
     def declare(self, name: str, line: int) -> None:
-        if name in self.visible:
+        if name in self.operands:
             raise ParseError(f"redeclaration of '{name}'", line, 1)
-        self.visible.add(name)
+        self.operands[name] = self.names.setdefault(name, (VAR, name))
         self.scopes[-1].append(name)
 
-    def require(self, name: str, line: int) -> None:
-        if name not in self.visible:
-            raise UndeclaredVariable(name, line)
-
     def close_scope(self) -> None:
-        self.visible.difference_update(self.scopes.pop())
+        for name in self.scopes.pop():
+            del self.operands[name]
 
     # -- program structure --------------------------------------------------
 
@@ -416,10 +441,11 @@ class _Parser:
                              " levels", brace)
         self.scopes.append([])
         stmts: List[Stmt] = []
-        while not self.accept("}"):
+        while self.texts[self.pos] != "}":
             if not self.texts[self.pos]:
                 raise self.error("unterminated block")
             stmts.append(self.parse_stmt())
+        self.pos += 1
         self.close_scope()
         self.depth -= 1
         return stmts
@@ -431,14 +457,21 @@ class _Parser:
     # -- statements ----------------------------------------------------------
 
     def parse_stmt(self) -> Stmt:
-        text, line = self.texts[self.pos], self.lines[self.pos]
-        if text == ";":
-            self.pos += 1
-            return Skip(line)
+        pos = self.pos
+        text, line = self.texts[pos], self.lines[pos]
+        target = self.operands.get(text)
+        if target is not None and target[0] is VAR:  # `=`, `++` or `--`
+            self.pos = pos + 1
+            expr = self.assigned(text, line)
+            self.expect(";")
+            return Assign(target[1], expr, line)
         if text == "int":
             stmt = self.parse_decl()
             self.expect(";")
             return stmt
+        if text == ";":
+            self.pos = pos + 1
+            return Skip(line)
         if text == "if":
             return self.parse_if()
         if text == "while":
@@ -446,27 +479,27 @@ class _Parser:
         if text == "for":
             return self.parse_for()
         if text == "assert":
-            self.pos += 1
+            self.pos = pos + 1
             self.expect("(")
             cond = self.parse_expr(line)
             self.expect(")")
             self.expect(";")
             return Assert(cond, line)
         if text == "return":
-            self.pos += 1
+            self.pos = pos + 1
             expr = None
             if self.texts[self.pos] != ";":
                 expr = self.parse_expr(line)
             self.expect(";")
             return Return(expr, line)
         if self.kinds[text] == "ident":
-            stmt = self.parse_assign_like(implicit=False)
-            self.expect(";")
-            return stmt
+            raise UndeclaredVariable(text, line)
         raise self.error(f"expected statement, found '{self.found()}'")
 
     def parse_decl(self) -> Decl:
-        line = self.expect("int")
+        """A declaration, at its `int`."""
+        line = self.lines[self.pos]
+        self.pos += 1
         name = self.expect_ident()
         init = None
         if self.accept("="):
@@ -474,24 +507,32 @@ class _Parser:
         self.declare(name, line)
         return Decl(name, init, line)
 
-    def parse_assign_like(self, implicit: bool) -> Assign:
-        """An assignment, `++` or `--`.  With `implicit` (a for
-        initializer) an undeclared target is declared by it."""
-        line = self.lines[self.pos]
-        target = self.expect_ident()
-        if not implicit:
-            self.require(target, line)
+    def assigned(self, name: str, line: int) -> Expr:
+        """The code an assignment to `name` assigns, read from its `=`,
+        `++` or `--` on; `name ++` assigns `name + 1`, and its `name` must
+        be in scope."""
         text = self.texts[self.pos]
         if text == "++" or text == "--":
             self.pos += 1
-            self.require(target, line)
-            expr: Expr = ((VAR, target), (LIT, 1), (BINARY, text[0]))
-        else:
-            self.expect("=")
-            expr = self.parse_expr(line)
-        if implicit and target not in self.visible:
-            self.declare(target, line)
-        return Assign(target, expr, line)
+            target = self.operands.get(name)
+            if target is None:
+                raise UndeclaredVariable(name, line)
+            one = self.operands.setdefault("1", (LIT, 1))
+            return target, one, _BINARY[text[0]]
+        self.expect("=")
+        return self.parse_expr(line)
+
+    def parse_assign_like(self, implicit: bool) -> Assign:
+        """An assignment, `++` or `--` in a `for` header.  With `implicit`
+        (an initializer) an undeclared target is declared by it."""
+        line = self.lines[self.pos]
+        name = self.expect_ident()
+        if not implicit and name not in self.operands:
+            raise UndeclaredVariable(name, line)
+        expr = self.assigned(name, line)
+        if implicit and name not in self.operands:
+            self.declare(name, line)
+        return Assign(name, expr, line)
 
     def parse_if(self) -> If:
         line = self.expect("if")
@@ -540,41 +581,51 @@ class _Parser:
     def parse_expr(self, line: int) -> Expr:
         """An expression as postfix code, by shunting-yard: an operator
         waits on `pending` until one binding no tighter follows its right
-        operand.  Undeclared variables are reported at `line`."""
+        operand.  An operand with a pair in `operands` is read here, any
+        other by `parse_primary`.  Undeclared variables are reported at
+        `line`."""
         texts = self.texts
+        operands = self.operands
+        pos = self.pos
         code: list = []
         pending: List[tuple] = []
         opened = 0  # open parentheses on `pending`
         while True:
-            text = texts[self.pos]
-            while text in ("!", "-", "("):
-                self.pos += 1
+            text = texts[pos]
+            while text in _PREFIXES:
                 if text == "(":
-                    pending.append(_OPEN)
                     opened += 1
-                else:
-                    pending.append((UNARY_PRECEDENCE, (UNARY, text), -1))
-                text = texts[self.pos]
-            code.append(self.parse_primary(line))
-            text = texts[self.pos]
+                pending.append(_PREFIXES[text])
+                pos += 1
+                text = texts[pos]
+            pair = operands.get(text)
+            if pair is None or text == "nondet":  # `nondet(` is no variable
+                self.pos = pos
+                pair = self.parse_primary(line)
+                pos = self.pos
+            else:
+                pos += 1
+            code.append(pair)
+            text = texts[pos]
             while opened and text == ")":
-                self.pos += 1
+                pos += 1
                 while pending[-1] is not _OPEN:
                     _emit(code, pending.pop())
                 pending.pop()
                 opened -= 1
-                text = texts[self.pos]
-            prec = PRECEDENCE.get(text)
-            if prec is None:
+                text = texts[pos]
+            entry = _INFIXES.get(text)
+            if entry is None:
                 break
-            self.pos += 1
+            pos += 1
+            prec = entry[0]
             while pending and pending[-1][0] >= prec:
                 _emit(code, pending.pop())
-            skip = -1
             if text in _SKIPS:
-                skip = len(code)
+                entry = (prec, entry[1], len(code))
                 code.append(None)  # set when the operator is emitted
-            pending.append((prec, (BINARY, text), skip))
+            pending.append(entry)
+        self.pos = pos
         if opened:
             raise self.error(f"expected ')', found '{self.found()}'")
         while pending:
@@ -582,27 +633,33 @@ class _Parser:
         return tuple(code)
 
     def parse_primary(self, line: int) -> Tuple[str, object]:
+        """The operand at `pos` that `operands` has no pair for: `nondet()`,
+        a literal on its first reading, a variable named `nondet`, or an
+        error."""
         pos = self.pos
         text = self.texts[pos]
         kind = self.kinds[text]
-        if kind == "int":
-            self.pos = pos + 1
-            try:
-                return LIT, int(text)
-            except ValueError:  # longer than int() converts
-                raise self.error(f"integer literal of {len(text)} digits"
-                                 " is too long", pos) from None
-        if text == "true" or text == "false":
-            self.pos = pos + 1
-            return LIT, 1 if text == "true" else 0
         if kind == "ident":
             self.pos = pos + 1
             if text == "nondet" and self.accept("("):
                 self.expect(")")
-                return NONDET, None
-            self.require(text, line)
-            return VAR, text
-        raise self.error(f"expected expression, found '{self.found()}'")
+                return _NONDET
+            if text not in self.operands:
+                raise UndeclaredVariable(text, line)
+            return self.operands[text]
+        if kind == "int":
+            try:
+                value = int(text)
+            except ValueError:  # longer than int() converts
+                raise self.error(f"integer literal of {len(text)} digits"
+                                 " is too long", pos) from None
+        elif text == "true" or text == "false":
+            value = 1 if text == "true" else 0
+        else:
+            raise self.error(f"expected expression, found '{self.found()}'")
+        self.pos = pos + 1
+        pair = self.operands[text] = (LIT, value)
+        return pair
 
 
 def parse_program(source: str, name: str = "main") -> Program:
@@ -625,17 +682,18 @@ def expr_to_text(expr: Expr) -> str:
     stack: List[Tuple[str, int]] = []
     for op, arg in expr:
         if op is BINARY:
-            (lhs, lhs_prec), (rhs, rhs_prec) = stack[-2:]
+            rhs, rhs_prec = stack.pop()
+            lhs, lhs_prec = stack[-1]
             prec = PRECEDENCE[arg]
             if lhs_prec < prec:
                 lhs = f"({lhs})"
             if rhs_prec <= prec:
                 rhs = f"({rhs})"
-            stack[-2:] = [(f"{lhs} {arg} {rhs}", prec)]
+            stack[-1] = (f"{lhs} {arg} {rhs}", prec)
         elif op is UNARY:
-            text, prec = stack.pop()
+            text, prec = stack[-1]
             text = f"({text})" if prec < UNARY_PRECEDENCE else text
-            stack.append((arg + text, UNARY_PRECEDENCE))
+            stack[-1] = (arg + text, UNARY_PRECEDENCE)
         elif op is not AND_SKIP and op is not OR_SKIP:
             text = "nondet()" if op is NONDET else str(arg)
             stack.append((text, UNARY_PRECEDENCE))

@@ -29,23 +29,23 @@ from typing import List, Optional
 
 from . import lang
 from .cfa import ASSERT, ASSIGN, ASSUME, HALT, SKIP, Cfa, Edge, Statement
+from .lang import Assert, Assign, Decl, For, If, Return, Skip, While
 
 
 class _Lowerer:
     def __init__(self) -> None:
         self.edges: List[Edge] = []
-        self.next_node = 2  # 0 = entry, 1 = exit
-        self.next_stmt = 0
+        self.nodes = [0, 1]  # entry, exit
 
     def fresh(self) -> int:
-        node = self.next_node
-        self.next_node += 1
+        """A new location; the edges and the node list share its int."""
+        node = len(self.nodes)
+        self.nodes.append(node)
         return node
 
-    def edge(self, src: int, dst: int, kind: str, var: Optional[str] = None,
-             expr: Optional[lang.Expr] = None, line: int = 0) -> None:
-        stmt = Statement(self.next_stmt, kind, var, expr, line)
-        self.next_stmt += 1
+    def edge(self, src: int, dst: int, kind: str, var: Optional[str],
+             expr: Optional[lang.Expr], line: int) -> None:
+        stmt = Statement(len(self.edges), kind, var, expr, line)
         self.edges.append(Edge(src, stmt, dst))
 
     # Each statement is lowered between two given locations.  Returns
@@ -62,22 +62,23 @@ class _Lowerer:
         self.lower_stmt(stmts[-1], current, dst)
 
     def lower_stmt(self, stmt: lang.Stmt, src: int, dst: int) -> None:
-        if isinstance(stmt, lang.Decl):
+        kind = type(stmt)
+        if kind is Assign:
+            self.edge(src, dst, ASSIGN, stmt.name, stmt.expr, stmt.line)
+        elif kind is Decl:
             init = stmt.init if stmt.init is not None else lang.NONDET_EXPR
-            self.edge(src, dst, ASSIGN, var=stmt.name, expr=init, line=stmt.line)
-        elif isinstance(stmt, lang.Assign):
-            self.edge(src, dst, ASSIGN, var=stmt.name, expr=stmt.expr, line=stmt.line)
-        elif isinstance(stmt, lang.Skip):
-            self.edge(src, dst, SKIP, line=stmt.line)
-        elif isinstance(stmt, lang.Assert):
-            self.edge(src, dst, ASSERT, expr=stmt.cond, line=stmt.line)
-        elif isinstance(stmt, lang.Return):
-            self.edge(src, 1, HALT, line=stmt.line)
-        elif isinstance(stmt, lang.If):
+            self.edge(src, dst, ASSIGN, stmt.name, init, stmt.line)
+        elif kind is If:
             self.lower_if(stmt, src, dst)
-        elif isinstance(stmt, lang.While):
+        elif kind is While:
             self.lower_loop(stmt.cond, None, stmt.body, src, dst, stmt.line)
-        elif isinstance(stmt, lang.For):
+        elif kind is Skip:
+            self.edge(src, dst, SKIP, None, None, stmt.line)
+        elif kind is Assert:
+            self.edge(src, dst, ASSERT, None, stmt.cond, stmt.line)
+        elif kind is Return:
+            self.edge(src, 1, HALT, None, None, stmt.line)
+        elif kind is For:
             head = src
             if stmt.init is not None:
                 head = self.fresh()
@@ -87,34 +88,34 @@ class _Lowerer:
         else:
             raise AssertionError(f"unhandled statement {stmt!r}")
 
-    def lower_if(self, stmt: lang.If, src: int, dst: int) -> None:
+    def lower_if(self, stmt: If, src: int, dst: int) -> None:
         if stmt.then:
             then_head = self.fresh()
-            self.edge(src, then_head, ASSUME, expr=stmt.cond, line=stmt.line)
+            self.edge(src, then_head, ASSUME, None, stmt.cond, stmt.line)
             self.lower_block(stmt.then, then_head, dst)
         else:
-            self.edge(src, dst, ASSUME, expr=stmt.cond, line=stmt.line)
+            self.edge(src, dst, ASSUME, None, stmt.cond, stmt.line)
         negated = lang.negate(stmt.cond)
         if stmt.orelse:
             else_head = self.fresh()
-            self.edge(src, else_head, ASSUME, expr=negated, line=stmt.line)
+            self.edge(src, else_head, ASSUME, None, negated, stmt.line)
             self.lower_block(stmt.orelse, else_head, dst)
         else:
-            self.edge(src, dst, ASSUME, expr=negated, line=stmt.line)
+            self.edge(src, dst, ASSUME, None, negated, stmt.line)
 
     def lower_loop(self, cond: lang.Expr, update: Optional[lang.Stmt],
                    body: List[lang.Stmt], head: int, dst: int, line: int) -> None:
         # Exit-side assume first: see module docstring.
-        self.edge(head, dst, ASSUME, expr=lang.negate(cond), line=line)
+        self.edge(head, dst, ASSUME, None, lang.negate(cond), line)
         back = head
         if update is not None:
             back = self.fresh()
         if body:
             body_head = self.fresh()
-            self.edge(head, body_head, ASSUME, expr=cond, line=line)
+            self.edge(head, body_head, ASSUME, None, cond, line)
             self.lower_block(body, body_head, back)
         else:
-            self.edge(head, back, ASSUME, expr=cond, line=line)
+            self.edge(head, back, ASSUME, None, cond, line)
         if update is not None:
             self.lower_stmt(update, back, head)
 
@@ -123,7 +124,7 @@ def lower(program: lang.Program) -> Cfa:
     """Build the CFA of a parsed program."""
     lw = _Lowerer()
     body = program.body
-    if body and isinstance(body[-1], lang.Return):
+    if body and type(body[-1]) is Return:
         lw.lower_block(body, 0, 1)
     else:
         last_line = body[-1].line if body else 0
@@ -132,9 +133,8 @@ def lower(program: lang.Program) -> Cfa:
             lw.lower_block(body, 0, fall_off)
         else:
             fall_off = 0
-        lw.edge(fall_off, 1, HALT, line=last_line)
-    nodes = list(range(lw.next_node))
-    cfa = Cfa(program.name, nodes, lw.edges, entry=0, exit=1)
+        lw.edge(fall_off, 1, HALT, None, None, last_line)
+    cfa = Cfa(program.name, lw.nodes, lw.edges, entry=0, exit=1)
     cfa.validate()
     return cfa
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 from vericov import Cfa, source_to_cfa
@@ -51,3 +52,23 @@ def fixture_cfa(name: str) -> Cfa:
 
 def golden(name: str) -> str:
     return (GOLDENS / name).read_text()
+
+
+def mutated_source(rng: random.Random, source: str) -> str:
+    """`source` after one to four seeded edits: a deletion, an insertion,
+    a duplicated run or a cut of the rest."""
+    chars = list(source)
+    for _ in range(rng.randint(1, 4)):
+        if not chars:  # an earlier edit deleted everything
+            break
+        i = rng.randrange(len(chars))
+        action = rng.randrange(4)
+        if action == 0:
+            del chars[i]
+        elif action == 1:
+            chars.insert(i, rng.choice("(){};=+-!&|/*x1²١@#\n"))
+        elif action == 2:
+            chars[i:i] = chars[i:i + rng.randint(1, 12)]
+        else:
+            del chars[i:]
+    return "".join(chars)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import resource
 import subprocess
@@ -72,6 +73,40 @@ def test_non_utf8_program_is_a_usage_error(tmp_path, capsys):
     assert main(["cfa-dump", str(bad)]) == EXIT_USAGE
     assert capsys.readouterr().err == (
         f"error: cannot read {bad}: not UTF-8 text (byte 20)\n")
+
+
+def test_a_leading_byte_order_mark_is_read_past(tmp_path, capsys):
+    # gcc and clang accept a UTF-8 source that starts with a byte-order
+    # mark; so do the program and automaton readers.
+    program = tmp_path / "bom.c"
+    source = (FIXTURES / "bigloop.c").read_bytes()
+    program.write_bytes(codecs.BOM_UTF8 + source)
+    assert main(["cfa-dump", str(program)]) == EXIT_OK
+    assert capsys.readouterr().out == golden("bigloop.dump")
+    plain, marked = tmp_path / "plain.aa", tmp_path / "marked.aa"
+    plain.write_text(FULL_AA_TEXT)
+    marked.write_bytes(codecs.BOM_UTF8 + FULL_AA_TEXT.encode())
+    assert main(["score", BIGLOOP, "--aa", str(plain)]) == EXIT_OK
+    expected = capsys.readouterr().out
+    assert main(["score", BIGLOOP, "--aa", str(marked)]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
+def test_non_utf8_offset_counts_a_byte_order_mark(tmp_path, capsys):
+    bad = tmp_path / "latin1.c"
+    bad.write_bytes(codecs.BOM_UTF8 + b"int main() { int caf\xe9 = 1; }")
+    assert main(["cfa-dump", str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: cannot read {bad}: not UTF-8 text (byte 23)\n")
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_every_line_ending_starts_a_line(newline, tmp_path, capsys):
+    bad = tmp_path / "bad.c"
+    bad.write_bytes(newline.join([b"int main() {", b"  int x = @;", b"}"]))
+    assert main(["cfa-dump", str(bad)]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "error: 2:11: unexpected character '@'\n")
 
 
 def test_huge_literal_is_a_positioned_parse_error(tmp_path, capsys):

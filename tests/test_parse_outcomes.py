@@ -1,7 +1,7 @@
 """One sha256 over the parse outcomes of a seeded corpus, pinned in a golden.
 
 The corpus is every fixture and a list of hand-written lexical edge cases,
-each as written and under `MUTATIONS` seeded `_mutated_source` edits.  A
+each as written and under `MUTATIONS` seeded `mutated_source` edits.  A
 source's outcome is the `repr` of the program `parse_program` builds, or
 the type and message of the error it raises; a `ParseError` message
 carries `line:col`.  Regenerate the golden with
@@ -20,8 +20,8 @@ from pathlib import Path
 from vericov.lang import ParseError, UndeclaredVariable, parse_program
 
 sys.path.insert(0, str(Path(__file__).parent))
-from conftest import ALL_FIXTURES, GOLDENS, fixture_source  # noqa: E402
-from test_robustness import _mutated_source  # noqa: E402
+from conftest import (ALL_FIXTURES, GOLDENS, fixture_source,  # noqa: E402
+                      mutated_source)
 
 GOLDEN = GOLDENS / "parse_outcomes.json"
 SEED = 12
@@ -62,7 +62,7 @@ def _corpus():
     for base in [fixture_source(name) for name in ALL_FIXTURES] + EDGE_CASES:
         yield base
         for _ in range(MUTATIONS):
-            yield _mutated_source(rng, base) if base else base
+            yield mutated_source(rng, base) if base else base
 
 
 def digest() -> dict:

@@ -126,6 +126,27 @@ def test_benchmark_tracer_bindings_resolve():
     assert missing == []
 
 
+def test_cfa_dump_reaches_the_traced_front_end_bindings(monkeypatch, capsys):
+    # The traced run's `lang.parse_s` and `lowering.lower_s` time the
+    # wrappers at these bindings; a front end that called past them would
+    # read zero there however long it took.
+    bound = {span: (module, attr) for module, attr, span in _spans().BINDINGS}
+    calls = []
+    for span in ("lang.parse_program", "lowering.lower"):
+        module = importlib.import_module(bound[span][0])
+        real = getattr(module, bound[span][1])
+
+        def spy(*args, _real=real, _span=span, **kwargs):
+            calls.append(_span)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, bound[span][1], spy)
+    from vericov.cli import main
+    assert main(["cfa-dump", str(ROOT / "tests/fixtures/bigloop.c")]) == 0
+    assert capsys.readouterr().out
+    assert calls == ["lang.parse_program", "lowering.lower"]
+
+
 def _package_uses() -> set:
     """(sibling, name) for each name a package module but `__init__` takes
     from a sibling module: `from .sibling import name`, or `sibling.name`

@@ -15,7 +15,7 @@ import pytest
 from vericov.cli import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, main
 from vericov.lang import MAX_BLOCK_DEPTH
 
-from conftest import FIXTURES
+from conftest import FIXTURES, mutated_source
 
 SEED = 7
 BINARY_OPS = ["+", "-", "*", "/", "%", "<", "<=", ">", ">=", "==", "!=",
@@ -39,24 +39,6 @@ def _nested_blocks(depth: int, head: str) -> str:
     inner = depth - 1
     return ("int main() {\n  int x = 0;\n" + f"  {head} {{\n" * inner
             + "  x = x + 1;\n" + "  }\n" * inner + "  return 0;\n}\n")
-
-
-def _mutated_source(rng: random.Random, source: str) -> str:
-    chars = list(source)
-    for _ in range(rng.randint(1, 4)):
-        if not chars:  # an earlier edit deleted everything
-            break
-        i = rng.randrange(len(chars))
-        action = rng.randrange(4)
-        if action == 0:
-            del chars[i]
-        elif action == 1:
-            chars.insert(i, rng.choice("(){};=+-!&|/*x1²١@#\n"))
-        elif action == 2:
-            chars[i:i] = chars[i:i + rng.randint(1, 12)]
-        else:
-            del chars[i:]
-    return "".join(chars)
 
 
 def _programs(rng: random.Random):
@@ -92,7 +74,7 @@ def _programs(rng: random.Random):
     bases = [(FIXTURES / name).read_text()
              for name in ("nested_logic.c", "bigloop.c", "chain_ifs.c")]
     for i in range(40):
-        yield f"mutated-{i}", _mutated_source(rng, rng.choice(bases)), None
+        yield f"mutated-{i}", mutated_source(rng, rng.choice(bases)), None
 
 
 def _mutated_automaton(rng: random.Random, text: str) -> str:
