@@ -78,8 +78,7 @@ def test_a_parse_shares_one_pair_per_operand_and_operator():
     decl, assign, branch, _ = program.body
     [increment] = branch.then
     var, one, plus = assign.expr
-    assert var == ("var", "x") and one == ("lit", 1) and plus == ("binary",
-                                                                  "+")
+    assert (var, one, plus) == (("var", "x"), ("lit", 1), ("binary", "+"))
     for code in (branch.cond[:3], increment.expr):
         assert all(a is b for a, b in zip(code, (var, one, plus)))
     assert decl.init[0] is one
