@@ -229,17 +229,13 @@ def dump_cfa(cfa: Cfa) -> str:
 
     Edges are ordered by (source node, statement ID): `edges` is in
     statement-ID order, so a stable sort by source node suffices.  Each
-    label is rendered in place, as `Statement.text` would give it: the
-    kind, then `var = expr` for an assign or the expression for an assume
-    or assert; skip and halt show their kind alone.
+    label is the kind, then `Statement.text` unless it is empty (skip and
+    halt show their kind alone).
     """
     lines = [f"entry L{cfa.entry}", f"exit L{cfa.exit}"]
     for e in sorted(cfa.edges, key=attrgetter("src")):
         s = e.stmt
-        label = s.kind
-        if label == ASSIGN:
-            label = f"{label} {s.var} = {lang.expr_to_text(s.expr)}"
-        elif label == ASSUME or label == ASSERT:
-            label = f"{label} {lang.expr_to_text(s.expr)}"
-        lines.append(f"L{e.src} -[{s.id}:{label}]-> L{e.dst}")
+        text = s.text()
+        lines.append(f"L{e.src} -[{s.id}:{s.kind} {text}]-> L{e.dst}" if text
+                     else f"L{e.src} -[{s.id}:{s.kind}]-> L{e.dst}")
     return "\n".join(lines) + "\n"

@@ -75,18 +75,19 @@ class _CliError(Exception):
 
 def _read_text(path: str) -> str:
     """A file's text, decoded as UTF-8 after an optional byte-order mark,
-    with universal newlines as text mode reads them.  The bytes are kept
-    so that a decoding error names a file offset: `utf-8-sig` counts it
-    from after the mark."""
+    with universal newlines as text mode reads them.  The mark is cut off
+    the bytes before decoding, so that a decoding error names a file
+    offset and a file of part of a mark is not UTF-8."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror or exc}")
-    decoder = codecs.getincrementaldecoder("utf-8-sig")()
+    mark = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    decoder = codecs.getincrementaldecoder("utf-8")()
     try:
-        return io.IncrementalNewlineDecoder(decoder, True).decode(data, True)
+        return io.IncrementalNewlineDecoder(decoder, True).decode(
+            data[mark:], True)
     except UnicodeDecodeError as exc:
-        mark = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
         raise _CliError(f"cannot read {path}: not UTF-8 text (byte"
                         f" {exc.start + mark})")
 

@@ -77,11 +77,12 @@ pairs, operands in source order, each operator after its operands.
 The parser builds the code with an explicit operator stack (Dijkstra's
 shunting-yard), and every reader of it is one loop, so neither nesting
 nor long operator chains recurse.  Code shares its pairs: within one
-parse, every occurrence of a variable or of a literal text is the same
-`(VAR, name)` or `(LIT, n)` object, and every `(BINARY, op)` is the one
-module-level pair of its operator, so a large program holds one pair per
-distinct operand rather than one per occurrence (hash-consing).  No pair
-of an operand outlives its parse.  Only this module reads the opcodes;
+parse, every use of a variable is the `(VAR, name)` object of its
+declaration, every occurrence of a literal text is the same `(LIT, n)`
+object, and every `(BINARY, op)` is the one module-level pair of its
+operator, so a large program holds one pair per declaration and distinct
+literal rather than one per occurrence (hash-consing).  No pair of an
+operand outlives its parse.  Only this module reads the opcodes;
 other modules go through `concrete_eval`, `abstract_eval`,
 `expr_variables`, `expr_to_text`, `implied_equality`, `negate` and the
 constants `NONDET_EXPR` and `ONE`.
@@ -354,9 +355,8 @@ class _Parser:
     `operands` maps the text of each operand the parser can read as a
     pair, to that pair: every variable in scope, and every literal read so
     far.  A literal text is never a name, so the scope checks read the
-    same dict.  `names` keeps the pair of every name declared, so a name
-    declared again in a later scope gets the same pair.  Each distinct
-    operand of a parse so has one pair object, however often it occurs."""
+    same dict.  Each literal text of a parse, and each variable
+    declaration, so has one pair object, however often it occurs."""
 
     def __init__(self, scan: _Scan):
         self.scan = scan
@@ -366,7 +366,6 @@ class _Parser:
         self.pos = 0
         self.depth = 0  # blocks open around the current statement
         self.operands: Dict[str, tuple] = {}
-        self.names: Dict[str, tuple] = {}
         self.scopes: List[List[str]] = []  # names declared per open scope
 
     def error(self, message: str, pos: Optional[int] = None) -> ParseError:
@@ -404,7 +403,7 @@ class _Parser:
     def declare(self, name: str, line: int) -> None:
         if name in self.operands:
             raise ParseError(f"redeclaration of '{name}'", line, 1)
-        self.operands[name] = self.names.setdefault(name, (VAR, name))
+        self.operands[name] = (VAR, name)
         self.scopes[-1].append(name)
 
     def close_scope(self) -> None:

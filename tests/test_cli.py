@@ -98,6 +98,12 @@ def test_non_utf8_offset_counts_a_byte_order_mark(tmp_path, capsys):
     assert main(["cfa-dump", str(bad)]) == EXIT_USAGE
     assert capsys.readouterr().err == (
         f"error: cannot read {bad}: not UTF-8 text (byte 23)\n")
+    # Part of a mark is not a mark: the file is not UTF-8 from byte 0.
+    for data in (b"\xef", b"\xef\xbb", b"\xef\xbbint main() { }\n"):
+        bad.write_bytes(data)
+        assert main(["cfa-dump", str(bad)]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"error: cannot read {bad}: not UTF-8 text (byte 0)\n")
 
 
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
