@@ -7,7 +7,7 @@ assumption automata built on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Dict, List, Optional, Set
 
@@ -79,14 +79,18 @@ class Cfa:
     edges: List[Edge]
     entry: int
     exit: int
-    _out: Dict[int, List[Edge]] = field(default_factory=dict, repr=False)
-    _numbering: Optional[Numbering] = field(default=None, repr=False)
-    _live: Optional[Dict[int, int]] = field(default=None, repr=False)
-    _postorder: Optional[Dict[int, int]] = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        # Caches, worked out on first use.  They are not fields, so
+        # equality, the constructor and `fields(Cfa)` ignore them.
+        self._out: Optional[Dict[int, List[Edge]]] = None
+        self._numbering: Optional[Numbering] = None
+        self._live: Optional[Dict[int, int]] = None
+        self._postorder: Optional[Dict[int, int]] = None
 
     def out_edges(self, node: int) -> List[Edge]:
         """Outgoing edges ordered by statement ID."""
-        if not self._out:
+        if self._out is None:
             self._out = {n: [] for n in self.nodes}
             for e in self.edges:
                 self._out[e.src].append(e)

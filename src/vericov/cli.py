@@ -34,7 +34,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import automaton, coverage, heuristic
 from .automaton import AssumptionAutomaton, FormatError, StatementIdMismatch
@@ -49,6 +49,8 @@ EXIT_OK = 0
 EXIT_BUG = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
+
+_FORMATS = ("text", "structured")
 
 
 @dataclass
@@ -138,10 +140,6 @@ def _strategy(config: RunConfig, cfa: Cfa, aa: AssumptionAutomaton):
     return make_strategy(config.strategy)
 
 
-def _witness_text(witness: Dict[int, int]) -> str:
-    return " ".join(f"n{i}={witness[i]}" for i in sorted(witness))
-
-
 def _cmd_cfa_dump(config: RunConfig) -> int:
     sys.stdout.write(dump_cfa(_load_cfa(config)))
     return EXIT_OK
@@ -175,7 +173,8 @@ def _cmd_verify(config: RunConfig) -> int:
             stmts = " ".join(str(s) for s in execution.statements)
             line = f"  cex {i}: statements {stmts}"
             if execution.witness:
-                line += f"; witness {_witness_text(execution.witness)}"
+                line += "; witness " + " ".join(
+                    f"n{i}={v}" for i, v in sorted(execution.witness.items()))
             print(line)
         if config.aa_out:
             print(f"automaton written to {config.aa_out}")
@@ -234,6 +233,12 @@ _COMMANDS = {
 def run(config: RunConfig) -> int:
     """Execute one command; never raises for malformed user input."""
     try:
+        # A library caller's config can hold values the parser refuses.
+        for name, choices in (("strategy", STRATEGIES), ("format", _FORMATS)):
+            value = getattr(config, name)
+            if value not in choices:
+                raise _CliError(f"--{name} must be one of"
+                                f" {', '.join(choices)}, not {value!r}")
         return _COMMANDS[config.command](config)
     except (_CliError, ParseError, UndeclaredVariable, FormatError,
             StatementIdMismatch, MissingScores) as exc:
@@ -284,7 +289,7 @@ def _add_budget_options(parser: argparse.ArgumentParser, max_nodes: str,
 
 
 def _add_format_option(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "structured"),
+    parser.add_argument("--format", choices=_FORMATS,
                         default=RunConfig.format,
                         help="output format (default: %(default)s)")
 

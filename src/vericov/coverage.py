@@ -107,10 +107,11 @@ def _coverage_rounds(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
     exploration (`explore`'s `resume`), which narrows the tree to the
     new remaining set instead of rebuilding it from the root, so a round
     creates only nodes no earlier round reached, up to `max_nodes` of
-    them.  The witness searches travel with the tree, so a candidate
-    execution an earlier round confirmed or refuted is not searched again.
-    Each execution comes with its exercised set, the tracked set of the
-    exit node that produced it, so the rounds never walk the automaton.
+    them.  The witness searches travel with the tree, so an exit node
+    whose execution an earlier round confirmed or refuted is not searched
+    again.  Each execution comes with its exercised set, the tracked set
+    of the exit node that produced it, so the rounds never walk the
+    automaton.
     """
     ids = statement_ids(cfa)
     check_alphabet(aa, ids)

@@ -99,12 +99,23 @@ class Spec:
       least one statement from `remaining` while the given automaton has
       not yet entered FALSE.  With `stop_on_violation`, a confirmed
       failing assert aborts the whole exploration (bug short-circuit).
+
+    Construction rejects any other kind, and a cover spec with no
+    automaton or an empty remaining set.
     """
 
     kind: str
     remaining: FrozenSet[int] = frozenset()
     aa: Optional[AssumptionAutomaton] = None
     stop_on_violation: bool = False
+
+    def __post_init__(self) -> None:
+        if self.kind not in (ASSERTIONS, COVER):
+            raise ValueError(f"unknown spec kind {self.kind!r}")
+        self.remaining = frozenset(self.remaining)
+        if self.kind == COVER and (not self.remaining or self.aa is None):
+            raise ValueError("cover spec needs a non-empty remaining set"
+                             " and an automaton")
 
     @staticmethod
     def assertions() -> "Spec":
@@ -113,9 +124,6 @@ class Spec:
     @staticmethod
     def cover(remaining, aa: AssumptionAutomaton,
               stop_on_violation: bool = False) -> "Spec":
-        remaining = frozenset(remaining)
-        if not remaining:
-            raise ValueError("cover spec needs a non-empty remaining set")
         return Spec(COVER, remaining, aa, stop_on_violation)
 
 
@@ -244,9 +252,6 @@ class ReplayResult:
     verdict: str
     witness: Optional[Dict[int, int]] = None
 
-
-# Witness searches already run: path -> result.
-_Searches = Dict[Tuple[int, ...], ReplayResult]
 
 _PlanStep = Tuple[Statement, int, int]  # statement, read mask, write bit
 # Where a run can resume: a statement's plan index, copies of the
@@ -408,18 +413,6 @@ def _search_witness(edges: Sequence[Edge], variables: Numbering,
         del marks[level + 1:]
 
 
-def _edges_for_path(cfa: Cfa, path: Sequence[int]) -> List[Edge]:
-    edges = []
-    expected = cfa.entry
-    for stmt_id in path:
-        edge = cfa.edge(stmt_id)
-        if edge.src != expected:
-            raise ValueError("path is not connected from entry")
-        edges.append(edge)
-        expected = edge.dst
-    return edges
-
-
 def replay(cfa: Cfa, path: Sequence[int],
            nondet_domain: Sequence[int] = DEFAULT_NONDET_DOMAIN,
            step_limit: int = DEFAULT_REPLAY_STEP_LIMIT) -> ReplayResult:
@@ -439,7 +432,14 @@ def replay(cfa: Cfa, path: Sequence[int],
     every run, the prefix a resumed run skips included, so the answer is
     the same as replaying each run from entry.
     """
-    edges = _edges_for_path(cfa, path)
+    edges = []
+    expected = cfa.entry
+    for stmt_id in path:
+        edge = cfa.edge(stmt_id)
+        if edge.src != expected:
+            raise ValueError("path is not connected from entry")
+        edges.append(edge)
+        expected = edge.dst
     return _search_witness(edges, cfa.numbering(), nondet_domain, step_limit)
 
 
@@ -498,7 +498,7 @@ class _Explorer:
         self.postorder = postorder_index(cfa)
         self.live = live_variables(cfa)
         self.variables = cfa.numbering()
-        self.searches: _Searches = {}
+        self.searches: Dict[int, ReplayResult] = {}  # exit node id -> result
         self.tree = _Tree()
         self.first = 0  # id of the first node the current run creates
         # Cover groups by key (see `group_key`): a bare id or a list of ids.
@@ -518,12 +518,6 @@ class _Explorer:
             path.append(incoming[nid])
             nid = parent[nid]
         return tuple(reversed(path))
-
-    def _replay_path(self, path: Tuple[int, ...]) -> ReplayResult:
-        result = self.searches.get(path)
-        if result is None:
-            result = self.searches[path] = replay(self.cfa, path, self.domain)
-        return result
 
     # -- covering ------------------------------------------------------------
 
@@ -620,25 +614,29 @@ class _Explorer:
         return nid
 
     def check_violation(self, nid: int) -> None:
+        """Record the execution into an exit node that tracks something.
+        Narrowing asks each exit node again, so its search is kept."""
+        tree = self.tree
         if len(self.cex) < self.budget.max_counterexamples and \
-                self.tree.location[nid] == self.cfa.exit and \
-                self.tree.tracked[nid]:
-            path = self.path_to(nid)
-            result = self._replay_path(path)
+                tree.location[nid] == self.cfa.exit and tree.tracked[nid]:
+            result = self.searches.get(nid)
+            if result is None:
+                result = self.searches[nid] = \
+                    replay(self.cfa, self.path_to(nid), self.domain)
             if result.verdict == FEASIBLE:
-                self.cex.append(Execution(path, result.witness))
-                self.exercised.append(self.tree.tracked[nid])
+                self.cex.append(Execution(self.path_to(nid), result.witness))
+                self.exercised.append(tree.tracked[nid])
 
     def check_assert(self, parent: int, edge: Edge) -> None:
-        """Candidate assertion violation at this edge; confirm by replay."""
-        watching = self.spec.kind == ASSERTIONS or self.spec.stop_on_violation
-        if not watching:
-            return
-        if self.spec.kind == ASSERTIONS and \
-                len(self.cex) >= self.budget.max_counterexamples:
+        """Candidate assertion violation at this edge; confirm by replay.
+        A node is expanded once, so nothing asks its edge twice."""
+        if self.spec.kind == ASSERTIONS:
+            if len(self.cex) >= self.budget.max_counterexamples:
+                return
+        elif not self.spec.stop_on_violation:
             return
         path = self.path_to(parent) + (edge.stmt.id,)
-        result = self._replay_path(path)
+        result = replay(self.cfa, path, self.domain)
         if result.verdict != FEASIBLE:
             return
         execution = Execution(path, result.witness)
@@ -731,9 +729,9 @@ class _Explorer:
         FALSE node left tracking nothing is pruned; its subtree and the
         nodes it covers are FALSE and track subsets of its set, so they
         are pruned with it.  Group keys do not hold tracked sets, so the
-        cover groups stay, and so does the search record.  Every exit node
-        is asked again, in creation order, and the waitlist keeps the nodes
-        not pruned.
+        cover groups stay, and so does the search record, keyed by node.
+        Every exit node is asked again, in creation order, but searched
+        once; the waitlist keeps the nodes not pruned.
         """
         remaining = spec.remaining
         self.spec, self.budget = spec, budget
@@ -763,16 +761,13 @@ class _Explorer:
         pop = self.waitlist.popleft if self.strategy.kind == BFS \
             else self.waitlist.pop
         while self.waitlist:
-            if self.bug is not None:
+            if self.bug is not None or \
+                    len(self.cex) >= budget.max_counterexamples:
                 break
-            if len(self.cex) >= budget.max_counterexamples:
-                break
-            if budget.max_nodes is not None and \
-                    len(location) - self.first >= budget.max_nodes:
-                interrupted = True
-                break
-            if budget.time_limit is not None and \
-                    time.monotonic() - start > budget.time_limit:
+            if (budget.max_nodes is not None
+                    and len(location) - self.first >= budget.max_nodes) or \
+                    (budget.time_limit is not None
+                     and time.monotonic() - start > budget.time_limit):
                 interrupted = True
                 break
             self.expand(pop())
@@ -822,8 +817,9 @@ def explore(cfa: Cfa, spec: Spec, budget: Budget,
     again, and the exploration goes on from the nodes still waiting.  The
     earlier result's tree passes to the new one, so read the earlier
     result's nodes and automaton first; a result is resumed at most once.
-    Witness searches travel with the tree: a path is searched once.  The
-    new result's `art_stats` count only the nodes this call created.
+    Witness searches travel with the tree: an exit node is searched
+    once.  The new result's `art_stats` count only the nodes this call
+    created.
     """
     if strategy is None:
         strategy = make_strategy(DFS_POSTORDER)

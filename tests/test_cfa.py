@@ -255,6 +255,20 @@ def test_validate_rejects_dense_ids_out_of_order():
         Cfa("bad", [0, 1, 2], edges, entry=0, exit=1).validate()
 
 
+def test_validate_rejects_duplicate_node_ids():
+    edges = [Edge(0, Statement(0, HALT), 1)]
+    with pytest.raises(ValueError, match="duplicate node ids"):
+        Cfa("bad", [0, 1, 0], edges, entry=0, exit=1).validate()
+
+
+@pytest.mark.parametrize("src, dst", [(0, 5), (5, 0)])
+def test_validate_rejects_an_edge_endpoint_outside_the_nodes(src, dst):
+    edges = [Edge(0, Statement(0, HALT), 1),
+             Edge(src, Statement(1, SKIP), dst)]
+    with pytest.raises(ValueError, match="edge endpoint outside node set"):
+        Cfa("bad", [0, 1], edges, entry=0, exit=1).validate()
+
+
 def test_edge_rejects_ids_outside_the_table():
     cfa = fixture_cfa("deadbranch.c")
     assert cfa.edge(len(cfa.edges) - 1).stmt.id == len(cfa.edges) - 1
@@ -325,6 +339,21 @@ def test_front_end_records_hold_no_instance_dict(cls):
     # and a plain one carries a dict per instance.
     record = cls(*[None] * len(fields(cls)))
     assert not hasattr(record, "__dict__")
+
+
+def test_cfa_equality_ignores_the_caches_its_analyses_fill():
+    # The numbering, the out-edge lists, liveness and the postorder are
+    # kept on the automaton once worked out, but are not part of its value.
+    one, other = fixture_cfa("bigloop.c"), fixture_cfa("bigloop.c")
+    assert one == other
+    live_variables(one)
+    postorder_index(one)
+    one.out_edges(one.entry)
+    assert one == other and other == one
+    assert [f.name for f in fields(Cfa)] == \
+        ["name", "nodes", "edges", "entry", "exit"]
+    with pytest.raises(TypeError):
+        Cfa("c", [0, 1], [], entry=0, exit=1, _live={})
 
 
 def test_equal_statements_compare_equal():

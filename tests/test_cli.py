@@ -203,6 +203,37 @@ def test_verify_config_asking_for_scores_is_a_usage_error(capsys):
     assert "score" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "cover-under"])
+def test_a_config_with_an_unknown_strategy_is_a_usage_error(command, capsys):
+    config = RunConfig(command=command, program=DEADBRANCH,
+                       aa_in=str(GOLDENS / "trivial_true.aa"),
+                       strategy="random")
+    assert run(config) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--strategy" in captured.err and "'random'" in captured.err
+    assert "internal error" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "cover-exact", "score"])
+def test_a_config_with_an_unknown_format_is_a_usage_error(command, capsys):
+    # Any format but "structured" used to print text.
+    config = RunConfig(command=command, program=DEADBRANCH,
+                       aa_in=str(GOLDENS / "trivial_true.aa"), format="xml")
+    assert run(config) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "--format" in captured.err and "'xml'" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["cover-exact", "cover-under", "score"])
+def test_a_config_without_an_automaton_is_a_usage_error(command, capsys):
+    # The parser requires --aa; a library caller's config can leave it out.
+    config = RunConfig(command=command, program=DEADBRANCH)
+    assert run(config) == EXIT_USAGE
+    assert f"error: {command} requires --aa" in capsys.readouterr().err
+
+
 def test_nonpositive_cex_budget_is_usage_error(capsys):
     assert main(["verify", DEADBRANCH, "--max-cex", "0"]) == EXIT_USAGE
     assert "--max-cex" in capsys.readouterr().err

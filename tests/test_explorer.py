@@ -13,7 +13,8 @@ from vericov import (Budget, FALSE_STATE, MissingScores, Spec,
                      source_to_cfa, statement_ids)
 from vericov import explorer, lang
 from vericov.automaton import AssumptionAutomaton, TRUE_STATE
-from vericov.cfa import ASSERT, ASSIGN, ASSUME, live_variables, statements
+from vericov.cfa import (ASSERT, ASSIGN, ASSUME, HALT, Cfa, Edge, Statement,
+                         live_variables, statements)
 from vericov.cli import EXIT_OK, main
 from vericov.explorer import (COUNTEREXAMPLES, COVER, FEASIBLE, INCONCLUSIVE,
                               INFEASIBLE, SAFE, STATUS_COVERED,
@@ -435,6 +436,25 @@ def test_cover_spec_requires_nonempty_remaining():
     aa = AssumptionAutomaton(name="x", initial=TRUE_STATE)
     with pytest.raises(ValueError):
         Spec.cover(frozenset(), aa)
+    with pytest.raises(ValueError, match="non-empty remaining"):
+        Spec(COVER, frozenset(), aa)
+
+
+def test_spec_rejects_an_unknown_kind():
+    # An unknown kind would watch nothing: `bug_simple.c` would read safe.
+    with pytest.raises(ValueError, match="unknown spec kind 'assertion'"):
+        Spec("assertion")
+
+
+def test_cover_spec_requires_an_automaton():
+    with pytest.raises(ValueError, match="and an automaton"):
+        Spec(COVER, frozenset({0}))
+
+
+def test_a_directly_built_spec_matches_its_constructor():
+    aa = AssumptionAutomaton(name="x", initial=TRUE_STATE)
+    assert Spec(COVER, {0, 1}, aa) == Spec.cover([1, 0], aa)
+    assert Spec("assertions") == Spec.assertions()
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -541,6 +561,21 @@ def test_counterexample_cap_respected():
     assert len(capped.counterexamples) == 1
     both = explore(cfa, Spec.assertions(), Budget(max_counterexamples=10))
     assert len(both.counterexamples) == 2
+
+
+def test_assert_edges_of_one_expansion_stop_at_the_counterexample_budget():
+    # Two failing asserts leave one location, so a single expansion asks
+    # both; the second must not be recorded past the budget.
+    zero = ((lang.LIT, 0),)
+    edges = [Edge(0, Statement(0, ASSERT, None, zero), 1),
+             Edge(0, Statement(1, ASSERT, None, zero), 1),
+             Edge(1, Statement(2, HALT), 2)]
+    cfa = Cfa("two_asserts", [0, 1, 2], edges, entry=0, exit=2)
+    cfa.validate()
+    capped = explore(cfa, Spec.assertions(), Budget(max_counterexamples=1))
+    assert [c.statements for c in capped.counterexamples] == [(0,)]
+    both = explore(cfa, Spec.assertions(), Budget(max_counterexamples=2))
+    assert [c.statements for c in both.counterexamples] == [(0,), (1,)]
 
 
 def test_node_budget_yields_unknown():

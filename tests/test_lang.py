@@ -158,6 +158,25 @@ def test_statement_level_assignment_to_undeclared_fails():
         parse_program("int main() { x = 1; return 0; }")
 
 
+def test_increment_of_an_undeclared_variable_fails():
+    # Only a for initializer's `=` declares; `i++` there must find i.
+    with pytest.raises(UndeclaredVariable) as info:
+        parse_program("int main() {\n for (i++; ; ) ;\n}")
+    assert (info.value.name, info.value.line) == ("i", 2)
+    loop = parse_program("int main() { int i = 0; for (i++; ; ) ; }").body[1]
+    assert loop.init == Assign("i", ((VAR, "i"), (LIT, 1), (BINARY, "+")), 1)
+
+
+def test_a_variable_may_be_named_nondet():
+    # `nondet` is a call only when `(` follows it.
+    program = parse_program(
+        "int main() { int nondet = 2; int x = nondet; int y = nondet(); }")
+    assert program.body[1] == Decl("x", ((VAR, "nondet"),), 1)
+    assert program.body[2] == Decl("y", ((NONDET, None),), 1)
+    with pytest.raises(UndeclaredVariable, match="nondet"):
+        parse_program("int main() { int x = nondet; }")
+
+
 def test_use_before_declaration_fails():
     with pytest.raises(UndeclaredVariable):
         parse_program("int main() { int y = x; int x = 1; return 0; }")
