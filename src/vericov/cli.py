@@ -106,12 +106,10 @@ def _load_cfa(config: RunConfig) -> Cfa:
     return source_to_cfa(source, name=Path(config.program).stem)
 
 
-def _load_aa(config: RunConfig, cfa: Cfa) -> AssumptionAutomaton:
+def _load_aa(config: RunConfig) -> AssumptionAutomaton:
     if config.aa_in is None:
         raise _CliError(f"{config.command} requires --aa")
-    aa = automaton.parse_aa(_read_text(config.aa_in))
-    automaton.check_alphabet(aa, statement_ids(cfa))
-    return aa
+    return automaton.parse_aa(_read_text(config.aa_in))
 
 
 def _budget(config: RunConfig) -> Budget:
@@ -196,19 +194,26 @@ def _print_report(report: coverage.CoverageReport, fmt: str) -> None:
 
 def _cmd_cover(config: RunConfig) -> int:
     cfa = _load_cfa(config)
-    aa = _load_aa(config, cfa)
+    aa = _load_aa(config)
+    try:
+        budget, domain = _budget(config), _domain(config)
+    except _CliError:
+        # Foreign statement ids are reported before bad option values.
+        # Otherwise the coverage computation checks them.
+        automaton.check_alphabet(aa, statement_ids(cfa))
+        raise
     metric = (coverage.exact_coverage if config.command == "cover-exact"
               else coverage.under_approx_coverage)
-    strategy = _strategy(config, cfa, aa)
-    report = metric(cfa, aa, _budget(config), strategy=strategy,
-                    nondet_domain=_domain(config))
+    report = metric(cfa, aa, budget, strategy=_strategy(config, cfa, aa),
+                    nondet_domain=domain)
     _print_report(report, config.format)
     return EXIT_BUG if report.bug_found else EXIT_OK
 
 
 def _cmd_score(config: RunConfig) -> int:
     cfa = _load_cfa(config)
-    aa = _load_aa(config, cfa)
+    aa = _load_aa(config)
+    automaton.check_alphabet(aa, statement_ids(cfa))
     scores = heuristic.score(aa, cfa)
     ordered = sorted(aa.states, key=lambda s: -scores.get(s, 0))
     if config.format == "structured":

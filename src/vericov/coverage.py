@@ -109,7 +109,9 @@ def _coverage_rounds(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
     creates only nodes no earlier round reached, up to `max_nodes` of
     them.  The witness searches travel with the tree, so an exit node
     whose execution an earlier round confirmed or refuted is not searched
-    again.  Each execution comes with its exercised set, the tracked set
+    again, and a new exit node's search goes on from where the last
+    search along a prefix of its path stood, in this round or an earlier
+    one.  Each execution comes with its exercised set, the tracked set
     of the exit node that produced it, so the rounds never walk the
     automaton.
     """

@@ -25,6 +25,15 @@ within that group, so a cover check never scans the whole location.
 Candidate counterexamples are always confirmed by concrete replay before
 being reported.
 
+A witness search goes on from where an earlier one stood.  Until one of
+its runs first passes a tree node, a search does the same on every path
+through that node.  So at each fork of the last searched path (a node
+whose expansion pushed two or more children) the explorer keeps the
+search's state when a run first passed there, or the result it ended
+with if no run got that far.  A later search through the fork takes up
+that state, or returns that result, and answers as a search from entry
+would, steps included.
+
 The tree holds no object per node.  It is nine parallel lists indexed by
 node id: location, valuation, parent, incoming statement, status,
 coverer, automaton state, tracked set and fresh mask.  Nodes share the
@@ -45,7 +54,8 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count, islice
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import (Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 from . import lang
 from .automaton import (FALSE_STATE, TRUE_STATE, AssumptionAutomaton, step)
@@ -251,6 +261,8 @@ INCONCLUSIVE = "inconclusive"
 class ReplayResult:
     verdict: str
     witness: Optional[Dict[int, int]] = None
+    # Statements run, each run's skipped prefix included (see `_run_path`).
+    steps: int = 0
 
 
 _PlanStep = Tuple[Statement, int, int]  # statement, read mask, write bit
@@ -258,10 +270,15 @@ _PlanStep = Tuple[Statement, int, int]  # statement, read mask, write bit
 # environment and the dependency record before it, and the choices used
 # before it.
 _Checkpoint = Tuple[int, Dict[str, int], Dict[int, int], int]
+# A search as it stood when one of its runs first arrived at a plan index:
+# the choice stack, the conflict records, the checkpoints with the one of
+# that index last, and the steps left when the run began.
+_SearchState = Tuple[Tuple[int, ...], Tuple[int, ...], List[_Checkpoint], int]
 
 
 def _run_path(plan: Sequence[_PlanStep], choices: List[int], steps: int,
-              marks: List[_Checkpoint]) -> Tuple[str, int, int]:
+              marks: List[_Checkpoint], forks: List[int],
+              arrivals: List[List[_Checkpoint]]) -> Tuple[str, int, int]:
     """Run the path under the given nondet choices, `steps` statements at
     most.
 
@@ -287,8 +304,15 @@ def _run_path(plan: Sequence[_PlanStep], choices: List[int], steps: int,
     checkpoints of the choices it draws again.  The statements before a
     checkpoint read only choices below the ones its statement draws, so
     while those stay fixed, resuming is the same as running from entry.
+    A checkpoint may also sit at a statement before the one drawing: the
+    statements in between draw nothing, so they read only lower choices.
     A resumed run is charged first for the statements it skips, so the
     steps run out exactly where they would from entry.
+
+    `forks` holds plan indices in descending order.  On arriving at the
+    last of them, the run takes it off and appends to `arrivals` its
+    checkpoints with one of that index last, from which a run can resume
+    there (see `_search_witness`).
     """
     # env: variable -> value; depends: variable bit -> choices its value used
     if marks:
@@ -313,7 +337,12 @@ def _run_path(plan: Sequence[_PlanStep], choices: List[int], steps: int,
         raise _NeedChoice
 
     last = len(plan) - 1
+    fork = forks[-1] if forks else -1
     for i in range(first, len(plan)):
+        if i == fork:
+            arrivals.append(marks + [(i, dict(env), dict(depends), used)])
+            forks.pop()
+            fork = forks[-1] if forks else -1
         if steps <= 0:
             return "out", 0, 0
         steps -= 1
@@ -349,7 +378,9 @@ class _NeedChoice(Exception):
 
 
 def _search_witness(edges: Sequence[Edge], variables: Numbering,
-                    domain: Sequence[int], step_limit: int) -> ReplayResult:
+                    domain: Sequence[int], step_limit: int,
+                    state: Optional[_SearchState], forks: Sequence[int]
+                    ) -> Tuple[ReplayResult, List[_SearchState]]:
     """Search nondet choices under which the path's run is "ok" (see
     `_run_path`), by conflict-directed backjumping (Prosser 1993).
 
@@ -378,30 +409,50 @@ def _search_witness(edges: Sequence[Edge], variables: Numbering,
     so a search evaluates each statement about once per value tried at
     the choices before it, not once per run from entry.  `step_limit`
     still counts every statement of every run, skipped prefixes included.
+
+    Searches resume one another.  Until a search's runs first arrive at
+    plan index j, each of them ends before j, so what the search has done
+    by then depends only on the path's first j statements (none of them
+    final), the domain and the step limit: it is the same on every path
+    that starts with those statements.  `state` is a search as it stood
+    at such a moment (None: at entry, nothing run yet), and this search
+    goes on from there, in that run at index j.  For each index in
+    `forks`, ascending and beyond `state`'s, it returns the state at the
+    first arrival there, for as many of them as its runs arrive at.  A
+    search that ends infeasible or inconclusive with no run at index j
+    ends the same way on every path that starts with its first j
+    statements, none of them final.
     """
     plan = [(e.stmt, variables.reads[e.stmt.id], variables.writes[e.stmt.id])
             for e in edges]
-    steps = step_limit
-    stack: List[int] = []  # indices into domain, one per occurrence
-    conflicts: List[int] = []  # per occurrence: why its values so far failed
-    marks: List[_Checkpoint] = []  # per occurrence: where a run resumes
+    if state is None:
+        stack, conflicts, marks, steps = [], [], [], step_limit
+    else:
+        stack, conflicts, marks, steps = state
+        stack, conflicts, marks = list(stack), list(conflicts), list(marks)
+    pending = list(reversed(forks))
+    saved: List[_SearchState] = []
+    arrivals: List[List[_Checkpoint]] = []
     last_value = len(domain) - 1
     while True:
         choices = [domain[i] for i in stack]
-        status, conflict, steps = _run_path(plan, choices, steps, marks)
+        began = steps
+        status, conflict, steps = _run_path(plan, choices, steps, marks,
+                                            pending, arrivals)
+        if arrivals:
+            saved += [(tuple(stack), tuple(conflicts), arrived, began)
+                      for arrived in arrivals]
+            arrivals.clear()
         if status == "out":
-            return ReplayResult(INCONCLUSIVE)
+            return ReplayResult(INCONCLUSIVE, steps=step_limit), saved
         if status == "ok":
-            return ReplayResult(FEASIBLE, dict(enumerate(choices)))
-        if status == "need":
-            if not domain:
-                return ReplayResult(INFEASIBLE)
+            return ReplayResult(FEASIBLE, dict(enumerate(choices)),
+                                step_limit - steps), saved
+        if status == "need" and domain:
             stack.append(0)
             conflicts.append(0)
             continue
-        while True:
-            if not conflict:
-                return ReplayResult(INFEASIBLE)
+        while conflict:  # a "need" without values has none
             level = conflict.bit_length() - 1
             del stack[level + 1:]
             del conflicts[level + 1:]
@@ -410,6 +461,8 @@ def _search_witness(edges: Sequence[Edge], variables: Numbering,
                 stack[level] += 1
                 break
             conflict = conflicts[level]
+        else:  # an empty conflict
+            return ReplayResult(INFEASIBLE, steps=step_limit - steps), saved
         del marks[level + 1:]
 
 
@@ -429,8 +482,11 @@ def replay(cfa: Cfa, path: Sequence[int],
     choice is refuted in one sweep of the domain rather than once per
     combination of the choices before it.  Returns inconclusive when
     `step_limit` runs out first.  It counts one step per statement of
-    every run, the prefix a resumed run skips included, so the answer is
-    the same as replaying each run from entry.
+    every run, the prefix a resumed run skips included, so the answer,
+    and the steps in it, are the same as replaying each run from entry.
+    The search starts at entry; the explorer's searches start where an
+    earlier search along the same prefix stood (see `_search_witness`),
+    and return what this one does.
     """
     edges = []
     expected = cfa.entry
@@ -440,7 +496,8 @@ def replay(cfa: Cfa, path: Sequence[int],
             raise ValueError("path is not connected from entry")
         edges.append(edge)
         expected = edge.dst
-    return _search_witness(edges, cfa.numbering(), nondet_domain, step_limit)
+    return _search_witness(edges, cfa.numbering(), nondet_domain, step_limit,
+                           None, ())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +556,12 @@ class _Explorer:
         self.live = live_variables(cfa)
         self.variables = cfa.numbering()
         self.searches: Dict[int, ReplayResult] = {}  # exit node id -> result
+        self.forks: Set[int] = set()  # nodes whose expansion pushed 2+ children
+        # Along the last searched path, by ascending depth: (depth, fork,
+        # the search's state on arriving there, or the result every search
+        # through it returns).
+        self.trail: List[Tuple[int, int, Union[_SearchState,
+                                               ReplayResult]]] = []
         self.tree = _Tree()
         self.first = 0  # id of the first node the current run creates
         # Cover groups by key (see `group_key`): a bare id or a list of ids.
@@ -518,6 +581,43 @@ class _Explorer:
             path.append(incoming[nid])
             nid = parent[nid]
         return tuple(reversed(path))
+
+    def search(self, nid: int, edge: Optional[Edge] = None) -> ReplayResult:
+        """The witness search of the path into `nid`, followed by `edge` if
+        given, as `replay` would return it.
+
+        It resumes at the deepest fork of the last searched path that is
+        a node of this one too, short of its end (see `_search_witness`).
+        There it takes up the state that search kept, or returns the
+        result it kept, and it keeps its own at the forks further down.
+        """
+        parent, incoming = self.tree.parent, self.tree.incoming
+        nodes = [nid]
+        while nid:
+            nid = parent[nid]
+            nodes.append(nid)
+        nodes.reverse()
+        edges = [self.cfa.edges[incoming[n]] for n in nodes[1:]]
+        if edge is not None:
+            edges.append(edge)
+        trail = self.trail
+        while trail and (trail[-1][0] >= len(edges)
+                         or nodes[trail[-1][0]] != trail[-1][1]):
+            trail.pop()
+        depth, state = (trail[-1][0], trail[-1][2]) if trail else (0, None)
+        if type(state) is ReplayResult:
+            return state
+        forks = [d for d in range(depth + 1, len(edges))
+                 if nodes[d] in self.forks]
+        # Read at call time, so that a test can shorten it.
+        result, saved = _search_witness(edges, self.variables, self.domain,
+                                        DEFAULT_REPLAY_STEP_LIMIT, state,
+                                        forks)
+        trail += [(d, nodes[d], s) for d, s in zip(forks, saved)]
+        if result.verdict != FEASIBLE and len(saved) < len(forks):
+            depth = forks[len(saved)]
+            trail.append((depth, nodes[depth], result))
+        return result
 
     # -- covering ------------------------------------------------------------
 
@@ -621,8 +721,7 @@ class _Explorer:
                 tree.location[nid] == self.cfa.exit and tree.tracked[nid]:
             result = self.searches.get(nid)
             if result is None:
-                result = self.searches[nid] = \
-                    replay(self.cfa, self.path_to(nid), self.domain)
+                result = self.searches[nid] = self.search(nid)
             if result.verdict == FEASIBLE:
                 self.cex.append(Execution(self.path_to(nid), result.witness))
                 self.exercised.append(tree.tracked[nid])
@@ -635,11 +734,11 @@ class _Explorer:
                 return
         elif not self.spec.stop_on_violation:
             return
-        path = self.path_to(parent) + (edge.stmt.id,)
-        result = replay(self.cfa, path, self.domain)
+        result = self.search(parent, edge)
         if result.verdict != FEASIBLE:
             return
-        execution = Execution(path, result.witness)
+        execution = Execution(self.path_to(parent) + (edge.stmt.id,),
+                              result.witness)
         if self.spec.kind == ASSERTIONS:
             self.cex.append(execution)
             self.exercised.append(frozenset())
@@ -658,6 +757,8 @@ class _Explorer:
                 return
             if child is not None and status[child] == STATUS_FRONTIER:
                 children.append(child)
+        if len(children) > 1:
+            self.forks.add(nid)
         self.push_children(children)
 
     def transfer(self, nid: int, edge: Edge) -> Optional[int]:
@@ -730,6 +831,8 @@ class _Explorer:
         nodes it covers are FALSE and track subsets of its set, so they
         are pruned with it.  Group keys do not hold tracked sets, so the
         cover groups stay, and so does the search record, keyed by node.
+        No path changes, so the search states kept along the last
+        searched path stay too.
         Every exit node is asked again, in creation order, but searched
         once; the waitlist keeps the nodes not pruned.
         """
@@ -818,7 +921,9 @@ def explore(cfa: Cfa, spec: Spec, budget: Budget,
     earlier result's tree passes to the new one, so read the earlier
     result's nodes and automaton first; a result is resumed at most once.
     Witness searches travel with the tree: an exit node is searched
-    once.  The new result's `art_stats` count only the nodes this call
+    once, and each search goes on from the deepest fork it shares with
+    the last one, whichever round made that (see `_Explorer.search`).
+    The new result's `art_stats` count only the nodes this call
     created.
     """
     if strategy is None:

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from vericov import cli
+from vericov import automaton, cli, coverage
 from vericov.cli import (EXIT_BUG, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                          RunConfig, build_parser, config_from_args, main, run)
 
@@ -331,6 +331,38 @@ def test_foreign_automaton_is_reported_before_bad_option_values(
                   "  ON 42 -> __TRUE\nEND\n")
     code = main([command, DEADBRANCH, "--aa", str(aa), *options])
     assert code == EXIT_USAGE
+    assert capsys.readouterr() == (
+        "", "error: automaton 'f' refers to unknown statement ids [42]\n")
+
+
+@pytest.mark.parametrize("command", [
+    ["cover-exact"], ["cover-under"],
+    ["cover-under", "--strategy", "dfs-postorder+score"], ["score"],
+], ids=["cover-exact", "cover-under", "cover-under-score", "score"])
+def test_each_command_checks_the_automaton_ids_once(tmp_path, capsys,
+                                                    monkeypatch, command):
+    checks = 0
+    check = automaton.check_alphabet
+
+    def counted(*args):
+        nonlocal checks
+        checks += 1
+        return check(*args)
+
+    # The coverage module calls the binding it imported.
+    monkeypatch.setattr(automaton, "check_alphabet", counted)
+    monkeypatch.setattr(coverage, "check_alphabet", counted)
+    name, options = command[0], command[1:]
+    aa = tmp_path / "ids.aa"
+    aa.write_text("AUTOMATON ids\nINITIAL q0\nSTATE q0 @L0\n"
+                  "  ON 0 -> __TRUE\nEND\n")
+    assert main([name, DEADBRANCH, "--aa", str(aa), *options]) == EXIT_OK
+    assert checks == 1
+    capsys.readouterr()
+    aa.write_text("AUTOMATON f\nINITIAL q0\nSTATE q0 @L0\n"
+                  "  ON 42 -> __TRUE\nEND\n")
+    assert main([name, DEADBRANCH, "--aa", str(aa), *options]) == EXIT_USAGE
+    assert checks == 2
     assert capsys.readouterr() == (
         "", "error: automaton 'f' refers to unknown statement ids [42]\n")
 
