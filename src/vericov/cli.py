@@ -217,9 +217,14 @@ def _cmd_score(config: RunConfig) -> int:
     scores = heuristic.score(aa, cfa)
     ordered = sorted(aa.states, key=lambda s: -scores.get(s, 0))
     if config.format == "structured":
-        payload = {"program": cfa.name,
-                   "scores": {s: scores.get(s, 0) for s in ordered}}
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        # The bytes of json.dumps(payload, indent=2), whose indenting
+        # encoder is pure Python: the C encoder writes the score map.
+        body = json.dumps({s: scores.get(s, 0) for s in ordered},
+                          separators=(",\n    ", ": "))
+        if ordered:
+            body = "{\n    " + body[1:-1] + "\n  }"
+        sys.stdout.write('{\n  "program": %s,\n  "scores": %s\n}\n'
+                         % (json.dumps(cfa.name), body))
     else:
         for state in ordered:
             print(f"{state} {scores.get(state, 0)}")

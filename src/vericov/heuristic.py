@@ -8,12 +8,16 @@ each product state we compute the set of locations reachable before the
 automaton falls into FALSE; the size of that set scores how much unexplored
 program lies ahead.  A traversal that prefers high scores digs into the
 unfinished region first, which is where new coverage witnesses live.
+
+The sets are kept as bit masks over the product's locations, so they take
+about states x locations / 8 bytes; a set is built as a frozenset only when
+it is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Tuple
 
 from .automaton import FALSE_STATE, AssumptionAutomaton, step
 from .cfa import Cfa
@@ -66,7 +70,28 @@ def compose(aa: AssumptionAutomaton, cfa: Cfa) -> Product:
     return product
 
 
-def reach_fixpoint(product: Product) -> Dict[ProductState, FrozenSet[int]]:
+class _ReachSets(Mapping[ProductState, FrozenSet[int]]):
+    """Reach sets as bit masks, read as a read-only mapping of frozensets
+    built on access.  Bit i of a mask stands for `locations[i]`; the
+    states iterate in `product.states` order."""
+
+    def __init__(self, masks: Dict[ProductState, int], locations: List[int]):
+        self.masks = masks
+        self.locations = locations
+
+    def __getitem__(self, state: ProductState) -> FrozenSet[int]:
+        bits = bin(self.masks[state])[:1:-1]  # lowest bit first
+        return frozenset(loc for loc, bit in zip(self.locations, bits)
+                         if bit == "1")
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __iter__(self) -> Iterator[ProductState]:
+        return iter(self.masks)
+
+
+def reach_fixpoint(product: Product) -> _ReachSets:
     """Least fixpoint of: Reach(p) = {loc} ∪ successors' reach, FALSE = ∅.
 
     Iterates from the empty map, so cycles converge to the set of
@@ -76,9 +101,17 @@ def reach_fixpoint(product: Product) -> Dict[ProductState, FrozenSet[int]]:
     reached (a FALSE state's empty set is final from the start), so one
     sweep settles them all; otherwise the sweeps repeat until nothing
     changes.
+
+    Each set is an `int` mask whose bit i stands for the i-th distinct
+    location in `product.states` order, about states x locations / 8 bytes
+    in all.  The mapping returned builds a state's frozenset when it is
+    read; its `masks` hold the bits.
     """
-    reach: Dict[ProductState, FrozenSet[int]] = {
-        state: frozenset() for state in product.states}
+    bit: Dict[int, int] = {}
+    for _q, loc in product.states:
+        if loc not in bit:
+            bit[loc] = 1 << len(bit)
+    reach = dict.fromkeys(product.states, 0)
     changed = True
     while changed:
         changed = False
@@ -86,28 +119,26 @@ def reach_fixpoint(product: Product) -> Dict[ProductState, FrozenSet[int]]:
             q, loc = state
             if q == FALSE_STATE:
                 continue
-            acc = {loc}
+            acc = bit[loc]
             for nxt in product.successors.get(state, []):
-                acc.update(reach[nxt])
-            new = frozenset(acc)
-            if new != reach[state]:
-                reach[state] = new
+                acc |= reach[nxt]
+            if acc != reach[state]:
+                reach[state] = acc
                 changed = not product.forward
-    return reach
+    return _ReachSets(reach, list(bit))
 
 
 def score(aa: AssumptionAutomaton, cfa: Cfa) -> Dict[str, int]:
     """Per automaton state: the best reach-set size over its pairings.
 
     States absent from the reachable product get no entry; FALSE scores 0.
+    The sizes are the bit counts of `reach_fixpoint`'s masks; no set is
+    built.
     """
     product = compose(aa, cfa)
-    reach = reach_fixpoint(product)
     scores: Dict[str, int] = {}
-    for state, locs in reach.items():
-        q, _loc = state
-        if q == FALSE_STATE:
-            scores[q] = 0
-            continue
-        scores[q] = max(scores.get(q, 0), len(locs))
+    for (q, _loc), mask in reach_fixpoint(product).masks.items():
+        size = mask.bit_count()
+        if size > scores.get(q, -1):
+            scores[q] = size
     return scores

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from vericov import automaton, cli, coverage
+from vericov import automaton, cli, coverage, heuristic, source_to_cfa
 from vericov.cli import (EXIT_BUG, EXIT_INTERNAL, EXIT_OK, EXIT_USAGE,
                          RunConfig, build_parser, config_from_args, main, run)
 
@@ -478,6 +478,61 @@ def test_structured_score_orders_mapping_by_rank(capsys):
     assert payload["program"] == "bigloop"
     assert list(payload["scores"].items()) == [
         ("q0", 6), ("q1", 5), ("q2", 3), ("q4", 2), ("q3", 1)]
+
+
+def _reference_score_report(program, aa_path):
+    """The structured score report as json.dumps(payload, indent=2) writes
+    it, from heuristic.score."""
+    cfa = source_to_cfa(program.read_text(encoding="utf-8"),
+                        name=program.stem)
+    aa = automaton.parse_aa(aa_path.read_text(encoding="utf-8"))
+    scores = heuristic.score(aa, cfa)
+    ordered = sorted(aa.states, key=lambda s: -scores.get(s, 0))
+    payload = {"program": cfa.name,
+               "scores": {s: scores.get(s, 0) for s in ordered}}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _assert_score_report_bytes(program, aa_path, capsys):
+    assert main(["score", str(program), "--aa", str(aa_path),
+                 "--format", "structured"]) == EXIT_OK
+    assert capsys.readouterr().out == \
+        _reference_score_report(program, aa_path)
+
+
+@pytest.mark.parametrize("strategy", ["bfs", "dfs-postorder"])
+def test_structured_score_bytes_on_emitted_automata(strategy, tmp_path,
+                                                    capsys):
+    aa_path = tmp_path / "run.aa"
+    for program in sorted(FIXTURES.glob("*.c")):
+        main(["verify", str(program), "--max-nodes", "60",
+              "--strategy", strategy, "--aa-out", str(aa_path)])
+        capsys.readouterr()
+        _assert_score_report_bytes(program, aa_path, capsys)
+
+
+# Names with a quote, a backslash, non-ASCII letters and control
+# characters, which the encoder must escape; "qdead" is never reached.
+ODD_NAMES_AA = ("AUTOMATON odd\"\\name\n"
+                "INITIAL q\"0\n"
+                "STATE q\"0 @L0\n  ON 0 -> q\\1\n"
+                "STATE q\\1 @L2\n  ON 1 -> q\u00e9\u00df\U0001f600\n"
+                "STATE q\u00e9\u00df\U0001f600 @L3\n  ON 2 -> q\x01\x1b\x7f\n"
+                "STATE q\x01\x1b\x7f @L1\n"
+                "STATE qdead @L3\n"
+                "END\n")
+
+
+@pytest.mark.parametrize("aa_text", [ODD_NAMES_AA, FULL_AA_TEXT],
+                         ids=["odd-names", "empty-scores"])
+def test_structured_score_bytes_with_escaped_names(aa_text, tmp_path,
+                                                   capsys):
+    program = tmp_path / "p\"r\\og\u00e9\x01\x7f.c"
+    program.write_text("int main() { int a = 1; a = 2; return 0; }\n",
+                       encoding="utf-8")
+    aa_path = tmp_path / "odd.aa"
+    aa_path.write_text(aa_text, encoding="utf-8")
+    _assert_score_report_bytes(program, aa_path, capsys)
 
 
 # Configuration API ------------------------------------------------------------

@@ -307,3 +307,59 @@ def test_a_built_product_is_swept_until_unchanged():
                       successors={("a", 0): [("b", 1)],
                                   ("b", 1): [("a", 0)]})
     assert reach_fixpoint(product) == {("a", 0): {0, 1}, ("b", 1): {0, 1}}
+
+
+
+def _best_set_sizes(reach):
+    """`score`'s rule read from the sets: each state's largest set."""
+    best = {}
+    for (q, _loc), locs in reach.items():
+        best[q] = max(best.get(q, 0), len(locs))
+    return best
+
+
+# Locations need not be dense, start at 0 or be non-negative: this product
+# pairs states with 7, -3, 1000 and -40, and location 1000 appears first
+# with FALSE.  The cycle b -> c -> b needs a second sweep.
+SPARSE = Product(
+    initial=("a", 7),
+    states=[("a", 7), ("b", -3), (FALSE_STATE, 1000), ("c", 1000),
+            ("d", -40)],
+    successors={("a", 7): [("b", -3), (FALSE_STATE, 1000)],
+                ("b", -3): [("c", 1000)],
+                (FALSE_STATE, 1000): [],
+                ("c", 1000): [("b", -3), ("d", -40)],
+                ("d", -40): []})
+SPARSE_REACH = {("a", 7): {7, -3, 1000, -40},
+                ("b", -3): {-3, 1000, -40},
+                (FALSE_STATE, 1000): set(),
+                ("c", 1000): {1000, -3, -40},
+                ("d", -40): {-40}}
+
+
+def test_reach_sets_over_sparse_and_negative_locations():
+    reach = reach_fixpoint(SPARSE)
+    swept = _swept_until_unchanged(SPARSE)
+    for state in SPARSE.states:
+        assert reach[state] == swept[state] == SPARSE_REACH[state]
+        assert isinstance(reach[state], frozenset)
+    assert reach[(FALSE_STATE, 1000)] == frozenset()
+    assert len(reach) == len(SPARSE.states)
+    assert list(reach) == SPARSE.states
+    assert reach == SPARSE_REACH and SPARSE_REACH == reach
+    assert reach == swept and swept == reach
+    assert reach != {**SPARSE_REACH, ("d", -40): {-40, 7}}
+    with pytest.raises(TypeError):
+        reach[("d", -40)] = frozenset()  # read-only
+    assert _best_set_sizes(reach) == {
+        "a": 4, "b": 3, "c": 3, "d": 1, FALSE_STATE: 0}
+
+
+def test_scores_are_the_sizes_of_the_swept_sets():
+    for name in ALL_FIXTURES:
+        cfa = fixture_cfa(name)
+        for strategy in ("bfs", "dfs-postorder"):
+            aa = explore(cfa, Spec.assertions(), Budget(max_nodes=60),
+                         make_strategy(strategy)).aa
+            swept = _swept_until_unchanged(compose(aa, cfa))
+            assert score(aa, cfa) == _best_set_sizes(swept), (name, strategy)
