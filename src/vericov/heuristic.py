@@ -139,6 +139,6 @@ def score(aa: AssumptionAutomaton, cfa: Cfa) -> Dict[str, int]:
     scores: Dict[str, int] = {}
     for (q, _loc), mask in reach_fixpoint(product).masks.items():
         size = mask.bit_count()
-        if size > scores.get(q, -1):
+        if size > scores.get(q, -1):  # FALSE's mask is 0: it scores 0
             scores[q] = size
     return scores

@@ -309,7 +309,6 @@ def test_a_built_product_is_swept_until_unchanged():
     assert reach_fixpoint(product) == {("a", 0): {0, 1}, ("b", 1): {0, 1}}
 
 
-
 def _best_set_sizes(reach):
     """`score`'s rule read from the sets: each state's largest set."""
     best = {}
