@@ -19,9 +19,10 @@ variable still live at the location is *fresh* on both sides (assigned
 from nondet() and never read since, hence genuinely unconstrained).  Dead
 variables use plain subsumption, an unassigned one matching only an
 unassigned one.  Coverers are looked up by what the policy requires to
-match exactly: the location (and automaton state) and the values at the
-bits live there.  Subsumption then compares dead variables only, and only
-within that group, so a cover check never scans the whole location.
+match exactly: each location and automaton state has one dict of cover
+groups, keyed by the values at the bits live there.  Subsumption then
+compares dead variables only, and only within one group, so a cover check
+never scans the whole location.
 Candidate counterexamples are always confirmed by concrete replay before
 being reported.
 
@@ -39,11 +40,13 @@ node id: location, valuation, parent, incoming statement, status,
 coverer, automaton state, tracked set and fresh mask.  Nodes share the
 values these hold where they can: an assume that changes nothing keeps
 its parent's valuation, and a tracked set is its parent's until a
-statement is added.  A cover group is keyed by one flat tuple
-``(location, automaton state, *live values)`` and holds a bare node id
-until a second member joins it; in a long concrete loop every iteration
-has its own key, so most groups never do.  `ExplorationResult.nodes` reads
-the lists as `ArtNode` records built on access.
+statement is added.  The cover groups add no object per node where
+every variable is live: there a group's key is the valuation tuple the
+tree already holds, and elsewhere a tuple of the live values.  A group
+holds a bare node id until a second member joins it; in a long concrete
+loop every iteration has its own key, so most groups never do.
+`ExplorationResult.nodes` reads the lists as `ArtNode` records built on
+access.
 """
 
 from __future__ import annotations
@@ -72,12 +75,6 @@ TOP = lang.TOP  # any integer
 UNASSIGNED = "unassigned"
 
 Valuation = Tuple[object, ...]  # per variable number: int | TOP | UNASSIGNED
-
-
-def truth(value: object) -> Optional[bool]:
-    if value is TOP:
-        return None
-    return value != 0
 
 
 # ---------------------------------------------------------------------------
@@ -564,8 +561,10 @@ class _Explorer:
                                                ReplayResult]]] = []
         self.tree = _Tree()
         self.first = 0  # id of the first node the current run creates
-        # Cover groups by key (see `group_key`): a bare id or a list of ids.
-        self.groups: Dict[tuple, Union[int, List[int]]] = {}
+        # (location, automaton state) -> a bare id, or group key -> a bare
+        # id or a list of ids (see `cover`).
+        self.groups: Dict[Tuple[int, Optional[str]],
+                          Union[int, Dict[object, Union[int, List[int]]]]] = {}
         self.positions: Dict[int, Tuple[int, ...]] = {}  # location -> live bits
         self.cex: List[Execution] = []
         self.exercised: List[FrozenSet[int]] = []  # parallel to `cex`
@@ -621,15 +620,17 @@ class _Explorer:
 
     # -- covering ------------------------------------------------------------
 
-    def group_key(self, nid: int) -> Optional[tuple]:
-        """What the strict cover policy must match exactly: the node's
-        location and automaton state, then its valuation's entries at the
-        bits live at the location, in variable number order, a fresh top
-        as ``TOP``.  A coverer always shares the key of the node it
-        covers, so the dead-variable subsumption test only runs inside
-        one group.  None for a node with a constrained top on a live
-        variable (a ``TOP`` whose fresh bit is clear): it can neither
-        cover nor be covered."""
+    def group_key(self, nid: int) -> object:
+        """What the strict cover policy must match exactly beyond the
+        node's location and automaton state, which pick its group dict:
+        its valuation's entries at the bits live at the location, a fresh
+        top as ``TOP``.  Where every variable is live that is the node's
+        own valuation tuple, so no key is built; elsewhere it is a tuple
+        of the live entries in variable number order.  A coverer always
+        shares the key of the node it covers, so the dead-variable
+        subsumption test only runs inside one group.  None for a node
+        with a constrained top on a live variable (a ``TOP`` whose fresh
+        bit is clear): it can neither cover nor be covered."""
         tree = self.tree
         location = tree.location[nid]
         positions = self.positions.get(location)
@@ -638,13 +639,13 @@ class _Explorer:
             positions = self.positions[location] = \
                 tuple(i for i, bit in enumerate(bits) if bit == "1")
         valuation, fresh = tree.valuation[nid], tree.fresh[nid]
-        key = [location, tree.aa_state[nid]]
+        key = []
         for i in positions:
             value = valuation[i]
             if value is TOP and not fresh >> i & 1:
                 return None
             key.append(value)
-        return tuple(key)
+        return valuation if len(key) == len(valuation) else tuple(key)
 
     def _covers(self, j: int, v: int) -> bool:
         """Whether j covers v, both of one cover group: j tracks at least
@@ -658,16 +659,24 @@ class _Explorer:
     def cover(self, nid: int) -> None:
         """Cover the node by the first member of its group that covers
         it, members with its valuation first, each in insertion order;
-        otherwise add it to its group.  Members pruned by narrowing cover
-        no node and are skipped."""
+        otherwise add it to its group.  Each location and automaton state
+        holds the id of the first node there that has a key, and from the
+        second on a dict of its groups by `group_key`; a group is a bare
+        node id until a second member joins it.  Members pruned by
+        narrowing cover no node and are skipped."""
         key = self.group_key(nid)
         if key is None:
             return
-        group = self.groups.get(key)
-        if group is None:
-            self.groups[key] = nid
-            return
         tree = self.tree
+        place = (tree.location[nid], tree.aa_state[nid])
+        groups = self.groups.setdefault(place, nid)
+        if groups is nid:
+            return
+        if type(groups) is int:
+            groups = self.groups[place] = {self.group_key(groups): groups}
+        group = groups.setdefault(key, nid)
+        if group is nid:
+            return
         members = (group,) if type(group) is int else group
         own = tree.valuation[nid]
         for jid in sorted(members, key=lambda j: tree.valuation[j] != own):
@@ -676,7 +685,7 @@ class _Explorer:
                 tree.covered_by[nid] = jid
                 return
         if type(group) is int:
-            self.groups[key] = [group, nid]
+            groups[key] = [group, nid]
         else:
             group.append(nid)
 
@@ -691,27 +700,7 @@ class _Explorer:
                              aa_state)
         if status == STATUS_FRONTIER:
             self.waitlist.append(root)
-            self.groups[self.group_key(root)] = root
-
-    def create_child(self, parent: int, edge: Edge, valuation: Valuation,
-                     fresh: int) -> int:
-        stmt_id = edge.stmt.id
-        tree = self.tree
-        aa_state = None
-        tracked = tree.tracked[parent]
-        status = STATUS_FRONTIER
-        if self.spec.kind == COVER:
-            aa_state = step(self.spec.aa, tree.aa_state[parent], stmt_id)
-            if aa_state != FALSE_STATE and stmt_id in self.spec.remaining:
-                tracked = tracked | {stmt_id}
-            if aa_state == FALSE_STATE and not tracked:
-                status = STATUS_PRUNED
-        nid = tree.add(edge.dst, valuation, parent, stmt_id, status,
-                       aa_state, tracked, fresh)
-        if status == STATUS_FRONTIER:
-            self.check_violation(nid)
-            self.cover(nid)
-        return nid
+            self.cover(root)
 
     def check_violation(self, nid: int) -> None:
         """Record the execution into an exit node that tracks something.
@@ -748,72 +737,88 @@ class _Explorer:
     # -- expansion -----------------------------------------------------------
 
     def expand(self, nid: int) -> None:
-        status = self.tree.status
+        """Create the node's child down each out edge its valuation does
+        not refute, and push the children left uncovered.
+
+        Reading a variable clears its fresh bit (a read top is coupled to
+        the context), except in a guard that evaluates to a definite
+        value.  A candidate assertion violation is confirmed by replay
+        first, and in cover mode an assert that must fail leads to a
+        pruned child: no assertion-clean continuation exists down it.  In
+        cover mode a child steps the automaton and tracks the statement
+        while the automaton has not entered FALSE; a FALSE child that
+        tracks nothing is pruned.  Each other child is checked for a
+        violation if it is at exit, then covered if it can be."""
+        tree, spec = self.tree, self.spec
+        status = tree.status
         status[nid] = STATUS_EXPANDED
+        val, node_fresh = tree.valuation[nid], tree.fresh[nid]
+        aa_state, tracked = tree.aa_state[nid], tree.tracked[nid]
+        index, reads = self.variables.index, self.variables.reads
+        exit_node = self.cfa.exit
         children: List[int] = []
-        for edge in self.cfa.out_edges(self.tree.location[nid]):
-            child = self.transfer(nid, edge)
-            if self.bug is not None:
-                return
-            if child is not None and status[child] == STATUS_FRONTIER:
-                children.append(child)
+        for edge in self.cfa.out_edges(tree.location[nid]):
+            stmt = edge.stmt
+            kind, stmt_id = stmt.kind, stmt.id
+            out, fresh = val, node_fresh
+            if kind == ASSIGN:
+                bit = self.variables.writes[stmt_id]
+                values = list(val)
+                values[index[stmt.var]] = lang.abstract_eval(stmt.expr, val,
+                                                             index)
+                out = tuple(values)
+                fresh &= ~(reads[stmt_id] | bit)
+                if stmt.expr == lang.NONDET_EXPR:  # a fresh top
+                    fresh |= bit
+            elif kind == ASSUME:
+                value = lang.abstract_eval(stmt.expr, val, index)
+                if value is TOP:
+                    fresh &= ~reads[stmt_id]
+                    match = lang.implied_equality(stmt.expr)
+                    if match is not None and val[index[match[0]]] is TOP:
+                        values = list(val)
+                        values[index[match[0]]] = match[1]
+                        out = tuple(values)
+                elif value == 0:
+                    continue
+            elif kind == ASSERT:
+                value = lang.abstract_eval(stmt.expr, val, index)
+                if value is TOP or value == 0:
+                    self.check_assert(nid, edge)
+                    if self.bug is not None:
+                        return
+                    if value is TOP:
+                        fresh &= ~reads[stmt_id]
+                    elif spec.kind == COVER:
+                        tree.add(edge.dst, val, nid, stmt_id, STATUS_PRUNED)
+                        continue
+            child_status, child_aa, child_tracked = \
+                STATUS_FRONTIER, None, tracked
+            if spec.kind == COVER:
+                child_aa = step(spec.aa, aa_state, stmt_id)
+                if child_aa == FALSE_STATE:
+                    if not tracked:
+                        child_status = STATUS_PRUNED
+                elif stmt_id in spec.remaining:
+                    child_tracked = tracked | {stmt_id}
+            child = tree.add(edge.dst, out, nid, stmt_id, child_status,
+                             child_aa, child_tracked, fresh)
+            if child_status == STATUS_FRONTIER:
+                if edge.dst == exit_node:
+                    self.check_violation(child)
+                self.cover(child)
+                if status[child] == STATUS_FRONTIER:
+                    children.append(child)
         if len(children) > 1:
             self.forks.add(nid)
-        self.push_children(children)
-
-    def transfer(self, nid: int, edge: Edge) -> Optional[int]:
-        """The child down one edge.  Reading a variable clears its fresh
-        bit: a read top is coupled to the context."""
-        stmt = edge.stmt
-        val = self.tree.valuation[nid]
-        node_fresh = self.tree.fresh[nid]
-        index = self.variables.index
-        read_fresh = node_fresh & ~self.variables.reads[stmt.id]
-        if stmt.kind == ASSIGN:
-            value = lang.abstract_eval(stmt.expr, val, index)
-            out = list(val)
-            out[index[stmt.var]] = value
-            bit = self.variables.writes[stmt.id]
-            fresh = read_fresh & ~bit
-            if stmt.expr == lang.NONDET_EXPR:  # a fresh top
-                fresh |= bit
-            return self.create_child(nid, edge, tuple(out), fresh)
-        if stmt.kind == ASSUME:
-            t = truth(lang.abstract_eval(stmt.expr, val, index))
-            if t is False:
-                return None
-            if t is True:
-                return self.create_child(nid, edge, val, node_fresh)
-            match = lang.implied_equality(stmt.expr)
-            if match is not None and val[index[match[0]]] is TOP:
-                out = list(val)
-                out[index[match[0]]] = match[1]
-                val = tuple(out)
-            return self.create_child(nid, edge, val, read_fresh)
-        if stmt.kind == ASSERT:
-            t = truth(lang.abstract_eval(stmt.expr, val, index))
-            if t is not True:
-                self.check_assert(nid, edge)
-                if self.bug is not None:
-                    return None
-            if t is False and self.spec.kind == COVER:
-                # No assertion-clean continuation exists down this edge.
-                return self.tree.add(edge.dst, val, nid, stmt.id,
-                                     STATUS_PRUNED)
-            fresh = node_fresh if t is not None else read_fresh
-            return self.create_child(nid, edge, val, fresh)
-        # skip / halt
-        return self.create_child(nid, edge, val, node_fresh)
-
-    def push_children(self, children: List[int]) -> None:
-        if len(children) > 1 and self.strategy.kind != BFS:
-            # Without a score map every score is 0: plain dfs-postorder.
-            scores = self.strategy.scores or {}
-            postorder = self.postorder
-            location, aa_state = self.tree.location, self.tree.aa_state
-            children.sort(key=lambda c: (postorder[location[c]],
-                                         -scores.get(aa_state[c], 0), c),
-                          reverse=True)
+            if self.strategy.kind != BFS:
+                # Without a score map every score is 0: plain dfs-postorder.
+                scores = self.strategy.scores or {}
+                postorder, location = self.postorder, tree.location
+                states = tree.aa_state
+                children.sort(key=lambda c: (postorder[location[c]],
+                                             -scores.get(states[c], 0), c),
+                              reverse=True)
         self.waitlist.extend(children)
 
     # -- narrowing -----------------------------------------------------------

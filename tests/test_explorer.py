@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -981,6 +982,31 @@ int main() {
 """
 
 
+# Every variable is live at the loop head L3, so the head's cover groups
+# are keyed by whole valuations.  x is a fresh top there; the guard
+# `x > 0` reads it, so it is a constrained top, and still live, until
+# `x = nondet()` ends the body.  An iteration that leaves y as it found it
+# reaches the head in a state an earlier head node covers.
+LIVE_LOOP = """int nondet();
+
+int main() {
+  int x = nondet();
+  int y = 0;
+  while (nondet()) {
+    if (x > 0) {
+      y = 1 - y;
+    }
+    if (x == y) {
+      y = 0;
+    }
+    x = nondet();
+  }
+  assert(x != y);
+  return 0;
+}
+"""
+
+
 def _reference_covers(spec, live, j, v):
     """The strict cover policy, checked on every variable."""
     if spec.kind == COVER and not j.tracked >= v.tracked:
@@ -1049,9 +1075,14 @@ def test_cover_groups_choose_the_reference_coverer():
     programs.append(("joins", source_to_cfa(JOINS, name="joins"),
                      [Spec.cover({0, 5}, AssumptionAutomaton(
                          name="all", initial=TRUE_STATE))]))
+    programs.append(("live_loop", source_to_cfa(LIVE_LOOP, name="live_loop"),
+                     []))
     mismatches = []
     covered = by_subsumption = 0
+    covered_where_all_live = Counter()
     for name, cfa, extra_specs in programs:
+        live = live_variables(cfa)
+        every = (1 << len(cfa.numbering().index)) - 1
         aa = explore(cfa, Spec.assertions(), Budget(max_nodes=200)).aa
         for label, spec, budget, strategy in _cover_runs(cfa, aa,
                                                          extra_specs):
@@ -1066,9 +1097,13 @@ def test_cover_groups_choose_the_reference_coverer():
                     covered += 1
                     coverer = nodes[node.covered_by]
                     by_subsumption += coverer.valuation != node.valuation
+                    covered_where_all_live[name] += \
+                        live[node.cfa_node] == every
     assert mismatches == []
     # Both coverer kinds occur: equal valuations and dead-variable tops.
     assert covered > by_subsumption > 0
+    # Groups keyed by whole valuations cover too.
+    assert covered_where_all_live["live_loop"] > 0
 
 
 @pytest.mark.parametrize("max_nodes", [1000, 2000])

@@ -5,19 +5,23 @@ traced memory before the call, divided by the nodes it creates, is the
 cost of one node.  Two inputs:
 
 * `bigloop.c`, a concrete counting loop whose every iteration is a new
-  abstract state, at 20,000 nodes;
-* a loop whose body asserts on a nondet() value, at 300 nodes.  Each
-  iteration's assert edge runs a witness search along a path one
-  iteration longer than the last, so a record that kept every searched
-  path would grow with the square of the nodes.
+  abstract state, at 20,000 nodes, bounded at 250 B/node;
+* a loop whose body asserts on a nondet() value, at 300 nodes, bounded at
+  300 B/node.  Each iteration's assert edge runs a witness search along a
+  path one iteration longer than the last, so a record that kept every
+  searched path would grow with the square of the nodes.
 
-Run it as a script to print both figures:
+Run it as a script to print both figures, and a third: how much the
+resident set of a fresh process grows (`ru_maxrss`) per node over an
+explore of `bigloop.c` at 200,000 nodes:
 
     PYTHONPATH=src python tests/test_tree_memory.py
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -29,6 +33,8 @@ from conftest import fixture_cfa  # noqa: E402
 
 NODES = 20_000
 ASSERT_IN_LOOP_NODES = 300
+RSS_NODES = 200_000
+BIGLOOP_MAX_BYTES_PER_NODE = 250
 MAX_BYTES_PER_NODE = 300
 
 ASSERT_IN_LOOP = """int nondet();
@@ -69,8 +75,35 @@ def assert_in_loop_bytes_per_node() -> float:
     return bytes_per_node(source_to_cfa(ASSERT_IN_LOOP), ASSERT_IN_LOOP_NODES)
 
 
+def bigloop_rss_bytes_per_node() -> float:
+    """`ru_maxrss` growth over an explore of `bigloop.c` at RSS_NODES
+    nodes, divided by the nodes, in a fresh process after a 50-node
+    warm-up.  Linux reports `ru_maxrss` in KiB, and carries the peak of
+    the process that starts the child into the child's `ru_maxrss`, so
+    call this before the calling process grows."""
+    child = f"""
+import resource
+from conftest import fixture_cfa
+from vericov import Budget, Spec, explore
+cfa = fixture_cfa("bigloop.c")
+explore(cfa, Spec.assertions(), Budget(max_nodes=50))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+result = explore(cfa, Spec.assertions(), Budget(max_nodes={RSS_NODES}))
+after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+assert result.art_stats.nodes_created == {RSS_NODES}
+print((after - before) * 1024 / {RSS_NODES})
+"""
+    tests = Path(__file__).parent
+    path = [str(tests.parent / "src"), str(tests),
+            os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    return float(subprocess.run([sys.executable, "-c", child], env=env,
+                                capture_output=True, text=True,
+                                check=True).stdout)
+
+
 def test_explore_peaks_below_the_bytes_per_node_bound():
-    assert bigloop_bytes_per_node() <= MAX_BYTES_PER_NODE
+    assert bigloop_bytes_per_node() <= BIGLOOP_MAX_BYTES_PER_NODE
 
 
 def test_an_assert_in_a_loop_peaks_below_the_bytes_per_node_bound():
@@ -78,7 +111,11 @@ def test_an_assert_in_a_loop_peaks_below_the_bytes_per_node_bound():
 
 
 if __name__ == "__main__":
+    # First, while this process is small: see `bigloop_rss_bytes_per_node`.
+    rss = bigloop_rss_bytes_per_node()
     print(f"bigloop.c: {bigloop_bytes_per_node():.1f} B/node"
-          f" (bound {MAX_BYTES_PER_NODE}, {NODES} nodes)")
+          f" (bound {BIGLOOP_MAX_BYTES_PER_NODE}, {NODES} nodes)")
     print(f"assert in a loop: {assert_in_loop_bytes_per_node():.1f} B/node"
           f" (bound {MAX_BYTES_PER_NODE}, {ASSERT_IN_LOOP_NODES} nodes)")
+    print(f"bigloop.c, ru_maxrss: {rss:.1f} B/node"
+          f" ({RSS_NODES} nodes, fresh process)")
