@@ -35,7 +35,7 @@ NODES = 20_000
 ASSERT_IN_LOOP_NODES = 300
 RSS_NODES = 200_000
 BIGLOOP_MAX_BYTES_PER_NODE = 250
-MAX_BYTES_PER_NODE = 300
+ASSERT_IN_LOOP_MAX_BYTES_PER_NODE = 300
 
 ASSERT_IN_LOOP = """int nondet();
 int main() {
@@ -107,7 +107,8 @@ def test_explore_peaks_below_the_bytes_per_node_bound():
 
 
 def test_an_assert_in_a_loop_peaks_below_the_bytes_per_node_bound():
-    assert assert_in_loop_bytes_per_node() <= MAX_BYTES_PER_NODE
+    assert assert_in_loop_bytes_per_node() <= \
+        ASSERT_IN_LOOP_MAX_BYTES_PER_NODE
 
 
 if __name__ == "__main__":
@@ -116,6 +117,7 @@ if __name__ == "__main__":
     print(f"bigloop.c: {bigloop_bytes_per_node():.1f} B/node"
           f" (bound {BIGLOOP_MAX_BYTES_PER_NODE}, {NODES} nodes)")
     print(f"assert in a loop: {assert_in_loop_bytes_per_node():.1f} B/node"
-          f" (bound {MAX_BYTES_PER_NODE}, {ASSERT_IN_LOOP_NODES} nodes)")
+          f" (bound {ASSERT_IN_LOOP_MAX_BYTES_PER_NODE},"
+          f" {ASSERT_IN_LOOP_NODES} nodes)")
     print(f"bigloop.c, ru_maxrss: {rss:.1f} B/node"
           f" ({RSS_NODES} nodes, fresh process)")
