@@ -103,22 +103,33 @@ class Cfa:
         return self.edges[stmt_id]
 
     def numbering(self) -> Numbering:
-        """The variable numbering, worked out on first use."""
+        """The variable numbering, worked out on first use: one pass over
+        the statements and the operands of their code.  Each variable gets
+        its bit once, in a name -> bit table, and a statement's read mask
+        ORs the bits of its `VAR` operands."""
         if self._numbering is None:
-            index: Dict[str, int] = {}
+            bits: Dict[str, int] = {}
             reads: Dict[int, int] = {}
             writes: Dict[int, int] = {}
-            for stmt in statements(self):
+            for e in self.edges:
+                stmt = e.stmt
                 write = 0
                 if stmt.kind == ASSIGN:
-                    write = 1 << index.setdefault(stmt.var, len(index))
+                    write = bits.get(stmt.var, 0)
+                    if not write:
+                        write = bits[stmt.var] = 1 << len(bits)
                 mask = 0
                 if stmt.expr is not None:
-                    for name in lang.expr_variables(stmt.expr):
-                        mask |= 1 << index.setdefault(name, len(index))
+                    for op, name in stmt.expr:
+                        if op is lang.VAR:
+                            bit = bits.get(name, 0)
+                            if not bit:
+                                bit = bits[name] = 1 << len(bits)
+                            mask |= bit
                 reads[stmt.id] = mask
                 writes[stmt.id] = write
-            self._numbering = Numbering(index, reads, writes)
+            self._numbering = Numbering(dict(zip(bits, range(len(bits)))),
+                                        reads, writes)
         return self._numbering
 
     def validate(self) -> None:
@@ -130,6 +141,9 @@ class Cfa:
         node_set = set(self.nodes)
         if len(node_set) != len(self.nodes):
             raise ValueError("duplicate node ids")
+        for role, node in (("entry", self.entry), ("exit", self.exit)):
+            if node not in node_set:
+                raise ValueError(f"{role} node {node} outside node set")
         for i, e in enumerate(self.edges):
             if e.stmt.id != i:
                 raise ValueError(f"edge {i} carries statement {e.stmt.id}")
@@ -158,7 +172,8 @@ def postorder_index(cfa: Cfa) -> Dict[int, int]:
     order, so the indexing is deterministic.  Nodes unreachable from entry
     (code after `return`) are traversed afterwards by further DFS rounds in
     ascending node order, and thus never rank below any exit-reaching node.
-    Worked out once per CFA and kept on it, like `live_variables`.
+    Worked out once per CFA and kept on it, like `live_variables`: one DFS
+    over the out-edge table, linear in the nodes and edges.
     """
     if cfa._postorder is None:
         cfa._postorder = _postorder_dfs(cfa)
@@ -166,27 +181,37 @@ def postorder_index(cfa: Cfa) -> Dict[int, int]:
 
 
 def _postorder_dfs(cfa: Cfa) -> Dict[int, int]:
+    """Iterative DFS over `cfa.out_edges`, the table `expand` reads too.
+
+    Each stacked node keeps its out-edge list and the position of the next
+    edge to try on parallel stacks, so no edge is looked at twice.  An
+    iterator per stacked node would do the same, but each would be an
+    object the garbage collector tracks for as long as the DFS runs: on a
+    600-block program thousands of them reached the oldest generation and
+    brought its next full collection forward, into whatever command ran
+    next."""
+    out_edges = cfa.out_edges
     index: Dict[int, int] = {}
     visited: Set[int] = set()
-    counter = 0
 
     def dfs(root: int) -> None:
-        nonlocal counter
-        stack = [(root, 0)]
         visited.add(root)
+        stack, outs, nexts = [root], [out_edges(root)], [0]
         while stack:
-            node, i = stack.pop()
-            out = cfa.out_edges(node)
+            out, i = outs[-1], nexts[-1]
             while i < len(out) and out[i].dst in visited:
                 i += 1
             if i < len(out):
-                stack.append((node, i + 1))
-                nxt = out[i].dst
-                visited.add(nxt)
-                stack.append((nxt, 0))
+                nexts[-1] = i + 1
+                node = out[i].dst
+                visited.add(node)
+                stack.append(node)
+                outs.append(out_edges(node))
+                nexts.append(0)
             else:
-                index[node] = counter
-                counter += 1
+                outs.pop()
+                nexts.pop()
+                index[stack.pop()] = len(index)
 
     dfs(cfa.entry)
     for node in sorted(cfa.nodes):
@@ -200,7 +225,9 @@ def live_variables(cfa: Cfa) -> Dict[int, int]:
     masks over `cfa.numbering()`.
 
     Worked out once per CFA and kept on it; every later call returns the
-    same mapping.
+    same mapping.  A bit-vector worklist: each edge evaluation ORs masks
+    as wide as the variable count, and a node is evaluated again only when
+    the live set of one of its successors grew.
     """
     if cfa._live is None:
         cfa._live = _live_fixpoint(cfa)
@@ -208,23 +235,38 @@ def live_variables(cfa: Cfa) -> Dict[int, int]:
 
 
 def _live_fixpoint(cfa: Cfa) -> Dict[int, int]:
-    """Backward bit-vector worklist over the edge relation (Kildall 1973)."""
+    """Backward bit-vector worklist over the edge relation (Kildall 1973).
+
+    Each node's in-edges are listed once, by statement ID, beside a table
+    of their sources; an edge's read and write masks come from the
+    numbering.  A `(src, read, write)` tuple per edge was slower, and each
+    tuple was one more object for the garbage collector to count.  A node
+    waits on the worklist at most once.  An edge evaluation clears the
+    written bit only when that bit is live."""
     numbering = cfa.numbering()
     reads, writes = numbering.reads, numbering.writes
     live = {n: 0 for n in cfa.nodes}
-    preds: Dict[int, List[Edge]] = {n: [] for n in cfa.nodes}
+    preds: Dict[int, List[int]] = {n: [] for n in cfa.nodes}
+    srcs: List[int] = []
     for e in cfa.edges:
-        preds[e.dst].append(e)
+        preds[e.dst].append(e.stmt.id)
+        srcs.append(e.src)
     worklist = list(cfa.nodes)
+    waiting = set(worklist)
     while worklist:
         node = worklist.pop()
+        waiting.discard(node)
         live_here = live[node]
-        for e in preds[node]:
-            sid = e.stmt.id
-            flow = reads[sid] | (live_here & ~writes[sid])
-            if flow & ~live[e.src]:
-                live[e.src] |= flow
-                worklist.append(e.src)
+        for sid in preds[node]:
+            src, read, write = srcs[sid], reads[sid], writes[sid]
+            flow = live_here ^ write if live_here & write else live_here
+            old = live[src]
+            new = old | flow | read
+            if new != old:
+                live[src] = new
+                if src not in waiting:
+                    waiting.add(src)
+                    worklist.append(src)
     return live
 
 

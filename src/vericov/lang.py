@@ -82,7 +82,8 @@ declaration, every occurrence of a literal text is the same `(LIT, n)`
 object, and every `(BINARY, op)` is the one module-level pair of its
 operator, so a large program holds one pair per declaration and distinct
 literal rather than one per occurrence (hash-consing).  No pair of an
-operand outlives its parse.  Only this module reads the opcodes;
+operand outlives its parse.  Only this module reads the opcodes, but
+for `Cfa.numbering`, which picks out the `VAR` operands in one scan;
 other modules go through `concrete_eval`, `abstract_eval`,
 `expr_variables`, `expr_to_text`, `implied_equality`, `negate` and the
 constants `NONDET_EXPR` and `ONE`.

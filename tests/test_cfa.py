@@ -1,8 +1,21 @@
-"""Control-flow automaton construction, numbering, and utilities."""
+"""Control-flow automaton construction, numbering, and utilities.
+
+Run it as a script to print how long the numbering, liveness and postorder
+take, against their reference versions below, on programs of 300 to 2,400
+blocks of `test_frontend_memory.large_source`'s shape:
+
+    PYTHONPATH=src python tests/test_cfa.py
+"""
 
 from __future__ import annotations
 
+import gc
+import random
+import statistics
+import sys
+import time
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -16,8 +29,13 @@ from vericov.cfa import (ASSERT, ASSIGN, ASSUME, HALT, SKIP, Cfa, Edge,
                          Statement, statements)
 from vericov.lowering import lower
 
-import oracle
-from conftest import ALL_FIXTURES, fixture_cfa, fixture_source, golden
+sys.path.insert(0, str(Path(__file__).parent))
+import oracle  # noqa: E402
+from conftest import (ALL_FIXTURES, fixture_cfa, fixture_source,  # noqa: E402
+                      golden)
+from test_explorer import _CORPORA, _random_program  # noqa: E402
+from test_frontend_memory import large_source  # noqa: E402
+from test_parse_outcomes import _corpus  # noqa: E402
 
 DIAMOND = ("int nondet();\n"
            "int main() { int x = nondet(); if (x > 0) { x = 1; } "
@@ -240,6 +258,124 @@ def test_postorder_dfs_runs_once_per_cfa(monkeypatch):
     assert cfa_module.postorder_index(cfa) == dfs(cfa)
 
 
+# Reference analyses ----------------------------------------------------------
+#
+# The numbering, liveness and postorder as first written: a dict of names
+# per statement, a worklist that may hold a node many times, and a DFS
+# that indexes back into the out-edges on every pop.  The analyses in
+# `vericov.cfa` must give exactly their results, orders included: the
+# numbering lays out the valuations and the cover-group keys.
+
+
+def _reference_numbering(cfa):
+    index, reads, writes = {}, {}, {}
+    for stmt in statements(cfa):
+        write = 0
+        if stmt.kind == ASSIGN:
+            write = 1 << index.setdefault(stmt.var, len(index))
+        mask = 0
+        if stmt.expr is not None:
+            for name in lang.expr_variables(stmt.expr):
+                mask |= 1 << index.setdefault(name, len(index))
+        reads[stmt.id] = mask
+        writes[stmt.id] = write
+    return index, reads, writes
+
+
+def _reference_live(cfa, reads, writes):
+    live = {n: 0 for n in cfa.nodes}
+    preds = {n: [] for n in cfa.nodes}
+    for e in cfa.edges:
+        preds[e.dst].append(e)
+    worklist = list(cfa.nodes)
+    while worklist:
+        node = worklist.pop()
+        live_here = live[node]
+        for e in preds[node]:
+            sid = e.stmt.id
+            flow = reads[sid] | (live_here & ~writes[sid])
+            if flow & ~live[e.src]:
+                live[e.src] |= flow
+                worklist.append(e.src)
+    return live
+
+
+def _reference_postorder(cfa):
+    index, visited, counter = {}, set(), 0
+
+    def dfs(root):
+        nonlocal counter
+        stack = [(root, 0)]
+        visited.add(root)
+        while stack:
+            node, i = stack.pop()
+            out = cfa.out_edges(node)
+            while i < len(out) and out[i].dst in visited:
+                i += 1
+            if i < len(out):
+                stack.append((node, i + 1))
+                nxt = out[i].dst
+                visited.add(nxt)
+                stack.append((nxt, 0))
+            else:
+                index[node] = counter
+                counter += 1
+
+    dfs(cfa.entry)
+    for node in sorted(cfa.nodes):
+        if node not in visited:
+            dfs(node)
+    return index
+
+
+def _analyses(cfa):
+    numbering = cfa.numbering()
+    return (list(numbering.index.items()), numbering.reads, numbering.writes,
+            live_variables(cfa), list(postorder_index(cfa).items()))
+
+
+def _reference_analyses(cfa):
+    index, reads, writes = _reference_numbering(cfa)
+    return (list(index.items()), reads, writes,
+            _reference_live(cfa, reads, writes),
+            list(_reference_postorder(cfa).items()))
+
+
+def _assert_analyses_match_the_reference(sources):
+    programs = 0
+    for source in sources:
+        try:
+            cfa = source_to_cfa(source)
+        except (lang.ParseError, lang.UndeclaredVariable):
+            continue
+        assert _analyses(cfa) == _reference_analyses(cfa), source
+        programs += 1
+    return programs
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_analyses_match_the_reference_on_a_fixture(name):
+    assert _assert_analyses_match_the_reference([fixture_source(name)]) == 1
+
+
+def test_analyses_match_the_reference_on_the_dump_corpus():
+    assert _assert_analyses_match_the_reference(_corpus()) == 583
+
+
+def test_analyses_match_the_reference_on_random_programs():
+    sources = [_random_program(rng, **generator)
+               for rng, generator in ((random.Random(seed), generator)
+                                      for seed, generator, _ in _CORPORA)
+               for _ in range(120)]
+    assert _assert_analyses_match_the_reference(sources) == len(sources)
+
+
+@pytest.mark.parametrize("blocks", [300, 600])
+def test_analyses_match_the_reference_on_a_wide_program(blocks):
+    source = large_source(blocks)
+    assert _assert_analyses_match_the_reference([source]) == 1
+
+
 # Validation ------------------------------------------------------------------
 
 
@@ -285,6 +421,14 @@ def test_validate_accepts_edge_into_entry():
     Cfa("loop", [0, 1, 2], edges, entry=0, exit=1).validate()
     cfa = source_to_cfa("int main() { while (0) ; return 0; }")
     assert [e.src for e in cfa.edges if e.dst == cfa.entry] == [3]
+
+
+@pytest.mark.parametrize("entry, exit_", [(5, 1), (0, 5)])
+def test_validate_rejects_an_entry_or_exit_outside_the_nodes(entry, exit_):
+    # Unchecked, `explore` died inside the analyses with a bare KeyError.
+    edges = [Edge(0, Statement(0, HALT), 1)]
+    with pytest.raises(ValueError, match="node 5 outside node set"):
+        Cfa("bad", [0, 1], edges, entry=entry, exit=exit_).validate()
 
 
 def test_validate_rejects_edge_out_of_exit():
@@ -360,3 +504,39 @@ def test_equal_statements_compare_equal():
     one = Statement(3, ASSIGN, "x", lang.ONE, 1)
     assert one == Statement(3, ASSIGN, "x", lang.ONE, 1)
     assert one != Statement(3, ASSIGN, "y", lang.ONE, 1)
+
+
+def _median_ms(work, cfa, prepare=None, runs=5):
+    """Median wall time of `work` on fresh copies of `cfa`, each holding
+    no analysis but what `prepare` worked out untimed.  Each run starts
+    after a full collection, so none falls into a run by the allocation
+    history of the ones before."""
+    times = []
+    for _ in range(runs):
+        fresh = Cfa(cfa.name, cfa.nodes, cfa.edges, cfa.entry, cfa.exit)
+        if prepare is not None:
+            prepare(fresh)
+        gc.collect()
+        start = time.perf_counter()
+        work(fresh)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1e3
+
+
+if __name__ == "__main__":
+    # Liveness is timed without the numbering it reads, and the postorder
+    # with building the out-edge table, as `explore` asks for it first.
+    print("blocks statements variables  numbering ms  liveness ms"
+          "  postorder ms  (reference)")
+    for blocks in (300, 600, 1200, 2400):
+        cfa = source_to_cfa(large_source(blocks))
+        _, reads, writes = _reference_numbering(cfa)
+        figures = [
+            (_median_ms(Cfa.numbering, cfa),
+             _median_ms(_reference_numbering, cfa)),
+            (_median_ms(cfa_module._live_fixpoint, cfa, Cfa.numbering),
+             _median_ms(lambda c: _reference_live(c, reads, writes), cfa)),
+            (_median_ms(cfa_module._postorder_dfs, cfa),
+             _median_ms(_reference_postorder, cfa))]
+        print(f"{blocks:6} {len(cfa.edges):10} {len(cfa.numbering().index):9}"
+              + "".join(f"  {new:5.1f} ({old:5.1f})" for new, old in figures))

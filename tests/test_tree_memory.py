@@ -9,7 +9,11 @@ cost of one node.  Two inputs:
 * a loop whose body asserts on a nondet() value, at 300 nodes, bounded at
   300 B/node.  Each iteration's assert edge runs a witness search along a
   path one iteration longer than the last, so a record that kept every
-  searched path would grow with the square of the nodes.
+  searched path would grow with the square of the nodes.  It is measured
+  in a fresh process: the search's plan steps are 3-tuples, which CPython
+  takes from its tuple free list where it can, and tracemalloc does not
+  see those, so in a process where earlier work freed many 3-tuples the
+  figure read about 50 B/node lower.
 
 Run it as a script to print both figures, and a third: how much the
 resident set of a fresh process grows (`ru_maxrss`) per node over an
@@ -26,7 +30,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
-from vericov import Budget, Cfa, Spec, explore, source_to_cfa
+from vericov import Budget, Cfa, Spec, explore
 
 sys.path.insert(0, str(Path(__file__).parent))
 from conftest import fixture_cfa  # noqa: E402
@@ -72,7 +76,13 @@ def bigloop_bytes_per_node() -> float:
 
 
 def assert_in_loop_bytes_per_node() -> float:
-    return bytes_per_node(source_to_cfa(ASSERT_IN_LOOP), ASSERT_IN_LOOP_NODES)
+    """The assert-in-loop figure, in a fresh process (see the module
+    docstring)."""
+    return _in_fresh_process("""
+from test_tree_memory import ASSERT_IN_LOOP, ASSERT_IN_LOOP_NODES, bytes_per_node
+from vericov import source_to_cfa
+print(bytes_per_node(source_to_cfa(ASSERT_IN_LOOP), ASSERT_IN_LOOP_NODES))
+""")
 
 
 def bigloop_rss_bytes_per_node() -> float:
@@ -81,7 +91,7 @@ def bigloop_rss_bytes_per_node() -> float:
     warm-up.  Linux reports `ru_maxrss` in KiB, and carries the peak of
     the process that starts the child into the child's `ru_maxrss`, so
     call this before the calling process grows."""
-    child = f"""
+    return _in_fresh_process(f"""
 import resource
 from conftest import fixture_cfa
 from vericov import Budget, Spec, explore
@@ -92,12 +102,17 @@ result = explore(cfa, Spec.assertions(), Budget(max_nodes={RSS_NODES}))
 after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 assert result.art_stats.nodes_created == {RSS_NODES}
 print((after - before) * 1024 / {RSS_NODES})
-"""
+""")
+
+
+def _in_fresh_process(code: str) -> float:
+    """The number `code` prints, run by a new interpreter that imports
+    from `src/` and `tests/`."""
     tests = Path(__file__).parent
     path = [str(tests.parent / "src"), str(tests),
             os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    return float(subprocess.run([sys.executable, "-c", child], env=env,
+    return float(subprocess.run([sys.executable, "-c", code], env=env,
                                 capture_output=True, text=True,
                                 check=True).stdout)
 
@@ -118,6 +133,6 @@ if __name__ == "__main__":
           f" (bound {BIGLOOP_MAX_BYTES_PER_NODE}, {NODES} nodes)")
     print(f"assert in a loop: {assert_in_loop_bytes_per_node():.1f} B/node"
           f" (bound {ASSERT_IN_LOOP_MAX_BYTES_PER_NODE},"
-          f" {ASSERT_IN_LOOP_NODES} nodes)")
+          f" {ASSERT_IN_LOOP_NODES} nodes, fresh process)")
     print(f"bigloop.c, ru_maxrss: {rss:.1f} B/node"
           f" ({RSS_NODES} nodes, fresh process)")
