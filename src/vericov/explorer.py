@@ -62,7 +62,7 @@ from typing import (Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
 
 from . import lang
 from .automaton import (FALSE_STATE, TRUE_STATE, AssumptionAutomaton, step)
-from .cfa import (ASSERT, ASSIGN, ASSUME, Cfa, Edge, Numbering, Statement,
+from .cfa import (ASSERT, ASSIGN, ASSUME, Cfa, Edge, Statement,
                   live_variables, postorder_index)
 
 # ---------------------------------------------------------------------------
@@ -233,16 +233,20 @@ class MissingScores(Exception):
 
 @dataclass
 class TraversalStrategy:
+    """The order `explore` expands nodes in.  Construction rejects an
+    unknown kind, and dfs-postorder+score without a score map."""
+
     kind: str
     scores: Optional[Dict[str, int]] = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in STRATEGIES:
+            raise ValueError(f"unknown strategy kind {self.kind!r}")
+        if self.kind == DFS_POSTORDER_SCORE and self.scores is None:
+            raise MissingScores("dfs-postorder+score needs a score map")
 
-def make_strategy(kind: str, scores: Optional[Dict[str, int]] = None) -> TraversalStrategy:
-    if kind not in STRATEGIES:
-        raise ValueError(f"unknown strategy kind {kind!r}")
-    if kind == DFS_POSTORDER_SCORE and scores is None:
-        raise MissingScores("dfs-postorder+score needs a score map")
-    return TraversalStrategy(kind, scores)
+
+make_strategy = TraversalStrategy
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +378,13 @@ class _NeedChoice(Exception):
     pass
 
 
-def _search_witness(edges: Sequence[Edge], variables: Numbering,
-                    domain: Sequence[int], step_limit: int,
-                    state: Optional[_SearchState], forks: Sequence[int]
+def _search_witness(cfa: Cfa, path: Sequence[int], domain: Sequence[int],
+                    step_limit: int, state: Optional[_SearchState],
+                    forks: Sequence[int]
                     ) -> Tuple[ReplayResult, List[_SearchState]]:
-    """Search nondet choices under which the path's run is "ok" (see
-    `_run_path`), by conflict-directed backjumping (Prosser 1993).
+    """Search nondet choices under which the run of the path, a sequence
+    of the CFA's statement ids, is "ok" (see `_run_path`), by
+    conflict-directed backjumping (Prosser 1993).
 
     Each choice runs through `domain` in order, so the first witness found
     is the first in lexicographic order.  A failed run jumps to the
@@ -420,8 +425,8 @@ def _search_witness(edges: Sequence[Edge], variables: Numbering,
     ends the same way on every path that starts with its first j
     statements, none of them final.
     """
-    plan = [(e.stmt, variables.reads[e.stmt.id], variables.writes[e.stmt.id])
-            for e in edges]
+    reads, writes = cfa.numbering().reads, cfa.numbering().writes
+    plan = [(cfa.edges[i].stmt, reads[i], writes[i]) for i in path]
     if state is None:
         stack, conflicts, marks, steps = [], [], [], step_limit
     else:
@@ -466,8 +471,9 @@ def _search_witness(edges: Sequence[Edge], variables: Numbering,
 def replay(cfa: Cfa, path: Sequence[int],
            nondet_domain: Sequence[int] = DEFAULT_NONDET_DOMAIN,
            step_limit: int = DEFAULT_REPLAY_STEP_LIMIT) -> ReplayResult:
-    """Search nondet choices under which every assume on the path holds,
-    and every assert holds except a final one, which must fail.
+    """Search nondet choices under which every assume on the path, a
+    sequence of statement ids, holds, and every assert holds except a
+    final one, which must fail.
 
     The path must start at entry and be edge-connected.  A path into exit
     ends in a `halt` (see `Cfa.validate`), so its witness is a feasible,
@@ -485,16 +491,13 @@ def replay(cfa: Cfa, path: Sequence[int],
     earlier search along the same prefix stood (see `_search_witness`),
     and return what this one does.
     """
-    edges = []
     expected = cfa.entry
     for stmt_id in path:
         edge = cfa.edge(stmt_id)
         if edge.src != expected:
             raise ValueError("path is not connected from entry")
-        edges.append(edge)
         expected = edge.dst
-    return _search_witness(edges, cfa.numbering(), nondet_domain, step_limit,
-                           None, ())[0]
+    return _search_witness(cfa, path, nondet_domain, step_limit, None, ())[0]
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +555,12 @@ class _Explorer:
         self.postorder = postorder_index(cfa)
         self.live = live_variables(cfa)
         self.variables = cfa.numbering()
-        self.searches: Dict[int, ReplayResult] = {}  # exit node id -> result
+        unset = self.live[cfa.entry]  # read on some path before any write
+        if unset:
+            raise ValueError("variables read before assignment: " + ", ".join(
+                v for v, i in self.variables.index.items() if unset >> i & 1))
+        # Exit node id -> its execution, None when its search found none.
+        self.searches: Dict[int, Optional[Execution]] = {}
         self.forks: Set[int] = set()  # nodes whose expansion pushed 2+ children
         # Along the last searched path, by ascending depth: (depth, fork,
         # the search's state on arriving there, or the result every search
@@ -573,17 +581,11 @@ class _Explorer:
 
     # -- plumbing ------------------------------------------------------------
 
-    def path_to(self, nid: int) -> Tuple[int, ...]:
-        parent, incoming = self.tree.parent, self.tree.incoming
-        path: List[int] = []
-        while nid:  # every node but the root (id 0) has an incoming statement
-            path.append(incoming[nid])
-            nid = parent[nid]
-        return tuple(reversed(path))
-
-    def search(self, nid: int, edge: Optional[Edge] = None) -> ReplayResult:
+    def search(self, nid: int, edge: Optional[Edge] = None
+               ) -> Tuple[ReplayResult, List[int]]:
         """The witness search of the path into `nid`, followed by `edge` if
-        given, as `replay` would return it.
+        given, as `replay` would return it, and that path as a list of
+        statement ids.
 
         It resumes at the deepest fork of the last searched path that is
         a node of this one too, short of its end (see `_search_witness`).
@@ -596,27 +598,35 @@ class _Explorer:
             nid = parent[nid]
             nodes.append(nid)
         nodes.reverse()
-        edges = [self.cfa.edges[incoming[n]] for n in nodes[1:]]
+        path = [incoming[n] for n in nodes[1:]]
         if edge is not None:
-            edges.append(edge)
+            path.append(edge.stmt.id)
         trail = self.trail
-        while trail and (trail[-1][0] >= len(edges)
+        while trail and (trail[-1][0] >= len(path)
                          or nodes[trail[-1][0]] != trail[-1][1]):
             trail.pop()
         depth, state = (trail[-1][0], trail[-1][2]) if trail else (0, None)
         if type(state) is ReplayResult:
-            return state
-        forks = [d for d in range(depth + 1, len(edges))
+            return state, path
+        forks = [d for d in range(depth + 1, len(path))
                  if nodes[d] in self.forks]
         # Read at call time, so that a test can shorten it.
-        result, saved = _search_witness(edges, self.variables, self.domain,
+        result, saved = _search_witness(self.cfa, path, self.domain,
                                         DEFAULT_REPLAY_STEP_LIMIT, state,
                                         forks)
         trail += [(d, nodes[d], s) for d, s in zip(forks, saved)]
         if result.verdict != FEASIBLE and len(saved) < len(forks):
             depth = forks[len(saved)]
             trail.append((depth, nodes[depth], result))
-        return result
+        return result, path
+
+    def execution(self, nid: int, edge: Optional[Edge] = None
+                  ) -> Optional[Execution]:
+        """The execution `search` finds, None when it finds none."""
+        result, path = self.search(nid, edge)
+        if result.verdict != FEASIBLE:
+            return None
+        return Execution(tuple(path), result.witness)
 
     # -- covering ------------------------------------------------------------
 
@@ -704,15 +714,15 @@ class _Explorer:
 
     def check_violation(self, nid: int) -> None:
         """Record the execution into an exit node that tracks something.
-        Narrowing asks each exit node again, so its search is kept."""
+        Narrowing asks each exit node again, so its execution is kept."""
         tree = self.tree
         if len(self.cex) < self.budget.max_counterexamples and \
                 tree.location[nid] == self.cfa.exit and tree.tracked[nid]:
-            result = self.searches.get(nid)
-            if result is None:
-                result = self.searches[nid] = self.search(nid)
-            if result.verdict == FEASIBLE:
-                self.cex.append(Execution(self.path_to(nid), result.witness))
+            if nid not in self.searches:
+                self.searches[nid] = self.execution(nid)
+            execution = self.searches[nid]
+            if execution is not None:
+                self.cex.append(execution)
                 self.exercised.append(tree.tracked[nid])
 
     def check_assert(self, parent: int, edge: Edge) -> None:
@@ -723,11 +733,9 @@ class _Explorer:
                 return
         elif not self.spec.stop_on_violation:
             return
-        result = self.search(parent, edge)
-        if result.verdict != FEASIBLE:
+        execution = self.execution(parent, edge)
+        if execution is None:
             return
-        execution = Execution(self.path_to(parent) + (edge.stmt.id,),
-                              result.witness)
         if self.spec.kind == ASSERTIONS:
             self.cex.append(execution)
             self.exercised.append(frozenset())
@@ -862,8 +870,9 @@ class _Explorer:
 
     # -- main loop -----------------------------------------------------------
 
-    def run(self) -> ExplorationResult:
-        start = time.monotonic()
+    def run(self, start: float) -> ExplorationResult:
+        """Expand nodes until a verdict or a budget stop; the time limit
+        counts from `start`."""
         interrupted = False
         budget, location = self.budget, self.tree.location
         pop = self.waitlist.popleft if self.strategy.kind == BFS \
@@ -913,7 +922,8 @@ def explore(cfa: Cfa, spec: Spec, budget: Budget,
     """Explore the program under the spec until a verdict or a budget stop.
 
     The CFA must pass `Cfa.validate`: the witness search of a path into
-    exit relies on its ending in a `halt`.  Deterministic: identical
+    exit relies on its ending in a `halt`.  A CFA that can read a variable
+    before assigning it is a ValueError.  Deterministic: identical
     inputs produce identical trees, automata and counterexample lists.  A
     node budget counts the nodes this call creates, and never truncates
     an expansion in progress; the node being expanded is completed first.
@@ -927,16 +937,19 @@ def explore(cfa: Cfa, spec: Spec, budget: Budget,
     result's nodes and automaton first; a result is resumed at most once.
     Witness searches travel with the tree: an exit node is searched
     once, and each search goes on from the deepest fork it shares with
-    the last one, whichever round made that (see `_Explorer.search`).
-    The new result's `art_stats` count only the nodes this call
-    created.
+    the last one, whichever round made that (see `_Explorer.search`).  A
+    searched path, like a counterexample's, is the statement ids of the
+    tree edges from the root.  The new result's `art_stats` count only the
+    nodes this call created, and the time limit counts from this call,
+    narrowing's searches included.
     """
+    start = time.monotonic()
     if strategy is None:
         strategy = make_strategy(DFS_POSTORDER)
     if resume is None:
         ex = _Explorer(cfa, spec, budget, strategy, nondet_domain)
         ex.make_root()
-        return ex.run()
+        return ex.run(start)
     ex = resume._explorer
     if ex is None or ex.bug is not None or spec.kind != COVER or \
             ex.cfa is not cfa or spec.aa is not ex.spec.aa or \
@@ -948,7 +961,7 @@ def explore(cfa: Cfa, spec: Spec, budget: Budget,
                          "and a spec remaining within its own")
     resume._explorer = None
     ex.narrow(spec, budget)
-    return ex.run()
+    return ex.run(start)
 
 
 # ---------------------------------------------------------------------------

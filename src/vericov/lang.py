@@ -85,8 +85,8 @@ literal rather than one per occurrence (hash-consing).  No pair of an
 operand outlives its parse.  Only this module reads the opcodes, but
 for `Cfa.numbering`, which picks out the `VAR` operands in one scan;
 other modules go through `concrete_eval`, `abstract_eval`,
-`expr_variables`, `expr_to_text`, `implied_equality`, `negate` and the
-constants `NONDET_EXPR` and `ONE`.
+`expr_to_text`, `implied_equality`, `negate` and the constants
+`NONDET_EXPR` and `ONE`.
 
 `/` and `%` follow C99: truncation toward zero, remainder takes the sign
 of the dividend.  Division by zero has no defined value; `concrete_eval`
@@ -698,12 +698,6 @@ def expr_to_text(expr: Expr) -> str:
             text = "nondet()" if op is NONDET else str(arg)
             stack.append((text, UNARY_PRECEDENCE))
     return stack[-1][0]
-
-
-def expr_variables(expr: Expr) -> dict:
-    """Names of all variables occurring in the expression, as the keys of
-    a dict in left-to-right order of first occurrence."""
-    return dict.fromkeys([arg for op, arg in expr if op is VAR])
 
 
 def implied_equality(guard: Expr) -> Optional[Tuple[str, int]]:

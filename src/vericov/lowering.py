@@ -88,34 +88,28 @@ class _Lowerer:
         else:
             raise AssertionError(f"unhandled statement {stmt!r}")
 
+    def lower_guarded(self, cond: lang.Expr, body: List[lang.Stmt],
+                      src: int, dst: int, line: int) -> None:
+        """Assume the guard, then the block; a bare assume into `dst`
+        when the block is empty."""
+        if body:
+            head = self.fresh()
+            self.edge(src, head, ASSUME, None, cond, line)
+            self.lower_block(body, head, dst)
+        else:
+            self.edge(src, dst, ASSUME, None, cond, line)
+
     def lower_if(self, stmt: If, src: int, dst: int) -> None:
-        if stmt.then:
-            then_head = self.fresh()
-            self.edge(src, then_head, ASSUME, None, stmt.cond, stmt.line)
-            self.lower_block(stmt.then, then_head, dst)
-        else:
-            self.edge(src, dst, ASSUME, None, stmt.cond, stmt.line)
-        negated = lang.negate(stmt.cond)
-        if stmt.orelse:
-            else_head = self.fresh()
-            self.edge(src, else_head, ASSUME, None, negated, stmt.line)
-            self.lower_block(stmt.orelse, else_head, dst)
-        else:
-            self.edge(src, dst, ASSUME, None, negated, stmt.line)
+        self.lower_guarded(stmt.cond, stmt.then, src, dst, stmt.line)
+        self.lower_guarded(lang.negate(stmt.cond), stmt.orelse, src, dst,
+                           stmt.line)
 
     def lower_loop(self, cond: lang.Expr, update: Optional[lang.Stmt],
                    body: List[lang.Stmt], head: int, dst: int, line: int) -> None:
         # Exit-side assume first: see module docstring.
         self.edge(head, dst, ASSUME, None, lang.negate(cond), line)
-        back = head
-        if update is not None:
-            back = self.fresh()
-        if body:
-            body_head = self.fresh()
-            self.edge(head, body_head, ASSUME, None, cond, line)
-            self.lower_block(body, body_head, back)
-        else:
-            self.edge(head, back, ASSUME, None, cond, line)
+        back = self.fresh() if update is not None else head
+        self.lower_guarded(cond, body, head, back, line)
         if update is not None:
             self.lower_stmt(update, back, head)
 

@@ -275,7 +275,8 @@ def _reference_numbering(cfa):
             write = 1 << index.setdefault(stmt.var, len(index))
         mask = 0
         if stmt.expr is not None:
-            for name in lang.expr_variables(stmt.expr):
+            for name in dict.fromkeys(arg for op, arg in stmt.expr
+                                      if op is lang.VAR):
                 mask |= 1 << index.setdefault(name, len(index))
         reads[stmt.id] = mask
         writes[stmt.id] = write

@@ -187,9 +187,9 @@ def test_rounds_search_each_path_once_and_emit_nothing(monkeypatch):
     emitted = 0
     search, emit = explorer._search_witness, explorer.emit_assumption_automaton
 
-    def counted_search(edges, *args):
-        searched.append(tuple(e.stmt.id for e in edges))
-        return search(edges, *args)
+    def counted_search(cfa, path, *args):
+        searched.append(tuple(path))
+        return search(cfa, path, *args)
 
     def counted_emit(*args, **kwargs):
         nonlocal emitted

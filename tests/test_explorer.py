@@ -10,8 +10,9 @@ from types import SimpleNamespace
 import pytest
 
 from vericov import (Budget, FALSE_STATE, MissingScores, Spec,
-                     explore, make_strategy, parse_aa, score, serialize_aa,
-                     source_to_cfa, statement_ids)
+                     TraversalStrategy, exact_coverage, explore,
+                     make_strategy, parse_aa, score, serialize_aa,
+                     source_to_cfa, statement_ids, under_approx_coverage)
 from vericov import explorer, lang
 from vericov.automaton import AssumptionAutomaton, TRUE_STATE
 from vericov.cfa import (ASSERT, ASSIGN, ASSUME, HALT, Cfa, Edge, Statement,
@@ -479,6 +480,18 @@ def test_make_strategy_validation():
     assert make_strategy("dfs-postorder+score", {"q0": 1}).scores == {"q0": 1}
 
 
+@pytest.mark.parametrize("args, error", [
+    (("random",), ValueError),
+    (("dfs-postorder+score",), MissingScores),  # no score map
+])
+def test_traversal_strategy_checks_itself(args, error):
+    # A strategy checks itself when built, so a bad one never reaches
+    # `explore`, which would run it as dfs-postorder.
+    with pytest.raises(error):
+        explore(fixture_cfa("deadbranch.c"), Spec.assertions(), Budget(),
+                TraversalStrategy(*args))
+
+
 # Verdicts --------------------------------------------------------------------
 
 
@@ -492,6 +505,48 @@ def test_time_limit_stops_exploration_with_unknown(monkeypatch):
     assert result.verdict == UNKNOWN
     assert result.art_stats.nodes_created == 1
     assert result.art_stats.nodes_frontier == 1
+
+
+def test_time_limit_counts_narrowing(monkeypatch):
+    # A resumed round whose narrowing takes 10 s of a 1 s limit creates no
+    # node: the clock starts when `explore` is called.
+    now = [0.0]
+    monkeypatch.setattr(explorer, "time", SimpleNamespace(
+        monotonic=lambda: now[0]))
+    narrow = explorer._Explorer.narrow
+
+    def slow_narrow(ex, spec, budget):
+        narrow(ex, spec, budget)
+        now[0] += 10
+
+    monkeypatch.setattr(explorer._Explorer, "narrow", slow_narrow)
+    cfa = fixture_cfa("chain_ifs.c")
+    spec = Spec.cover(statement_ids(cfa), AssumptionAutomaton(
+        name="all", initial=TRUE_STATE))
+    first = explore(cfa, spec, Budget(max_nodes=4))
+    assert first.verdict == UNKNOWN
+    second = explore(cfa, spec, Budget(time_limit=1.0), resume=first)
+    assert second.verdict == UNKNOWN
+    assert second.art_stats.nodes_created == 0
+
+
+def test_a_variable_read_before_assignment_is_refused():
+    # x = y + 1; halt.  The CFA is valid, but y holds no value at entry.
+    expr = source_to_cfa("int main() { int y = 0; int x = y + 1; return 0; }"
+                         ).edges[1].stmt.expr
+    cfa = Cfa("unset", [0, 1, 2], [Edge(0, Statement(0, ASSIGN, "x", expr), 2),
+                                   Edge(2, Statement(1, HALT), 1)],
+              entry=0, exit=1)
+    cfa.validate()
+    # x has its bit before y: y is read before any statement writes it.
+    assert cfa.numbering().index == {"x": 0, "y": 1}
+    assert cfa.numbering().reads == {0: 0b10, 1: 0}
+    aa = AssumptionAutomaton(name="all", initial=TRUE_STATE)
+    with pytest.raises(ValueError, match="read before assignment: y$"):
+        explore(cfa, Spec.assertions(), Budget())
+    for coverage in (exact_coverage, under_approx_coverage):
+        with pytest.raises(ValueError, match="read before assignment: y$"):
+            coverage(cfa, aa, Budget())
 
 
 def test_assertions_safe_when_no_asserts():

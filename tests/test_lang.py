@@ -12,8 +12,7 @@ from vericov.lang import (AND_SKIP, BINARY, LIT, NONDET, OR_SKIP, TOP, UNARY,
                           VAR, Assign, Decl, EvalError, For, ParseError,
                           Return, Skip, UndeclaredVariable, While,
                           abstract_eval, concrete_eval, expr_to_text,
-                          expr_variables, implied_equality, negate,
-                          parse_program)
+                          implied_equality, negate, parse_program)
 
 from conftest import fixture_source
 
@@ -431,11 +430,6 @@ def test_abstract_eval_does_not_short_circuit():
 ])
 def test_abstract_eval_definite_operand_decides_and_or(text, expected):
     assert abstract_eval(_init(text, "a"), (TOP,), {"a": 0}) == expected
-
-
-def test_expr_variables_in_order_of_first_occurrence():
-    assert list(expr_variables(_init("c * a + (b && c) - a"))) == [
-        "c", "a", "b"]
 
 
 @pytest.mark.parametrize("guard, expected", [

@@ -51,14 +51,13 @@ class _Recorder:
         search, witness = explorer._Explorer.search, explorer._search_witness
 
         def recorded(ex, nid, edge=None):
-            result = search(ex, nid, edge)
-            path = ex.path_to(nid) + ((edge.stmt.id,) if edge else ())
-            self.searches.append((ex.cfa, path, ex.domain, result))
-            return result
+            result, path = search(ex, nid, edge)
+            self.searches.append((ex.cfa, tuple(path), ex.domain, result))
+            return result, path
 
-        def counted(edges, variables, domain, step_limit, state, forks):
+        def counted(cfa, path, domain, step_limit, state, forks):
             self.calls["entry" if state is None else "resumed"] += 1
-            return witness(edges, variables, domain, step_limit, state, forks)
+            return witness(cfa, path, domain, step_limit, state, forks)
 
         monkeypatch.setattr(explorer._Explorer, "search", recorded)
         monkeypatch.setattr(explorer, "_search_witness", counted)
