@@ -11,8 +11,8 @@ executions, or as an upper bound read off the automaton.
 from .automaton import (FALSE_STATE, TRUE_STATE, AssumptionAutomaton,
                         FormatError, StatementIdMismatch, check_alphabet,
                         parse_aa, serialize_aa, step)
-from .cfa import (ASSERT, ASSIGN, ASSUME, HALT, SKIP, Cfa, Edge, Statement,
-                  dump_cfa, live_variables, postorder_index, statement_ids)
+from .cfa import (ASSERT, ASSIGN, ASSUME, HALT, SKIP, Cfa, Edge, dump_cfa,
+                  live_variables, postorder_index, statement_ids)
 from .cli import RunConfig, run
 from .coverage import (CoverageReport, exact_coverage, over_approx_coverage,
                        under_approx_coverage)
@@ -30,9 +30,9 @@ __all__ = [
     "ASSERT", "ASSIGN", "ASSUME", "HALT", "SKIP",
     "AssumptionAutomaton", "Budget", "Cfa", "CoverageReport", "Edge",
     "EvalError", "Execution", "FALSE_STATE", "FormatError", "MissingScores",
-    "ParseError", "Program", "RunConfig", "Spec", "Statement",
-    "StatementIdMismatch", "TRUE_STATE", "TraversalStrategy",
-    "UndeclaredVariable", "check_alphabet", "compose", "concrete_eval",
+    "ParseError", "Program", "RunConfig", "Spec", "StatementIdMismatch",
+    "TRUE_STATE", "TraversalStrategy", "UndeclaredVariable",
+    "check_alphabet", "compose", "concrete_eval",
     "dump_cfa", "emit_assumption_automaton", "exact_coverage", "explore",
     "expr_to_text", "live_variables", "lower", "make_strategy",
     "over_approx_coverage", "parse_aa", "parse_program", "postorder_index",

@@ -1,7 +1,9 @@
 """Control-flow automaton: program locations connected by statement edges.
 
-Statements are the unit of coverage.  Every statement has a dense integer
-ID unique within its automaton; the IDs double as the alphabet of the
+Statements are the unit of coverage.  Each statement labels exactly one
+edge, and one `Edge` record carries both, so the edge list is the
+statement table.  Every statement has a dense integer ID unique within its
+automaton, its index in that list; the IDs double as the alphabet of the
 assumption automata built on top.
 """
 
@@ -21,17 +23,19 @@ HALT = "halt"
 
 
 @dataclass(slots=True)
-class Statement:
-    """A labeled CFA edge payload.
+class Edge:
+    """Statement `id` leads from node `src` to node `dst`.
 
     kind is one of assign/assume/assert/skip/halt; `var` is set for
     assigns, `expr` for assign/assume/assert.
 
     Slotted, so a record holds no per-instance dict.  Lowering builds each
-    statement once and nothing mutates it afterwards; it compares by value
-    but is not hashable.
+    edge once and nothing mutates it afterwards; it compares by value but
+    is not hashable.
     """
 
+    src: int
+    dst: int
     id: int
     kind: str
     var: Optional[str] = None
@@ -44,17 +48,6 @@ class Statement:
         if self.kind in (ASSUME, ASSERT):
             return lang.expr_to_text(self.expr)
         return ""
-
-
-@dataclass(slots=True)
-class Edge:
-    """Statement `stmt` leads from node `src` to node `dst`.  Slotted,
-    built once by lowering, never mutated, and not hashable, like
-    `Statement`."""
-
-    src: int
-    stmt: Statement
-    dst: int
 
 
 @dataclass(frozen=True)
@@ -112,22 +105,21 @@ class Cfa:
             reads: Dict[int, int] = {}
             writes: Dict[int, int] = {}
             for e in self.edges:
-                stmt = e.stmt
                 write = 0
-                if stmt.kind == ASSIGN:
-                    write = bits.get(stmt.var, 0)
+                if e.kind == ASSIGN:
+                    write = bits.get(e.var, 0)
                     if not write:
-                        write = bits[stmt.var] = 1 << len(bits)
+                        write = bits[e.var] = 1 << len(bits)
                 mask = 0
-                if stmt.expr is not None:
-                    for op, name in stmt.expr:
+                if e.expr is not None:
+                    for op, name in e.expr:
                         if op is lang.VAR:
                             bit = bits.get(name, 0)
                             if not bit:
                                 bit = bits[name] = 1 << len(bits)
                             mask |= bit
-                reads[stmt.id] = mask
-                writes[stmt.id] = write
+                reads[e.id] = mask
+                writes[e.id] = write
             self._numbering = Numbering(dict(zip(bits, range(len(bits)))),
                                         reads, writes)
         return self._numbering
@@ -145,24 +137,19 @@ class Cfa:
             if node not in node_set:
                 raise ValueError(f"{role} node {node} outside node set")
         for i, e in enumerate(self.edges):
-            if e.stmt.id != i:
-                raise ValueError(f"edge {i} carries statement {e.stmt.id}")
+            if e.id != i:
+                raise ValueError(f"edge {i} carries statement {e.id}")
             if e.src not in node_set or e.dst not in node_set:
                 raise ValueError("edge endpoint outside node set")
             if e.src == self.exit:
                 raise ValueError("exit node has an outgoing edge")
-            if e.dst == self.exit and e.stmt.kind != HALT:
+            if e.dst == self.exit and e.kind != HALT:
                 raise ValueError(f"statement {i} enters exit but is not a"
                                  " halt")
 
 
-def statements(cfa: Cfa) -> List[Statement]:
-    """All statements of the automaton, ordered by ID."""
-    return [e.stmt for e in cfa.edges]
-
-
 def statement_ids(cfa: Cfa) -> Set[int]:
-    return {e.stmt.id for e in cfa.edges}
+    return {e.id for e in cfa.edges}
 
 
 def postorder_index(cfa: Cfa) -> Dict[int, int]:
@@ -249,7 +236,7 @@ def _live_fixpoint(cfa: Cfa) -> Dict[int, int]:
     preds: Dict[int, List[int]] = {n: [] for n in cfa.nodes}
     srcs: List[int] = []
     for e in cfa.edges:
-        preds[e.dst].append(e.stmt.id)
+        preds[e.dst].append(e.id)
         srcs.append(e.src)
     worklist = list(cfa.nodes)
     waiting = set(worklist)
@@ -275,13 +262,12 @@ def dump_cfa(cfa: Cfa) -> str:
 
     Edges are ordered by (source node, statement ID): `edges` is in
     statement-ID order, so a stable sort by source node suffices.  Each
-    label is the kind, then `Statement.text` unless it is empty (skip and
-    halt show their kind alone).
+    label is the kind, then `Edge.text` unless it is empty (skip and halt
+    show their kind alone).
     """
     lines = [f"entry L{cfa.entry}", f"exit L{cfa.exit}"]
     for e in sorted(cfa.edges, key=attrgetter("src")):
-        s = e.stmt
-        text = s.text()
-        lines.append(f"L{e.src} -[{s.id}:{s.kind} {text}]-> L{e.dst}" if text
-                     else f"L{e.src} -[{s.id}:{s.kind}]-> L{e.dst}")
+        text = e.text()
+        lines.append(f"L{e.src} -[{e.id}:{e.kind} {text}]-> L{e.dst}" if text
+                     else f"L{e.src} -[{e.id}:{e.kind}]-> L{e.dst}")
     return "\n".join(lines) + "\n"

@@ -203,6 +203,6 @@ def over_approx_coverage(cfa: Cfa, aa: AssumptionAutomaton) -> CoverageReport:
         edges = cfa.out_edges(state[1])
         for edge, (target, _loc) in zip(edges, product.successors[state]):
             if target != FALSE_STATE:
-                covered.add(edge.stmt.id)
+                covered.add(edge.id)
     return _make_report(cfa, len(ids), "over", covered, [],
                         bug_found=False, exhausted=False, rounds=0)

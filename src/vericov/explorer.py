@@ -62,8 +62,8 @@ from typing import (Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
 
 from . import lang
 from .automaton import (FALSE_STATE, TRUE_STATE, AssumptionAutomaton, step)
-from .cfa import (ASSERT, ASSIGN, ASSUME, Cfa, Edge, Statement,
-                  live_variables, postorder_index)
+from .cfa import (ASSERT, ASSIGN, ASSUME, Cfa, Edge, live_variables,
+                  postorder_index)
 
 # ---------------------------------------------------------------------------
 # Abstract values
@@ -266,7 +266,7 @@ class ReplayResult:
     steps: int = 0
 
 
-_PlanStep = Tuple[Statement, int, int]  # statement, read mask, write bit
+_PlanStep = Tuple[Edge, int, int]  # edge, read mask, write bit
 # Where a run can resume: a statement's plan index, copies of the
 # environment and the dependency record before it, and the choices used
 # before it.
@@ -347,13 +347,13 @@ def _run_path(plan: Sequence[_PlanStep], choices: List[int], steps: int,
         if steps <= 0:
             return "out", 0, 0
         steps -= 1
-        stmt, reads, write = plan[i]
-        kind = stmt.kind
+        edge, reads, write = plan[i]
+        kind = edge.kind
         if kind != ASSIGN and kind != ASSUME and kind != ASSERT:
             continue
         start = used
         try:
-            value = lang.concrete_eval(stmt.expr, env, next_nondet)
+            value = lang.concrete_eval(edge.expr, env, next_nondet)
         except _NeedChoice:
             return "need", 0, steps
         except lang.EvalError:  # division or modulo by zero
@@ -367,7 +367,7 @@ def _run_path(plan: Sequence[_PlanStep], choices: List[int], steps: int,
         if value is None:
             return "fail", mask, steps
         if kind == ASSIGN:
-            env[stmt.var] = value
+            env[edge.var] = value
             depends[write] = mask
         elif (value != 0) == (kind == ASSERT and i == last):
             return "fail", mask, steps
@@ -426,7 +426,7 @@ def _search_witness(cfa: Cfa, path: Sequence[int], domain: Sequence[int],
     statements, none of them final.
     """
     reads, writes = cfa.numbering().reads, cfa.numbering().writes
-    plan = [(cfa.edges[i].stmt, reads[i], writes[i]) for i in path]
+    plan = [(cfa.edges[i], reads[i], writes[i]) for i in path]
     if state is None:
         stack, conflicts, marks, steps = [], [], [], step_limit
     else:
@@ -600,7 +600,7 @@ class _Explorer:
         nodes.reverse()
         path = [incoming[n] for n in nodes[1:]]
         if edge is not None:
-            path.append(edge.stmt.id)
+            path.append(edge.id)
         trail = self.trail
         while trail and (trail[-1][0] >= len(path)
                          or nodes[trail[-1][0]] != trail[-1][1]):
@@ -766,23 +766,21 @@ class _Explorer:
         exit_node = self.cfa.exit
         children: List[int] = []
         for edge in self.cfa.out_edges(tree.location[nid]):
-            stmt = edge.stmt
-            kind, stmt_id = stmt.kind, stmt.id
+            kind, stmt_id, expr = edge.kind, edge.id, edge.expr
             out, fresh = val, node_fresh
             if kind == ASSIGN:
                 bit = self.variables.writes[stmt_id]
                 values = list(val)
-                values[index[stmt.var]] = lang.abstract_eval(stmt.expr, val,
-                                                             index)
+                values[index[edge.var]] = lang.abstract_eval(expr, val, index)
                 out = tuple(values)
                 fresh &= ~(reads[stmt_id] | bit)
-                if stmt.expr == lang.NONDET_EXPR:  # a fresh top
+                if expr == lang.NONDET_EXPR:  # a fresh top
                     fresh |= bit
             elif kind == ASSUME:
-                value = lang.abstract_eval(stmt.expr, val, index)
+                value = lang.abstract_eval(expr, val, index)
                 if value is TOP:
                     fresh &= ~reads[stmt_id]
-                    match = lang.implied_equality(stmt.expr)
+                    match = lang.implied_equality(expr)
                     if match is not None and val[index[match[0]]] is TOP:
                         values = list(val)
                         values[index[match[0]]] = match[1]
@@ -790,7 +788,7 @@ class _Explorer:
                 elif value == 0:
                     continue
             elif kind == ASSERT:
-                value = lang.abstract_eval(stmt.expr, val, index)
+                value = lang.abstract_eval(expr, val, index)
                 if value is TOP or value == 0:
                     self.check_assert(nid, edge)
                     if self.bug is not None:
@@ -1027,7 +1025,7 @@ def emit_assumption_automaton(nodes: _Tree, cfa: Cfa,
         for i in expanded:
             src = state_of[i]
             for edge in cfa.out_edges(location[i]):
-                key = (src, edge.stmt.id)
+                key = (src, edge.id)
                 if transitions.get(key, FALSE_STATE) == FALSE_STATE:
                     transitions[key] = TRUE_STATE
     return aa

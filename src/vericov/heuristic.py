@@ -57,7 +57,7 @@ def compose(aa: AssumptionAutomaton, cfa: Cfa) -> Product:
             continue
         succs: List[ProductState] = []
         for edge in cfa.out_edges(loc):
-            nxt = (step(aa, q, edge.stmt.id), edge.dst)
+            nxt = (step(aa, q, edge.id), edge.dst)
             succs.append(nxt)
             if nxt not in seen:
                 seen.add(nxt)

@@ -676,9 +676,14 @@ def parse_program(source: str, name: str = "main") -> Program:
 
 
 def expr_to_text(expr: Expr) -> str:
-    """Deterministic source-like rendering, minimal parentheses."""
-    # Entries: (text, precedence of its outermost operator); literals,
-    # variables and unary operations never need parentheses.
+    """Deterministic source-like rendering, minimal parentheses.
+
+    The rendering round-trips: as the expression of an assignment, assume
+    or assert in a `main` that declares its variables, the text parses
+    back to the same code.  So a unary minus parenthesises an operand whose
+    text starts with `-`, since `--` is the decrement token."""
+    # Entries: (text, precedence of its outermost operator); literals and
+    # variables never need parentheses.
     stack: List[Tuple[str, int]] = []
     for op, arg in expr:
         if op is BINARY:
@@ -692,7 +697,8 @@ def expr_to_text(expr: Expr) -> str:
             stack[-1] = (f"{lhs} {arg} {rhs}", prec)
         elif op is UNARY:
             text, prec = stack[-1]
-            text = f"({text})" if prec < UNARY_PRECEDENCE else text
+            if prec < UNARY_PRECEDENCE or arg == "-" == text[0]:
+                text = f"({text})"
             stack[-1] = (arg + text, UNARY_PRECEDENCE)
         elif op is not AND_SKIP and op is not OR_SKIP:
             text = "nondet()" if op is NONDET else str(arg)

@@ -28,7 +28,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from . import lang
-from .cfa import ASSERT, ASSIGN, ASSUME, HALT, SKIP, Cfa, Edge, Statement
+from .cfa import ASSERT, ASSIGN, ASSUME, HALT, SKIP, Cfa, Edge
 from .lang import Assert, Assign, Decl, For, If, Return, Skip, While
 
 
@@ -45,8 +45,8 @@ class _Lowerer:
 
     def edge(self, src: int, dst: int, kind: str, var: Optional[str],
              expr: Optional[lang.Expr], line: int) -> None:
-        stmt = Statement(len(self.edges), kind, var, expr, line)
-        self.edges.append(Edge(src, stmt, dst))
+        self.edges.append(Edge(src, dst, len(self.edges), kind, var, expr,
+                               line))
 
     # Each statement is lowered between two given locations.  Returns
     # nothing; a Return ignores its target and jumps to exit instead.

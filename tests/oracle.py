@@ -12,7 +12,7 @@ under test can be checked against a second, dumber opinion:
 * a control-path enumerator working on the AST alone, for checking that
   CFA paths and source control paths agree.
 
-Only data types (AST nodes, expression code, Statement/Edge containers,
+Only data types (AST nodes, expression code, Edge records,
 the automaton record) are shared with the package; all logic is
 reimplemented.
 """
@@ -148,29 +148,28 @@ def feasible_executions(cfa: Cfa, domain: Sequence[int] = DEFAULT_DOMAIN,
             raise OracleOverflow("length cap hit")
         # Reversed edge order: the stack pops lowest statement ID first.
         for edge in reversed(cfa.out_edges(node)):
-            stmt = edge.stmt
-            if stmt.kind == "assign":
-                for value, d in reversed(eval_branches(stmt.expr, env, domain)):
+            if edge.kind == "assign":
+                for value, d in reversed(eval_branches(edge.expr, env, domain)):
                     if value is ERR:
                         continue
                     env2 = dict(env)
-                    env2[stmt.var] = value
-                    stack.append((edge.dst, env2, stmts + (stmt.id,),
+                    env2[edge.var] = value
+                    stack.append((edge.dst, env2, stmts + (edge.id,),
                                   draws + d, phi_ok))
-            elif stmt.kind == "assume":
-                for value, d in reversed(eval_branches(stmt.expr, env, domain)):
+            elif edge.kind == "assume":
+                for value, d in reversed(eval_branches(edge.expr, env, domain)):
                     if value is ERR or value == 0:
                         continue
-                    stack.append((edge.dst, env, stmts + (stmt.id,),
+                    stack.append((edge.dst, env, stmts + (edge.id,),
                                   draws + d, phi_ok))
-            elif stmt.kind == "assert":
-                for value, d in reversed(eval_branches(stmt.expr, env, domain)):
+            elif edge.kind == "assert":
+                for value, d in reversed(eval_branches(edge.expr, env, domain)):
                     if value is ERR:
                         continue
-                    stack.append((edge.dst, env, stmts + (stmt.id,),
+                    stack.append((edge.dst, env, stmts + (edge.id,),
                                   draws + d, phi_ok and value != 0))
             else:  # skip, halt
-                stack.append((edge.dst, env, stmts + (stmt.id,),
+                stack.append((edge.dst, env, stmts + (edge.id,),
                               draws, phi_ok))
     return results
 
@@ -330,9 +329,8 @@ def cfa_label_paths(cfa: Cfa, max_len: int = 50,
         if len(labels) >= max_len:
             continue
         for edge in cfa.out_edges(node):
-            stmt = edge.stmt
-            label = (stmt.kind, stmt.var,
-                     lang.expr_to_text(stmt.expr) if stmt.expr is not None
+            label = (edge.kind, edge.var,
+                     lang.expr_to_text(edge.expr) if edge.expr is not None
                      else None)
             stack.append((edge.dst, labels + (label,)))
     return out

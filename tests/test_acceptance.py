@@ -228,7 +228,7 @@ def _two_region_case(k, big_then):
               + assigns + "  return 0;\n}\n")
     side = "then" if big_then else "else"
     cfa = source_to_cfa(source, name=f"regions_k{k}_{side}")
-    location = {edge.stmt.id: edge.src for edge in cfa.edges}
+    location = {edge.id: edge.src for edge in cfa.edges}
     aa = AssumptionAutomaton(name="half", initial="q0")
     aa.add_state("q0", location[0])
     aa.add_state("qsplit", location[1])

@@ -25,8 +25,7 @@ from vericov import (Budget, Spec, dump_cfa, exact_coverage, explore,
 from vericov import cfa as cfa_module
 from vericov import lang
 from vericov.automaton import TRUE_STATE, AssumptionAutomaton
-from vericov.cfa import (ASSERT, ASSIGN, ASSUME, HALT, SKIP, Cfa, Edge,
-                         Statement, statements)
+from vericov.cfa import ASSERT, ASSIGN, ASSUME, HALT, SKIP, Cfa, Edge
 from vericov.lowering import lower
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -50,16 +49,16 @@ def test_bigloop_dump_matches_golden():
 def test_bigloop_statement_count():
     # Hand count: loop init, exit assume, body assume, skip body, update,
     # assert, halt.
-    assert len(statements(fixture_cfa("bigloop.c"))) == 7
+    assert len(fixture_cfa("bigloop.c").edges) == 7
 
 
 def test_deadbranch_branch_statements_present():
     cfa = fixture_cfa("deadbranch.c")
-    texts = {(s.kind, s.text()) for s in statements(cfa)}
+    texts = {(e.kind, e.text()) for e in cfa.edges}
     assert ("assume", "x * x < 0") in texts
     assert ("assume", "!(x * x < 0)") in texts
     assert ("assign", "reached_dead_code = 1") in texts
-    assert len(statements(cfa)) == 8
+    assert len(cfa.edges) == 8
 
 
 def test_empty_main_is_one_halt_edge():
@@ -69,31 +68,31 @@ def test_empty_main_is_one_halt_edge():
 
 def test_uninitialized_declaration_reads_nondet():
     cfa = source_to_cfa("int main() { int x; return 0; }")
-    assert statements(cfa)[0].text() == "x = nondet()"
+    assert cfa.edges[0].text() == "x = nondet()"
 
 
 def test_out_edges_sorted_by_statement_id():
     cfa = fixture_cfa("bigloop.c")
     for node in cfa.nodes:
-        ids = [e.stmt.id for e in cfa.out_edges(node)]
+        ids = [e.id for e in cfa.out_edges(node)]
         assert ids == sorted(ids)
 
 
 def test_statement_ids_dense():
     for name in ALL_FIXTURES:
         cfa = fixture_cfa(name)
-        assert statement_ids(cfa) == set(range(len(statements(cfa))))
+        assert statement_ids(cfa) == set(range(len(cfa.edges)))
 
 
 def test_loop_exit_assume_has_lower_id_than_body_assume():
     cfa = fixture_cfa("bigloop.c")
-    by_text = {s.text(): s.id for s in statements(cfa) if s.kind == "assume"}
+    by_text = {e.text(): e.id for e in cfa.edges if e.kind == "assume"}
     assert by_text["!(i < 1000000)"] < by_text["i < 1000000"]
 
 
 def test_then_assume_precedes_else_assume():
     cfa = source_to_cfa(DIAMOND)
-    assumes = [s for s in statements(cfa) if s.kind == "assume"]
+    assumes = [e for e in cfa.edges if e.kind == "assume"]
     assert assumes[0].text() == "x > 0"
     assert assumes[1].text() == "!(x > 0)"
     assert assumes[0].id < assumes[1].id
@@ -101,14 +100,14 @@ def test_then_assume_precedes_else_assume():
 
 def test_return_mid_branch_targets_exit():
     cfa = fixture_cfa("early_return.c")
-    halts = [e for e in cfa.edges if e.stmt.kind == "halt"]
+    halts = [e for e in cfa.edges if e.kind == "halt"]
     assert all(e.dst == cfa.exit for e in halts)
     assert len(halts) == 2  # branch return and trailing return
 
 
 def test_dead_code_after_return_still_lowered():
     cfa = fixture_cfa("dead_after_return.c")
-    kinds = [s.kind for s in statements(cfa)]
+    kinds = [e.kind for e in cfa.edges]
     # x = 0; return; x = 1; assert; implicit halt
     assert kinds == ["assign", "halt", "assign", "assert", "halt"]
 
@@ -155,7 +154,7 @@ def test_postorder_acyclic_edges_point_downward(name):
     index = postorder_index(cfa)
     back_edges = _back_edges(cfa)
     for e in cfa.edges:
-        if (e.src, e.stmt.id, e.dst) not in back_edges:
+        if (e.src, e.id, e.dst) not in back_edges:
             assert index[e.dst] < index[e.src], e
 
 
@@ -168,7 +167,7 @@ def _back_edges(cfa):
         state[node] = "active"
         for e in cfa.out_edges(node):
             if state.get(e.dst) == "active":
-                back.add((e.src, e.stmt.id, e.dst))
+                back.add((e.src, e.id, e.dst))
             elif e.dst not in state:
                 visit(e.dst)
         state[node] = "done"
@@ -211,7 +210,7 @@ def test_live_variables_loop_carried():
     cfa = fixture_cfa("loop_concrete.c")
     live = _live_names(cfa)
     loop_head = next(e.src for e in cfa.edges
-                     if e.stmt.kind == "assume" and e.stmt.text() == "i < 4")
+                     if e.kind == "assume" and e.text() == "i < 4")
     assert {"s", "i"} <= set(live[loop_head])
 
 
@@ -269,17 +268,17 @@ def test_postorder_dfs_runs_once_per_cfa(monkeypatch):
 
 def _reference_numbering(cfa):
     index, reads, writes = {}, {}, {}
-    for stmt in statements(cfa):
+    for e in cfa.edges:
         write = 0
-        if stmt.kind == ASSIGN:
-            write = 1 << index.setdefault(stmt.var, len(index))
+        if e.kind == ASSIGN:
+            write = 1 << index.setdefault(e.var, len(index))
         mask = 0
-        if stmt.expr is not None:
-            for name in dict.fromkeys(arg for op, arg in stmt.expr
+        if e.expr is not None:
+            for name in dict.fromkeys(arg for op, arg in e.expr
                                       if op is lang.VAR):
                 mask |= 1 << index.setdefault(name, len(index))
-        reads[stmt.id] = mask
-        writes[stmt.id] = write
+        reads[e.id] = mask
+        writes[e.id] = write
     return index, reads, writes
 
 
@@ -293,7 +292,7 @@ def _reference_live(cfa, reads, writes):
         node = worklist.pop()
         live_here = live[node]
         for e in preds[node]:
-            sid = e.stmt.id
+            sid = e.id
             flow = reads[sid] | (live_here & ~writes[sid])
             if flow & ~live[e.src]:
                 live[e.src] |= flow
@@ -381,34 +380,33 @@ def test_analyses_match_the_reference_on_a_wide_program(blocks):
 
 
 def test_validate_rejects_sparse_statement_ids():
-    edges = [Edge(0, Statement(1, HALT), 1)]
+    edges = [Edge(0, 1, 1, HALT)]
     with pytest.raises(ValueError):
         Cfa("bad", [0, 1], edges, entry=0, exit=1).validate()
 
 
 def test_validate_rejects_dense_ids_out_of_order():
-    edges = [Edge(2, Statement(1, HALT), 1), Edge(0, Statement(0, SKIP), 2)]
+    edges = [Edge(2, 1, 1, HALT), Edge(0, 2, 0, SKIP)]
     with pytest.raises(ValueError):
         Cfa("bad", [0, 1, 2], edges, entry=0, exit=1).validate()
 
 
 def test_validate_rejects_duplicate_node_ids():
-    edges = [Edge(0, Statement(0, HALT), 1)]
+    edges = [Edge(0, 1, 0, HALT)]
     with pytest.raises(ValueError, match="duplicate node ids"):
         Cfa("bad", [0, 1, 0], edges, entry=0, exit=1).validate()
 
 
 @pytest.mark.parametrize("src, dst", [(0, 5), (5, 0)])
 def test_validate_rejects_an_edge_endpoint_outside_the_nodes(src, dst):
-    edges = [Edge(0, Statement(0, HALT), 1),
-             Edge(src, Statement(1, SKIP), dst)]
+    edges = [Edge(0, 1, 0, HALT), Edge(src, dst, 1, SKIP)]
     with pytest.raises(ValueError, match="edge endpoint outside node set"):
         Cfa("bad", [0, 1], edges, entry=0, exit=1).validate()
 
 
 def test_edge_rejects_ids_outside_the_table():
     cfa = fixture_cfa("deadbranch.c")
-    assert cfa.edge(len(cfa.edges) - 1).stmt.id == len(cfa.edges) - 1
+    assert cfa.edge(len(cfa.edges) - 1).id == len(cfa.edges) - 1
     for stmt_id in (-1, len(cfa.edges)):
         with pytest.raises(ValueError):
             cfa.edge(stmt_id)
@@ -417,8 +415,7 @@ def test_edge_rejects_ids_outside_the_table():
 def test_validate_accepts_edge_into_entry():
     # A loop at the start of main has its head at entry, so its back edge
     # enters entry.
-    edges = [Edge(0, Statement(0, HALT), 1),
-             Edge(2, Statement(1, SKIP), 0)]
+    edges = [Edge(0, 1, 0, HALT), Edge(2, 0, 1, SKIP)]
     Cfa("loop", [0, 1, 2], edges, entry=0, exit=1).validate()
     cfa = source_to_cfa("int main() { while (0) ; return 0; }")
     assert [e.src for e in cfa.edges if e.dst == cfa.entry] == [3]
@@ -427,14 +424,13 @@ def test_validate_accepts_edge_into_entry():
 @pytest.mark.parametrize("entry, exit_", [(5, 1), (0, 5)])
 def test_validate_rejects_an_entry_or_exit_outside_the_nodes(entry, exit_):
     # Unchecked, `explore` died inside the analyses with a bare KeyError.
-    edges = [Edge(0, Statement(0, HALT), 1)]
+    edges = [Edge(0, 1, 0, HALT)]
     with pytest.raises(ValueError, match="node 5 outside node set"):
         Cfa("bad", [0, 1], edges, entry=entry, exit=exit_).validate()
 
 
 def test_validate_rejects_edge_out_of_exit():
-    edges = [Edge(0, Statement(0, HALT), 1),
-             Edge(1, Statement(1, HALT), 0)]
+    edges = [Edge(0, 1, 0, HALT), Edge(1, 0, 1, HALT)]
     with pytest.raises(ValueError):
         Cfa("bad", [0, 1], edges, entry=0, exit=1).validate()
 
@@ -443,7 +439,7 @@ def test_validate_rejects_edge_out_of_exit():
 def test_validate_rejects_non_halt_edge_into_exit(kind):
     # A path into exit must end in a halt: the witness search reads a
     # final assert as a request for a counterexample.
-    edges = [Edge(0, Statement(0, kind), 1)]
+    edges = [Edge(0, 1, 0, kind)]
     with pytest.raises(ValueError, match="statement 0 enters exit"):
         Cfa("bad", [0, 1], edges, entry=0, exit=1).validate()
 
@@ -476,12 +472,12 @@ def test_statements_stable_across_lowerings():
 
 
 @pytest.mark.parametrize("cls", [
-    Statement, Edge, lang.Decl, lang.Assign, lang.If, lang.While, lang.For,
+    Edge, lang.Decl, lang.Assign, lang.If, lang.While, lang.For,
     lang.Assert, lang.Return, lang.Skip, lang.Program])
 def test_front_end_records_hold_no_instance_dict(cls):
-    # Lowering builds one Statement and one Edge per statement.  A frozen
-    # dataclass takes about four times as long to build as a slotted one,
-    # and a plain one carries a dict per instance.
+    # Lowering builds one Edge per statement.  A frozen dataclass takes
+    # about four times as long to build as a slotted one, and a plain one
+    # carries a dict per instance.
     record = cls(*[None] * len(fields(cls)))
     assert not hasattr(record, "__dict__")
 
@@ -502,9 +498,9 @@ def test_cfa_equality_ignores_the_caches_its_analyses_fill():
 
 
 def test_equal_statements_compare_equal():
-    one = Statement(3, ASSIGN, "x", lang.ONE, 1)
-    assert one == Statement(3, ASSIGN, "x", lang.ONE, 1)
-    assert one != Statement(3, ASSIGN, "y", lang.ONE, 1)
+    one = Edge(0, 2, 3, ASSIGN, "x", lang.ONE, 1)
+    assert one == Edge(0, 2, 3, ASSIGN, "x", lang.ONE, 1)
+    assert one != Edge(0, 2, 3, ASSIGN, "y", lang.ONE, 1)
 
 
 def _median_ms(work, cfa, prepare=None, runs=5):

@@ -15,8 +15,8 @@ from vericov import (Budget, FALSE_STATE, MissingScores, Spec,
                      source_to_cfa, statement_ids, under_approx_coverage)
 from vericov import explorer, lang
 from vericov.automaton import AssumptionAutomaton, TRUE_STATE
-from vericov.cfa import (ASSERT, ASSIGN, ASSUME, HALT, Cfa, Edge, Statement,
-                         live_variables, statements)
+from vericov.cfa import (ASSERT, ASSIGN, ASSUME, HALT, Cfa, Edge,
+                         live_variables)
 from vericov.cli import EXIT_OK, main
 from vericov.explorer import (COUNTEREXAMPLES, COVER, FEASIBLE, INCONCLUSIVE,
                               INFEASIBLE, SAFE, STATUS_COVERED,
@@ -38,7 +38,7 @@ DEEP_BRANCHES = ("int nondet();\n"
 
 
 def _ids(cfa, text):
-    return next(s.id for s in statements(cfa) if s.text() == text)
+    return next(e.id for e in cfa.edges if e.text() == text)
 
 
 # Replay ----------------------------------------------------------------------
@@ -47,7 +47,7 @@ def _ids(cfa, text):
 def test_replay_trivial_assume_feasible_with_empty_witness():
     cfa = source_to_cfa("int main() { if (1 == 1) { } else { } return 0; }")
     then_id = _ids(cfa, "1 == 1")
-    halt_id = next(s.id for s in statements(cfa) if s.kind == "halt")
+    halt_id = next(e.id for e in cfa.edges if e.kind == "halt")
     result = replay(cfa, (then_id, halt_id))
     assert result.verdict == FEASIBLE
     assert result.witness == {}
@@ -152,15 +152,14 @@ def _reference_run_path(edges, choices, steps):
         if steps[0] <= 0:
             raise _RefOutOfSteps
         steps[0] -= 1
-        stmt = edge.stmt
         try:
-            if stmt.kind == ASSIGN:
-                env[stmt.var] = lang.concrete_eval(stmt.expr, env, next_nondet)
-            elif stmt.kind == ASSUME:
-                if lang.concrete_eval(stmt.expr, env, next_nondet) == 0:
+            if edge.kind == ASSIGN:
+                env[edge.var] = lang.concrete_eval(edge.expr, env, next_nondet)
+            elif edge.kind == ASSUME:
+                if lang.concrete_eval(edge.expr, env, next_nondet) == 0:
                     return "fail", used
-            elif stmt.kind == ASSERT:
-                holds = lang.concrete_eval(stmt.expr, env, next_nondet) != 0
+            elif edge.kind == ASSERT:
+                holds = lang.concrete_eval(edge.expr, env, next_nondet) != 0
                 if holds == (i == last):
                     return "fail", used
         except _RefNeedChoice:
@@ -276,7 +275,7 @@ def _corpus_searches(rng, generator, domains):
         cfa = source_to_cfa(source)
         for _ in range(2):
             path = _random_path(rng, cfa)
-            asserts = [i for i, e in enumerate(path) if e.stmt.kind == ASSERT]
+            asserts = [i for i, e in enumerate(path) if e.kind == ASSERT]
             runs = [path, path]
             if asserts:
                 runs.append(path[:rng.choice(asserts) + 1])
@@ -285,7 +284,7 @@ def _corpus_searches(rng, generator, domains):
 
 
 def _ids_of(edges):
-    return [e.stmt.id for e in edges]
+    return [e.id for e in edges]
 
 
 def test_backjumping_matches_chronological_search():
@@ -327,16 +326,16 @@ def _restart_run_path(plan, choices, steps):
         raise _RefNeedChoice
 
     last = len(plan) - 1
-    for i, (stmt, reads, write) in enumerate(plan):
+    for i, (edge, reads, write) in enumerate(plan):
         if steps[0] <= 0:
             raise _RefOutOfSteps
         steps[0] -= 1
-        kind = stmt.kind
+        kind = edge.kind
         if kind != ASSIGN and kind != ASSUME and kind != ASSERT:
             continue
         start = used
         try:
-            value = lang.concrete_eval(stmt.expr, env, next_nondet)
+            value = lang.concrete_eval(edge.expr, env, next_nondet)
         except _RefNeedChoice:
             return "need", 0
         except lang.EvalError:
@@ -349,7 +348,7 @@ def _restart_run_path(plan, choices, steps):
         if value is None:
             return "fail", mask
         if kind == ASSIGN:
-            env[stmt.var] = value
+            env[edge.var] = value
             depends[write] = mask
         elif (value != 0) == (kind == ASSERT and i == last):
             return "fail", mask
@@ -359,8 +358,7 @@ def _restart_run_path(plan, choices, steps):
 def _restart_search(edges, variables, domain, step_limit):
     """(result, steps consumed)."""
     domain = list(domain)
-    plan = [(e.stmt, variables.reads[e.stmt.id], variables.writes[e.stmt.id])
-            for e in edges]
+    plan = [(e, variables.reads[e.id], variables.writes[e.id]) for e in edges]
     steps = [step_limit]
     stack = []
     conflicts = []
@@ -495,6 +493,19 @@ def test_traversal_strategy_checks_itself(args, error):
 # Verdicts --------------------------------------------------------------------
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: a search that finds "
+                   "no witness in the nondet domain is read as a proof "
+                   "that the assert holds")
+def test_an_assert_failing_outside_the_domain_is_a_counterexample():
+    # nondet() ranges over every integer, and x = 100 fails the assert;
+    # the witness search tries only -8..8.
+    cfa = source_to_cfa("int nondet();\n"
+                        "int main() { int x = nondet(); assert(x != 100); "
+                        "return 0; }")
+    assert explore(cfa, Spec.assertions(), Budget()).verdict == \
+        COUNTEREXAMPLES
+
+
 def test_time_limit_stops_exploration_with_unknown(monkeypatch):
     # A clock that moves 5 s per reading: the limit has passed before the
     # root is expanded.
@@ -533,9 +544,9 @@ def test_time_limit_counts_narrowing(monkeypatch):
 def test_a_variable_read_before_assignment_is_refused():
     # x = y + 1; halt.  The CFA is valid, but y holds no value at entry.
     expr = source_to_cfa("int main() { int y = 0; int x = y + 1; return 0; }"
-                         ).edges[1].stmt.expr
-    cfa = Cfa("unset", [0, 1, 2], [Edge(0, Statement(0, ASSIGN, "x", expr), 2),
-                                   Edge(2, Statement(1, HALT), 1)],
+                         ).edges[1].expr
+    cfa = Cfa("unset", [0, 1, 2], [Edge(0, 2, 0, ASSIGN, "x", expr),
+                                   Edge(2, 1, 1, HALT)],
               entry=0, exit=1)
     cfa.validate()
     # x has its bit before y: y is read before any statement writes it.
@@ -623,9 +634,9 @@ def test_assert_edges_of_one_expansion_stop_at_the_counterexample_budget():
     # Two failing asserts leave one location, so a single expansion asks
     # both; the second must not be recorded past the budget.
     zero = ((lang.LIT, 0),)
-    edges = [Edge(0, Statement(0, ASSERT, None, zero), 1),
-             Edge(0, Statement(1, ASSERT, None, zero), 1),
-             Edge(1, Statement(2, HALT), 2)]
+    edges = [Edge(0, 1, 0, ASSERT, None, zero),
+             Edge(0, 1, 1, ASSERT, None, zero),
+             Edge(1, 2, 2, HALT)]
     cfa = Cfa("two_asserts", [0, 1, 2], edges, entry=0, exit=2)
     cfa.validate()
     capped = explore(cfa, Spec.assertions(), Budget(max_counterexamples=1))
@@ -866,7 +877,7 @@ def test_emitted_automaton_paths_exist_in_tree():
             checked += 1
             assert path in tree_paths
         for edge in cfa.out_edges(node):
-            stack.append((edge.dst, path + (edge.stmt.id,)))
+            stack.append((edge.dst, path + (edge.id,)))
     assert checked > 0
 
 
@@ -1192,7 +1203,7 @@ def _replays_to_refute(monkeypatch, prefix):
     node = cfa.entry
     while node != cfa.exit:
         edge = cfa.out_edges(node)[0]
-        path.append(edge.stmt.id)
+        path.append(edge.id)
         node = edge.dst
     calls = {"runs": 0, "evaluations": 0}
 

@@ -3,11 +3,12 @@ evaluation."""
 
 from __future__ import annotations
 
+import random
 import time
 
 import pytest
 
-from vericov import lang
+from vericov import lang, source_to_cfa
 from vericov.lang import (AND_SKIP, BINARY, LIT, NONDET, OR_SKIP, TOP, UNARY,
                           VAR, Assign, Decl, EvalError, For, ParseError,
                           Return, Skip, UndeclaredVariable, While,
@@ -15,6 +16,8 @@ from vericov.lang import (AND_SKIP, BINARY, LIT, NONDET, OR_SKIP, TOP, UNARY,
                           implied_equality, negate, parse_program)
 
 from conftest import fixture_source
+from test_explorer import _CORPORA, _random_program
+from test_parse_outcomes import _corpus
 
 
 def test_minimal_program():
@@ -311,6 +314,11 @@ def test_malformed_programs_raise(source):
     ("(a && b) || c", "a && b || c"),  # && binds tighter; parens are redundant
     ("a && (b || c)", "a && (b || c)"),
     ("nondet() + 1", "nondet() + 1"),
+    ("-(-a)", "-(-a)"),  # not `--a`: `--` is the decrement token
+    ("-(-3)", "-(-3)"),
+    ("-(-(-a))", "-(-(-a))"),
+    ("-!-a", "-!-a"),
+    ("!-a - -b", "!-a - -b"),
 ])
 def test_expression_rendering(source, expected):
     program = parse_program(
@@ -324,6 +332,44 @@ def test_rendering_negated_comparison_single_parens():
     # The negated branch guard must render with exactly one paren layer.
     assert expr_to_text(negate(_init("i < 10", "i"))) == "!(i < 10)"
     assert expr_to_text(negate(_init("(i < 10)", "i"))) == "!(i < 10)"
+
+
+def _corpus_expressions():
+    """The expressions of every assign, assume and assert lowered from the
+    parse-outcome corpus and from 120 programs of each random corpus of
+    `test_explorer`."""
+    sources = list(_corpus())
+    for seed, generator, _ in _CORPORA:
+        rng = random.Random(seed)
+        sources += [_random_program(rng, **generator) for _ in range(120)]
+    for source in sources:
+        try:
+            cfa = source_to_cfa(source)
+        except (ParseError, UndeclaredVariable):
+            continue
+        yield from (e.expr for e in cfa.edges if e.expr is not None)
+
+
+def _parses_back(expr) -> bool:
+    """Whether the rendering of `expr`, asserted in a `main` that declares
+    its variables, parses back to the same code."""
+    names = dict.fromkeys(arg for op, arg in expr if op is VAR)
+    decls = "".join(f"int {name} = 0; " for name in names)
+    try:
+        program = parse_program(
+            "int nondet();\n"
+            f"int main() {{ {decls}assert({expr_to_text(expr)}); }}")
+    except ParseError:
+        return False
+    return program.body[-1].cond == expr
+
+
+def test_rendering_parses_back_to_the_same_code():
+    # 2,876 expressions of the parse-outcome corpus and 6,051 of the random
+    # programs.
+    expressions = list(_corpus_expressions())
+    assert len(expressions) == 8927
+    assert [expr_to_text(e) for e in expressions if not _parses_back(e)] == []
 
 
 # Concrete evaluation --------------------------------------------------------
