@@ -160,7 +160,10 @@ def postorder_index(cfa: Cfa) -> Dict[int, int]:
     (code after `return`) are traversed afterwards by further DFS rounds in
     ascending node order, and thus never rank below any exit-reaching node.
     Worked out once per CFA and kept on it, like `live_variables`: one DFS
-    over the out-edge table, linear in the nodes and edges.
+    over the out-edge table, linear in the nodes and edges.  `explore`
+    asks for it at its first fork under a strategy other than bfs, where
+    it orders the children, so an exploration that never forks, or runs
+    breadth-first, never pays for it.
     """
     if cfa._postorder is None:
         cfa._postorder = _postorder_dfs(cfa)

@@ -22,7 +22,9 @@ unassigned one.  Coverers are looked up by what the policy requires to
 match exactly: each location and automaton state has one dict of cover
 groups, keyed by the values at the bits live there.  Subsumption then
 compares dead variables only, and only within one group, so a cover check
-never scans the whole location.
+never scans the whole location.  A key is built only once a second node
+arrives at its location and automaton state, so a node alone there costs
+nothing in the width of the program.
 Candidate counterexamples are always confirmed by concrete replay before
 being reported.
 
@@ -42,9 +44,12 @@ values these hold where they can: an assume that changes nothing keeps
 its parent's valuation, and a tracked set is its parent's until a
 statement is added.  The cover groups add no object per node where
 every variable is live: there a group's key is the valuation tuple the
-tree already holds, and elsewhere a tuple of the live values.  A group
-holds a bare node id until a second member joins it; in a long concrete
-loop every iteration has its own key, so most groups never do.
+tree already holds, and elsewhere a tuple of the live values.  A
+location and automaton state holds the bare id of its first node, with
+no key, until a second node arrives; a group holds a bare node id until
+a second member joins it.  In a straight-line stretch every node is alone
+at its location, and in a long concrete loop every iteration has its own
+key, so most of either never grow.
 `ExplorationResult.nodes` reads the lists as `ArtNode` records built on
 access.
 """
@@ -552,7 +557,8 @@ class _Explorer:
         self.budget = budget
         self.strategy = strategy
         self.domain = nondet_domain
-        self.postorder = postorder_index(cfa)
+        # Node -> postorder index, worked out at the first ordered fork.
+        self.postorder: Optional[Dict[int, int]] = None
         self.live = live_variables(cfa)
         self.variables = cfa.numbering()
         unset = self.live[cfa.entry]  # read on some path before any write
@@ -640,7 +646,9 @@ class _Explorer:
         shares the key of the node it covers, so the dead-variable
         subsumption test only runs inside one group.  None for a node
         with a constrained top on a live variable (a ``TOP`` whose fresh
-        bit is clear): it can neither cover nor be covered."""
+        bit is clear): it can neither cover nor be covered.  `cover` asks
+        only for the nodes of a location and automaton state that a
+        second node has reached, each at most once."""
         tree = self.tree
         location = tree.location[nid]
         positions = self.positions.get(location)
@@ -670,20 +678,26 @@ class _Explorer:
         """Cover the node by the first member of its group that covers
         it, members with its valuation first, each in insertion order;
         otherwise add it to its group.  Each location and automaton state
-        holds the id of the first node there that has a key, and from the
-        second on a dict of its groups by `group_key`; a group is a bare
-        node id until a second member joins it.  Members pruned by
-        narrowing cover no node and are skipped."""
-        key = self.group_key(nid)
-        if key is None:
-            return
+        holds the bare id of the first node there, its key not yet
+        worked out, and from the second node with a key on a dict of its
+        groups by `group_key`; a group is a bare node id until a second
+        member joins it.  A first node whose key turns out None (it can
+        neither cover nor be covered) gives its place to the newcomer.
+        Members pruned by narrowing cover no node and are skipped."""
         tree = self.tree
         place = (tree.location[nid], tree.aa_state[nid])
         groups = self.groups.setdefault(place, nid)
         if groups is nid:
             return
+        key = self.group_key(nid)
+        if key is None:
+            return
         if type(groups) is int:
-            groups = self.groups[place] = {self.group_key(groups): groups}
+            first = self.group_key(groups)
+            if first is None:
+                self.groups[place] = nid
+                return
+            groups = self.groups[place] = {first: groups}
         group = groups.setdefault(key, nid)
         if group is nid:
             return
@@ -821,6 +835,8 @@ class _Explorer:
                 # Without a score map every score is 0: plain dfs-postorder.
                 scores = self.strategy.scores or {}
                 postorder, location = self.postorder, tree.location
+                if postorder is None:
+                    postorder = self.postorder = postorder_index(self.cfa)
                 states = tree.aa_state
                 children.sort(key=lambda c: (postorder[location[c]],
                                              -scores.get(states[c], 0), c),
@@ -976,7 +992,10 @@ def emit_assumption_automaton(nodes: _Tree, cfa: Cfa,
     name stays one token of the text format.
 
     Expanded nodes become states, merged when their abstract states agree;
-    covered nodes redirect to their coverer.  Edges into frontier or pruned
+    covered nodes redirect to their coverer.  States are looked up by
+    location, automaton state and tracked set, and valuations compared or
+    hashed only where two expanded nodes share all three.  States are
+    named in the order of their first node.  Edges into frontier or pruned
     nodes become explicit FALSE transitions.  On a Safe verdict every
     direction the analysis did not take is routed to TRUE instead, so FALSE
     is unreachable in the automaton of a completed exploration.
@@ -989,15 +1008,33 @@ def emit_assumption_automaton(nodes: _Tree, cfa: Cfa,
 
     # Node id -> state name, None for a node that was not expanded.
     state_of: List[Optional[str]] = [None] * len(status)
-    state_name: Dict[Tuple, str] = {}
+    # (location, automaton state, tracked set) -> the valuation and name of
+    # its first state, or from its second state on valuation -> name.
+    places: Dict[Tuple, Union[Tuple[Valuation, str],
+                              Dict[Valuation, str]]] = {}
+    location_of = aa.location_of
+    valuation, aa_state, tracked = nodes.valuation, nodes.aa_state, \
+        nodes.tracked
     expanded = [i for i, s in enumerate(status) if s == STATUS_EXPANDED]
     for i in expanded:
-        key = (location[i], nodes.valuation[i], nodes.aa_state[i],
-               nodes.tracked[i])
-        name = state_name.get(key)
-        if name is None:
-            name = state_name[key] = f"q{len(state_name)}"
-            aa.location_of[name] = location[i]
+        place = (location[i], aa_state[i], tracked[i])
+        named = places.get(place)
+        own = valuation[i]
+        if named is None:
+            name = f"q{len(location_of)}"
+            places[place] = (own, name)
+            location_of[name] = location[i]
+        elif type(named) is tuple:
+            first, name = named
+            if first is not own and first != own:
+                name = f"q{len(location_of)}"
+                places[place] = {first: named[1], own: name}
+                location_of[name] = location[i]
+        else:
+            name = named.get(own)
+            if name is None:
+                name = named[own] = f"q{len(location_of)}"
+                location_of[name] = location[i]
         state_of[i] = name
 
     aa.initial = state_of[0]

@@ -26,6 +26,8 @@ from vericov.explorer import (COUNTEREXAMPLES, COVER, FEASIBLE, INCONCLUSIVE,
 
 from conftest import ALL_FIXTURES, fixture_cfa, golden
 from oracle import psi_holds
+from test_digest import COVER_STRATEGIES, NODE_BUDGETS, VERIFY_STRATEGIES
+from test_frontend_memory import large_source
 
 RETURN_ONLY = "int main() { return 0; }"
 DIAMOND = ("int nondet();\n"
@@ -817,6 +819,100 @@ def test_emitted_name_is_one_token():
     assert parse_aa(serialize_aa(result.aa)).name == "my_prog_2"
 
 
+# The state merge as first written: one dict keyed by location, valuation,
+# automaton state and tracked set, so every expanded node's whole valuation
+# is hashed.  `emit_assumption_automaton` must give exactly its automaton.
+
+
+def _reference_emit(nodes, cfa, verdict):
+    aa = AssumptionAutomaton(name=explorer._WHITESPACE.sub("_", cfa.name),
+                             initial=FALSE_STATE)
+    status, location = nodes.status, nodes.location
+    if not status or status[0] != STATUS_EXPANDED:
+        return aa
+    state_of = [None] * len(status)
+    state_name = {}
+    expanded = [i for i, s in enumerate(status) if s == STATUS_EXPANDED]
+    for i in expanded:
+        key = (location[i], nodes.valuation[i], nodes.aa_state[i],
+               nodes.tracked[i])
+        name = state_name.get(key)
+        if name is None:
+            name = state_name[key] = f"q{len(state_name)}"
+            aa.location_of[name] = location[i]
+        state_of[i] = name
+    aa.initial = state_of[0]
+    transitions = aa.transitions
+    for child in sorted(range(1, len(status)), key=nodes.parent.__getitem__):
+        src = state_of[nodes.parent[child]]
+        if src is None:
+            continue
+        key = (src, nodes.incoming[child])
+        if transitions.get(key, FALSE_STATE) == FALSE_STATE:
+            target = child
+            while status[target] == STATUS_COVERED:
+                target = nodes.covered_by[target]
+            transitions[key] = state_of[target] or FALSE_STATE
+    if verdict == SAFE:
+        for i in expanded:
+            for edge in cfa.out_edges(location[i]):
+                key = (state_of[i], edge.id)
+                if transitions.get(key, FALSE_STATE) == FALSE_STATE:
+                    transitions[key] = TRUE_STATE
+    return aa
+
+
+def _emissions_match_the_reference(runs):
+    """How many explores of (cfa, spec, budget, strategy, domain) emit
+    exactly the reference automaton; fails on the first that does not."""
+    emitted = 0
+    for cfa, spec, budget, strategy, domain in runs:
+        result = explore(cfa, spec, budget, strategy, domain)
+        want = _reference_emit(result.nodes, cfa, result.verdict)
+        assert serialize_aa(result.aa) == serialize_aa(want), cfa.name
+        emitted += 1
+    return emitted
+
+
+def _verify_and_cover_runs(cfa, budgets, verify_strategies,
+                           domain=explorer.DEFAULT_NONDET_DOMAIN):
+    """`verify` under each strategy and budget, then a cover explore of
+    every statement under each cover strategy on its automaton."""
+    for max_nodes in budgets:
+        budget = Budget(max_nodes=max_nodes)
+        for kind in verify_strategies:
+            strategy = make_strategy(kind)
+            yield cfa, Spec.assertions(), budget, strategy, domain
+            aa = explore(cfa, Spec.assertions(), budget, strategy, domain).aa
+            scores = score(aa, cfa)
+            for cover in COVER_STRATEGIES:
+                yield (cfa, Spec.cover(statement_ids(cfa), aa), budget,
+                       make_strategy(cover, scores), domain)
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_emission_matches_the_reference_on_a_fixture(name):
+    runs = _verify_and_cover_runs(fixture_cfa(name), map(int, NODE_BUDGETS),
+                                  VERIFY_STRATEGIES)
+    assert _emissions_match_the_reference(runs) == 16
+
+
+def test_emission_matches_the_reference_on_random_programs():
+    runs = [run for seed, generator, domains in _CORPORA
+            for rng in [random.Random(seed)] for _ in range(24)
+            for run in _verify_and_cover_runs(
+                source_to_cfa(_random_program(rng, **generator)), [None],
+                VERIFY_STRATEGIES, rng.choice(domains))]
+    assert _emissions_match_the_reference(runs) == 2 * 24 * 8
+
+
+@pytest.mark.parametrize("blocks", [300, 600])
+def test_emission_matches_the_reference_on_a_wide_program(blocks):
+    cfa = source_to_cfa(large_source(blocks), name="large")
+    runs = _verify_and_cover_runs(cfa, [300], ["dfs-postorder"])
+    assert _emissions_match_the_reference(runs) == 4
+
+
 def _bigloop_accepted_unrollings(max_nodes):
     cfa = fixture_cfa("bigloop.c")
     result = explore(cfa, Spec.assertions(), Budget(max_nodes=max_nodes))
@@ -1072,6 +1168,26 @@ int main() {
 }
 """
 
+# At L3, after the outer if, x is live.  The then-path reaches it first
+# with x a constrained top, a node with no group key.  The two else-paths
+# follow with x = 1: the first is keyed, and it covers the second.
+UNKEYED_FIRST = """int nondet();
+
+int main() {
+  int x = nondet();
+  if (x > 0) {
+  } else {
+    if (x < 0) {
+      x = 1;
+    } else {
+      x = 1;
+    }
+  }
+  assert(x != 5);
+  return 0;
+}
+"""
+
 
 def _reference_covers(spec, live, j, v):
     """The strict cover policy, checked on every variable."""
@@ -1097,23 +1213,44 @@ def _reference_coverers(cfa, spec, nodes):
     brute-force scan of every node created before it at its location and
     automaton state that is neither pruned nor covered: equal valuations
     first, then the others, each in creation order; None when none covers
-    it.  One explore decides a node's cover as it creates the node, and
-    prunes a node only then."""
+    it.  Beside it, the `_reference_covers` calls the scan made.  One
+    explore decides a node's cover as it creates the node, and prunes a
+    node only then."""
     live = live_variables(cfa)
     buckets = {}
     coverers = []
     for v in nodes:
-        coverer = None
+        coverer, probes = None, 0
         if v.status != STATUS_PRUNED:
             bucket = buckets.setdefault((v.cfa_node, v.aa_state), [])
             scan = [j for j in bucket if j.valuation == v.valuation] + \
                 [j for j in bucket if j.valuation != v.valuation]
-            coverer = next((j.id for j in scan
-                            if _reference_covers(spec, live, j, v)), None)
+            for j in scan:
+                probes += 1
+                if _reference_covers(spec, live, j, v):
+                    coverer = j.id
+                    break
             if coverer is None:
                 bucket.append(v)
-        coverers.append(coverer)
+        coverers.append((coverer, probes))
     return coverers
+
+
+def _unkeyed_first_place(cfa, nodes):
+    """The first three nodes at L3 of UNKEYED_FIRST, if they are a node
+    with a constrained top on the live x, a keyed node and a node that the
+    keyed node covers; otherwise None."""
+    at = [n for n in nodes if n.cfa_node == 3][:3]
+    if len(at) < 3:
+        return None
+    first, keyed, covered = at
+    x = cfa.numbering().index["x"]
+    if first.valuation[x] is TOP and not first.fresh >> x & 1 and \
+            keyed.valuation[x] is not TOP and \
+            covered.status == STATUS_COVERED and \
+            covered.covered_by == keyed.id:
+        return first, keyed, covered
+    return None
 
 
 def _cover_runs(cfa, aa, extra_specs):
@@ -1130,10 +1267,19 @@ def _cover_runs(cfa, aa, extra_specs):
                        Budget(max_nodes=max_nodes), strategy)
 
 
-def test_cover_groups_choose_the_reference_coverer():
+def test_cover_groups_choose_the_reference_coverer(monkeypatch):
     # Each node's status and coverer equal those of a brute-force scan of
     # every indexed node at the location: equal valuations first, then
-    # the others, each in insertion order.
+    # the others, each in insertion order.  Where the first node at a
+    # location has no group key, the next keyed node takes its place.
+    probes = []  # (coverer candidate, node) of each `_covers` call
+    covers = explorer._Explorer._covers
+
+    def recorded_covers(self, j, v):
+        probes.append((j, v))
+        return covers(self, j, v)
+
+    monkeypatch.setattr(explorer._Explorer, "_covers", recorded_covers)
     programs = [(name, fixture_cfa(name), []) for name in ALL_FIXTURES]
     programs.append(("spin_two_nondet",
                      source_to_cfa(SPIN_TWO_NONDET, name="spin_two_nondet"),
@@ -1143,8 +1289,10 @@ def test_cover_groups_choose_the_reference_coverer():
                          name="all", initial=TRUE_STATE))]))
     programs.append(("live_loop", source_to_cfa(LIVE_LOOP, name="live_loop"),
                      []))
+    programs.append(("unkeyed_first",
+                     source_to_cfa(UNKEYED_FIRST, name="unkeyed_first"), []))
     mismatches = []
-    covered = by_subsumption = 0
+    covered = by_subsumption = unkeyed_first = 0
     covered_where_all_live = Counter()
     for name, cfa, extra_specs in programs:
         live = live_variables(cfa)
@@ -1152,12 +1300,20 @@ def test_cover_groups_choose_the_reference_coverer():
         aa = explore(cfa, Spec.assertions(), Budget(max_nodes=200)).aa
         for label, spec, budget, strategy in _cover_runs(cfa, aa,
                                                          extra_specs):
+            probes.clear()
             nodes = explore(cfa, spec, budget, strategy).nodes
             got = [(n.status == STATUS_COVERED, n.covered_by) for n in nodes]
-            want = [(j is not None, j)
-                    for j in _reference_coverers(cfa, spec, nodes)]
+            reference = _reference_coverers(cfa, spec, nodes)
+            want = [(j is not None, j) for j, _ in reference]
             if got != want:
                 mismatches.append((name, label))
+            place = name == "unkeyed_first" and \
+                _unkeyed_first_place(cfa, nodes)
+            if place:
+                unkeyed_first += 1
+                _, keyed, last = place
+                assert [j for j, v in probes if v == last.id] == [keyed.id]
+                assert reference[last.id] == (keyed.id, 1)
             for node in nodes:
                 if node.status == STATUS_COVERED:
                     covered += 1
@@ -1170,6 +1326,8 @@ def test_cover_groups_choose_the_reference_coverer():
     assert covered > by_subsumption > 0
     # Groups keyed by whole valuations cover too.
     assert covered_where_all_live["live_loop"] > 0
+    # The keyed node takes the place of an unkeyed first node.
+    assert unkeyed_first > 0
 
 
 @pytest.mark.parametrize("max_nodes", [1000, 2000])

@@ -147,6 +147,27 @@ def test_cfa_dump_reaches_the_traced_front_end_bindings(monkeypatch, capsys):
     assert calls == ["lang.parse_program", "lowering.lower"]
 
 
+def test_a_forking_explore_reaches_the_traced_postorder_binding(monkeypatch):
+    # The traced run's `cfa.postorder_s` times the wrapper at this binding;
+    # `expand` works the postorder out at its first ordered fork, and an
+    # explorer that called past the binding would read zero there.
+    module, attr = next((module, attr) for module, attr, span
+                        in _spans().BINDINGS if span == "cfa.postorder_index")
+    module = importlib.import_module(module)
+    real = getattr(module, attr)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, spy)
+    from vericov import Budget, Spec, explore, source_to_cfa
+    cfa = source_to_cfa((ROOT / "tests/fixtures/chain_ifs.c").read_text())
+    explore(cfa, Spec.assertions(), Budget(max_nodes=50))
+    assert calls == [(cfa,)]
+
+
 def _package_uses() -> set:
     """(sibling, name) for each name a package module but `__init__` takes
     from a sibling module: `from .sibling import name`, or `sibling.name`
