@@ -40,7 +40,6 @@ class Edge:
     kind: str
     var: Optional[str] = None
     expr: Optional[lang.Expr] = None
-    source_line: int = 0
 
     def text(self) -> str:
         if self.kind == ASSIGN:

@@ -54,6 +54,13 @@ token texts and the line of each, and a table of the kind of each
 distinct text; the parser reads these lists.  A column is worked out only
 for an error message, by scanning the token's line again.
 
+The parser builds six statement records, and keeps in them only what
+lowering reads: `Assign`, `If`, `For`, `Assert`, `Return` and `Skip`.
+``int x = e;`` is read as the `Assign` of `e`, and ``int x;`` as that of
+`nondet()`: reading an uninitialized local may observe any integer.
+``while (c) s`` is read as the `For` of ``for (; c; ) s``, and a `for`
+without a condition gets `ONE`.  No record keeps a source line: scope
+errors take theirs from the lexer's lists as the parser reads them.
 Statements and the program are slotted dataclasses: a record holds no
 per-instance dict, compares by value and is not hashable.  The parser
 builds each once and nothing mutates it afterwards.
@@ -85,8 +92,8 @@ literal rather than one per occurrence (hash-consing).  No pair of an
 operand outlives its parse.  Only this module reads the opcodes, but
 for `Cfa.numbering`, which picks out the `VAR` operands in one scan;
 other modules go through `concrete_eval`, `abstract_eval`,
-`expr_to_text`, `implied_equality`, `negate` and the constants
-`NONDET_EXPR` and `ONE`.
+`expr_to_text`, `implied_equality`, `negate` and the constant
+`NONDET_EXPR`.
 
 `/` and `%` follow C99: truncation toward zero, remainder takes the sign
 of the dividend.  Division by zero has no defined value; `concrete_eval`
@@ -154,17 +161,9 @@ def negate(expr: Expr) -> Expr:
 
 
 @dataclass(slots=True)
-class Decl:
-    name: str
-    init: Optional[Expr]
-    line: int
-
-
-@dataclass(slots=True)
 class Assign:
     name: str
     expr: Expr
-    line: int
 
 
 @dataclass(slots=True)
@@ -172,43 +171,34 @@ class If:
     cond: Expr
     then: List["Stmt"]
     orelse: List["Stmt"]
-    line: int
-
-
-@dataclass(slots=True)
-class While:
-    cond: Expr
-    body: List["Stmt"]
-    line: int
 
 
 @dataclass(slots=True)
 class For:
-    init: Optional["Stmt"]  # Decl or Assign
-    cond: Optional[Expr]
-    update: Optional["Stmt"]  # Assign
+    init: Optional[Assign]
+    cond: Expr
+    update: Optional[Assign]
     body: List["Stmt"]
-    line: int
 
 
 @dataclass(slots=True)
 class Assert:
     cond: Expr
-    line: int
 
 
 @dataclass(slots=True)
 class Return:
-    expr: Optional[Expr]
-    line: int
+    """`return`, with or without a value.  The parser reads and
+    scope-checks the value but keeps nothing of it: a single function's
+    return value is unobservable."""
 
 
 @dataclass(slots=True)
 class Skip:
-    line: int
+    """`;`."""
 
 
-Stmt = Union[Decl, Assign, If, While, For, Assert, Return, Skip]
+Stmt = Union[Assign, If, For, Assert, Return, Skip]
 
 
 @dataclass(slots=True)
@@ -451,8 +441,7 @@ class _Parser:
         return stmts
 
     def parse_loop_body(self) -> List[Stmt]:
-        line = self.lines[self.pos]
-        return [Skip(line)] if self.accept(";") else self.parse_block()
+        return [Skip()] if self.accept(";") else self.parse_block()
 
     # -- statements ----------------------------------------------------------
 
@@ -464,14 +453,14 @@ class _Parser:
             self.pos = pos + 1
             expr = self.assigned(text, line)
             self.expect(";")
-            return Assign(target[1], expr, line)
+            return Assign(target[1], expr)
         if text == "int":
             stmt = self.parse_decl()
             self.expect(";")
             return stmt
         if text == ";":
             self.pos = pos + 1
-            return Skip(line)
+            return Skip()
         if text == "if":
             return self.parse_if()
         if text == "while":
@@ -484,28 +473,26 @@ class _Parser:
             cond = self.parse_expr(line)
             self.expect(")")
             self.expect(";")
-            return Assert(cond, line)
+            return Assert(cond)
         if text == "return":
             self.pos = pos + 1
-            expr = None
             if self.texts[self.pos] != ";":
-                expr = self.parse_expr(line)
+                self.parse_expr(line)
             self.expect(";")
-            return Return(expr, line)
+            return Return()
         if self.kinds[text] == "ident":
             raise UndeclaredVariable(text, line)
         raise self.error(f"expected statement, found '{self.found()}'")
 
-    def parse_decl(self) -> Decl:
-        """A declaration, at its `int`."""
+    def parse_decl(self) -> Assign:
+        """A declaration, at its `int`: the assignment of its initializer,
+        or of `nondet()` without one."""
         line = self.lines[self.pos]
         self.pos += 1
         name = self.expect_ident()
-        init = None
-        if self.accept("="):
-            init = self.parse_expr(line)
+        init = self.parse_expr(line) if self.accept("=") else NONDET_EXPR
         self.declare(name, line)
-        return Decl(name, init, line)
+        return Assign(name, init)
 
     def assigned(self, name: str, line: int) -> Expr:
         """The code an assignment to `name` assigns, read from its `=`,
@@ -532,7 +519,7 @@ class _Parser:
         expr = self.assigned(name, line)
         if implicit and name not in self.operands:
             self.declare(name, line)
-        return Assign(name, expr, line)
+        return Assign(name, expr)
 
     def parse_if(self) -> If:
         line = self.expect("if")
@@ -543,38 +530,38 @@ class _Parser:
         orelse: List[Stmt] = []
         if self.accept("else"):
             orelse = self.parse_block()
-        return If(cond, then, orelse, line)
+        return If(cond, then, orelse)
 
-    def parse_while(self) -> While:
+    def parse_while(self) -> For:
+        """`while (c) s`, read as `for (; c; ) s`."""
         line = self.expect("while")
         self.expect("(")
         cond = self.parse_expr(line)
         self.expect(")")
-        body = self.parse_loop_body()
-        return While(cond, body, line)
+        return For(None, cond, None, self.parse_loop_body())
 
     def parse_for(self) -> For:
         line = self.expect("for")
         self.expect("(")
         self.scopes.append([])  # the initializer's variable
-        init: Optional[Stmt] = None
+        init: Optional[Assign] = None
         if self.texts[self.pos] != ";":
             if self.texts[self.pos] == "int":
                 init = self.parse_decl()
             else:
                 init = self.parse_assign_like(implicit=True)
         self.expect(";")
-        cond = None
+        cond = ONE  # `for (;;)`
         if self.texts[self.pos] != ";":
             cond = self.parse_expr(line)
         self.expect(";")
-        update: Optional[Stmt] = None
+        update: Optional[Assign] = None
         if self.texts[self.pos] != ")":
             update = self.parse_assign_like(implicit=False)
         self.expect(")")
         body = self.parse_loop_body()
         self.close_scope()
-        return For(init, cond, update, body, line)
+        return For(init, cond, update, body)
 
     # -- expressions ---------------------------------------------------------
 

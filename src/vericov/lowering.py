@@ -12,8 +12,8 @@ Conventions, all load-bearing for downstream determinism:
   before diving into their bodies.
 * Branch guards lower to a complementary assume pair; the negated side
   carries the literal `!(cond)` expression.
-* `int x;` without initializer lowers to `x = nondet()`: reading an
-  uninitialized local may observe any integer.
+* The parser reads `int x;` without initializer as `x = nondet()`, and
+  `while (c)` as `for (; c; )`, so each lowers as that statement does.
 * `return` lowers to a single halt edge into exit; the returned value is
   unobservable (single function) and is discarded.  Only halt edges enter
   exit: the witness search relies on it (see `Cfa.validate`).  Statements after a
@@ -29,7 +29,7 @@ from typing import List, Optional
 
 from . import lang
 from .cfa import ASSERT, ASSIGN, ASSUME, HALT, SKIP, Cfa, Edge
-from .lang import Assert, Assign, Decl, For, If, Return, Skip, While
+from .lang import Assert, Assign, For, If, Return, Skip
 
 
 class _Lowerer:
@@ -43,10 +43,9 @@ class _Lowerer:
         self.nodes.append(node)
         return node
 
-    def edge(self, src: int, dst: int, kind: str, var: Optional[str],
-             expr: Optional[lang.Expr], line: int) -> None:
-        self.edges.append(Edge(src, dst, len(self.edges), kind, var, expr,
-                               line))
+    def edge(self, src: int, dst: int, kind: str, var: Optional[str] = None,
+             expr: Optional[lang.Expr] = None) -> None:
+        self.edges.append(Edge(src, dst, len(self.edges), kind, var, expr))
 
     # Each statement is lowered between two given locations.  Returns
     # nothing; a Return ignores its target and jumps to exit instead.
@@ -64,54 +63,43 @@ class _Lowerer:
     def lower_stmt(self, stmt: lang.Stmt, src: int, dst: int) -> None:
         kind = type(stmt)
         if kind is Assign:
-            self.edge(src, dst, ASSIGN, stmt.name, stmt.expr, stmt.line)
-        elif kind is Decl:
-            init = stmt.init if stmt.init is not None else lang.NONDET_EXPR
-            self.edge(src, dst, ASSIGN, stmt.name, init, stmt.line)
+            self.edge(src, dst, ASSIGN, stmt.name, stmt.expr)
         elif kind is If:
-            self.lower_if(stmt, src, dst)
-        elif kind is While:
-            self.lower_loop(stmt.cond, None, stmt.body, src, dst, stmt.line)
-        elif kind is Skip:
-            self.edge(src, dst, SKIP, None, None, stmt.line)
-        elif kind is Assert:
-            self.edge(src, dst, ASSERT, None, stmt.cond, stmt.line)
-        elif kind is Return:
-            self.edge(src, 1, HALT, None, None, stmt.line)
+            self.lower_guarded(stmt.cond, stmt.then, src, dst)
+            self.lower_guarded(lang.negate(stmt.cond), stmt.orelse, src, dst)
         elif kind is For:
-            head = src
-            if stmt.init is not None:
-                head = self.fresh()
-                self.lower_stmt(stmt.init, src, head)
-            cond = stmt.cond if stmt.cond is not None else lang.ONE
-            self.lower_loop(cond, stmt.update, stmt.body, head, dst, stmt.line)
+            self.lower_loop(stmt, src, dst)
+        elif kind is Skip:
+            self.edge(src, dst, SKIP)
+        elif kind is Assert:
+            self.edge(src, dst, ASSERT, expr=stmt.cond)
+        elif kind is Return:
+            self.edge(src, 1, HALT)
         else:
             raise AssertionError(f"unhandled statement {stmt!r}")
 
     def lower_guarded(self, cond: lang.Expr, body: List[lang.Stmt],
-                      src: int, dst: int, line: int) -> None:
+                      src: int, dst: int) -> None:
         """Assume the guard, then the block; a bare assume into `dst`
         when the block is empty."""
         if body:
             head = self.fresh()
-            self.edge(src, head, ASSUME, None, cond, line)
+            self.edge(src, head, ASSUME, expr=cond)
             self.lower_block(body, head, dst)
         else:
-            self.edge(src, dst, ASSUME, None, cond, line)
+            self.edge(src, dst, ASSUME, expr=cond)
 
-    def lower_if(self, stmt: If, src: int, dst: int) -> None:
-        self.lower_guarded(stmt.cond, stmt.then, src, dst, stmt.line)
-        self.lower_guarded(lang.negate(stmt.cond), stmt.orelse, src, dst,
-                           stmt.line)
-
-    def lower_loop(self, cond: lang.Expr, update: Optional[lang.Stmt],
-                   body: List[lang.Stmt], head: int, dst: int, line: int) -> None:
+    def lower_loop(self, stmt: For, src: int, dst: int) -> None:
+        head = src
+        if stmt.init is not None:
+            head = self.fresh()
+            self.lower_stmt(stmt.init, src, head)
         # Exit-side assume first: see module docstring.
-        self.edge(head, dst, ASSUME, None, lang.negate(cond), line)
-        back = self.fresh() if update is not None else head
-        self.lower_guarded(cond, body, head, back, line)
-        if update is not None:
-            self.lower_stmt(update, back, head)
+        self.edge(head, dst, ASSUME, expr=lang.negate(stmt.cond))
+        back = self.fresh() if stmt.update is not None else head
+        self.lower_guarded(stmt.cond, stmt.body, head, back)
+        if stmt.update is not None:
+            self.lower_stmt(stmt.update, back, head)
 
 
 def lower(program: lang.Program) -> Cfa:
@@ -121,13 +109,11 @@ def lower(program: lang.Program) -> Cfa:
     if body and type(body[-1]) is Return:
         lw.lower_block(body, 0, 1)
     else:
-        last_line = body[-1].line if body else 0
+        fall_off = 0
         if body:
             fall_off = lw.fresh()
             lw.lower_block(body, 0, fall_off)
-        else:
-            fall_off = 0
-        lw.edge(fall_off, 1, HALT, None, None, last_line)
+        lw.edge(fall_off, 1, HALT)
     cfa = Cfa(program.name, lw.nodes, lw.edges, entry=0, exit=1)
     cfa.validate()
     return cfa

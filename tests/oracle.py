@@ -269,10 +269,7 @@ def ast_label_paths(program: lang.Program, max_len: int = 50,
         stmts, idx = frames[-1]
         rest = frames[:-1] + [(stmts, idx + 1)]
         stmt = stmts[idx]
-        if isinstance(stmt, lang.Decl):
-            init = stmt.init if stmt.init is not None else lang.NONDET_EXPR
-            walk(rest, labels + [("assign", stmt.name, text(init))])
-        elif isinstance(stmt, lang.Assign):
+        if isinstance(stmt, lang.Assign):
             walk(rest, labels + [("assign", stmt.name, text(stmt.expr))])
         elif isinstance(stmt, lang.Skip):
             walk(rest, labels + [("skip", None, None)])
@@ -286,19 +283,16 @@ def ast_label_paths(program: lang.Program, max_len: int = 50,
                  labels + [("assume", None, text(stmt.cond))])
             walk(rest + [(tuple(stmt.orelse), 0)],
                  labels + [("assume", None, text(lang.negate(stmt.cond)))])
-        elif isinstance(stmt, lang.While):
-            _loop(frames, idx, stmt.cond, tuple(stmt.body), labels)
         elif isinstance(stmt, lang.For):
-            cond = stmt.cond if stmt.cond is not None else lang.ONE
             body = tuple(stmt.body)
             if stmt.update is not None:
                 body = body + (stmt.update,)
             if stmt.init is not None:
-                desugared = lang.While(cond, list(body), stmt.line)
+                desugared = lang.For(None, stmt.cond, None, list(body))
                 walk(frames[:-1] + [(stmts[:idx] + (stmt.init, desugared)
                                      + stmts[idx + 1:], idx)], labels)
             else:
-                _loop(frames, idx, cond, body, labels)
+                _loop(frames, idx, stmt.cond, body, labels)
         else:
             raise AssertionError(f"unhandled statement {stmt!r}")
 

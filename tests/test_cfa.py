@@ -477,8 +477,8 @@ def test_statements_stable_across_lowerings():
 
 
 @pytest.mark.parametrize("cls", [
-    Edge, lang.Decl, lang.Assign, lang.If, lang.While, lang.For,
-    lang.Assert, lang.Return, lang.Skip, lang.Program])
+    Edge, lang.Assign, lang.If, lang.For, lang.Assert, lang.Return,
+    lang.Skip, lang.Program])
 def test_front_end_records_hold_no_instance_dict(cls):
     # Lowering builds one Edge per statement.  A frozen dataclass takes
     # about four times as long to build as a slotted one, and a plain one
@@ -503,9 +503,9 @@ def test_cfa_equality_ignores_the_caches_its_analyses_fill():
 
 
 def test_equal_statements_compare_equal():
-    one = Edge(0, 2, 3, ASSIGN, "x", lang.ONE, 1)
-    assert one == Edge(0, 2, 3, ASSIGN, "x", lang.ONE, 1)
-    assert one != Edge(0, 2, 3, ASSIGN, "y", lang.ONE, 1)
+    one = Edge(0, 2, 3, ASSIGN, "x", lang.ONE)
+    assert one == Edge(0, 2, 3, ASSIGN, "x", lang.ONE)
+    assert one != Edge(0, 2, 3, ASSIGN, "y", lang.ONE)
 
 
 def _median_ms(work, cfa, prepare=None, runs=5):

@@ -390,6 +390,38 @@ def test_a_dead_top_cover_can_lose_the_only_witness():
         oracle.exact_covered(cfa, _full_aa(), oracle.DEFAULT_DOMAIN)
 
 
+# A loop-free program that a scratch sweep of random programs found, quoted
+# in ROADMAP item 9.  The oracle covers 19 of its 29 statements.
+LOOP_FREE_MISS = """int nondet();
+int main() {
+  int v0 = nondet();
+  int v1 = v0;
+  int v2 = -((-1 + v0));
+  v1 = (v0 / (nondet() != 1));
+  assert(((v0 != v0) < v0));
+  if (-(!(v1))) { v0 = -(v0); if (0) {  } else { v1 = nondet(); } } else { if (((nondet() || v1) % (v1 + v2))) {  } else {  } if (v2) {  } else { v0 = ((v2 && v0) < (v2 * nondet())); } }
+  if (!(-(nondet()))) { v0 = (1 + (v0 && 2)); if (((v2 || v1) || (-1 && v0))) { v2 = ((1 % -2) - (v0 || -1)); } else {  } } else { assert(v1); if (((v2 * 1) % v0)) { assert(-2); } else { assert((!(nondet()) || v0)); v1 = ((v0 && nondet()) <= !(v0)); } }
+  return 0;
+}
+"""
+
+_ITEM_4 = pytest.mark.xfail(strict=True, reason="ROADMAP item 4: a cover "
+                            "can lose the only witness of a statement")
+
+
+@pytest.mark.parametrize("max_cex", [pytest.param(1, marks=_ITEM_4),
+                                     pytest.param(2, marks=_ITEM_4), 10])
+def test_loop_free_exact_coverage_matches_the_oracle(max_cex):
+    cfa = source_to_cfa(LOOP_FREE_MISS)
+    report = exact_coverage(cfa, _full_aa(),
+                            Budget(max_counterexamples=max_cex),
+                            nondet_domain=oracle.DEFAULT_DOMAIN)
+    expected = oracle.exact_covered(cfa, _full_aa(), oracle.DEFAULT_DOMAIN)
+    assert len(expected) == 19
+    assert not report.exhausted
+    assert set(report.covered_ids) == expected
+
+
 # Over -------------------------------------------------------------------------
 
 

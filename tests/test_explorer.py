@@ -906,6 +906,35 @@ def test_emission_matches_the_reference_on_random_programs():
     assert _emissions_match_the_reference(runs) == 2 * 24 * 8
 
 
+def test_emission_after_narrowing_matches_the_reference():
+    # Exact-coverage rounds, each emitting before the next resumes it.  A
+    # round's narrowing may prune a node the round before expanded; the
+    # children that node keeps have no state to leave from.
+    rounds = narrowed = 0
+    for name in ALL_FIXTURES:
+        cfa = fixture_cfa(name)
+        for max_nodes in (3, 5, 8, 12, 20, 60):
+            aa = explore(cfa, Spec.assertions(), Budget(max_nodes=max_nodes)).aa
+            budget = Budget(max_nodes=max_nodes, max_counterexamples=1)
+            remaining = statement_ids(cfa)
+            result, expanded = None, []
+            while remaining:
+                result = explore(cfa, Spec.cover(remaining, aa), budget,
+                                 resume=result)
+                rounds += 1
+                status = result.nodes.status
+                narrowed += any(status[i] == STATUS_PRUNED for i in expanded)
+                want = _reference_emit(result.nodes, cfa, result.verdict)
+                assert serialize_aa(result.aa) == serialize_aa(want), name
+                if result.bug_found or not result.counterexamples:
+                    break
+                expanded = [i for i, s in enumerate(status)
+                            if s == STATUS_EXPANDED]
+                remaining -= result.exercised[0]
+    assert rounds > len(ALL_FIXTURES) * 6  # some runs resume
+    assert narrowed
+
+
 @pytest.mark.parametrize("blocks", [300, 600])
 def test_emission_matches_the_reference_on_a_wide_program(blocks):
     cfa = source_to_cfa(large_source(blocks), name="large")

@@ -10,8 +10,8 @@ import pytest
 
 from vericov import lang, source_to_cfa
 from vericov.lang import (AND_SKIP, BINARY, LIT, NONDET, OR_SKIP, TOP, UNARY,
-                          VAR, Assign, Decl, EvalError, For, ParseError,
-                          Return, Skip, UndeclaredVariable, While,
+                          VAR, Assign, EvalError, For, ParseError, Return,
+                          Skip, UndeclaredVariable,
                           abstract_eval, concrete_eval, expr_to_text,
                           implied_equality, negate, parse_program)
 
@@ -24,6 +24,17 @@ def test_minimal_program():
     program = parse_program("int main() { return 0; }")
     assert len(program.body) == 1
     assert isinstance(program.body[0], Return)
+
+
+def test_a_returned_value_is_checked_but_not_kept():
+    assert parse_program("int main() { int x = 1; return x + 1; }").body[1] \
+        == Return()
+    with pytest.raises(UndeclaredVariable) as info:
+        parse_program("int main() {\n  return y;\n}")
+    assert (info.value.name, info.value.line) == ("y", 2)
+    with pytest.raises(ParseError) as info:
+        parse_program("int main() { return 1 +; }")
+    assert (info.value.line, info.value.col) == (1, 24)
 
 
 def test_prologue_lines_are_ignored():
@@ -39,24 +50,24 @@ def test_declarations_and_assignment():
     program = parse_program(
         "int main() { int x = 3; int y; y = x + 1; return 0; }")
     decl_x, decl_y, assign = program.body[:3]
-    assert isinstance(decl_x, Decl) and decl_x.init == ((LIT, 3),)
-    assert isinstance(decl_y, Decl) and decl_y.init is None
-    assert isinstance(assign, Assign)
-    assert assign.expr == ((VAR, "x"), (LIT, 1), (BINARY, "+"))
+    # A declaration is the assignment of its initializer, or of nondet().
+    assert decl_x == Assign("x", ((LIT, 3),))
+    assert decl_y == Assign("y", lang.NONDET_EXPR)
+    assert assign == Assign("y", ((VAR, "x"), (LIT, 1), (BINARY, "+")))
 
 
 def test_true_false_are_literals():
     program = parse_program(
         "int main() { int x = true; assert(false); return 0; }")
-    assert program.body[0].init == ((LIT, 1),)
+    assert program.body[0].expr == ((LIT, 1),)
     assert program.body[1].cond == ((LIT, 0),)
 
 
 def test_increment_decrement_sugar():
     program = parse_program("int main() { int i = 0; i++; i--; return 0; }")
     inc, dec = program.body[1], program.body[2]
-    assert inc == Assign("i", ((VAR, "i"), (LIT, 1), (BINARY, "+")), inc.line)
-    assert dec == Assign("i", ((VAR, "i"), (LIT, 1), (BINARY, "-")), dec.line)
+    assert inc == Assign("i", ((VAR, "i"), (LIT, 1), (BINARY, "+")))
+    assert dec == Assign("i", ((VAR, "i"), (LIT, 1), (BINARY, "-")))
 
 
 def _init(expr: str, names: str = "abc"):
@@ -64,7 +75,7 @@ def _init(expr: str, names: str = "abc"):
     decls = "".join(f"int {name} = 1; " for name in names)
     program = parse_program("int nondet();\n"
                             f"int main() {{ {decls}int r = {expr}; }}")
-    return program.body[len(names)].init
+    return program.body[len(names)].expr
 
 
 def test_precedence_tree():
@@ -92,8 +103,8 @@ def test_skip_ops_jump_past_the_right_operand():
 
 def test_unary_parsing():
     program = parse_program("int main() { int x = -1; int y = !x; return 0; }")
-    assert program.body[0].init == ((LIT, 1), (UNARY, "-"))
-    assert program.body[1].init == ((VAR, "x"), (UNARY, "!"))
+    assert program.body[0].expr == ((LIT, 1), (UNARY, "-"))
+    assert program.body[1].expr == ((VAR, "x"), (UNARY, "!"))
     assert _init("-!(a + 1)") == (
         (VAR, "a"), (LIT, 1), (BINARY, "+"), (UNARY, "!"), (UNARY, "-"))
 
@@ -101,7 +112,7 @@ def test_unary_parsing():
 def test_nondet_call():
     program = parse_program(
         "int nondet();\nint main() { int x = nondet(); return 0; }")
-    assert program.body[0].init == lang.NONDET_EXPR == ((NONDET, None),)
+    assert program.body[0].expr == lang.NONDET_EXPR == ((NONDET, None),)
 
 
 def test_if_requires_blocks():
@@ -111,12 +122,14 @@ def test_if_requires_blocks():
 
 def test_loop_body_block_or_semicolon():
     program = parse_program("int main() { while (0); return 0; }")
-    loop = program.body[0]
-    assert isinstance(loop, While)
-    assert len(loop.body) == 1 and isinstance(loop.body[0], Skip)
+    # `while (c) s` is read as `for (; c; ) s`.
+    assert program.body[0] == For(None, ((LIT, 0),), None, [Skip()])
 
     program = parse_program("int main() { while (0) { } return 0; }")
     assert program.body[0].body == []
+    # A `for` without a condition loops on `1`.
+    program = parse_program("int main() { for (;;) { } }")
+    assert program.body[0] == For(None, lang.ONE, None, [])
 
 
 def test_for_loop_with_implicit_declaration():
@@ -149,7 +162,7 @@ def test_for_with_declared_initializer():
     program = parse_program(
         "int main() { for (int i = 0; i < 2; i++) { int j = i; } return 0; }")
     loop = program.body[0]
-    assert isinstance(loop.init, Decl)
+    assert loop.init == Assign("i", ((LIT, 0),))
     with pytest.raises(UndeclaredVariable):
         parse_program("int main() { for (int i = 0; i < 2; i++) { } "
                       "i = 0; }")
@@ -166,15 +179,15 @@ def test_increment_of_an_undeclared_variable_fails():
         parse_program("int main() {\n for (i++; ; ) ;\n}")
     assert (info.value.name, info.value.line) == ("i", 2)
     loop = parse_program("int main() { int i = 0; for (i++; ; ) ; }").body[1]
-    assert loop.init == Assign("i", ((VAR, "i"), (LIT, 1), (BINARY, "+")), 1)
+    assert loop.init == Assign("i", ((VAR, "i"), (LIT, 1), (BINARY, "+")))
 
 
 def test_a_variable_may_be_named_nondet():
     # `nondet` is a call only when `(` follows it.
     program = parse_program(
         "int main() { int nondet = 2; int x = nondet; int y = nondet(); }")
-    assert program.body[1] == Decl("x", ((VAR, "nondet"),), 1)
-    assert program.body[2] == Decl("y", ((NONDET, None),), 1)
+    assert program.body[1] == Assign("x", ((VAR, "nondet"),))
+    assert program.body[2] == Assign("y", ((NONDET, None),))
     with pytest.raises(UndeclaredVariable, match="nondet"):
         parse_program("int main() { int x = nondet; }")
 
@@ -325,7 +338,7 @@ def test_expression_rendering(source, expected):
         "int nondet();\n"
         "int main() { int a = 1; int b = 1; int c = 1; "
         f"int r = {source}; return 0; }}")
-    assert expr_to_text(program.body[3].init) == expected
+    assert expr_to_text(program.body[3].expr) == expected
 
 
 def test_rendering_negated_comparison_single_parens():
@@ -381,7 +394,7 @@ def _eval_text(source: str, env=None, draws=()):
         "int nondet();\n"
         f"int main() {{ {decls}int r = {source}; return 0; }}")
     pending = list(draws)
-    return concrete_eval(program.body[len(env or {})].init, dict(env or {}),
+    return concrete_eval(program.body[len(env or {})].expr, dict(env or {}),
                          lambda: pending.pop(0))
 
 
