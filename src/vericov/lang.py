@@ -48,19 +48,20 @@ the line of its statement.
 
 The lexer makes two passes over the text, neither of which moves a line
 or a column: the first blanks the comments, trying a match only where a
-`#` or a `/` occurs; the second reads each line with one
-regular-expression `findall`.  Its result is two parallel lists, the
-token texts and the line of each, and a table of the kind of each
-distinct text; the parser reads these lists.  A column is worked out only
-for an error message, by scanning the token's line again.
+`#` or a `/` occurs; the second reads the whole text, its trailing blanks
+stripped, with one regular-expression `findall`.  Its result is the list
+of token texts and a table of the kind of each distinct text; the parser
+reads these and keeps the position of a token, its index in the list.
+Where a token starts in the text, and so its line and column, is worked
+out only for an error message, by scanning the text once more.
 
 The parser builds six statement records, and keeps in them only what
 lowering reads: `Assign`, `If`, `For`, `Assert`, `Return` and `Skip`.
 ``int x = e;`` is read as the `Assign` of `e`, and ``int x;`` as that of
 `nondet()`: reading an uninitialized local may observe any integer.
 ``while (c) s`` is read as the `For` of ``for (; c; ) s``, and a `for`
-without a condition gets `ONE`.  No record keeps a source line: scope
-errors take theirs from the lexer's lists as the parser reads them.
+without a condition gets `ONE`.  No record keeps a source line: a scope
+error looks its line up from a token position as it is raised.
 Statements and the program are slotted dataclasses: a record holds no
 per-instance dict, compares by value and is not hashable.  The parser
 builds each once and nothing mutates it afterwards.
@@ -103,8 +104,7 @@ infeasible.
 
 from __future__ import annotations
 
-import bisect
-import itertools
+import functools
 import operator
 import re
 from dataclasses import dataclass
@@ -220,23 +220,29 @@ KEYWORDS = {"int", "main", "if", "else", "while", "for", "assert", "return",
 # literal character, which gives the regular-expression engine a
 # first-character prefix: it tries a match only where a `#` or a `/`
 # occurs, not at every position (a group in front of the alternatives
-# would hide that prefix).  The second pass reads each line with one
-# `findall` of `_TOKEN`: blanks, then one token, its alternatives tried in
-# order; the line's tokens go to `texts`, and as many copies of its number
-# to `lines`.  Two-character symbols come before one-character ones, so a
-# symbol is never split, and `/*` before `/`, so an unterminated comment
-# stays one token.  The identifier alternative also admits a non-decimal
-# numeric character such as `²` at its start, which the kind table
-# rejects.  The catch-all takes one character that is not a blank, so
-# trailing blanks are no token; lines lose them before the scan, which
-# would otherwise retry the blank run at each of its characters.
+# would hide that prefix).  The second pass is one `findall` of `_TOKEN`
+# over the whole text, a newline being a blank like any other: blanks,
+# then one token, its alternatives tried in order.  Besides integers and
+# identifiers, only the two-character `_SYMBOLS` and `/*` have alternatives
+# of their own, each before the catch-all, so such a symbol is never split
+# and an unterminated comment's `/*` stays one token.  Every one-character
+# symbol comes from the catch-all, which takes one character that is not a
+# blank; `_kind` tells a symbol from a bad character.  The identifier
+# alternative also admits a non-decimal numeric character such as `²` at
+# its start, which `_kind` rejects.  Since every token starts with a
+# non-blank, trailing blanks are no token: the text loses them before the
+# scan, which would otherwise retry a blank tail at each of its
+# characters, quadratic in its length.  Nothing records where a token
+# starts; only an error message needs it, and `_Scan.starts` scans the
+# text once more to find it.
 _COMMENT = re.compile(r"\#[^\n]*|//[^\n]*|/\*.*?\*/", re.DOTALL)
 _SYMBOLS = ("&&", "||", "==", "!=", "<=", ">=", "++", "--",
             "{", "}", "(", ")", ";", "=", "<", ">", "+", "-", "*", "/", "%",
             "!")
-_TOKEN = re.compile(r"[ \t\r]*([0-9]+|[^\W\d]\w*|/\*|"
-                    + "|".join(map(re.escape, _SYMBOLS)) + r"|[^ \t\r])")
-_BLANKS = " \t\r"
+_TOKEN = re.compile(r"[ \t\r\n]*([0-9]+|[^\W\d]\w*|/\*|"
+                    + "|".join(re.escape(s) for s in _SYMBOLS if len(s) == 2)
+                    + r"|[^ \t\r\n])")
+_BLANKS = " \t\r\n"
 
 
 def _blank(comment: re.Match) -> str:
@@ -261,23 +267,17 @@ def _kind(text: str) -> str:
 
 
 class _Scan:
-    """The tokens of a source text as two parallel lists, `texts` and the
-    `lines` they start on, closed by the eof text "", with the kind of each
-    distinct text in `kinds`.  A lexical error anywhere is raised here, the
-    first one in the text, before the parser reads a token."""
+    """The tokens of a source text as a list of `texts`, closed by the eof
+    text "", with the kind of each distinct text in `kinds`.  A lexical
+    error anywhere is raised here, the first one in the text, before the
+    parser reads a token.  Where each token starts (`starts`), and so its
+    line (`lines`), is worked out on first use, which only an error
+    message makes."""
 
     def __init__(self, source: str):
-        self.rows = _COMMENT.sub(_blank, source).split("\n")
-        self.texts = texts = []
-        self.lines = lines = []
-        findall = _TOKEN.findall
-        for number, row in enumerate(self.rows, 1):
-            found = findall(row.rstrip(_BLANKS))
-            if found:
-                texts += found
-                lines += [number] * len(found)
+        self.text = _COMMENT.sub(_blank, source)
+        self.texts = texts = _TOKEN.findall(self.text.rstrip(_BLANKS))
         texts.append("")
-        lines.append(len(self.rows))
         self.kinds = {text: _kind(text) for text in set(texts)}
         bad = {text for text, kind in self.kinds.items()
                if kind == "bad" or kind == "unterminated"}
@@ -287,14 +287,28 @@ class _Scan:
             raise self.error("unterminated comment" if text == "/*"
                              else f"unexpected character {text[0]!r}", first)
 
+    @functools.cached_property
+    def starts(self) -> List[int]:
+        """The offset in `text` of each token; the eof text's is the end."""
+        starts = [match.start(1) for match
+                  in _TOKEN.finditer(self.text.rstrip(_BLANKS))]
+        starts.append(len(self.text))
+        return starts
+
+    @functools.cached_property
+    def lines(self) -> List[int]:
+        """The line each token starts on."""
+        lines, line, end = [], 1, 0
+        for start in self.starts:
+            line += self.text.count("\n", end, start)
+            lines.append(line)
+            end = start
+        return lines
+
     def column(self, i: int) -> int:
-        """The column of token `i`, found by scanning its line again."""
-        row = self.rows[self.lines[i] - 1]
-        if i == len(self.texts) - 1:  # eof
-            return len(row) + 1
-        k = i - bisect.bisect_left(self.lines, self.lines[i])
-        match = next(itertools.islice(_TOKEN.finditer(row), k, None))
-        return match.start(1) + 1
+        """The column of token `i`."""
+        start = self.starts[i]
+        return start - self.text.rfind("\n", 0, start)
 
     def error(self, message: str, i: int) -> ParseError:
         return ParseError(message, self.lines[i], self.column(i))
@@ -341,7 +355,7 @@ def _emit(code: list, entry: tuple) -> None:
 
 
 class _Parser:
-    """Reads a `_Scan`'s lists at `pos`, never past the final eof text.
+    """Reads a `_Scan`'s texts at `pos`, never past the final eof text.
 
     `operands` maps the text of each operand the parser can read as a
     pair, to that pair: every variable in scope, and every literal read so
@@ -352,7 +366,6 @@ class _Parser:
     def __init__(self, scan: _Scan):
         self.scan = scan
         self.texts = scan.texts
-        self.lines = scan.lines
         self.kinds = scan.kinds
         self.pos = 0
         self.depth = 0  # blocks open around the current statement
@@ -375,12 +388,12 @@ class _Parser:
         return False
 
     def expect(self, text: str) -> int:
-        """Consume the given symbol or keyword; the line it is on."""
+        """Consume the given symbol or keyword; its position."""
         pos = self.pos
         if self.texts[pos] != text:
             raise self.error(f"expected '{text}', found '{self.found()}'")
         self.pos = pos + 1
-        return self.lines[pos]
+        return pos
 
     def expect_ident(self) -> str:
         text = self.texts[self.pos]
@@ -391,9 +404,10 @@ class _Parser:
 
     # -- scopes --------------------------------------------------------------
 
-    def declare(self, name: str, line: int) -> None:
+    def declare(self, name: str, at: int) -> None:
         if name in self.operands:
-            raise ParseError(f"redeclaration of '{name}'", line, 1)
+            raise ParseError(f"redeclaration of '{name}'",
+                             self.scan.lines[at], 1)
         self.operands[name] = (VAR, name)
         self.scopes[-1].append(name)
 
@@ -423,18 +437,31 @@ class _Parser:
             self.pos += 5
 
     def parse_block(self) -> List[Stmt]:
-        brace = self.pos
-        self.expect("{")
+        brace = self.expect("{")
         self.depth += 1
         if self.depth > MAX_BLOCK_DEPTH:
             raise self.error(f"blocks nested deeper than {MAX_BLOCK_DEPTH}"
                              " levels", brace)
         self.scopes.append([])
         stmts: List[Stmt] = []
-        while self.texts[self.pos] != "}":
-            if not self.texts[self.pos]:
+        texts, operands = self.texts, self.operands
+        while True:
+            pos = self.pos
+            text = texts[pos]
+            target = operands.get(text)
+            # `ID = expr ;`, the commonest statement, is read here.
+            if target is not None and target[0] is VAR \
+                    and texts[pos + 1] == "=":
+                self.pos = pos + 2
+                expr = self.parse_expr(pos)
+                self.expect(";")
+                stmts.append(Assign(target[1], expr))
+            elif text == "}":
+                break
+            elif not text:
                 raise self.error("unterminated block")
-            stmts.append(self.parse_stmt())
+            else:
+                stmts.append(self.parse_stmt())
         self.pos += 1
         self.close_scope()
         self.depth -= 1
@@ -447,11 +474,11 @@ class _Parser:
 
     def parse_stmt(self) -> Stmt:
         pos = self.pos
-        text, line = self.texts[pos], self.lines[pos]
+        text = self.texts[pos]
         target = self.operands.get(text)
-        if target is not None and target[0] is VAR:  # `=`, `++` or `--`
+        if target is not None and target[0] is VAR:  # `++` or `--`
             self.pos = pos + 1
-            expr = self.assigned(text, line)
+            expr = self.assigned(text, pos)
             self.expect(";")
             return Assign(target[1], expr)
         if text == "int":
@@ -470,61 +497,61 @@ class _Parser:
         if text == "assert":
             self.pos = pos + 1
             self.expect("(")
-            cond = self.parse_expr(line)
+            cond = self.parse_expr(pos)
             self.expect(")")
             self.expect(";")
             return Assert(cond)
         if text == "return":
             self.pos = pos + 1
             if self.texts[self.pos] != ";":
-                self.parse_expr(line)
+                self.parse_expr(pos)
             self.expect(";")
             return Return()
         if self.kinds[text] == "ident":
-            raise UndeclaredVariable(text, line)
+            raise UndeclaredVariable(text, self.scan.lines[pos])
         raise self.error(f"expected statement, found '{self.found()}'")
 
     def parse_decl(self) -> Assign:
         """A declaration, at its `int`: the assignment of its initializer,
         or of `nondet()` without one."""
-        line = self.lines[self.pos]
+        at = self.pos
         self.pos += 1
         name = self.expect_ident()
-        init = self.parse_expr(line) if self.accept("=") else NONDET_EXPR
-        self.declare(name, line)
+        init = self.parse_expr(at) if self.accept("=") else NONDET_EXPR
+        self.declare(name, at)
         return Assign(name, init)
 
-    def assigned(self, name: str, line: int) -> Expr:
-        """The code an assignment to `name` assigns, read from its `=`,
-        `++` or `--` on; `name ++` assigns `name + 1`, and its `name` must
-        be in scope."""
+    def assigned(self, name: str, at: int) -> Expr:
+        """The code an assignment to `name` at `at` assigns, read from its
+        `=`, `++` or `--` on; `name ++` assigns `name + 1`, and its `name`
+        must be in scope."""
         text = self.texts[self.pos]
         if text == "++" or text == "--":
             self.pos += 1
             target = self.operands.get(name)
             if target is None:
-                raise UndeclaredVariable(name, line)
+                raise UndeclaredVariable(name, self.scan.lines[at])
             one = self.operands.setdefault("1", (LIT, 1))
             return target, one, _BINARY[text[0]]
         self.expect("=")
-        return self.parse_expr(line)
+        return self.parse_expr(at)
 
     def parse_assign_like(self, implicit: bool) -> Assign:
         """An assignment, `++` or `--` in a `for` header.  With `implicit`
         (an initializer) an undeclared target is declared by it."""
-        line = self.lines[self.pos]
+        at = self.pos
         name = self.expect_ident()
         if not implicit and name not in self.operands:
-            raise UndeclaredVariable(name, line)
-        expr = self.assigned(name, line)
+            raise UndeclaredVariable(name, self.scan.lines[at])
+        expr = self.assigned(name, at)
         if implicit and name not in self.operands:
-            self.declare(name, line)
+            self.declare(name, at)
         return Assign(name, expr)
 
     def parse_if(self) -> If:
-        line = self.expect("if")
+        at = self.expect("if")
         self.expect("(")
-        cond = self.parse_expr(line)
+        cond = self.parse_expr(at)
         self.expect(")")
         then = self.parse_block()
         orelse: List[Stmt] = []
@@ -534,14 +561,14 @@ class _Parser:
 
     def parse_while(self) -> For:
         """`while (c) s`, read as `for (; c; ) s`."""
-        line = self.expect("while")
+        at = self.expect("while")
         self.expect("(")
-        cond = self.parse_expr(line)
+        cond = self.parse_expr(at)
         self.expect(")")
         return For(None, cond, None, self.parse_loop_body())
 
     def parse_for(self) -> For:
-        line = self.expect("for")
+        at = self.expect("for")
         self.expect("(")
         self.scopes.append([])  # the initializer's variable
         init: Optional[Assign] = None
@@ -553,7 +580,7 @@ class _Parser:
         self.expect(";")
         cond = ONE  # `for (;;)`
         if self.texts[self.pos] != ";":
-            cond = self.parse_expr(line)
+            cond = self.parse_expr(at)
         self.expect(";")
         update: Optional[Assign] = None
         if self.texts[self.pos] != ")":
@@ -565,15 +592,31 @@ class _Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def parse_expr(self, line: int) -> Expr:
-        """An expression as postfix code, by shunting-yard: an operator
-        waits on `pending` until one binding no tighter follows its right
-        operand.  An operand with a pair in `operands` is read here, any
-        other by `parse_primary`.  Undeclared variables are reported at
-        `line`."""
+    def parse_expr(self, at: int) -> Expr:
+        """An expression as postfix code.  Two short shapes, followed by no
+        infix operator, return at once: a lone operand with a pair in
+        `operands`, and `a op b` of two such operands and an operator
+        other than `&&` and `||`.  Any other expression is read by
+        shunting-yard: an operator waits on `pending` until one binding no
+        tighter follows its right operand.  An operand with a pair in
+        `operands` is read here, any other by `parse_primary`.  Undeclared
+        variables are reported at the line of the token at `at`."""
         texts = self.texts
         operands = self.operands
         pos = self.pos
+        text = texts[pos]
+        lhs = operands.get(text)
+        if lhs is not None and text != "nondet":
+            op = texts[pos + 1]
+            if op not in _INFIXES:
+                self.pos = pos + 1
+                return (lhs,)
+            text = texts[pos + 2]
+            rhs = operands.get(text)
+            if rhs is not None and text != "nondet" and op not in _SKIPS \
+                    and texts[pos + 3] not in _INFIXES:
+                self.pos = pos + 3
+                return lhs, rhs, _BINARY[op]
         code: list = []
         pending: List[tuple] = []
         opened = 0  # open parentheses on `pending`
@@ -588,7 +631,7 @@ class _Parser:
             pair = operands.get(text)
             if pair is None or text == "nondet":  # `nondet(` is no variable
                 self.pos = pos
-                pair = self.parse_primary(line)
+                pair = self.parse_primary(at)
                 pos = self.pos
             else:
                 pos += 1
@@ -619,7 +662,7 @@ class _Parser:
             _emit(code, pending.pop())
         return tuple(code)
 
-    def parse_primary(self, line: int) -> Tuple[str, object]:
+    def parse_primary(self, at: int) -> Tuple[str, object]:
         """The operand at `pos` that `operands` has no pair for: `nondet()`,
         a literal on its first reading, a variable named `nondet`, or an
         error."""
@@ -632,7 +675,7 @@ class _Parser:
                 self.expect(")")
                 return _NONDET
             if text not in self.operands:
-                raise UndeclaredVariable(text, line)
+                raise UndeclaredVariable(text, self.scan.lines[at])
             return self.operands[text]
         if kind == "int":
             try:

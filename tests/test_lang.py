@@ -1,23 +1,38 @@
 """Frontend: lexing, parsing, scope rules, postfix code, rendering and
-evaluation."""
+evaluation.
+
+Run it as a script to print the microseconds per token that scanning,
+parsing and lowering take on programs of `large_source`'s shape, the
+benchmark's `frontend-large`, of 150 to 1,200 blocks:
+
+    PYTHONPATH=src python tests/test_lang.py
+"""
 
 from __future__ import annotations
 
+import bisect
+import gc
+import itertools
 import random
+import re
+import statistics
 import time
 
 import pytest
 
-from vericov import lang, source_to_cfa
+from vericov import lang, lowering, source_to_cfa
 from vericov.lang import (AND_SKIP, BINARY, LIT, NONDET, OR_SKIP, TOP, UNARY,
                           VAR, Assign, EvalError, For, ParseError, Return,
                           Skip, UndeclaredVariable,
                           abstract_eval, concrete_eval, expr_to_text,
                           implied_equality, negate, parse_program)
 
+from vericov.cli import EXIT_OK, EXIT_USAGE, main
+
 from conftest import fixture_source
 from test_explorer import _CORPORA, _random_program
-from test_parse_outcomes import _corpus
+from test_frontend_memory import large_source
+from test_parse_outcomes import _corpus, _outcome
 
 
 def test_minimal_program():
@@ -281,14 +296,136 @@ def test_the_first_of_many_lexical_errors_is_reported(bad, position):
         f"unexpected character {bad[position[1] - 7]!r}")
 
 
-def test_lexing_is_linear_in_trailing_blanks():
+# The lexer's former body, which read the text line by line with its own
+# `findall` and kept the line of every token, is the reference for
+# `lang._Scan`.
+_REFERENCE_TOKEN = re.compile(r"[ \t\r]*([0-9]+|[^\W\d]\w*|/\*|"
+                              + "|".join(map(re.escape, lang._SYMBOLS))
+                              + r"|[^ \t\r])")
+
+
+class _ReferenceScan:
+    def __init__(self, source: str):
+        self.rows = lang._COMMENT.sub(lang._blank, source).split("\n")
+        self.texts = texts = []
+        self.lines = lines = []
+        for number, row in enumerate(self.rows, 1):
+            found = _REFERENCE_TOKEN.findall(row.rstrip(" \t\r"))
+            texts += found
+            lines += [number] * len(found)
+        texts.append("")
+        lines.append(len(self.rows))
+        self.kinds = {text: lang._kind(text) for text in set(texts)}
+        bad = [i for i, text in enumerate(texts)
+               if self.kinds[text] in ("bad", "unterminated")]
+        if bad:
+            text = texts[bad[0]]
+            raise ParseError("unterminated comment" if text == "/*"
+                             else f"unexpected character {text[0]!r}",
+                             lines[bad[0]], self.column(bad[0]))
+
+    def column(self, i: int) -> int:
+        row = self.rows[self.lines[i] - 1]
+        if i == len(self.texts) - 1:  # eof
+            return len(row) + 1
+        k = i - bisect.bisect_left(self.lines, self.lines[i])
+        match = next(itertools.islice(_REFERENCE_TOKEN.finditer(row), k,
+                                      None))
+        return match.start(1) + 1
+
+
+def _scan(scanner, source: str):
+    """Every token's text, kind, line and column, or the lexical error."""
+    try:
+        scan = scanner(source)
+    except ParseError as error:
+        return error.message, error.line, error.col
+    return [(text, scan.kinds[text], line, scan.column(i))
+            for i, (text, line) in enumerate(zip(scan.texts, scan.lines))]
+
+
+def test_the_lexer_matches_the_reference_on_every_corpus():
+    # The parse-outcome corpus, which the dump-outcome golden also reads,
+    # and 120 programs of each random corpus of `test_explorer`.
+    sources = list(_corpus())
+    for seed, generator, _ in _CORPORA:
+        rng = random.Random(seed)
+        sources += [_random_program(rng, **generator) for _ in range(120)]
+    scanned = 0
+    for source in sources:
+        expected = _scan(_ReferenceScan, source)
+        assert _scan(lang._Scan, source) == expected, source
+        scanned += isinstance(expected, list)
+    assert (len(sources), scanned) == (13484, 11003)
+
+
+_BLANK_RUN = 200_000
+
+
+@pytest.mark.parametrize("source, expected", [
+    ("int main() { return 0; }" + " " * _BLANK_RUN,
+     "Program(body=[Return()], name='main')"),
+    ("int main() {" + " " * _BLANK_RUN + "return 0; }",
+     "Program(body=[Return()], name='main')"),
+    ("int main() { return 0; }" + "\t\r\n " * (_BLANK_RUN // 4),
+     "Program(body=[Return()], name='main')"),
+    ("int main() { return 0; }" + " " * _BLANK_RUN + "\n// " + " " * _BLANK_RUN
+     + "\n/* " + " " * _BLANK_RUN + "\n" + " " * _BLANK_RUN + " */",
+     "Program(body=[Return()], name='main')"),
+    ("int main() {" + " " * _BLANK_RUN,
+     "ParseError: 1:200013: unterminated block"),
+    ("int main() { int x =" + " " * _BLANK_RUN + "; }",
+     "ParseError: 1:200021: expected expression, found ';'"),
+    ("int main() {" + "\t\r\n " * (_BLANK_RUN // 4),
+     "ParseError: 50001:2: unterminated block"),
+], ids=["tail", "between", "mixed-tail", "comment-tails", "tail-error",
+        "between-error", "mixed-tail-error"])
+def test_long_blank_runs_are_read_in_linear_time(tmp_path, capsys, source,
+                                                  expected):
     # A blank run that no token follows is matched once, not once per
-    # character of it.
-    blanks = " " * 50_000
+    # character of it: without stripping the text's blank tail, the first
+    # source alone takes minutes.
     start = time.perf_counter()
-    parse_program(f"int main() {{ return 0; }}{blanks}\n// {blanks}\n"
-                  f"/* {blanks}\n{blanks} */")
+    assert _outcome(source) == expected
     assert time.perf_counter() - start < 2.0
+    program = tmp_path / "blanks.c"
+    program.write_text(source)
+    assert main(["cfa-dump", str(program)]) in (EXIT_OK, EXIT_USAGE)
+    capsys.readouterr()
+
+
+def _parsed_scan(monkeypatch, source: str):
+    """The `_Scan` that `parse_program` makes of `source`, and the outcome
+    of the parse."""
+    scans = []
+
+    class Recorded(lang._Scan):
+        def __init__(self, text: str):
+            scans.append(self)
+            super().__init__(text)
+
+    monkeypatch.setattr(lang, "_Scan", Recorded)
+    return scans, _outcome(source)
+
+
+def test_a_parse_works_out_no_token_position(monkeypatch):
+    scans, outcome = _parsed_scan(monkeypatch, fixture_source("bigloop.c"))
+    assert outcome.startswith("Program(")
+    assert "starts" not in vars(scans[0]) and "lines" not in vars(scans[0])
+
+
+@pytest.mark.parametrize("body, expected", [
+    ("x = @;\n}", "ParseError: 3:7: unexpected character '@'"),
+    ("x = 2 +;\n}", "ParseError: 3:10: expected expression, found ';'"),
+    ("x = y;\n}", "UndeclaredVariable: line 3: undeclared variable 'y'"),
+    ("int x = 2;\n}", "ParseError: 3:1: redeclaration of 'x'"),
+    ("", "ParseError: 3:3: unterminated block"),
+], ids=["lexical", "syntax", "undeclared", "redeclaration", "end-of-input"])
+def test_each_error_works_out_its_position(monkeypatch, body, expected):
+    scans, outcome = _parsed_scan(monkeypatch,
+                                  "int main() {\n  int x = 1;\n  " + body)
+    assert outcome == expected
+    assert "lines" in vars(scans[0])
 
 
 def test_parse_error_has_position():
@@ -511,3 +648,33 @@ def test_abstract_eval_definite_operand_decides_and_or(text, expected):
 ])
 def test_implied_equality(guard, expected):
     assert implied_equality(_init(guard)) == expected
+
+
+def _median_us_per_token(source: str, runs: int = 5):
+    """The token count of `source`, and the median microseconds per token
+    of scanning, parsing and lowering it; each run starts after a full
+    collection."""
+    times = []
+    for _ in range(runs):
+        gc.collect()
+        start = time.perf_counter()
+        scan = lang._Scan(source)
+        scanned = time.perf_counter()
+        program = lang._Parser(scan).parse_program("large")
+        parsed = time.perf_counter()
+        lowering.lower(program)
+        times.append((scanned - start, parsed - scanned,
+                      time.perf_counter() - parsed))
+    tokens = len(scan.texts)
+    return tokens, [statistics.median(layer) / tokens * 1e6
+                    for layer in zip(*times)]
+
+
+if __name__ == "__main__":
+    print("front end of a wide program: microseconds per token")
+    print("blocks   tokens  scan us  parser us  lowering us")
+    for blocks in (150, 300, 600, 1200):
+        tokens, (scan_us, parser_us, lowering_us) = \
+            _median_us_per_token(large_source(blocks))
+        print(f"{blocks:6} {tokens:8} {scan_us:8.3f} {parser_us:10.3f}"
+              f" {lowering_us:12.3f}")
