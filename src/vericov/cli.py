@@ -40,8 +40,8 @@ from . import automaton, coverage, heuristic
 from .automaton import AssumptionAutomaton, FormatError, StatementIdMismatch
 from .cfa import Cfa, dump_cfa, statement_ids
 from .explorer import (BFS, Budget, COUNTEREXAMPLES, DEFAULT_NONDET_DOMAIN,
-                       DFS_POSTORDER, DFS_POSTORDER_SCORE, MissingScores,
-                       STRATEGIES, UNKNOWN, Spec, explore, make_strategy)
+                       DFS_POSTORDER, STRATEGIES, UNKNOWN, Spec, explore,
+                       make_strategy)
 from .lang import ParseError, UndeclaredVariable
 from .lowering import source_to_cfa
 
@@ -51,6 +51,8 @@ EXIT_USAGE = 2
 EXIT_INTERNAL = 3
 
 _FORMATS = ("text", "structured")
+# `verify` has no automaton to score.
+_VERIFY_STRATEGIES = (BFS, DFS_POSTORDER)
 
 
 @dataclass
@@ -132,12 +134,6 @@ def _domain(config: RunConfig) -> range:
     return range(config.nondet_min, config.nondet_max + 1)
 
 
-def _strategy(config: RunConfig, cfa: Cfa, aa: AssumptionAutomaton):
-    if config.strategy == DFS_POSTORDER_SCORE:
-        return make_strategy(config.strategy, heuristic.score(aa, cfa))
-    return make_strategy(config.strategy)
-
-
 def _cmd_cfa_dump(config: RunConfig) -> int:
     sys.stdout.write(dump_cfa(_load_cfa(config)))
     return EXIT_OK
@@ -204,7 +200,7 @@ def _cmd_cover(config: RunConfig) -> int:
         raise
     metric = (coverage.exact_coverage if config.command == "cover-exact"
               else coverage.under_approx_coverage)
-    report = metric(cfa, aa, budget, strategy=_strategy(config, cfa, aa),
+    report = metric(cfa, aa, budget, strategy=make_strategy(config.strategy),
                     nondet_domain=domain)
     _print_report(report, config.format)
     return EXIT_BUG if report.bug_found else EXIT_OK
@@ -244,14 +240,16 @@ def run(config: RunConfig) -> int:
     """Execute one command; never raises for malformed user input."""
     try:
         # A library caller's config can hold values the parser refuses.
-        for name, choices in (("strategy", STRATEGIES), ("format", _FORMATS)):
+        strategies = (_VERIFY_STRATEGIES if config.command == "verify"
+                      else STRATEGIES)
+        for name, choices in (("strategy", strategies), ("format", _FORMATS)):
             value = getattr(config, name)
             if value not in choices:
                 raise _CliError(f"--{name} must be one of"
                                 f" {', '.join(choices)}, not {value!r}")
         return _COMMANDS[config.command](config)
     except (_CliError, ParseError, UndeclaredVariable, FormatError,
-            StatementIdMismatch, MissingScores) as exc:
+            StatementIdMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
@@ -320,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the assertion analysis",
                        allow_abbrev=False)
     p.add_argument("program")
-    p.add_argument("--strategy", choices=(BFS, DFS_POSTORDER),
+    p.add_argument("--strategy", choices=_VERIFY_STRATEGIES,
                    default=RunConfig.strategy)
     p.add_argument("--aa-out", metavar="FILE",
                    help="write the assumption automaton of the explored"

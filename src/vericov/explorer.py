@@ -65,7 +65,7 @@ from itertools import count, islice
 from typing import (Dict, FrozenSet, List, Optional, Sequence, Set, Tuple,
                     Union)
 
-from . import lang
+from . import heuristic, lang
 from .automaton import (FALSE_STATE, TRUE_STATE, AssumptionAutomaton, step)
 from .cfa import (ASSERT, ASSIGN, ASSUME, Cfa, Edge, live_variables,
                   postorder_index)
@@ -232,23 +232,17 @@ DFS_POSTORDER_SCORE = "dfs-postorder+score"
 STRATEGIES = (BFS, DFS_POSTORDER, DFS_POSTORDER_SCORE)
 
 
-class MissingScores(Exception):
-    pass
-
-
 @dataclass
 class TraversalStrategy:
     """The order `explore` expands nodes in.  Construction rejects an
-    unknown kind, and dfs-postorder+score without a score map."""
+    unknown kind.  dfs-postorder+score ranks by the scores of the cover
+    spec's automaton, which the explorer works out itself."""
 
     kind: str
-    scores: Optional[Dict[str, int]] = None
 
     def __post_init__(self) -> None:
         if self.kind not in STRATEGIES:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
-        if self.kind == DFS_POSTORDER_SCORE and self.scores is None:
-            raise MissingScores("dfs-postorder+score needs a score map")
 
 
 make_strategy = TraversalStrategy
@@ -557,8 +551,10 @@ class _Explorer:
         self.budget = budget
         self.strategy = strategy
         self.domain = nondet_domain
-        # Node -> postorder index, worked out at the first ordered fork.
+        # Node -> postorder index, and automaton state -> score, worked
+        # out at the first ordered fork.
         self.postorder: Optional[Dict[int, int]] = None
+        self.scores: Dict[str, int] = {}
         self.live = live_variables(cfa)
         self.variables = cfa.numbering()
         unset = self.live[cfa.entry]  # read on some path before any write
@@ -832,12 +828,15 @@ class _Explorer:
         if len(children) > 1:
             self.forks.add(nid)
             if self.strategy.kind != BFS:
-                # Without a score map every score is 0: plain dfs-postorder.
-                scores = self.strategy.scores or {}
                 postorder, location = self.postorder, tree.location
                 if postorder is None:
                     postorder = self.postorder = postorder_index(self.cfa)
-                states = tree.aa_state
+                    # Without an automaton every score is 0: plain
+                    # dfs-postorder.
+                    if self.strategy.kind == DFS_POSTORDER_SCORE and \
+                            spec.kind == COVER:
+                        self.scores = heuristic.score(spec.aa, self.cfa)
+                scores, states = self.scores, tree.aa_state
                 children.sort(key=lambda c: (postorder[location[c]],
                                              -scores.get(states[c], 0), c),
                               reverse=True)

@@ -6,8 +6,9 @@ with the control-flow automaton gives a product whose states say "the
 analysis is at this location with this much of the condition left".  For
 each product state we compute the set of locations reachable before the
 automaton falls into FALSE; the size of that set scores how much unexplored
-program lies ahead.  A traversal that prefers high scores digs into the
-unfinished region first, which is where new coverage witnesses live.
+program lies ahead.  The dfs-postorder+score traversal ranks a node's
+children by postorder first, so a score decides only between children at
+one location.
 
 The sets are kept as bit masks over the product's locations, so they take
 about states x locations / 8 bytes; a set is built as a frozenset only when

@@ -477,10 +477,9 @@ class _Parser:
         text = self.texts[pos]
         target = self.operands.get(text)
         if target is not None and target[0] is VAR:  # `++` or `--`
-            self.pos = pos + 1
-            expr = self.assigned(text, pos)
+            stmt = self.parse_assign_like(implicit=False)
             self.expect(";")
-            return Assign(target[1], expr)
+            return stmt
         if text == "int":
             stmt = self.parse_decl()
             self.expect(";")
@@ -537,8 +536,9 @@ class _Parser:
         return self.parse_expr(at)
 
     def parse_assign_like(self, implicit: bool) -> Assign:
-        """An assignment, `++` or `--` in a `for` header.  With `implicit`
-        (an initializer) an undeclared target is declared by it."""
+        """An assignment, `++` or `--` in a `for` header, or a statement's
+        `++` or `--`.  With `implicit` (an initializer) an undeclared
+        target is declared by it."""
         at = self.pos
         name = self.expect_ident()
         if not implicit and name not in self.operands:

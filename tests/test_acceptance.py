@@ -258,7 +258,7 @@ def test_criterion_6_scored_strategy_beats_baseline(capsys):
             cfa, aa, budget, strategy=make_strategy("dfs-postorder"))
         steered = under_approx_coverage(
             cfa, aa, budget,
-            strategy=make_strategy("dfs-postorder+score", score(aa, cfa)))
+            strategy=make_strategy("dfs-postorder+score"))
         got, ref = len(steered.covered_ids), len(baseline.covered_ids)
         if got > ref:
             wins += 1

@@ -269,6 +269,19 @@ def test_empty_nondet_range_is_usage_error(tmp_path, capsys):
     assert "--nondet-min" in capsys.readouterr().err
 
 
+def test_a_domain_longer_than_a_range_allows_is_usage_error(capsys):
+    # -2**62..2**62 holds sys.maxsize + 2 values.  A range of them has no
+    # len(), so the first witness search would end in an internal error.
+    bound = str((sys.maxsize + 1) // 2)
+    code = main(["cover-exact", DEADBRANCH, "--aa",
+                 str(GOLDENS / "trivial_true.aa"), "--nondet-min", "-" + bound,
+                 "--nondet-max", bound])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"error: --nondet-min..--nondet-max may span at most {sys.maxsize}"
+        f" values\n")
+
+
 def _run_capped(argv, limit=10**9):
     """The CLI in a child process whose address space alone is capped at
     `limit` bytes."""

@@ -14,8 +14,7 @@ import pytest
 from vericov import coverage, explorer
 from vericov import (Budget, Spec, StatementIdMismatch, exact_coverage,
                      explore, make_strategy, over_approx_coverage, parse_aa,
-                     score, serialize_aa, source_to_cfa,
-                     under_approx_coverage)
+                     serialize_aa, source_to_cfa, under_approx_coverage)
 from vericov.automaton import (FALSE_STATE, TRUE_STATE, AssumptionAutomaton)
 
 from conftest import ALL_FIXTURES, ORACLE_CORPUS, fixture_cfa, golden
@@ -330,8 +329,7 @@ def _coverage_sweep():
     executions."""
     out = {}
     for run, cfa, aa in _sweep_automata():
-        scores = score(aa, cfa)
-        strategies = {kind: make_strategy(kind, scores)
+        strategies = {kind: make_strategy(kind)
                       for kind in explorer.STRATEGIES}
         for max_nodes in (60, 400):
             for max_cex in (1, 2, 10):

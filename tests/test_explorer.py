@@ -9,11 +9,11 @@ from types import SimpleNamespace
 
 import pytest
 
-from vericov import (Budget, FALSE_STATE, MissingScores, Spec,
-                     TraversalStrategy, exact_coverage, explore,
-                     make_strategy, parse_aa, score, serialize_aa,
-                     source_to_cfa, statement_ids, under_approx_coverage)
-from vericov import explorer, lang
+from vericov import (Budget, FALSE_STATE, Spec, TraversalStrategy,
+                     exact_coverage, explore, make_strategy, parse_aa,
+                     score, serialize_aa, source_to_cfa, statement_ids,
+                     under_approx_coverage)
+from vericov import explorer, heuristic, lang
 from vericov.automaton import AssumptionAutomaton, TRUE_STATE
 from vericov.cfa import (ASSERT, ASSIGN, ASSUME, HALT, Cfa, Edge,
                          live_variables)
@@ -24,7 +24,7 @@ from vericov.explorer import (COUNTEREXAMPLES, COVER, FEASIBLE, INCONCLUSIVE,
                               UNASSIGNED, UNKNOWN,
                               ReplayResult, replay)
 
-from conftest import ALL_FIXTURES, fixture_cfa, golden
+from conftest import ALL_FIXTURES, fixture_cfa, fixture_source, golden
 from oracle import psi_holds
 from test_digest import COVER_STRATEGIES, NODE_BUDGETS, VERIFY_STRATEGIES
 from test_frontend_memory import large_source
@@ -475,14 +475,13 @@ def test_budget_rejects_nonpositive_limits(kwargs):
 def test_make_strategy_validation():
     with pytest.raises(ValueError):
         make_strategy("random-walk")
-    with pytest.raises(MissingScores):
-        make_strategy("dfs-postorder+score")
-    assert make_strategy("dfs-postorder+score", {"q0": 1}).scores == {"q0": 1}
+    # The explorer works the scores out itself: a strategy is its kind.
+    assert make_strategy("dfs-postorder+score") == \
+        TraversalStrategy("dfs-postorder+score")
 
 
 @pytest.mark.parametrize("args, error", [
     (("random",), ValueError),
-    (("dfs-postorder+score",), MissingScores),  # no score map
 ])
 def test_traversal_strategy_checks_itself(args, error):
     # A strategy checks itself when built, so a bad one never reaches
@@ -714,7 +713,8 @@ def test_chain_program_same_order_for_all_strategies():
 def test_score_tie_break_picks_higher_scored_branch():
     # Empty-branch split: both assume edges land on the same location, so
     # postorder ties and only the score decides which region is explored
-    # first. The automaton routes the else side into the larger region.
+    # first. The automaton routes the else side into the larger region,
+    # and the explorer scores the spec's own automaton.
     cfa = source_to_cfa(
         "int nondet();\n"
         "int main() { int x = nondet(); if (x > 0) { } else { } "
@@ -729,10 +729,11 @@ def test_score_tie_break_picks_higher_scored_branch():
     aa.add_transition("qsplit", 2, "qbig")
     for stmt in (3, 4, 5):
         aa.add_transition("qbig", stmt, "qbig")
-    scores = {"q0": 5, "qsplit": 4, "qsmall": 1, "qbig": 5}
+    scores = score(aa, cfa)
+    assert scores["qbig"] > scores["qsmall"]
     spec = Spec.cover(frozenset(range(6)), aa)
     result = explore(cfa, spec, Budget(max_counterexamples=1),
-                     strategy=make_strategy("dfs-postorder+score", scores))
+                     strategy=make_strategy("dfs-postorder+score"))
     assert result.verdict == COUNTEREXAMPLES
     # The else-assume (statement 2) is on the first generated execution.
     assert 2 in result.counterexamples[0].statements
@@ -742,11 +743,58 @@ def test_score_tie_break_picks_higher_scored_branch():
     assert 1 in baseline.counterexamples[0].statements
 
 
-def test_unscored_states_default_to_zero():
-    cfa = fixture_cfa("deadbranch.c")
+def _score_calls(monkeypatch):
+    """The arguments of each `heuristic.score` call from here on."""
+    calls, real = [], heuristic.score
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(heuristic, "score", spy)
+    return calls
+
+
+def _tree(result):
+    return [(n.parent, n.incoming_stmt, n.status) for n in result.nodes]
+
+
+def test_unscored_states_default_to_zero(monkeypatch):
+    # Under an assertions spec no node has an automaton state to score, so
+    # nothing is scored and the tree is dfs-postorder's.
+    calls = _score_calls(monkeypatch)
+    cfa = fixture_cfa("chain_ifs.c")
     result = explore(cfa, Spec.assertions(), Budget(),
-                     strategy=make_strategy("dfs-postorder+score", {}))
+                     strategy=make_strategy("dfs-postorder+score"))
     assert result.verdict == SAFE
+    assert calls == []
+    assert _tree(result) == _tree(explore(cfa, Spec.assertions(), Budget()))
+
+
+def test_scores_come_from_the_spec_automaton_once_per_explorer(monkeypatch):
+    # The coverage rounds resume one explorer, which scores the spec's
+    # automaton at its first ordered fork.
+    calls = _score_calls(monkeypatch)
+    cfa = fixture_cfa("chain_ifs.c")
+    aa = AssumptionAutomaton(name="all", initial=TRUE_STATE)
+    report = under_approx_coverage(cfa, aa, Budget(),
+                                   make_strategy("dfs-postorder+score"))
+    assert report.rounds > 1
+    assert len(calls) == 1
+    assert calls[0][0] is aa and calls[0][1] is cfa
+
+
+@pytest.mark.parametrize("kind, source", [
+    ("bfs", fixture_source("chain_ifs.c")),
+    ("dfs-postorder", fixture_source("chain_ifs.c")),
+    ("dfs-postorder+score", "int main() { int a = 1; a = 2; return 0; }"),
+])
+def test_only_a_scored_fork_scores_the_automaton(monkeypatch, kind, source):
+    calls = _score_calls(monkeypatch)
+    cfa = source_to_cfa(source)
+    aa = AssumptionAutomaton(name="all", initial=TRUE_STATE)
+    under_approx_coverage(cfa, aa, Budget(), make_strategy(kind))
+    assert calls == []
 
 
 # Automaton emission ----------------------------------------------------------
@@ -884,10 +932,9 @@ def _verify_and_cover_runs(cfa, budgets, verify_strategies,
             strategy = make_strategy(kind)
             yield cfa, Spec.assertions(), budget, strategy, domain
             aa = explore(cfa, Spec.assertions(), budget, strategy, domain).aa
-            scores = score(aa, cfa)
             for cover in COVER_STRATEGIES:
                 yield (cfa, Spec.cover(statement_ids(cfa), aa), budget,
-                       make_strategy(cover, scores), domain)
+                       make_strategy(cover), domain)
 
 
 @pytest.mark.parametrize("name", ALL_FIXTURES)
@@ -1286,7 +1333,7 @@ def _cover_runs(cfa, aa, extra_specs):
     """(label, spec, budget, strategy) for every strategy, every spec and
     several node budgets."""
     strategies = [make_strategy("bfs"), make_strategy("dfs-postorder"),
-                  make_strategy("dfs-postorder+score", score(aa, cfa))]
+                  make_strategy("dfs-postorder+score")]
     specs = [Spec.assertions(), Spec.cover(statement_ids(cfa), aa),
              *extra_specs]
     for strategy in strategies:

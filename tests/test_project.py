@@ -168,6 +168,30 @@ def test_a_forking_explore_reaches_the_traced_postorder_binding(monkeypatch):
     assert calls == [(cfa,)]
 
 
+def test_a_scored_cover_reaches_the_traced_score_binding(monkeypatch,
+                                                        capsys):
+    # The traced run's `heuristic.*` times of `cover-under --strategy
+    # dfs-postorder+score` sit under the wrapper at this binding, which the
+    # explorer calls at its first ordered fork.
+    module, attr = next((module, attr) for module, attr, span
+                        in _spans().BINDINGS if span == "heuristic.score")
+    module = importlib.import_module(module)
+    real = getattr(module, attr)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, attr, spy)
+    from vericov.cli import main
+    assert main(["cover-under", str(ROOT / "tests/fixtures/chain_ifs.c"),
+                 "--aa", str(ROOT / "tests/goldens/trivial_true.aa"),
+                 "--strategy", "dfs-postorder+score"]) == 0
+    assert "covered" in capsys.readouterr().out
+    assert len(calls) == 1
+
+
 def _package_uses() -> set:
     """(sibling, name) for each name a package module but `__init__` takes
     from a sibling module: `from .sibling import name`, or `sibling.name`

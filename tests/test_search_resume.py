@@ -25,7 +25,6 @@ from vericov import (Budget, Spec, exact_coverage, explore, lang, parse_aa,
 from vericov import explorer
 from vericov.explorer import (DEFAULT_NONDET_DOMAIN, DEFAULT_REPLAY_STEP_LIMIT,
                               make_strategy, replay)
-from vericov.heuristic import score
 
 sys.path.insert(0, str(Path(__file__).parent))
 from conftest import ALL_FIXTURES, fixture_cfa  # noqa: E402
@@ -107,9 +106,7 @@ def test_cover_searches_match_replay_from_entry(monkeypatch, step_limit):
     for cfa, aa, budget, domain in _cover_cases():
         exact_coverage(cfa, aa, budget, nondet_domain=domain)
         for strategy in ("bfs", "dfs-postorder", "dfs-postorder+score"):
-            scores = score(aa, cfa) if strategy.endswith("score") else None
-            under_approx_coverage(cfa, aa, budget,
-                                  make_strategy(strategy, scores),
+            under_approx_coverage(cfa, aa, budget, make_strategy(strategy),
                                   nondet_domain=domain)
     # Some searches resume, and some take a kept result.
     assert recorder.calls["resumed"] > 0

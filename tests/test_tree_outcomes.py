@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Tuple
 
 from vericov import (Budget, Spec, exact_coverage, explore, make_strategy,
-                     parse_aa, score, serialize_aa, statement_ids,
+                     parse_aa, serialize_aa, statement_ids,
                      under_approx_coverage)
 from vericov import coverage, explorer
 
@@ -78,7 +78,7 @@ def _outcomes():
         aa = parse_aa(serialize_aa(
             explore(cfa, Spec.assertions(), Budget(max_nodes=200)).aa))
         strategies = [make_strategy("bfs"), make_strategy("dfs-postorder"),
-                      make_strategy("dfs-postorder+score", score(aa, cfa))]
+                      make_strategy("dfs-postorder+score")]
         specs = [Spec.assertions(), Spec.cover(statement_ids(cfa), aa)]
         for strategy in strategies:
             for spec in specs:
