@@ -67,6 +67,10 @@ class AssumptionAutomaton:
         self.location_of[state] = location
 
     def add_transition(self, state: str, stmt_id: int, target: str) -> None:
+        """Add a transition from a declared state.  The target may be
+        declared later; `serialize_aa` refuses one that never is."""
+        if state not in self.location_of:
+            raise ValueError(f"transition source {state} never declared")
         key = (state, stmt_id)
         if key in self.transitions:
             raise ValueError(f"duplicate transition from {state} on {stmt_id}")
@@ -91,9 +95,23 @@ def step(aa: AssumptionAutomaton, state: str, stmt_id: int) -> str:
 
 
 def serialize_aa(aa: AssumptionAutomaton) -> str:
+    """The automaton in the canonical text format.  ValueError for an
+    automaton the text cannot carry: an initial state or transition
+    target that is neither declared nor a sink, which `parse_aa` would
+    refuse, or a transition from an undeclared state, which no STATE
+    block would hold."""
     ons: Dict[str, List[Tuple[int, str]]] = {}
     for (src, sid), tgt in aa.transitions.items():
         ons.setdefault(src, []).append((sid, tgt))
+    named = set(aa.transitions.values())
+    named.add(aa.initial)
+    undeclared = named.difference(aa.location_of, _SINKS)
+    if undeclared:
+        raise ValueError(f"state {min(undeclared)!r} never declared")
+    undeclared = set(ons).difference(aa.location_of)
+    if undeclared:
+        raise ValueError(f"transition source {min(undeclared)!r} never"
+                         " declared")
     lines = [f"AUTOMATON {aa.name}", f"INITIAL {aa.initial}"]
     for state, location in aa.location_of.items():
         lines.append(f"STATE {state} @L{location}")

@@ -37,6 +37,17 @@ with if no run got that far.  A later search through the fork takes up
 that state, or returns that result, and answers as a search from entry
 would, steps included.
 
+In cover mode a node whose automaton state has just entered FALSE, a
+root of the region past FALSE, tracks all it ever will: what is left is
+one assertion-clean continuation to exit.  Where the values the analysis
+knows decide that continuation, the explorer walks it instead of building
+it as nodes (see `_Explorer.walk`).  Reaching exit completes the root,
+whose execution is the path into it, searched in prefix mode (every
+assume and every assert on it holds), then the walked statements; a
+failing assert or a location with no way on prunes it.  Anything the
+known values leave open abandons the walk, and the root is expanded as
+any node is.
+
 The tree holds no object per node.  It is nine parallel lists indexed by
 node id: location, valuation, parent, incoming statement, status,
 coverer, automaton state, tracked set and fresh mask.  Nodes share the
@@ -56,6 +67,7 @@ access.
 
 from __future__ import annotations
 
+import math
 import re
 import time
 from collections import Counter, deque
@@ -377,13 +389,20 @@ class _NeedChoice(Exception):
     pass
 
 
+def _no_choice() -> int:
+    """The `next_nondet` of a walk, which has no choices to give."""
+    raise _NeedChoice
+
+
 def _search_witness(cfa: Cfa, path: Sequence[int], domain: Sequence[int],
                     step_limit: int, state: Optional[_SearchState],
-                    forks: Sequence[int]
+                    forks: Sequence[int], prefix: bool = False
                     ) -> Tuple[ReplayResult, List[_SearchState]]:
     """Search nondet choices under which the run of the path, a sequence
     of the CFA's statement ids, is "ok" (see `_run_path`), by
-    conflict-directed backjumping (Prosser 1993).
+    conflict-directed backjumping (Prosser 1993).  In `prefix` mode a
+    final assert must hold like every other: the run reads it as an
+    assume of the same code.
 
     Each choice runs through `domain` in order, so the first witness found
     is the first in lexicographic order.  A failed run jumps to the
@@ -426,6 +445,10 @@ def _search_witness(cfa: Cfa, path: Sequence[int], domain: Sequence[int],
     """
     reads, writes = cfa.numbering().reads, cfa.numbering().writes
     plan = [(cfa.edges[i], reads[i], writes[i]) for i in path]
+    if prefix and plan and plan[-1][0].kind == ASSERT:
+        edge, read, write = plan[-1]
+        plan[-1] = (Edge(edge.src, edge.dst, edge.id, ASSUME, None,
+                         edge.expr), read, write)
     if state is None:
         stack, conflicts, marks, steps = [], [], [], step_limit
     else:
@@ -469,10 +492,12 @@ def _search_witness(cfa: Cfa, path: Sequence[int], domain: Sequence[int],
 
 def replay(cfa: Cfa, path: Sequence[int],
            nondet_domain: Sequence[int] = DEFAULT_NONDET_DOMAIN,
-           step_limit: int = DEFAULT_REPLAY_STEP_LIMIT) -> ReplayResult:
+           step_limit: int = DEFAULT_REPLAY_STEP_LIMIT,
+           prefix: bool = False) -> ReplayResult:
     """Search nondet choices under which every assume on the path, a
     sequence of statement ids, holds, and every assert holds except a
-    final one, which must fail.
+    final one, which must fail.  In `prefix` mode a final assert must
+    hold too: the path is then the start of an assertion-clean execution.
 
     The path must start at entry and be edge-connected.  A path into exit
     ends in a `halt` (see `Cfa.validate`), so its witness is a feasible,
@@ -496,7 +521,8 @@ def replay(cfa: Cfa, path: Sequence[int],
         if edge.src != expected:
             raise ValueError("path is not connected from entry")
         expected = edge.dst
-    return _search_witness(cfa, path, nondet_domain, step_limit, None, ())[0]
+    return _search_witness(cfa, path, nondet_domain, step_limit, None, (),
+                           prefix)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -561,8 +587,12 @@ class _Explorer:
         if unset:
             raise ValueError("variables read before assignment: " + ", ".join(
                 v for v, i in self.variables.index.items() if unset >> i & 1))
-        # Exit node id -> its execution, None when its search found none.
+        # Exit node or completed root id -> its execution, None when its
+        # search found none.
         self.searches: Dict[int, Optional[Execution]] = {}
+        # Completed root -> the statements walked from it, in completion
+        # order (see `walk`).
+        self.completed: Dict[int, Tuple[int, ...]] = {}
         self.forks: Set[int] = set()  # nodes whose expansion pushed 2+ children
         # Along the last searched path, by ascending depth: (depth, fork,
         # the search's state on arriving there, or the result every search
@@ -571,6 +601,10 @@ class _Explorer:
                                                ReplayResult]]] = []
         self.tree = _Tree()
         self.first = 0  # id of the first node the current run creates
+        # What the current run charges against (see `run`): it stops once
+        # the tree reaches `limit` nodes; a walk lowers it.
+        self.limit: float = math.inf
+        self.start = 0.0  # when the current run's time limit started
         # (location, automaton state) -> a bare id, or group key -> a bare
         # id or a list of ids (see `cover`).
         self.groups: Dict[Tuple[int, Optional[str]],
@@ -587,7 +621,12 @@ class _Explorer:
                ) -> Tuple[ReplayResult, List[int]]:
         """The witness search of the path into `nid`, followed by `edge` if
         given, as `replay` would return it, and that path as a list of
-        statement ids.
+        statement ids.  With `edge`, an assert, the search asks for a
+        counterexample; without it, it runs in `replay`'s prefix mode,
+        where every assume and every assert on the path holds.  The path
+        into an exit node ends in a halt, so there the two modes agree;
+        the path into a walked root goes on past its last statement, so
+        an assert entering the root must hold.
 
         It resumes at the deepest fork of the last searched path that is
         a node of this one too, short of its end (see `_search_witness`).
@@ -615,20 +654,21 @@ class _Explorer:
         # Read at call time, so that a test can shorten it.
         result, saved = _search_witness(self.cfa, path, self.domain,
                                         DEFAULT_REPLAY_STEP_LIMIT, state,
-                                        forks)
+                                        forks, edge is None)
         trail += [(d, nodes[d], s) for d, s in zip(forks, saved)]
         if result.verdict != FEASIBLE and len(saved) < len(forks):
             depth = forks[len(saved)]
             trail.append((depth, nodes[depth], result))
         return result, path
 
-    def execution(self, nid: int, edge: Optional[Edge] = None
-                  ) -> Optional[Execution]:
-        """The execution `search` finds, None when it finds none."""
+    def execution(self, nid: int, edge: Optional[Edge] = None,
+                  tail: Tuple[int, ...] = ()) -> Optional[Execution]:
+        """The execution `search` finds, its path followed by `tail`; None
+        when it finds none."""
         result, path = self.search(nid, edge)
         if result.verdict != FEASIBLE:
             return None
-        return Execution(tuple(path), result.witness)
+        return Execution(tuple(path) + tail, result.witness)
 
     # -- covering ------------------------------------------------------------
 
@@ -722,14 +762,20 @@ class _Explorer:
             self.waitlist.append(root)
             self.cover(root)
 
-    def check_violation(self, nid: int) -> None:
-        """Record the execution into an exit node that tracks something.
-        Narrowing asks each exit node again, so its execution is kept."""
+    def check_violation(self, nid: int, walked: Tuple[int, ...] = ()
+                        ) -> None:
+        """Record the execution into an exit node that tracks something,
+        or the execution of a completed root that tracks something: the
+        path into the root, then the `walked` statements (see `walk`).
+        Either is searched once, the root in prefix mode; narrowing asks
+        each exit node and completed root again, so its execution is
+        kept."""
         tree = self.tree
         if len(self.cex) < self.budget.max_counterexamples and \
-                tree.location[nid] == self.cfa.exit and tree.tracked[nid]:
+                (walked or tree.location[nid] == self.cfa.exit) and \
+                tree.tracked[nid]:
             if nid not in self.searches:
-                self.searches[nid] = self.execution(nid)
+                self.searches[nid] = self.execution(nid, tail=walked)
             execution = self.searches[nid]
             if execution is not None:
                 self.cex.append(execution)
@@ -754,9 +800,107 @@ class _Explorer:
 
     # -- expansion -----------------------------------------------------------
 
+    def walk(self, root: int) -> bool:
+        """Decide a FALSE root without creating a node, if the values the
+        analysis knows decide its continuation; whether they did.
+
+        A root is a node whose automaton state is FALSE and whose parent's
+        is not.  Its tracked set can no longer grow, so all that is left
+        is one assertion-clean path on to exit.  From the root's location
+        and valuation the walk takes, at each location, the one out edge
+        whose statement holds: a skip or halt, an assign, or an assume or
+        assert that is not 0.  It evaluates each statement as a witness
+        run does, with `lang.concrete_eval`, and reads only variables the
+        valuation knows, so every run along the path into the root
+        evaluates it the same way: the walk decides the continuation of
+        each of them.
+          * Reaching exit completes the root: its execution is the path
+            into the root, searched in prefix mode, then the walked
+            statements (see `check_violation`).
+          * A location whose guards are all 0, or an assert that is 0,
+            prunes the root: no assertion-clean continuation exists.  With
+            `stop_on_violation` that assert is the bug `check_assert`
+            would confirm, if the path into the root has a witness.
+          * Anything else abandons the walk, and the root is expanded as
+            any node is: a statement that reads a top, draws a nondet()
+            value or divides by zero, a location with two ways on, a state
+            the walk has been in before (Brent's cycle detection, so a
+            loop that covering would end does not run to the budget),
+            the node budget, or the time limit, read every 4,096
+            statements.
+        A walk that completes or prunes charges its statements to the node
+        budget, as the nodes it replaces would have been charged.  An
+        abandoned walk charges nothing: the nodes that expanding the root
+        creates are charged, so the tree is the one a run without walks
+        builds.
+        """
+        tree, cfa = self.tree, self.cfa
+        location, exit_node = tree.location[root], cfa.exit
+        if location == exit_node:  # asked when it was created
+            return False
+        variables = self.variables
+        reads, writes = variables.reads, variables.writes
+        valuation = tree.valuation[root]
+        env = dict(zip(variables.index, valuation))
+        tops = sum(1 << i for i, value in enumerate(valuation)
+                   if value is TOP)
+        out_edges, evaluate = cfa.out_edges, lang.concrete_eval
+        time_limit = self.budget.time_limit
+        left = self.limit - len(tree)  # the statements it may charge
+        walked: List[int] = []
+        seen, power = (location, dict(env)), 1
+        while location != exit_node:
+            if len(walked) >= left:
+                return False
+            if len(walked) & 4095 == 4095 and time_limit is not None and \
+                    time.monotonic() - self.start > time_limit:
+                return False
+            taken, value = None, 1
+            for edge in out_edges(location):
+                kind, result = edge.kind, 1
+                if kind == ASSIGN or kind == ASSUME or kind == ASSERT:
+                    if reads[edge.id] & tops:
+                        return False
+                    try:
+                        result = evaluate(edge.expr, env, _no_choice)
+                    except (_NeedChoice, lang.EvalError):
+                        return False
+                    if kind == ASSUME and not result:
+                        continue
+                if taken is not None:
+                    return False
+                taken, value = edge, result
+            if taken is None or (taken.kind == ASSERT and not value):
+                charged = len(walked)
+                if taken is not None:
+                    charged += 1  # the pruned child of the assert
+                    if self.spec.stop_on_violation:
+                        self.bug = self.execution(
+                            root, tail=(*walked, taken.id))
+                        if self.bug is not None:
+                            return True
+                tree.status[root] = STATUS_PRUNED
+                self.limit -= charged
+                return True
+            if taken.kind == ASSIGN:
+                env[taken.var] = value
+                tops &= ~writes[taken.id]
+            walked.append(taken.id)
+            location = taken.dst
+            if location == seen[0] and env == seen[1]:
+                return False
+            if len(walked) == power:
+                seen, power = (location, dict(env)), power * 2
+        self.limit -= len(walked)
+        self.completed[root] = tuple(walked)
+        self.check_violation(root, self.completed[root])
+        return True
+
     def expand(self, nid: int) -> None:
         """Create the node's child down each out edge its valuation does
-        not refute, and push the children left uncovered.
+        not refute, and push the children left uncovered.  A FALSE root
+        in cover mode is walked first (see `walk`), and expanded only if
+        the walk is abandoned.
 
         Reading a variable clears its fresh bit (a read top is coupled to
         the context), except in a guard that evaluates to a definite
@@ -770,8 +914,13 @@ class _Explorer:
         tree, spec = self.tree, self.spec
         status = tree.status
         status[nid] = STATUS_EXPANDED
+        aa_state = tree.aa_state[nid]
+        if aa_state == FALSE_STATE and \
+                tree.aa_state[tree.parent[nid]] != FALSE_STATE and \
+                self.walk(nid):
+            return
         val, node_fresh = tree.valuation[nid], tree.fresh[nid]
-        aa_state, tracked = tree.aa_state[nid], tree.tracked[nid]
+        tracked = tree.tracked[nid]
         index, reads = self.variables.index, self.variables.reads
         exit_node = self.cfa.exit
         children: List[int] = []
@@ -859,8 +1008,9 @@ class _Explorer:
         cover groups stay, and so does the search record, keyed by node.
         No path changes, so the search states kept along the last
         searched path stay too.
-        Every exit node is asked again, in creation order, but searched
-        once; the waitlist keeps the nodes not pruned.
+        Every exit node is asked again, in creation order, and then every
+        completed root, in completion order, but each is searched once;
+        the waitlist keeps the nodes not pruned.
         """
         remaining = spec.remaining
         self.spec, self.budget = spec, budget
@@ -878,6 +1028,8 @@ class _Explorer:
                 status[nid] = STATUS_PRUNED
                 tree.covered_by[nid] = None
             self.check_violation(nid)
+        for root, walked in self.completed.items():
+            self.check_violation(root, walked)
         self.waitlist = deque(nid for nid in self.waitlist
                               if status[nid] == STATUS_FRONTIER)
 
@@ -885,17 +1037,20 @@ class _Explorer:
 
     def run(self, start: float) -> ExplorationResult:
         """Expand nodes until a verdict or a budget stop; the time limit
-        counts from `start`."""
+        counts from `start`.  The node budget counts the nodes the run
+        creates and the statements its walks charge."""
         interrupted = False
         budget, location = self.budget, self.tree.location
+        self.start = start
+        self.limit = math.inf if budget.max_nodes is None \
+            else self.first + budget.max_nodes
         pop = self.waitlist.popleft if self.strategy.kind == BFS \
             else self.waitlist.pop
         while self.waitlist:
             if self.bug is not None or \
                     len(self.cex) >= budget.max_counterexamples:
                 break
-            if (budget.max_nodes is not None
-                    and len(location) - self.first >= budget.max_nodes) or \
+            if len(location) >= self.limit or \
                     (budget.time_limit is not None
                      and time.monotonic() - start > budget.time_limit):
                 interrupted = True

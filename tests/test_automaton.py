@@ -62,6 +62,38 @@ def test_duplicate_transition_rejected():
         aa.add_transition("q0", 0, FALSE_STATE)
 
 
+def test_a_transition_from_an_undeclared_state_is_refused():
+    # Serialization writes a state's transitions in its STATE block, so
+    # one from a state without a block would be dropped from the text.
+    aa = _two_state()
+    with pytest.raises(ValueError, match="transition source q9 never"):
+        aa.add_transition("q9", 0, "q1")
+    with pytest.raises(ValueError, match="never declared"):
+        aa.add_transition(TRUE_STATE, 0, "q1")
+    assert ("q9", 0) not in aa.transitions
+
+
+def test_serialization_refuses_what_the_parser_would():
+    # A target declared after its transition is accepted, one never
+    # declared is not: parse_aa would refuse the text serialize_aa wrote.
+    aa = _two_state()
+    aa.add_transition("q0", 3, "q2")
+    aa.add_state("q2", 3)
+    assert parse_aa(serialize_aa(aa)) == aa
+    aa.add_transition("q0", 4, "ghost")
+    with pytest.raises(ValueError, match="'ghost' never declared"):
+        serialize_aa(aa)
+    del aa.transitions[("q0", 4)]
+    aa.initial = "nowhere"
+    with pytest.raises(ValueError, match="'nowhere' never declared"):
+        serialize_aa(aa)
+    # The transition table is open to writes that bypass add_transition.
+    aa.initial = "q0"
+    aa.transitions[("q9", 0)] = "q1"
+    with pytest.raises(ValueError, match="transition source 'q9' never"):
+        serialize_aa(aa)
+
+
 # Accepted languages ----------------------------------------------------------
 
 

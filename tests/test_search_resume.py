@@ -3,7 +3,9 @@
 The explorer starts a search at the deepest fork of the last searched path
 that the new path passes too, from the state the earlier search had there,
 or answers it with the result that search kept.  Every search it makes
-must return what `replay` returns from entry: verdict, witness and steps.
+must return what `replay` returns from entry, in the same mode: verdict,
+witness and steps.  A search without an assert edge, of the path into an
+exit node or a walked root, runs in prefix mode.
 
 Run it as a script to print the `_run_path` runs and statement
 evaluations of the benchmark's branch chain under `cover-exact` and
@@ -20,8 +22,9 @@ from pathlib import Path
 
 import pytest
 
-from vericov import (Budget, Spec, exact_coverage, explore, lang, parse_aa,
-                     serialize_aa, source_to_cfa, under_approx_coverage)
+from vericov import (AssumptionAutomaton, Budget, Spec, exact_coverage,
+                     explore, lang, parse_aa, serialize_aa, source_to_cfa,
+                     under_approx_coverage)
 from vericov import explorer
 from vericov.explorer import (DEFAULT_NONDET_DOMAIN, DEFAULT_REPLAY_STEP_LIMIT,
                               make_strategy, replay)
@@ -36,27 +39,45 @@ from test_explorer import _CORPORA, _random_program  # noqa: E402
 SMALL_STEP_LIMITS = [5, 20, 60]
 CHAIN_DOMAIN = range(-2, 3)
 MAX_CHAIN_RUNS = 150  # 593 when every search started from entry
+# Its assert reads nondet() values, and enters FALSE under the automaton
+# of `_false_at_asserts`: the walk from there searches a path that ends in
+# that assert, in prefix mode.
+ASSERT_INTO_FALSE = """int nondet();
+int main() {
+  int x = nondet();
+  int y = nondet();
+  if (x < y) { x = y; }
+  assert(x != 2);
+  return 0;
+}
+"""
 
 
 class _Recorder:
-    """Every search the explorer makes, as (cfa, path, domain, result),
-    and how many `_search_witness` calls began at entry and how many
-    from a saved state.  The searches that made no call took a kept
-    result."""
+    """Every search the explorer makes, as (cfa, path, domain, prefix
+    mode, result), how many `_search_witness` calls began at entry and
+    how many from a saved state, and how many ran in prefix mode on a
+    path that ends in an assert.  The searches that made no call took a
+    kept result."""
 
     def __init__(self, monkeypatch):
         self.searches = []
-        self.calls = {"entry": 0, "resumed": 0}
+        self.calls = {"entry": 0, "resumed": 0, "prefix-assert": 0}
         search, witness = explorer._Explorer.search, explorer._search_witness
 
         def recorded(ex, nid, edge=None):
             result, path = search(ex, nid, edge)
-            self.searches.append((ex.cfa, tuple(path), ex.domain, result))
+            self.searches.append((ex.cfa, tuple(path), ex.domain,
+                                  edge is None, result))
             return result, path
 
-        def counted(cfa, path, domain, step_limit, state, forks):
+        def counted(cfa, path, domain, step_limit, state, forks,
+                    prefix=False):
             self.calls["entry" if state is None else "resumed"] += 1
-            return witness(cfa, path, domain, step_limit, state, forks)
+            self.calls["prefix-assert"] += \
+                prefix and cfa.edges[path[-1]].kind == "assert"
+            return witness(cfa, path, domain, step_limit, state, forks,
+                           prefix)
 
         monkeypatch.setattr(explorer._Explorer, "search", recorded)
         monkeypatch.setattr(explorer, "_search_witness", counted)
@@ -66,8 +87,8 @@ class _Recorder:
         Each `replay` calls `_search_witness` too, so read `calls`
         first."""
         wrong = []
-        for cfa, path, domain, got in self.searches:
-            want = replay(cfa, path, domain, step_limit)
+        for cfa, path, domain, prefix, got in self.searches:
+            want = replay(cfa, path, domain, step_limit, prefix)
             if (got.verdict, got.witness, got.steps) != \
                     (want.verdict, want.witness, want.steps):
                 wrong.append((cfa.name, path, want, got))
@@ -77,7 +98,8 @@ class _Recorder:
 def _cover_cases():
     """(cfa, automaton, budget, domain): every fixture under each
     automaton `tests/test_digest.py` writes with `verify`, at the node
-    budget that made it, and the branch chain under its complete one."""
+    budget that made it, the branch chain under its complete one, and a
+    program whose assert enters FALSE."""
     for name in ALL_FIXTURES:
         cfa = fixture_cfa(name)
         for nodes in (60, 400):
@@ -89,6 +111,18 @@ def _cover_cases():
                        Budget(max_nodes=nodes), DEFAULT_NONDET_DOMAIN)
     cfa = source_to_cfa(BRANCH_CHAIN)
     yield cfa, _complete_automaton(cfa), Budget(), CHAIN_DOMAIN
+    cfa = source_to_cfa(ASSERT_INTO_FALSE)
+    yield cfa, _false_at_asserts(cfa), Budget(), DEFAULT_NONDET_DOMAIN
+
+
+def _false_at_asserts(cfa):
+    """One state that reads every statement but an assert."""
+    aa = AssumptionAutomaton(name=cfa.name, initial="q0")
+    aa.add_state("q0", cfa.entry)
+    for edge in cfa.edges:
+        if edge.kind != "assert":
+            aa.add_transition("q0", edge.id, "q0")
+    return aa
 
 
 def _complete_automaton(cfa):
@@ -108,9 +142,12 @@ def test_cover_searches_match_replay_from_entry(monkeypatch, step_limit):
         for strategy in ("bfs", "dfs-postorder", "dfs-postorder+score"):
             under_approx_coverage(cfa, aa, budget, make_strategy(strategy),
                                   nondet_domain=domain)
-    # Some searches resume, and some take a kept result.
+    # Some searches resume, some take a kept result, and some ask a final
+    # assert to hold.
     assert recorder.calls["resumed"] > 0
-    assert len(recorder.searches) > sum(recorder.calls.values())
+    assert recorder.calls["prefix-assert"] > 0
+    assert len(recorder.searches) > \
+        recorder.calls["entry"] + recorder.calls["resumed"]
     assert recorder.mismatches(step_limit) == []
 
 
