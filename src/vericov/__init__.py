@@ -16,8 +16,8 @@ from .cfa import (ASSERT, ASSIGN, ASSUME, HALT, SKIP, Cfa, Edge, dump_cfa,
 from .cli import RunConfig, run
 from .coverage import (CoverageReport, exact_coverage, over_approx_coverage,
                        under_approx_coverage)
-from .explorer import (Budget, Execution, Spec, TraversalStrategy,
-                       emit_assumption_automaton, explore, make_strategy)
+from .explorer import (Budget, Execution, Spec, emit_assumption_automaton,
+                       explore, make_strategy)
 from .heuristic import compose, reach_fixpoint, score
 from .lang import (EvalError, ParseError, Program, UndeclaredVariable,
                    concrete_eval, expr_to_text, parse_program)
@@ -30,7 +30,7 @@ __all__ = [
     "AssumptionAutomaton", "Budget", "Cfa", "CoverageReport", "Edge",
     "EvalError", "Execution", "FALSE_STATE", "FormatError", "ParseError",
     "Program", "RunConfig", "Spec", "StatementIdMismatch", "TRUE_STATE",
-    "TraversalStrategy", "UndeclaredVariable",
+    "UndeclaredVariable",
     "check_alphabet", "compose", "concrete_eval",
     "dump_cfa", "emit_assumption_automaton", "exact_coverage", "explore",
     "expr_to_text", "live_variables", "lower", "make_strategy",

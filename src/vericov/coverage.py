@@ -19,13 +19,12 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import AbstractSet, Dict, List, Optional, Sequence
+from typing import AbstractSet, Dict, List, Sequence
 
 from .automaton import FALSE_STATE, AssumptionAutomaton, check_alphabet
 from .cfa import Cfa, statement_ids
 from .explorer import (Budget, DEFAULT_NONDET_DOMAIN, DFS_POSTORDER, Execution,
-                       Spec, TraversalStrategy, UNKNOWN, explore,
-                       make_strategy)
+                       Spec, UNKNOWN, explore, make_strategy)
 from .heuristic import compose
 
 
@@ -92,8 +91,7 @@ def _execution_entry(execution: Execution, newly: Sequence[int]) -> Dict:
 
 
 def _coverage_rounds(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
-                     strategy: Optional[TraversalStrategy],
-                     nondet_domain: Sequence[int],
+                     strategy: str, nondet_domain: Sequence[int],
                      under: bool) -> CoverageReport:
     """Rounds of cover-queries, each targeting the still-uncovered statements.
 
@@ -107,18 +105,22 @@ def _coverage_rounds(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
     exploration (`explore`'s `resume`), which narrows the tree to the
     new remaining set instead of rebuilding it from the root, so a round
     creates only nodes no earlier round reached, up to `max_nodes` of
-    them.  The witness searches travel with the tree, so an exit node
-    whose execution an earlier round confirmed or refuted is not searched
-    again, and a new exit node's search goes on from where the last
-    search along a prefix of its path stood, in this round or an earlier
-    one.  Each execution comes with its exercised set, the tracked set
-    of the exit node that produced it, so the rounds never walk the
-    automaton.
+    them.  Each end (an exit node, or a walked root) is searched once,
+    when a round reaches it, and a new end's search goes on from where
+    the last search along a prefix of its path stood, in this round or
+    an earlier one.  No search result is kept: an end whose execution a
+    round recorded tracks nothing once its exercised set leaves
+    `remaining`, and one whose search found nothing would find nothing
+    again.  So narrowing asks only the ends a round reached after its
+    executions were full.  Each execution comes with its exercised set,
+    the tracked set of the end that produced it, so the rounds never
+    walk the automaton.  Once a search has run out of steps, in this
+    round or an earlier one, a round that finds nothing leaves the report
+    `exhausted`: that search's end might have covered more.
     """
     ids = statement_ids(cfa)
     check_alphabet(aa, ids)
-    if strategy is None:
-        strategy = make_strategy(DFS_POSTORDER)
+    strategy = make_strategy(strategy)
     per_round = 1 if under else budget.max_counterexamples
     cap = budget.max_counterexamples if under else math.inf
     deadline = (None if budget.time_limit is None
@@ -162,7 +164,7 @@ def _coverage_rounds(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
 
 
 def exact_coverage(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
-                   strategy: Optional[TraversalStrategy] = None,
+                   strategy: str = DFS_POSTORDER,
                    nondet_domain: Sequence[int] = DEFAULT_NONDET_DOMAIN) -> CoverageReport:
     """Fixpoint over cover-queries: repeat until nothing new is coverable.
 
@@ -176,7 +178,7 @@ def exact_coverage(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
 
 
 def under_approx_coverage(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
-                          strategy: Optional[TraversalStrategy] = None,
+                          strategy: str = DFS_POSTORDER,
                           nondet_domain: Sequence[int] = DEFAULT_NONDET_DOMAIN) -> CoverageReport:
     """One execution per round, at most `max_counterexamples` rounds.
 

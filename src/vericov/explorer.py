@@ -48,6 +48,16 @@ failing assert or a location with no way on prunes it.  Anything the
 known values leave open abandons the walk, and the root is expanded as
 any node is.
 
+An *end* is an exit node, or a root whose walk reached exit: where a
+cover spec's executions are searched for.  Each end is searched once,
+when it is reached, and the explorer keeps no record of the results.  An
+end reached once the round holds as many executions as its budget allows
+waits in `_Explorer.pending`, and the next round's narrowing asks those
+ends and no other: an end whose search found nothing would find nothing
+again, and an end whose execution was recorded, or that tracked nothing,
+tracks nothing once the coverage rounds narrow the remaining set.  A
+search that runs out of steps keeps the run from ending `safe`.
+
 The tree holds no object per node.  It is nine parallel lists indexed by
 node id: location, valuation, parent, incoming statement, status,
 coverer, automaton state, tracked set and fresh mask.  Nodes share the
@@ -244,20 +254,14 @@ DFS_POSTORDER_SCORE = "dfs-postorder+score"
 STRATEGIES = (BFS, DFS_POSTORDER, DFS_POSTORDER_SCORE)
 
 
-@dataclass
-class TraversalStrategy:
-    """The order `explore` expands nodes in.  Construction rejects an
-    unknown kind.  dfs-postorder+score ranks by the scores of the cover
+def make_strategy(name: str) -> str:
+    """The strategy of that name, the order `explore` expands nodes in: the
+    name itself, once it is one of `STRATEGIES`, and otherwise a
+    ValueError.  dfs-postorder+score ranks by the scores of the cover
     spec's automaton, which the explorer works out itself."""
-
-    kind: str
-
-    def __post_init__(self) -> None:
-        if self.kind not in STRATEGIES:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
-
-
-make_strategy = TraversalStrategy
+    if name not in STRATEGIES:
+        raise ValueError(f"unknown strategy kind {name!r}")
+    return name
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +575,7 @@ class _Tree(Sequence[ArtNode]):
 
 class _Explorer:
     def __init__(self, cfa: Cfa, spec: Spec, budget: Budget,
-                 strategy: TraversalStrategy, nondet_domain: Sequence[int]):
+                 strategy: str, nondet_domain: Sequence[int]):
         self.cfa = cfa
         self.spec = spec
         self.budget = budget
@@ -587,12 +591,13 @@ class _Explorer:
         if unset:
             raise ValueError("variables read before assignment: " + ", ".join(
                 v for v, i in self.variables.index.items() if unset >> i & 1))
-        # Exit node or completed root id -> its execution, None when its
-        # search found none.
-        self.searches: Dict[int, Optional[Execution]] = {}
-        # Completed root -> the statements walked from it, in completion
-        # order (see `walk`).
-        self.completed: Dict[int, Tuple[int, ...]] = {}
+        # Ends reached while the round's executions were full, in reach
+        # order: (node, the statements walked from it), asked again by the
+        # next narrowing (see `check_violation`).
+        self.pending: List[Tuple[int, Tuple[int, ...]]] = []
+        # Whether some witness search ran out of steps: the run cannot
+        # then be finished, in this round or any resumed one.
+        self.inconclusive = False
         self.forks: Set[int] = set()  # nodes whose expansion pushed 2+ children
         # Along the last searched path, by ascending depth: (depth, fork,
         # the search's state on arriving there, or the result every search
@@ -604,7 +609,7 @@ class _Explorer:
         # What the current run charges against (see `run`): it stops once
         # the tree reaches `limit` nodes; a walk lowers it.
         self.limit: float = math.inf
-        self.start = 0.0  # when the current run's time limit started
+        self.deadline = math.inf  # the clock reading the current run ends at
         # (location, automaton state) -> a bare id, or group key -> a bare
         # id or a list of ids (see `cover`).
         self.groups: Dict[Tuple[int, Optional[str]],
@@ -664,9 +669,11 @@ class _Explorer:
     def execution(self, nid: int, edge: Optional[Edge] = None,
                   tail: Tuple[int, ...] = ()) -> Optional[Execution]:
         """The execution `search` finds, its path followed by `tail`; None
-        when it finds none."""
+        when it finds none.  A search that runs out of steps marks the
+        explorer `inconclusive`."""
         result, path = self.search(nid, edge)
         if result.verdict != FEASIBLE:
+            self.inconclusive |= result.verdict == INCONCLUSIVE
             return None
         return Execution(tuple(path) + tail, result.witness)
 
@@ -764,22 +771,22 @@ class _Explorer:
 
     def check_violation(self, nid: int, walked: Tuple[int, ...] = ()
                         ) -> None:
-        """Record the execution into an exit node that tracks something,
-        or the execution of a completed root that tracks something: the
-        path into the root, then the `walked` statements (see `walk`).
-        Either is searched once, the root in prefix mode; narrowing asks
-        each exit node and completed root again, so its execution is
-        kept."""
-        tree = self.tree
-        if len(self.cex) < self.budget.max_counterexamples and \
-                (walked or tree.location[nid] == self.cfa.exit) and \
-                tree.tracked[nid]:
-            if nid not in self.searches:
-                self.searches[nid] = self.execution(nid, tail=walked)
-            execution = self.searches[nid]
-            if execution is not None:
-                self.cex.append(execution)
-                self.exercised.append(tree.tracked[nid])
+        """Search an end that tracks something, and record its execution
+        if it has one: the path into an exit node, or the path into a
+        completed root, searched in prefix mode, then the `walked`
+        statements (see `walk`).  An end is searched once, when it is
+        asked while the round has room for an execution; asked when the
+        round has none, it waits in `pending` for the next narrowing."""
+        tracked = self.tree.tracked[nid]
+        if not tracked:
+            return
+        if len(self.cex) >= self.budget.max_counterexamples:
+            self.pending.append((nid, walked))
+            return
+        execution = self.execution(nid, tail=walked)
+        if execution is not None:
+            self.cex.append(execution)
+            self.exercised.append(tracked)
 
     def check_assert(self, parent: int, edge: Edge) -> None:
         """Candidate assertion violation at this edge; confirm by replay.
@@ -845,15 +852,14 @@ class _Explorer:
         tops = sum(1 << i for i, value in enumerate(valuation)
                    if value is TOP)
         out_edges, evaluate = cfa.out_edges, lang.concrete_eval
-        time_limit = self.budget.time_limit
         left = self.limit - len(tree)  # the statements it may charge
         walked: List[int] = []
         seen, power = (location, dict(env)), 1
         while location != exit_node:
             if len(walked) >= left:
                 return False
-            if len(walked) & 4095 == 4095 and time_limit is not None and \
-                    time.monotonic() - self.start > time_limit:
+            if len(walked) & 4095 == 4095 and \
+                    time.monotonic() > self.deadline:
                 return False
             taken, value = None, 1
             for edge in out_edges(location):
@@ -892,8 +898,7 @@ class _Explorer:
             if len(walked) == power:
                 seen, power = (location, dict(env)), power * 2
         self.limit -= len(walked)
-        self.completed[root] = tuple(walked)
-        self.check_violation(root, self.completed[root])
+        self.check_violation(root, tuple(walked))
         return True
 
     def expand(self, nid: int) -> None:
@@ -976,13 +981,13 @@ class _Explorer:
                     children.append(child)
         if len(children) > 1:
             self.forks.add(nid)
-            if self.strategy.kind != BFS:
+            if self.strategy != BFS:
                 postorder, location = self.postorder, tree.location
                 if postorder is None:
                     postorder = self.postorder = postorder_index(self.cfa)
                     # Without an automaton every score is 0: plain
                     # dfs-postorder.
-                    if self.strategy.kind == DFS_POSTORDER_SCORE and \
+                    if self.strategy == DFS_POSTORDER_SCORE and \
                             spec.kind == COVER:
                         self.scores = heuristic.score(spec.aa, self.cfa)
                 scores, states = self.scores, tree.aa_state
@@ -1005,12 +1010,13 @@ class _Explorer:
         FALSE node left tracking nothing is pruned; its subtree and the
         nodes it covers are FALSE and track subsets of its set, so they
         are pruned with it.  Group keys do not hold tracked sets, so the
-        cover groups stay, and so does the search record, keyed by node.
-        No path changes, so the search states kept along the last
-        searched path stay too.
-        Every exit node is asked again, in creation order, and then every
-        completed root, in completion order, but each is searched once;
-        the waitlist keeps the nodes not pruned.
+        cover groups stay.  No path changes, so the search states kept
+        along the last searched path stay too.  The waitlist keeps the
+        nodes not pruned.
+
+        Then the pending ends are asked, in the order they were reached,
+        and no other end: each other end was searched when it was reached
+        and tracks nothing the new spec needs, or finds nothing again.
         """
         remaining = spec.remaining
         self.spec, self.budget = spec, budget
@@ -1027,38 +1033,37 @@ class _Explorer:
             if not new and aa_state[nid] == FALSE_STATE:
                 status[nid] = STATUS_PRUNED
                 tree.covered_by[nid] = None
-            self.check_violation(nid)
-        for root, walked in self.completed.items():
-            self.check_violation(root, walked)
+        pending, self.pending = self.pending, []
+        for nid, walked in pending:
+            self.check_violation(nid, walked)
         self.waitlist = deque(nid for nid in self.waitlist
                               if status[nid] == STATUS_FRONTIER)
 
     # -- main loop -----------------------------------------------------------
 
-    def run(self, start: float) -> ExplorationResult:
-        """Expand nodes until a verdict or a budget stop; the time limit
-        counts from `start`.  The node budget counts the nodes the run
-        creates and the statements its walks charge."""
+    def run(self, deadline: float) -> ExplorationResult:
+        """Expand nodes until a verdict or a budget stop, at the latest
+        once the clock reads past `deadline`.  The node budget counts the
+        nodes the run creates and the statements its walks charge.  A run
+        in which some search ran out of steps is never `safe`."""
         interrupted = False
         budget, location = self.budget, self.tree.location
-        self.start = start
+        self.deadline = deadline
         self.limit = math.inf if budget.max_nodes is None \
             else self.first + budget.max_nodes
-        pop = self.waitlist.popleft if self.strategy.kind == BFS \
+        pop = self.waitlist.popleft if self.strategy == BFS \
             else self.waitlist.pop
         while self.waitlist:
             if self.bug is not None or \
                     len(self.cex) >= budget.max_counterexamples:
                 break
-            if len(location) >= self.limit or \
-                    (budget.time_limit is not None
-                     and time.monotonic() - start > budget.time_limit):
+            if len(location) >= self.limit or time.monotonic() > deadline:
                 interrupted = True
                 break
             self.expand(pop())
         if self.cex:
             verdict = COUNTEREXAMPLES
-        elif interrupted or self.bug is not None:
+        elif interrupted or self.bug is not None or self.inconclusive:
             verdict = UNKNOWN
         else:
             verdict = SAFE
@@ -1084,40 +1089,46 @@ class _Explorer:
 
 
 def explore(cfa: Cfa, spec: Spec, budget: Budget,
-            strategy: Optional[TraversalStrategy] = None,
+            strategy: str = DFS_POSTORDER,
             nondet_domain: Sequence[int] = DEFAULT_NONDET_DOMAIN,
             resume: Optional[ExplorationResult] = None) -> ExplorationResult:
     """Explore the program under the spec until a verdict or a budget stop.
 
     The CFA must pass `Cfa.validate`: the witness search of a path into
     exit relies on its ending in a `halt`.  A CFA that can read a variable
-    before assigning it is a ValueError.  Deterministic: identical
-    inputs produce identical trees, automata and counterexample lists.  A
-    node budget counts the nodes this call creates, and never truncates
-    an expansion in progress; the node being expanded is completed first.
+    before assigning it is a ValueError, and so is a strategy that is not
+    one of `STRATEGIES`.  Deterministic: identical inputs produce
+    identical trees, automata and counterexample lists.  A node budget
+    counts the nodes this call creates, and never truncates an expansion
+    in progress; the node being expanded is completed first.  A witness
+    search that runs out of steps leaves the verdict `unknown` where it
+    would be `safe`.
 
     `resume` continues the tree of an earlier cover-mode explore on the
     same CFA, automaton, strategy and domain, for a spec whose remaining
     set is a subset of that explore's.  The tree is narrowed to the new
-    spec in place (see `_Explorer.narrow`), every exit node is asked
-    again, and the exploration goes on from the nodes still waiting.  The
-    earlier result's tree passes to the new one, so read the earlier
-    result's nodes and automaton first; a result is resumed at most once.
-    Witness searches travel with the tree: an exit node is searched
-    once, and each search goes on from the deepest fork it shares with
-    the last one, whichever round made that (see `_Explorer.search`).  A
-    searched path, like a counterexample's, is the statement ids of the
-    tree edges from the root.  The new result's `art_stats` count only the
-    nodes this call created, and the time limit counts from this call,
-    narrowing's searches included.
+    spec in place (see `_Explorer.narrow`), the ends that earlier explore
+    reached with no room left for an execution are asked, and the
+    exploration goes on from the nodes still waiting.  The earlier
+    result's tree passes to the new one, so read the earlier result's
+    nodes and automaton first; a result is resumed at most once.  Each
+    end is searched once, and no end is asked again whose execution an
+    earlier round recorded: the new remaining set is meant to leave out
+    what those executions exercise, as the coverage rounds' does.  Each
+    search goes on from the deepest fork it shares with the last one,
+    whichever round made that (see `_Explorer.search`).  A searched path,
+    like a counterexample's, is the statement ids of the tree edges from
+    the root.  The new result's `art_stats` count only the nodes this
+    call created, and the time limit counts from this call, narrowing's
+    searches included.
     """
-    start = time.monotonic()
-    if strategy is None:
-        strategy = make_strategy(DFS_POSTORDER)
+    # A time limit is positive or None.
+    deadline = time.monotonic() + (budget.time_limit or math.inf)
+    strategy = make_strategy(strategy)
     if resume is None:
         ex = _Explorer(cfa, spec, budget, strategy, nondet_domain)
         ex.make_root()
-        return ex.run(start)
+        return ex.run(deadline)
     ex = resume._explorer
     if ex is None or ex.bug is not None or spec.kind != COVER or \
             ex.cfa is not cfa or spec.aa is not ex.spec.aa or \
@@ -1129,7 +1140,7 @@ def explore(cfa: Cfa, spec: Spec, budget: Budget,
                          "and a spec remaining within its own")
     resume._explorer = None
     ex.narrow(spec, budget)
-    return ex.run(start)
+    return ex.run(deadline)
 
 
 # ---------------------------------------------------------------------------

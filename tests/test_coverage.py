@@ -11,11 +11,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from vericov import coverage, explorer
+from vericov import coverage, explorer, lang
 from vericov import (Budget, Spec, StatementIdMismatch, exact_coverage,
                      explore, make_strategy, over_approx_coverage, parse_aa,
                      serialize_aa, source_to_cfa, under_approx_coverage)
 from vericov.automaton import (FALSE_STATE, TRUE_STATE, AssumptionAutomaton)
+from vericov.cfa import ASSIGN, HALT, Cfa, Edge
 
 from conftest import ALL_FIXTURES, ORACLE_CORPUS, fixture_cfa, golden
 
@@ -75,6 +76,44 @@ def test_exact_flags_exhaustion_when_the_deadline_passes(monkeypatch):
     assert report.rounds == 1
     assert report.exhausted
     assert report.to_dict()["exhausted"] is True
+
+
+def test_exact_flags_exhaustion_when_a_search_runs_out_of_steps(
+        monkeypatch):
+    # Each path into exit runs the loop: about 25 statements, against a
+    # 10-step search.  Every search ends inconclusive, so the rounds find
+    # nothing, and the report must not read as a finished computation.
+    monkeypatch.setattr(explorer, "DEFAULT_REPLAY_STEP_LIMIT", 10)
+    cfa = source_to_cfa("int nondet();\nint main() { int x = nondet(); "
+                        "int i = 0; while (i < 10) { i = i + 1; } "
+                        "return 0; }")
+    report = exact_coverage(cfa, _full_aa(), Budget())
+    assert report.covered_ids == []
+    assert report.exhausted
+
+
+def _two_halts():
+    """x = nondet(), then two halts out of one location: one expansion
+    reaches two exit nodes, which no lowered program does."""
+    cfa = Cfa("two_halts", [0, 1, 2],
+              [Edge(0, 2, 0, ASSIGN, "x", lang.NONDET_EXPR),
+               Edge(2, 1, 1, HALT), Edge(2, 1, 2, HALT)], entry=0, exit=1)
+    cfa.validate()
+    return cfa
+
+
+@pytest.mark.parametrize("max_cex", [1, 2])
+def test_an_end_reached_with_the_round_full_is_asked_by_the_next(max_cex):
+    # At one execution per round, the second halt's exit node is reached
+    # after the first's execution fills the round; the next round's
+    # narrowing must search it.
+    report = exact_coverage(_two_halts(), _full_aa(),
+                            Budget(max_counterexamples=max_cex))
+    assert report.covered_ids == [0, 1, 2]
+    assert not report.exhausted
+    under = under_approx_coverage(_two_halts(), _full_aa(),
+                                  Budget(max_counterexamples=2))
+    assert under.covered_ids == [0, 1, 2]
 
 
 def test_exact_false_initial_resolves_in_one_round():

@@ -9,10 +9,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from vericov import (Budget, FALSE_STATE, Spec, TraversalStrategy,
-                     exact_coverage, explore, make_strategy, parse_aa,
-                     score, serialize_aa, source_to_cfa, statement_ids,
-                     under_approx_coverage)
+from vericov import (Budget, FALSE_STATE, Spec, exact_coverage, explore,
+                     make_strategy, parse_aa, score, serialize_aa,
+                     source_to_cfa, statement_ids, under_approx_coverage)
 from vericov import explorer, heuristic, lang
 from vericov.automaton import AssumptionAutomaton, TRUE_STATE
 from vericov.cfa import (ASSERT, ASSIGN, ASSUME, HALT, Cfa, Edge,
@@ -475,20 +474,36 @@ def test_budget_rejects_nonpositive_limits(kwargs):
 def test_make_strategy_validation():
     with pytest.raises(ValueError):
         make_strategy("random-walk")
-    # The explorer works the scores out itself: a strategy is its kind.
-    assert make_strategy("dfs-postorder+score") == \
-        TraversalStrategy("dfs-postorder+score")
+    # The explorer works the scores out itself: a strategy is its name.
+    assert make_strategy("dfs-postorder+score") == "dfs-postorder+score"
 
 
 @pytest.mark.parametrize("args, error", [
     (("random",), ValueError),
 ])
 def test_traversal_strategy_checks_itself(args, error):
-    # A strategy checks itself when built, so a bad one never reaches
-    # `explore`, which would run it as dfs-postorder.
+    # `explore` checks the name it is given, so a bad one is never run as
+    # dfs-postorder.
     with pytest.raises(error):
         explore(fixture_cfa("deadbranch.c"), Spec.assertions(), Budget(),
-                TraversalStrategy(*args))
+                *args)
+
+
+def test_a_strategy_is_its_name():
+    # A plain name is what `make_strategy` returns, so it gives the same
+    # reports in `explore` and in both coverage computations.
+    cfa = fixture_cfa("chain_ifs.c")
+    aa = explore(cfa, Spec.assertions(), Budget(max_nodes=30)).aa
+    for name in explorer.STRATEGIES:
+        for compute in (exact_coverage, under_approx_coverage):
+            assert compute(cfa, aa, Budget(), name).to_json() == \
+                compute(cfa, aa, Budget(), make_strategy(name)).to_json()
+        spec = Spec.cover(statement_ids(cfa), aa)
+        plain = explore(cfa, spec, Budget(max_nodes=60), name)
+        made = explore(cfa, spec, Budget(max_nodes=60), make_strategy(name))
+        assert (plain.verdict, plain.counterexamples, plain.exercised) == \
+            (made.verdict, made.counterexamples, made.exercised)
+        assert serialize_aa(plain.aa) == serialize_aa(made.aa)
 
 
 # Verdicts --------------------------------------------------------------------
@@ -505,6 +520,19 @@ def test_an_assert_failing_outside_the_domain_is_a_counterexample():
                         "return 0; }")
     assert explore(cfa, Spec.assertions(), Budget()).verdict == \
         COUNTEREXAMPLES
+
+
+def test_an_assert_search_that_runs_out_of_steps_is_not_safe(monkeypatch):
+    # x = 3 fails the assert, but the path to it is about 200 statements
+    # long, against a 100-step search: the search ends inconclusive, and
+    # the verdict must not say the assert holds.
+    monkeypatch.setattr(explorer, "DEFAULT_REPLAY_STEP_LIMIT", 100)
+    cfa = source_to_cfa("int nondet();\nint main() { int x = nondet(); "
+                        "int i = 0; while (i < 100) { i = i + 1; } "
+                        "assert(x != 3); return 0; }")
+    result = explore(cfa, Spec.assertions(), Budget())
+    assert result.verdict == UNKNOWN
+    assert result.counterexamples == []
 
 
 def test_time_limit_stops_exploration_with_unknown(monkeypatch):
@@ -1339,7 +1367,7 @@ def _cover_runs(cfa, aa, extra_specs):
     for strategy in strategies:
         for spec in specs:
             for max_nodes in (40, 250, 800):
-                yield ((strategy.kind, spec.kind, max_nodes), spec,
+                yield ((strategy, spec.kind, max_nodes), spec,
                        Budget(max_nodes=max_nodes), strategy)
 
 

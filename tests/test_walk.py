@@ -101,12 +101,12 @@ def test_walks_answer_as_expanding_the_roots_does(monkeypatch):
         decided = walk(ex, root)
         if not decided:
             outcome = "abandoned"
-        elif root in ex.completed:
-            outcome = "completed"
+        elif ex.tree.status[root] == explorer.STATUS_PRUNED:
+            outcome = "pruned"
         elif ex.bug is not None:
             outcome = "bug"
         else:
-            outcome = "pruned"
+            outcome = "completed"
         outcomes.append((outcome, reason))
         return decided
 
