@@ -46,14 +46,16 @@ reaches is reported; a lexical error anywhere is reported before all
 others, the first in the text if there are several.  A scope error names
 the line of its statement.
 
-The lexer makes two passes over the text, neither of which moves a line
-or a column: the first blanks the comments, trying a match only where a
-`#` or a `/` occurs; the second reads the whole text, its trailing blanks
-stripped, with one regular-expression `findall`.  Its result is the list
-of token texts and a table of the kind of each distinct text; the parser
-reads these and keeps the position of a token, its index in the list.
-Where a token starts in the text, and so its line and column, is worked
-out only for an error message, by scanning the text once more.
+The lexer makes at most two passes over the text, neither of which moves
+a line or a column: the first blanks the comments, and is skipped when
+the text holds no `#` and no `/`, where no comment can start; the second
+reads the whole text, its trailing blanks stripped, with one
+regular-expression `findall` whose alternatives try the commonest token
+classes first.  Its result is the list of token texts and a table of the
+kind of each distinct text; the parser reads these and keeps the position
+of a token, its index in the list.  Where a token starts in the text, and
+so its line and column, is worked out only for an error message, by
+scanning the text once more.
 
 The parser builds six statement records, and keeps in them only what
 lowering reads: `Assign`, `If`, `For`, `Assert`, `Return` and `Skip`.
@@ -220,28 +222,37 @@ KEYWORDS = {"int", "main", "if", "else", "while", "for", "assert", "return",
 # literal character, which gives the regular-expression engine a
 # first-character prefix: it tries a match only where a `#` or a `/`
 # occurs, not at every position (a group in front of the alternatives
-# would hide that prefix).  The second pass is one `findall` of `_TOKEN`
+# would hide that prefix).  A text with neither character has no comment,
+# and `_Scan` skips the pass.  The second pass is one `findall` of `_TOKEN`
 # over the whole text, a newline being a blank like any other: blanks,
-# then one token, its alternatives tried in order.  Besides integers and
-# identifiers, only the two-character `_SYMBOLS` and `/*` have alternatives
-# of their own, each before the catch-all, so such a symbol is never split
-# and an unterminated comment's `/*` stays one token.  Every one-character
-# symbol comes from the catch-all, which takes one character that is not a
-# blank; `_kind` tells a symbol from a bad character.  The identifier
-# alternative also admits a non-decimal numeric character such as `²` at
-# its start, which `_kind` rejects.  Since every token starts with a
-# non-blank, trailing blanks are no token: the text loses them before the
-# scan, which would otherwise retry a blank tail at each of its
-# characters, quadratic in its length.  Nothing records where a token
-# starts; only an error message needs it, and `_Scan.starts` scans the
-# text once more to find it.
+# then one token, its alternatives tried in order.  The order puts the
+# commonest token classes first, each one character class or a literal:
+# ASCII identifiers, the one-character symbols that start no longer one,
+# integers, then each symbol with its two-character extension (`==` after
+# `=`, `++` after `+`, `/*` after `/`, and `&&` and `||`, whose halves are
+# no symbol), so a typical token matches at its first or second try.  No
+# two of these alternatives match at the same character, and each takes
+# the longest symbol there, so the order splits every text as a longest
+# match would, and an unterminated comment's `/*` stays one token.  Then
+# comes the Unicode identifier class, which also admits a non-decimal
+# numeric character such as `²` at its start, which `_kind` rejects, and
+# last the catch-all, which takes one character that is not a blank, such
+# as `@` or a lone `&`; `_kind` tells a symbol from a bad character.
+# Since every token starts with a non-blank, trailing blanks are no token:
+# the text loses them before the scan, which would otherwise retry a blank
+# tail at each of its characters, quadratic in its length.  Nothing
+# records where a token starts; only an error message needs it, and
+# `_Scan.starts` scans the text once more to find it.
 _COMMENT = re.compile(r"\#[^\n]*|//[^\n]*|/\*.*?\*/", re.DOTALL)
+# Every symbol, the two-character ones first: the tests build their
+# reference lexer's alternation from this order.  `_kind` looks a text up
+# in `_SYMBOL_SET`.
 _SYMBOLS = ("&&", "||", "==", "!=", "<=", ">=", "++", "--",
             "{", "}", "(", ")", ";", "=", "<", ">", "+", "-", "*", "/", "%",
             "!")
-_TOKEN = re.compile(r"[ \t\r\n]*([0-9]+|[^\W\d]\w*|/\*|"
-                    + "|".join(re.escape(s) for s in _SYMBOLS if len(s) == 2)
-                    + r"|[^ \t\r\n])")
+_SYMBOL_SET = frozenset(_SYMBOLS)
+_TOKEN = re.compile(r"[ \t\r\n]*([A-Za-z_]\w*|[;(){}*%]|[0-9]+|[=!<>]=?"
+                    r"|\+\+?|--?|&&|\|\||/\*?|[^\W\d]\w*|[^ \t\r\n])")
 _BLANKS = " \t\r\n"
 
 
@@ -257,7 +268,7 @@ def _kind(text: str) -> str:
         return "eof"
     if "0" <= text[0] <= "9":
         return "int"
-    if text in _SYMBOLS:
+    if text in _SYMBOL_SET:
         return "sym"
     if text == "/*":
         return "unterminated"
@@ -275,7 +286,8 @@ class _Scan:
     message makes."""
 
     def __init__(self, source: str):
-        self.text = _COMMENT.sub(_blank, source)
+        self.text = (_COMMENT.sub(_blank, source)
+                     if "#" in source or "/" in source else source)
         self.texts = texts = _TOKEN.findall(self.text.rstrip(_BLANKS))
         texts.append("")
         self.kinds = {text: _kind(text) for text in set(texts)}
@@ -711,7 +723,32 @@ def expr_to_text(expr: Expr) -> str:
     The rendering round-trips: as the expression of an assignment, assume
     or assert in a `main` that declares its variables, the text parses
     back to the same code.  So a unary minus parenthesises an operand whose
-    text starts with `-`, since `--` is the decrement token."""
+    text starts with `-`, since `--` is the decrement token.
+
+    Most code is a lone operand or `a op b` of two operands, either bare
+    or under one unary operator, and is rendered at once by one f-string;
+    any other code by one loop over a stack of texts."""
+    size = len(expr)
+    op, arg = expr[-1]
+    unary = ""
+    if op is UNARY and (size == 2 or size == 4):
+        unary = arg
+        size -= 1
+        op, arg = expr[size - 1]
+    if size == 1:  # valid code of one op is an operand
+        text = "nondet()" if op is NONDET else str(arg)
+        if unary == "-" == text[0]:
+            return f"-({text})"
+        return unary + text
+    if size == 3 and op is BINARY:  # so its first two ops are operands
+        (lhs_op, lhs), (rhs_op, rhs) = expr[0], expr[1]
+        if lhs_op is NONDET:
+            lhs = "nondet()"
+        if rhs_op is NONDET:
+            rhs = "nondet()"
+        if unary:
+            return f"{unary}({lhs} {arg} {rhs})"
+        return f"{lhs} {arg} {rhs}"
     # Entries: (text, precedence of its outermost operator); literals and
     # variables never need parentheses.
     stack: List[Tuple[str, int]] = []

@@ -2,25 +2,26 @@
 evaluation.
 
 Run it as a script to print the microseconds per token that scanning,
-parsing and lowering take on programs of `large_source`'s shape, the
-benchmark's `frontend-large`, of 150 to 1,200 blocks:
+parsing and lowering take, and the microseconds per statement that
+`dump_cfa` takes, on programs of `large_source`'s shape, the benchmark's
+`frontend-large`, of 150 to 1,200 blocks:
 
     PYTHONPATH=src python tests/test_lang.py
 """
 
 from __future__ import annotations
 
-import bisect
 import gc
-import itertools
 import random
 import re
 import statistics
 import time
+from unittest import mock
 
 import pytest
 
 from vericov import lang, lowering, source_to_cfa
+from vericov.cfa import dump_cfa
 from vericov.lang import (AND_SKIP, BINARY, LIT, NONDET, OR_SKIP, TOP, UNARY,
                           VAR, Assign, EvalError, For, ParseError, Return,
                           Skip, UndeclaredVariable,
@@ -309,12 +310,15 @@ class _ReferenceScan:
         self.rows = lang._COMMENT.sub(lang._blank, source).split("\n")
         self.texts = texts = []
         self.lines = lines = []
+        self.columns = columns = []
         for number, row in enumerate(self.rows, 1):
-            found = _REFERENCE_TOKEN.findall(row.rstrip(" \t\r"))
-            texts += found
+            found = list(_REFERENCE_TOKEN.finditer(row.rstrip(" \t\r")))
+            texts += [match.group(1) for match in found]
             lines += [number] * len(found)
+            columns += [match.start(1) + 1 for match in found]
         texts.append("")
         lines.append(len(self.rows))
+        columns.append(len(self.rows[-1]) + 1)
         self.kinds = {text: lang._kind(text) for text in set(texts)}
         bad = [i for i, text in enumerate(texts)
                if self.kinds[text] in ("bad", "unterminated")]
@@ -325,13 +329,7 @@ class _ReferenceScan:
                              lines[bad[0]], self.column(bad[0]))
 
     def column(self, i: int) -> int:
-        row = self.rows[self.lines[i] - 1]
-        if i == len(self.texts) - 1:  # eof
-            return len(row) + 1
-        k = i - bisect.bisect_left(self.lines, self.lines[i])
-        match = next(itertools.islice(_REFERENCE_TOKEN.finditer(row), k,
-                                      None))
-        return match.start(1) + 1
+        return self.columns[i]
 
 
 def _scan(scanner, source: str):
@@ -357,6 +355,40 @@ def test_the_lexer_matches_the_reference_on_every_corpus():
         assert _scan(lang._Scan, source) == expected, source
         scanned += isinstance(expected, list)
     assert (len(sources), scanned) == (13484, 11003)
+
+
+# Fragments that a wrongly ordered alternation would split unlike the
+# reference: identifier starts and continuations outside ASCII, each
+# two-character symbol beside its one-character prefix, and a `#` inside an
+# expression.
+_ADVERSARIAL = ["\u00e91", "x\u0663", "_\u00b2", "\u00b2x", "!==", "<<=", ">>=",
+                "+++", "---", "&&&", "|||", "/*/", "a/b", "a//b", "a # b"]
+
+
+@pytest.mark.parametrize("source", _ADVERSARIAL + [
+    " ".join(_ADVERSARIAL), "".join(_ADVERSARIAL), "\n".join(_ADVERSARIAL)]
+    + [f"int main() {{\n  int a = 1;\n  a = {fragment} ;\n}}\n"
+       for fragment in _ADVERSARIAL])
+def test_the_lexer_matches_the_reference_on_adversarial_sources(source):
+    assert _scan(lang._Scan, source) == _scan(_ReferenceScan, source)
+
+
+@pytest.mark.parametrize("source, blanked", [
+    ("int main() {\n  int a = 7;\n  a = a * 2 % 3 - -a;\n}\n", False),
+    ("int main() {\n  int a = 7;\n  a = a / 2;\n}\n", True),
+    ("#include <x.h>\nint main() {\n  int a = 7;\n}\n", True),
+    ("int main() {\n  int a = 7; // seven\n  a = a;\n}\n", True),
+    ("int main() {\n  int a /* x\n y */ = 7;\n}\n", True),
+    ("int main() {\n  int a = 7;\n  a = @;\n}\n", False),
+], ids=["comment-free", "division", "directive", "line", "block",
+        "comment-free-error"])
+def test_a_text_without_hash_or_slash_skips_the_comment_pass(
+        monkeypatch, source, blanked):
+    expected = _scan(_ReferenceScan, source)
+    spy = mock.Mock(wraps=lang._COMMENT)
+    monkeypatch.setattr(lang, "_COMMENT", spy)
+    assert _scan(lang._Scan, source) == expected
+    assert spy.sub.call_count == blanked
 
 
 _BLANK_RUN = 200_000
@@ -514,6 +546,68 @@ def _parses_back(expr) -> bool:
     return program.body[-1].cond == expr
 
 
+def _reference_expr_to_text(expr) -> str:
+    """`expr_to_text` without its short shapes: one loop over a stack of
+    (text, precedence of its outermost operator) entries for every code."""
+    stack = []
+    for op, arg in expr:
+        if op is BINARY:
+            rhs, rhs_prec = stack.pop()
+            lhs, lhs_prec = stack[-1]
+            prec = lang.PRECEDENCE[arg]
+            if lhs_prec < prec:
+                lhs = f"({lhs})"
+            if rhs_prec <= prec:
+                rhs = f"({rhs})"
+            stack[-1] = (f"{lhs} {arg} {rhs}", prec)
+        elif op is UNARY:
+            text, prec = stack[-1]
+            if prec < lang.UNARY_PRECEDENCE or arg == "-" == text[0]:
+                text = f"({text})"
+            stack[-1] = (arg + text, lang.UNARY_PRECEDENCE)
+        elif op is not AND_SKIP and op is not OR_SKIP:
+            text = "nondet()" if op is NONDET else str(arg)
+            stack.append((text, lang.UNARY_PRECEDENCE))
+    return stack[-1][0]
+
+
+def _short_shapes():
+    """Every code of a short shape over a positive and a negative literal,
+    a variable and `nondet()`, under no, one or two unary operators, some
+    of it code the parser never builds (a negative `LIT`, `&&` and `||`
+    without their skip ops); and longer code beside those shapes."""
+    operands = [(LIT, 3), (LIT, -3), (VAR, "a"), (NONDET, None)]
+    shapes = [(x,) for x in operands]
+    shapes += [(x, y, (BINARY, op))
+               for x in operands for y in operands for op in lang.PRECEDENCE]
+    unaries = [(), ((UNARY, "!"),), ((UNARY, "-"),)]
+    codes = [shape + u + v for shape in shapes for u in unaries
+             for v in unaries if u or not v]
+    codes += [
+        ((VAR, "a"), (AND_SKIP, 2), (VAR, "b"), (BINARY, "&&")),
+        ((VAR, "a"), (OR_SKIP, 2), (VAR, "b"), (BINARY, "||"), (UNARY, "!")),
+        ((VAR, "a"), (UNARY, "-"), (VAR, "b"), (BINARY, "*")),
+        ((VAR, "a"), (VAR, "b"), (UNARY, "-"), (BINARY, "-")),
+        ((VAR, "a"), (VAR, "b"), (VAR, "c"), (BINARY, "-"), (BINARY, "-")),
+    ]
+    return codes
+
+
+def test_rendering_matches_the_reference():
+    codes = list(_corpus_expressions()) + _short_shapes()
+    assert [expr_to_text(code) for code in codes] == \
+        [_reference_expr_to_text(code) for code in codes]
+    assert [expr_to_text(code) for code in (
+        ((LIT, -3),), ((LIT, -3), (UNARY, "-")), ((LIT, 3), (UNARY, "-")),
+        ((LIT, 3), (UNARY, "-"), (UNARY, "-")),
+        ((NONDET, None), (VAR, "a"), (BINARY, "-"), (UNARY, "-")),
+        ((VAR, "a"), (NONDET, None), (BINARY, "<"), (UNARY, "!")),
+        ((VAR, "a"), (VAR, "b"), (BINARY, "&&")),
+        ((VAR, "a"), (VAR, "b"), (BINARY, "||"), (UNARY, "!")))] == [
+        "-3", "-(-3)", "-3", "-(-3)", "-(nondet() - a)", "!(a < nondet())",
+        "a && b", "!(a || b)"]
+
+
 def test_rendering_parses_back_to_the_same_code():
     # 2,876 expressions of the parse-outcome corpus and 6,051 of the random
     # programs.
@@ -650,10 +744,11 @@ def test_implied_equality(guard, expected):
     assert implied_equality(_init(guard)) == expected
 
 
-def _median_us_per_token(source: str, runs: int = 5):
-    """The token count of `source`, and the median microseconds per token
-    of scanning, parsing and lowering it; each run starts after a full
-    collection."""
+def _median_us(source: str, runs: int = 5):
+    """The token and statement counts of `source`, the median microseconds
+    per token of scanning, parsing and lowering it, and the median
+    microseconds per statement of `dump_cfa` on its automaton; each run
+    starts after a full collection."""
     times = []
     for _ in range(runs):
         gc.collect()
@@ -662,19 +757,24 @@ def _median_us_per_token(source: str, runs: int = 5):
         scanned = time.perf_counter()
         program = lang._Parser(scan).parse_program("large")
         parsed = time.perf_counter()
-        lowering.lower(program)
-        times.append((scanned - start, parsed - scanned,
-                      time.perf_counter() - parsed))
-    tokens = len(scan.texts)
-    return tokens, [statistics.median(layer) / tokens * 1e6
-                    for layer in zip(*times)]
+        cfa = lowering.lower(program)
+        lowered = time.perf_counter()
+        dump_cfa(cfa)
+        times.append((scanned - start, parsed - scanned, lowered - parsed,
+                      time.perf_counter() - lowered))
+    tokens, statements = len(scan.texts), len(cfa.edges)
+    *front, dump = [statistics.median(layer) * 1e6 for layer in zip(*times)]
+    return tokens, statements, [us / tokens for us in front], \
+        dump / statements
 
 
 if __name__ == "__main__":
-    print("front end of a wide program: microseconds per token")
-    print("blocks   tokens  scan us  parser us  lowering us")
+    print("front end of a wide program: microseconds per token,"
+          " and per statement for the dump")
+    print("blocks   tokens  scan us  parser us  lowering us  statements"
+          "  dump us")
     for blocks in (150, 300, 600, 1200):
-        tokens, (scan_us, parser_us, lowering_us) = \
-            _median_us_per_token(large_source(blocks))
+        tokens, statements, (scan_us, parser_us, lowering_us), dump_us = \
+            _median_us(large_source(blocks))
         print(f"{blocks:6} {tokens:8} {scan_us:8.3f} {parser_us:10.3f}"
-              f" {lowering_us:12.3f}")
+              f" {lowering_us:12.3f} {statements:11} {dump_us:8.3f}")
