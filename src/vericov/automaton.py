@@ -96,10 +96,14 @@ def step(aa: AssumptionAutomaton, state: str, stmt_id: int) -> str:
 
 def serialize_aa(aa: AssumptionAutomaton) -> str:
     """The automaton in the canonical text format.  ValueError for an
-    automaton the text cannot carry: an initial state or transition
-    target that is neither declared nor a sink, which `parse_aa` would
-    refuse, or a transition from an undeclared state, which no STATE
-    block would hold."""
+    automaton the text cannot carry: an automaton name or declared state
+    name that is not one whitespace-free token, which `parse_aa` would
+    split differently, an initial state or transition target that is
+    neither declared nor a sink, which it would refuse, or a transition
+    from an undeclared state, which no STATE block would hold."""
+    for name in (aa.name, *aa.location_of):
+        if name.split() != [name]:
+            raise ValueError(f"name {name!r} is not one token")
     ons: Dict[str, List[Tuple[int, str]]] = {}
     for (src, sid), tgt in aa.transitions.items():
         ons.setdefault(src, []).append((sid, tgt))

@@ -127,14 +127,22 @@ class Cfa:
         """Check structural invariants; raises ValueError on violation.
 
         Only `halt` edges enter exit, so a path into exit never ends in an
-        assert: the witness search tells a coverage witness from a
-        counterexample by the path's last statement alone."""
+        assert: `replay`'s default mode reads a final assert as a request
+        for a counterexample, and so searches a path into exit for an
+        assertion-clean execution.
+
+        Only assume edges branch: a location with an out edge of another
+        kind has no other out edge.  So expanding a node reaches at most
+        one exit node or failing assert, and records at most one execution
+        or counterexample, and the explorer checks its counterexample
+        budget once before each expansion."""
         node_set = set(self.nodes)
         if len(node_set) != len(self.nodes):
             raise ValueError("duplicate node ids")
         for role, node in (("entry", self.entry), ("exit", self.exit)):
             if node not in node_set:
                 raise ValueError(f"{role} node {node} outside node set")
+        first: Dict[int, Edge] = {}  # location -> its first out edge
         for i, e in enumerate(self.edges):
             if e.id != i:
                 raise ValueError(f"edge {i} carries statement {e.id}")
@@ -145,6 +153,10 @@ class Cfa:
             if e.dst == self.exit and e.kind != HALT:
                 raise ValueError(f"statement {i} enters exit but is not a"
                                  " halt")
+            other = first.setdefault(e.src, e)
+            if other is not e and (e.kind != ASSUME or other.kind != ASSUME):
+                raise ValueError(f"statements {other.id} and {i} leave one"
+                                 " location, and only assumes branch")
 
 
 def statement_ids(cfa: Cfa) -> Set[int]:

@@ -108,11 +108,12 @@ def _coverage_rounds(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
     them.  Each end (an exit node, or a walked root) is searched once,
     when a round reaches it, and a new end's search goes on from where
     the last search along a prefix of its path stood, in this round or
-    an earlier one.  No search result is kept: an end whose execution a
-    round recorded tracks nothing once its exercised set leaves
-    `remaining`, and one whose search found nothing would find nothing
-    again.  So narrowing asks only the ends a round reached after its
-    executions were full.  Each execution comes with its exercised set,
+    an earlier one.  No search result is kept, and narrowing asks no end:
+    a round checks its budget before each expansion, which records at
+    most one execution, so no end is reached with the round full; an end
+    whose execution a round recorded tracks nothing once its exercised
+    set leaves `remaining`, and one whose search found nothing would find
+    nothing again.  Each execution comes with its exercised set,
     the tracked set of the end that produced it, so the rounds never
     walk the automaton.  Once a search has run out of steps, in this
     round or an earlier one, a round that finds nothing leaves the report
@@ -123,8 +124,8 @@ def _coverage_rounds(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
     strategy = make_strategy(strategy)
     per_round = 1 if under else budget.max_counterexamples
     cap = budget.max_counterexamples if under else math.inf
-    deadline = (None if budget.time_limit is None
-                else time.monotonic() + budget.time_limit)
+    # A time limit is positive or None.
+    deadline = time.monotonic() + (budget.time_limit or math.inf)
     remaining = frozenset(ids)
     per_execution: List[Dict] = []
     exhausted = False
@@ -132,8 +133,8 @@ def _coverage_rounds(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
     rounds = 0
     result = None
     while remaining and len(per_execution) < cap:
-        left = None if deadline is None else deadline - time.monotonic()
-        if left is not None and left <= 0:
+        left = deadline - time.monotonic()
+        if left <= 0:
             exhausted = True
             break
         rounds += 1

@@ -50,13 +50,15 @@ any node is.
 
 An *end* is an exit node, or a root whose walk reached exit: where a
 cover spec's executions are searched for.  Each end is searched once,
-when it is reached, and the explorer keeps no record of the results.  An
-end reached once the round holds as many executions as its budget allows
-waits in `_Explorer.pending`, and the next round's narrowing asks those
-ends and no other: an end whose search found nothing would find nothing
-again, and an end whose execution was recorded, or that tracked nothing,
-tracks nothing once the coverage rounds narrow the remaining set.  A
-search that runs out of steps keeps the run from ending `safe`.
+when it is reached, and the explorer keeps no record of the results.
+Only assume edges branch (see `Cfa.validate`), so one expansion reaches
+at most one end or failing assert, and a round checks its counterexample
+budget before each expansion only: no end is reached with the round
+full.  Narrowing asks no end again: an end whose search found nothing
+would find nothing again, and an end whose execution was recorded, or
+that tracked nothing, tracks nothing once the coverage rounds narrow the
+remaining set.  A search that runs out of steps keeps the run from
+ending `safe`.
 
 The tree holds no object per node.  It is nine parallel lists indexed by
 node id: location, valuation, parent, incoming statement, status,
@@ -574,11 +576,10 @@ class _Tree(Sequence[ArtNode]):
 
 
 class _Explorer:
-    def __init__(self, cfa: Cfa, spec: Spec, budget: Budget,
-                 strategy: str, nondet_domain: Sequence[int]):
+    def __init__(self, cfa: Cfa, spec: Spec, strategy: str,
+                 nondet_domain: Sequence[int]):
         self.cfa = cfa
         self.spec = spec
-        self.budget = budget
         self.strategy = strategy
         self.domain = nondet_domain
         # Node -> postorder index, and automaton state -> score, worked
@@ -591,10 +592,6 @@ class _Explorer:
         if unset:
             raise ValueError("variables read before assignment: " + ", ".join(
                 v for v, i in self.variables.index.items() if unset >> i & 1))
-        # Ends reached while the round's executions were full, in reach
-        # order: (node, the statements walked from it), asked again by the
-        # next narrowing (see `check_violation`).
-        self.pending: List[Tuple[int, Tuple[int, ...]]] = []
         # Whether some witness search ran out of steps: the run cannot
         # then be finished, in this round or any resumed one.
         self.inconclusive = False
@@ -775,13 +772,9 @@ class _Explorer:
         if it has one: the path into an exit node, or the path into a
         completed root, searched in prefix mode, then the `walked`
         statements (see `walk`).  An end is searched once, when it is
-        asked while the round has room for an execution; asked when the
-        round has none, it waits in `pending` for the next narrowing."""
+        reached; `run` leaves room for it (see `Cfa.validate`)."""
         tracked = self.tree.tracked[nid]
         if not tracked:
-            return
-        if len(self.cex) >= self.budget.max_counterexamples:
-            self.pending.append((nid, walked))
             return
         execution = self.execution(nid, tail=walked)
         if execution is not None:
@@ -790,11 +783,10 @@ class _Explorer:
 
     def check_assert(self, parent: int, edge: Edge) -> None:
         """Candidate assertion violation at this edge; confirm by replay.
-        A node is expanded once, so nothing asks its edge twice."""
-        if self.spec.kind == ASSERTIONS:
-            if len(self.cex) >= self.budget.max_counterexamples:
-                return
-        elif not self.spec.stop_on_violation:
+        A node is expanded once, so nothing asks its edge twice, and the
+        edge is its node's only out edge, so `run` leaves room for a
+        counterexample (see `Cfa.validate`)."""
+        if self.spec.kind == COVER and not self.spec.stop_on_violation:
             return
         execution = self.execution(parent, edge)
         if execution is None:
@@ -998,7 +990,7 @@ class _Explorer:
 
     # -- narrowing -----------------------------------------------------------
 
-    def narrow(self, spec: Spec, budget: Budget) -> None:
+    def narrow(self, spec: Spec) -> None:
         """Prepare the tree for a cover spec whose remaining set is a
         subset of the current one's.
 
@@ -1014,12 +1006,11 @@ class _Explorer:
         along the last searched path stay too.  The waitlist keeps the
         nodes not pruned.
 
-        Then the pending ends are asked, in the order they were reached,
-        and no other end: each other end was searched when it was reached
-        and tracks nothing the new spec needs, or finds nothing again.
+        No end is asked again: each was searched when it was reached, and
+        tracks nothing the new spec needs, or finds nothing again.
         """
         remaining = spec.remaining
-        self.spec, self.budget = spec, budget
+        self.spec = spec
         tree = self.tree
         self.cex, self.exercised, self.first = [], [], len(tree)
         status, aa_state = tree.status, tree.aa_state
@@ -1033,21 +1024,21 @@ class _Explorer:
             if not new and aa_state[nid] == FALSE_STATE:
                 status[nid] = STATUS_PRUNED
                 tree.covered_by[nid] = None
-        pending, self.pending = self.pending, []
-        for nid, walked in pending:
-            self.check_violation(nid, walked)
         self.waitlist = deque(nid for nid in self.waitlist
                               if status[nid] == STATUS_FRONTIER)
 
     # -- main loop -----------------------------------------------------------
 
-    def run(self, deadline: float) -> ExplorationResult:
+    def run(self, budget: Budget, deadline: float) -> ExplorationResult:
         """Expand nodes until a verdict or a budget stop, at the latest
         once the clock reads past `deadline`.  The node budget counts the
-        nodes the run creates and the statements its walks charge.  A run
-        in which some search ran out of steps is never `safe`."""
+        nodes the run creates and the statements its walks charge.  The
+        counterexample budget is checked before each expansion, which
+        records at most one execution or counterexample (see
+        `Cfa.validate`).  A run in which some search ran out of steps is
+        never `safe`."""
         interrupted = False
-        budget, location = self.budget, self.tree.location
+        location = self.tree.location
         self.deadline = deadline
         self.limit = math.inf if budget.max_nodes is None \
             else self.first + budget.max_nodes
@@ -1094,10 +1085,10 @@ def explore(cfa: Cfa, spec: Spec, budget: Budget,
             resume: Optional[ExplorationResult] = None) -> ExplorationResult:
     """Explore the program under the spec until a verdict or a budget stop.
 
-    The CFA must pass `Cfa.validate`: the witness search of a path into
-    exit relies on its ending in a `halt`.  A CFA that can read a variable
-    before assigning it is a ValueError, and so is a strategy that is not
-    one of `STRATEGIES`.  Deterministic: identical inputs produce
+    The CFA must pass `Cfa.validate`: the counterexample budget relies on
+    only assume edges branching.  A CFA that can read a variable before
+    assigning it is a ValueError, and so is a strategy that is not one of
+    `STRATEGIES`.  Deterministic: identical inputs produce
     identical trees, automata and counterexample lists.  A node budget
     counts the nodes this call creates, and never truncates an expansion
     in progress; the node being expanded is completed first.  A witness
@@ -1107,28 +1098,26 @@ def explore(cfa: Cfa, spec: Spec, budget: Budget,
     `resume` continues the tree of an earlier cover-mode explore on the
     same CFA, automaton, strategy and domain, for a spec whose remaining
     set is a subset of that explore's.  The tree is narrowed to the new
-    spec in place (see `_Explorer.narrow`), the ends that earlier explore
-    reached with no room left for an execution are asked, and the
-    exploration goes on from the nodes still waiting.  The earlier
-    result's tree passes to the new one, so read the earlier result's
-    nodes and automaton first; a result is resumed at most once.  Each
-    end is searched once, and no end is asked again whose execution an
-    earlier round recorded: the new remaining set is meant to leave out
-    what those executions exercise, as the coverage rounds' does.  Each
-    search goes on from the deepest fork it shares with the last one,
-    whichever round made that (see `_Explorer.search`).  A searched path,
-    like a counterexample's, is the statement ids of the tree edges from
-    the root.  The new result's `art_stats` count only the nodes this
-    call created, and the time limit counts from this call, narrowing's
-    searches included.
+    spec in place (see `_Explorer.narrow`), and the exploration goes on
+    from the nodes still waiting.  The earlier result's tree passes to
+    the new one, so read the earlier result's nodes and automaton first;
+    a result is resumed at most once.  Each end is searched once, and no
+    end is asked again whose execution an earlier round recorded: the new
+    remaining set is meant to leave out what those executions exercise,
+    as the coverage rounds' does.  Each search goes on from the deepest
+    fork it shares with the last one, whichever round made that (see
+    `_Explorer.search`).  A searched path, like a counterexample's, is
+    the statement ids of the tree edges from the root.  The new result's
+    `art_stats` count only the nodes this call created, and the time
+    limit counts from this call, narrowing included.
     """
     # A time limit is positive or None.
     deadline = time.monotonic() + (budget.time_limit or math.inf)
     strategy = make_strategy(strategy)
     if resume is None:
-        ex = _Explorer(cfa, spec, budget, strategy, nondet_domain)
+        ex = _Explorer(cfa, spec, strategy, nondet_domain)
         ex.make_root()
-        return ex.run(deadline)
+        return ex.run(budget, deadline)
     ex = resume._explorer
     if ex is None or ex.bug is not None or spec.kind != COVER or \
             ex.cfa is not cfa or spec.aa is not ex.spec.aa or \
@@ -1139,8 +1128,8 @@ def explore(cfa: Cfa, spec: Spec, budget: Budget,
                          "the same CFA, automaton, strategy and domain, "
                          "and a spec remaining within its own")
     resume._explorer = None
-    ex.narrow(spec, budget)
-    return ex.run(deadline)
+    ex.narrow(spec)
+    return ex.run(budget, deadline)
 
 
 # ---------------------------------------------------------------------------
@@ -1153,8 +1142,8 @@ _WHITESPACE = re.compile(r"\s+")
 def emit_assumption_automaton(nodes: _Tree, cfa: Cfa,
                               verdict: str) -> AssumptionAutomaton:
     """The explored region of a tree as an assumption automaton named
-    after the CFA, each run of whitespace replaced by ``_`` so that the
-    name stays one token of the text format.
+    after the CFA, each run of whitespace replaced by ``_``, and ``_`` if
+    the CFA has no name, so that the name is one token of the text format.
 
     Expanded nodes become states, merged when their abstract states agree;
     covered nodes redirect to their coverer.  States are looked up by
@@ -1165,7 +1154,7 @@ def emit_assumption_automaton(nodes: _Tree, cfa: Cfa,
     direction the analysis did not take is routed to TRUE instead, so FALSE
     is unreachable in the automaton of a completed exploration.
     """
-    aa = AssumptionAutomaton(name=_WHITESPACE.sub("_", cfa.name),
+    aa = AssumptionAutomaton(name=_WHITESPACE.sub("_", cfa.name) or "_",
                              initial=FALSE_STATE)
     status, location = nodes.status, nodes.location
     if not status or status[0] != STATUS_EXPANDED:

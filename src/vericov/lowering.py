@@ -11,7 +11,9 @@ Conventions, all load-bearing for downstream determinism:
   traversals that follow ascending statement IDs therefore leave loops
   before diving into their bodies.
 * Branch guards lower to a complementary assume pair; the negated side
-  carries the literal `!(cond)` expression.
+  carries the literal `!(cond)` expression.  Each location is the source
+  of one statement's lowering, so only assume edges branch: the
+  explorer's counterexample budget relies on it (see `Cfa.validate`).
 * The parser reads `int x;` without initializer as `x = nondet()`, and
   `while (c)` as `for (; c; )`, so each lowers as that statement does.
 * `return` lowers to a single halt edge into exit; the returned value is

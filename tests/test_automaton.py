@@ -94,6 +94,18 @@ def test_serialization_refuses_what_the_parser_would():
         serialize_aa(aa)
 
 
+@pytest.mark.parametrize("name, state", [("a b", "q0"), ("", "q0"),
+                                         ("two", "q r")])
+def test_serialization_refuses_a_name_that_is_not_one_token(name, state):
+    # parse_aa splits each line at whitespace, so it would refuse the
+    # AUTOMATON or STATE line, or read another name from it.
+    aa = AssumptionAutomaton(name=name, initial=state)
+    aa.add_state(state, 0)
+    bad = state if name == "two" else name
+    with pytest.raises(ValueError, match=f"^name {bad!r} is not one token$"):
+        serialize_aa(aa)
+
+
 # Accepted languages ----------------------------------------------------------
 
 

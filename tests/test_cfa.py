@@ -442,11 +442,41 @@ def test_validate_rejects_edge_out_of_exit():
 
 @pytest.mark.parametrize("kind", [ASSUME, ASSERT, SKIP])
 def test_validate_rejects_non_halt_edge_into_exit(kind):
-    # A path into exit must end in a halt: the witness search reads a
+    # A path into exit must end in a halt: `replay`'s default mode reads a
     # final assert as a request for a counterexample.
     edges = [Edge(0, 1, 0, kind)]
     with pytest.raises(ValueError, match="statement 0 enters exit"):
         Cfa("bad", [0, 1], edges, entry=0, exit=1).validate()
+
+
+def _out_edge(stmt_id, kind):
+    """Statement `stmt_id` of the given kind out of entry: a halt into
+    exit, any other kind into location 2."""
+    one = ((lang.LIT, 1),)
+    return Edge(0, 1 if kind == HALT else 2, stmt_id, kind,
+                "x" if kind == ASSIGN else None,
+                one if kind in (ASSIGN, ASSUME, ASSERT) else None)
+
+
+KINDS = [ASSIGN, ASSUME, ASSERT, SKIP, HALT]
+
+
+@pytest.mark.parametrize("first, second", [
+    (first, second) for first in KINDS for second in KINDS
+    if ASSUME != first or ASSUME != second])
+def test_validate_rejects_a_branch_that_is_not_all_assumes(first, second):
+    # One expansion then records at most one execution or counterexample,
+    # so the explorer checks its counterexample budget once per expansion.
+    edges = [_out_edge(0, first), _out_edge(1, second), Edge(2, 1, 2, HALT)]
+    with pytest.raises(ValueError, match="^statements 0 and 1 leave one"
+                                         " location, and only assumes"
+                                         " branch$"):
+        Cfa("bad", [0, 1, 2], edges, entry=0, exit=1).validate()
+
+
+def test_validate_accepts_three_assumes_out_of_one_location():
+    edges = [_out_edge(i, ASSUME) for i in range(3)] + [Edge(2, 1, 3, HALT)]
+    Cfa("fork", [0, 1, 2], edges, entry=0, exit=1).validate()
 
 
 # Correspondence with source control paths ------------------------------------

@@ -92,28 +92,44 @@ def test_exact_flags_exhaustion_when_a_search_runs_out_of_steps(
     assert report.exhausted
 
 
-def _two_halts():
-    """x = nondet(), then two halts out of one location: one expansion
-    reaches two exit nodes, which no lowered program does."""
+def test_two_halts_out_of_one_location_are_refused():
+    # x = nondet(), then two halts out of one location: one expansion
+    # would reach two exit nodes, the second with the round's executions
+    # already full.  Only assumes branch, so `validate` refuses the shape,
+    # and no end is ever reached with a round full.
     cfa = Cfa("two_halts", [0, 1, 2],
               [Edge(0, 2, 0, ASSIGN, "x", lang.NONDET_EXPR),
                Edge(2, 1, 1, HALT), Edge(2, 1, 2, HALT)], entry=0, exit=1)
-    cfa.validate()
-    return cfa
+    with pytest.raises(ValueError, match="^statements 1 and 2 leave one"
+                                         " location, and only assumes"
+                                         " branch$"):
+        cfa.validate()
 
 
+@pytest.mark.parametrize("strategy", ["bfs", "dfs-postorder"])
 @pytest.mark.parametrize("max_cex", [1, 2])
-def test_an_end_reached_with_the_round_full_is_asked_by_the_next(max_cex):
-    # At one execution per round, the second halt's exit node is reached
-    # after the first's execution fills the round; the next round's
-    # narrowing must search it.
-    report = exact_coverage(_two_halts(), _full_aa(),
-                            Budget(max_counterexamples=max_cex))
-    assert report.covered_ids == [0, 1, 2]
-    assert not report.exhausted
-    under = under_approx_coverage(_two_halts(), _full_aa(),
-                                  Budget(max_counterexamples=2))
-    assert under.covered_ids == [0, 1, 2]
+def test_no_round_records_past_the_counterexample_budget(monkeypatch,
+                                                         strategy, max_cex):
+    # `run` checks the budget before each expansion only, which on a
+    # lowered program records at most one execution or counterexample.
+    # Every assertions-mode run and every coverage round stays within it,
+    # and some reach it (no fixture fails two asserts, but some rounds
+    # record two executions).
+    budget = Budget(max_nodes=2000, max_counterexamples=max_cex)
+    counts = []
+
+    def spy(*args, **kwargs):
+        result = real(*args, **kwargs)
+        counts.append(len(result.counterexamples))
+        return result
+
+    real = coverage.explore
+    monkeypatch.setattr(coverage, "explore", spy)
+    for name in ALL_FIXTURES:
+        cfa = fixture_cfa(name)
+        spy(cfa, Spec.assertions(), budget, strategy=strategy)
+        exact_coverage(cfa, _full_aa(), budget, strategy=strategy)
+    assert max(counts) == max_cex
 
 
 def test_exact_false_initial_resolves_in_one_round():

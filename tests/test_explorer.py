@@ -555,8 +555,8 @@ def test_time_limit_counts_narrowing(monkeypatch):
         monotonic=lambda: now[0]))
     narrow = explorer._Explorer.narrow
 
-    def slow_narrow(ex, spec, budget):
-        narrow(ex, spec, budget)
+    def slow_narrow(ex, spec):
+        narrow(ex, spec)
         now[0] += 10
 
     monkeypatch.setattr(explorer._Explorer, "narrow", slow_narrow)
@@ -659,19 +659,19 @@ def test_counterexample_cap_respected():
     assert len(both.counterexamples) == 2
 
 
-def test_assert_edges_of_one_expansion_stop_at_the_counterexample_budget():
-    # Two failing asserts leave one location, so a single expansion asks
-    # both; the second must not be recorded past the budget.
+def test_two_asserts_out_of_one_location_are_refused():
+    # One expansion would ask both failing asserts, the second with the
+    # counterexamples already full.  Only assumes branch, so `validate`
+    # refuses the shape, and `run` alone checks the budget.
     zero = ((lang.LIT, 0),)
     edges = [Edge(0, 1, 0, ASSERT, None, zero),
              Edge(0, 1, 1, ASSERT, None, zero),
              Edge(1, 2, 2, HALT)]
     cfa = Cfa("two_asserts", [0, 1, 2], edges, entry=0, exit=2)
-    cfa.validate()
-    capped = explore(cfa, Spec.assertions(), Budget(max_counterexamples=1))
-    assert [c.statements for c in capped.counterexamples] == [(0,)]
-    both = explore(cfa, Spec.assertions(), Budget(max_counterexamples=2))
-    assert [c.statements for c in both.counterexamples] == [(0,), (1,)]
+    with pytest.raises(ValueError, match="^statements 0 and 1 leave one"
+                                         " location, and only assumes"
+                                         " branch$"):
+        cfa.validate()
 
 
 def test_node_budget_yields_unknown():
@@ -893,6 +893,14 @@ def test_emitted_name_is_one_token():
     result = explore(cfa, Spec.assertions(), Budget())
     assert result.aa.name == "my_prog_2"
     assert parse_aa(serialize_aa(result.aa)).name == "my_prog_2"
+
+
+def test_a_nameless_program_emits_a_named_automaton():
+    # `serialize_aa` refuses an empty name, which `parse_aa` could not read.
+    cfa = source_to_cfa("int main() { int x = 1; return 0; }", name="")
+    aa = explore(cfa, Spec.assertions(), Budget()).aa
+    assert aa.name == "_"
+    assert parse_aa(serialize_aa(aa)) == aa
 
 
 # The state merge as first written: one dict keyed by location, valuation,

@@ -53,7 +53,8 @@ def code_lines(path: Path) -> int:
 
     Blank lines, comments and string statements (docstrings) do not
     count; every line a multi-line token or statement spans does.  The
-    tier-1 workflow prints the sum over `src/vericov`.
+    tier-1 workflow prints the sum over `src/vericov` and each module's
+    count (run this file as a script).
     """
     lines = set()
     statement = []  # the tokens of the current logical line
@@ -281,3 +282,10 @@ def test_readme_examples_run_as_written(tmp_path):
     for line, expected in zip(shown, prints):
         if expected:
             assert line == expected.group(1)
+
+
+if __name__ == "__main__":
+    counts = sorted(((code_lines(path), path.stem)
+                     for path in PACKAGE.glob("*.py")), reverse=True)
+    print(f"code lines in src/vericov: {sum(n for n, _ in counts):,} ("
+          + ", ".join(f"{stem} {n:,}" for n, stem in counts) + ")")
