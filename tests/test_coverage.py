@@ -106,6 +106,24 @@ def test_two_halts_out_of_one_location_are_refused():
         cfa.validate()
 
 
+@pytest.mark.parametrize("max_cex", [1, 2])
+def test_an_end_reached_with_the_round_full_is_asked_by_the_next(max_cex):
+    # Two returns after a branch: two executions reach exit.  At one
+    # execution per round, the second is left for the next round, which
+    # must find it; at two, one round records both.
+    cfa = source_to_cfa("int nondet();\nint main() { int x = nondet(); "
+                        "if (x > 0) { return 1; } return 0; }")
+    report = exact_coverage(cfa, _full_aa(),
+                            Budget(max_counterexamples=max_cex))
+    assert report.covered_ids == [0, 1, 2, 3, 4]
+    assert report.executions_used == 2
+    assert report.rounds == 3 - max_cex
+    assert not report.exhausted
+    under = under_approx_coverage(cfa, _full_aa(),
+                                  Budget(max_counterexamples=2))
+    assert under.covered_ids == [0, 1, 2, 3, 4]
+
+
 @pytest.mark.parametrize("strategy", ["bfs", "dfs-postorder"])
 @pytest.mark.parametrize("max_cex", [1, 2])
 def test_no_round_records_past_the_counterexample_budget(monkeypatch,
