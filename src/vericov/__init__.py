@@ -14,7 +14,7 @@ from .automaton import (FALSE_STATE, TRUE_STATE, AssumptionAutomaton,
 from .cfa import (ASSERT, ASSIGN, ASSUME, HALT, SKIP, Cfa, Edge, dump_cfa,
                   live_variables, postorder_index, statement_ids)
 from .cli import RunConfig, run
-from .coverage import (CoverageReport, exact_coverage, over_approx_coverage,
+from .coverage import (exact_coverage, over_approx_coverage,
                        under_approx_coverage)
 from .explorer import (Budget, Execution, Spec, emit_assumption_automaton,
                        explore, make_strategy)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ASSERT", "ASSIGN", "ASSUME", "HALT", "SKIP",
-    "AssumptionAutomaton", "Budget", "Cfa", "CoverageReport", "Edge",
+    "AssumptionAutomaton", "Budget", "Cfa", "Edge",
     "EvalError", "Execution", "FALSE_STATE", "FormatError", "ParseError",
     "Program", "RunConfig", "Spec", "StatementIdMismatch", "TRUE_STATE",
     "UndeclaredVariable",

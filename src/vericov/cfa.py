@@ -125,17 +125,14 @@ class Cfa:
 
     def validate(self) -> None:
         """Check structural invariants; raises ValueError on violation.
-
-        Only `halt` edges enter exit, so a path into exit never ends in an
-        assert: `replay`'s default mode reads a final assert as a request
-        for a counterexample, and so searches a path into exit for an
-        assertion-clean execution.
+        `explore` calls it on every CFA it starts on.
 
         Only assume edges branch: a location with an out edge of another
         kind has no other out edge.  So expanding a node reaches at most
         one exit node or failing assert, and records at most one execution
         or counterexample, and the explorer checks its counterexample
-        budget once before each expansion."""
+        budget once before each expansion.  Any kind of edge may enter
+        exit."""
         node_set = set(self.nodes)
         if len(node_set) != len(self.nodes):
             raise ValueError("duplicate node ids")
@@ -150,9 +147,6 @@ class Cfa:
                 raise ValueError("edge endpoint outside node set")
             if e.src == self.exit:
                 raise ValueError("exit node has an outgoing edge")
-            if e.dst == self.exit and e.kind != HALT:
-                raise ValueError(f"statement {i} enters exit but is not a"
-                                 " halt")
             other = first.setdefault(e.src, e)
             if other is not e and (e.kind != ASSUME or other.kind != ASSUME):
                 raise ValueError(f"statements {other.id} and {i} leave one"

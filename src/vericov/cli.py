@@ -27,7 +27,6 @@ from __future__ import annotations
 import argparse
 import codecs
 import functools
-import io
 import json
 import math
 import os
@@ -87,13 +86,12 @@ def _read_text(path: str) -> str:
     except OSError as exc:
         raise _CliError(f"cannot read {path}: {exc.strerror or exc}")
     mark = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
-    decoder = codecs.getincrementaldecoder("utf-8")()
     try:
-        return io.IncrementalNewlineDecoder(decoder, True).decode(
-            data[mark:], True)
+        text = data[mark:].decode("utf-8")
     except UnicodeDecodeError as exc:
         raise _CliError(f"cannot read {path}: not UTF-8 text (byte"
                         f" {exc.start + mark})")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _write_text(path: str, text: str) -> None:
@@ -181,13 +179,6 @@ def _cmd_verify(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _print_report(report: coverage.CoverageReport, fmt: str) -> None:
-    if fmt == "structured":
-        sys.stdout.write(report.to_json())
-    else:
-        sys.stdout.write(report.to_text())
-
-
 def _cmd_cover(config: RunConfig) -> int:
     cfa = _load_cfa(config)
     aa = _load_aa(config)
@@ -202,7 +193,8 @@ def _cmd_cover(config: RunConfig) -> int:
               else coverage.under_approx_coverage)
     report = metric(cfa, aa, budget, strategy=make_strategy(config.strategy),
                     nondet_domain=domain)
-    _print_report(report, config.format)
+    sys.stdout.write(report.to_json() if config.format == "structured"
+                     else report.to_text())
     return EXIT_BUG if report.bug_found else EXIT_OK
 
 

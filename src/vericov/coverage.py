@@ -19,7 +19,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
-from typing import AbstractSet, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 from .automaton import FALSE_STATE, AssumptionAutomaton, check_alphabet
 from .cfa import Cfa, statement_ids
@@ -30,17 +30,26 @@ from .heuristic import compose
 
 @dataclass
 class CoverageReport:
+    """`covered_count`, `value` and `executions_used` are derived from
+    `covered_ids`, `total_statements` and `per_execution` when the report
+    is built."""
+
     program: str
     mode: str
     total_statements: int
-    covered_count: int
-    value: float
-    executions_used: int
+    covered_count: int = field(init=False)
+    value: float = field(init=False)
+    executions_used: int = field(init=False)
     bug_found: bool
     exhausted: bool
     covered_ids: List[int]
     per_execution: List[Dict] = field(default_factory=list)
     rounds: int = 0  # bookkeeping; not part of the serialized report
+
+    def __post_init__(self) -> None:
+        self.covered_count = len(self.covered_ids)
+        self.value = self.covered_count / self.total_statements
+        self.executions_used = len(self.per_execution)
 
     def to_dict(self) -> Dict:
         return {f.name: getattr(self, f.name) for f in fields(self)
@@ -61,24 +70,6 @@ class CoverageReport:
             "covered ids: " + " ".join(str(i) for i in self.covered_ids),
         ]
         return "\n".join(lines) + "\n"
-
-
-def _make_report(cfa: Cfa, total: int, mode: str, covered: AbstractSet[int],
-                 per_execution: List[Dict], bug_found: bool,
-                 exhausted: bool, rounds: int) -> CoverageReport:
-    return CoverageReport(
-        program=cfa.name,
-        mode=mode,
-        total_statements=total,
-        covered_count=len(covered),
-        value=len(covered) / total,
-        executions_used=len(per_execution),
-        bug_found=bug_found,
-        exhausted=exhausted,
-        covered_ids=sorted(covered),
-        per_execution=per_execution,
-        rounds=rounds,
-    )
 
 
 def _execution_entry(execution: Execution, newly: Sequence[int]) -> Dict:
@@ -159,9 +150,9 @@ def _coverage_rounds(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
             if newly:
                 remaining -= newly
                 per_execution.append(_execution_entry(execution, newly))
-    return _make_report(cfa, len(ids), "under" if under else "exact",
-                        ids - remaining, per_execution, bug_found=bug_found,
-                        exhausted=exhausted, rounds=rounds)
+    return CoverageReport(cfa.name, "under" if under else "exact", len(ids),
+                          bug_found, exhausted, sorted(ids - remaining),
+                          per_execution, rounds)
 
 
 def exact_coverage(cfa: Cfa, aa: AssumptionAutomaton, budget: Budget,
@@ -207,5 +198,5 @@ def over_approx_coverage(cfa: Cfa, aa: AssumptionAutomaton) -> CoverageReport:
         for edge, (target, _loc) in zip(edges, product.successors[state]):
             if target != FALSE_STATE:
                 covered.add(edge.id)
-    return _make_report(cfa, len(ids), "over", covered, [],
-                        bug_found=False, exhausted=False, rounds=0)
+    return CoverageReport(cfa.name, "over", len(ids), bug_found=False,
+                          exhausted=False, covered_ids=sorted(covered))

@@ -42,7 +42,7 @@ root of the region past FALSE, tracks all it ever will: what is left is
 one assertion-clean continuation to exit.  Where the values the analysis
 knows decide that continuation, the explorer walks it instead of building
 it as nodes (see `_Explorer.walk`).  Reaching exit completes the root,
-whose execution is the path into it, searched in prefix mode (every
+whose execution is the path into it, searched as every end is (every
 assume and every assert on it holds), then the walked statements; a
 failing assert or a location with no way on prunes it.  Anything the
 known values leave open abandons the walk, and the root is expanded as
@@ -301,12 +301,11 @@ def _run_path(plan: Sequence[_PlanStep], choices: List[int], steps: int,
     most.
 
     Returns (status, conflict, steps left) with status "ok" (every assume
-    holds, and every assert except a final one, which fails), "fail"
-    (some statement breaks that rule), "need" (one more nondet choice is
-    required) or "out" (`steps` ran out first).  On "fail", bit i of
-    `conflict` is set for each choice i the failing statement consumed
-    and each choice the values it reads were computed from; `conflict` is
-    0 otherwise.
+    and every assert holds), "fail" (some statement does not), "need" (one
+    more nondet choice is required) or "out" (`steps` ran out first).  On
+    "fail", bit i of `conflict` is set for each choice i the failing
+    statement consumed and each choice the values it reads were computed
+    from; `conflict` is 0 otherwise.
 
     Every run that keeps all choices up to the highest one named fails
     the same way: each named choice was consumed after only lower ones,
@@ -354,7 +353,6 @@ def _run_path(plan: Sequence[_PlanStep], choices: List[int], steps: int,
             return choices[used - 1]
         raise _NeedChoice
 
-    last = len(plan) - 1
     fork = forks[-1] if forks else -1
     for i in range(first, len(plan)):
         if i == fork:
@@ -386,7 +384,7 @@ def _run_path(plan: Sequence[_PlanStep], choices: List[int], steps: int,
         if kind == ASSIGN:
             env[edge.var] = value
             depends[write] = mask
-        elif (value != 0) == (kind == ASSERT and i == last):
+        elif not value:
             return "fail", mask, steps
     return "ok", 0, steps
 
@@ -402,13 +400,14 @@ def _no_choice() -> int:
 
 def _search_witness(cfa: Cfa, path: Sequence[int], domain: Sequence[int],
                     step_limit: int, state: Optional[_SearchState],
-                    forks: Sequence[int], prefix: bool = False
+                    forks: Sequence[int], counterexample: bool
                     ) -> Tuple[ReplayResult, List[_SearchState]]:
     """Search nondet choices under which the run of the path, a sequence
     of the CFA's statement ids, is "ok" (see `_run_path`), by
-    conflict-directed backjumping (Prosser 1993).  In `prefix` mode a
-    final assert must hold like every other: the run reads it as an
-    assume of the same code.
+    conflict-directed backjumping (Prosser 1993).  A `counterexample`
+    search asks for the path's last statement, an assert, to fail: its
+    run reads it as an assume of the negated code (`lang.negate`), which
+    draws the same nondet() occurrences and reads the same variables.
 
     Each choice runs through `domain` in order, so the first witness found
     is the first in lexicographic order.  A failed run jumps to the
@@ -438,23 +437,22 @@ def _search_witness(cfa: Cfa, path: Sequence[int], domain: Sequence[int],
 
     Searches resume one another.  Until a search's runs first arrive at
     plan index j, each of them ends before j, so what the search has done
-    by then depends only on the path's first j statements (none of them
-    final), the domain and the step limit: it is the same on every path
-    that starts with those statements.  `state` is a search as it stood
-    at such a moment (None: at entry, nothing run yet), and this search
-    goes on from there, in that run at index j.  For each index in
-    `forks`, ascending and beyond `state`'s, it returns the state at the
-    first arrival there, for as many of them as its runs arrive at.  A
-    search that ends infeasible or inconclusive with no run at index j
-    ends the same way on every path that starts with its first j
-    statements, none of them final.
+    by then depends only on the path's first j statements, the domain and
+    the step limit: it is the same on every path that starts with those
+    statements.  `state` is a search as it stood at such a moment (None:
+    at entry, nothing run yet), and this search goes on from there, in
+    that run at index j.  For each index in `forks`, ascending and beyond
+    `state`'s, it returns the state at the first arrival there, for as
+    many of them as its runs arrive at.  A search that ends infeasible or
+    inconclusive with no run at index j ends the same way on every path
+    that starts with its first j statements.
     """
     reads, writes = cfa.numbering().reads, cfa.numbering().writes
     plan = [(cfa.edges[i], reads[i], writes[i]) for i in path]
-    if prefix and plan and plan[-1][0].kind == ASSERT:
+    if counterexample:
         edge, read, write = plan[-1]
         plan[-1] = (Edge(edge.src, edge.dst, edge.id, ASSUME, None,
-                         edge.expr), read, write)
+                         lang.negate(edge.expr)), read, write)
     if state is None:
         stack, conflicts, marks, steps = [], [], [], step_limit
     else:
@@ -502,33 +500,35 @@ def replay(cfa: Cfa, path: Sequence[int],
            prefix: bool = False) -> ReplayResult:
     """Search nondet choices under which every assume on the path, a
     sequence of statement ids, holds, and every assert holds except a
-    final one, which must fail.  In `prefix` mode a final assert must
-    hold too: the path is then the start of an assertion-clean execution.
+    final one, which must fail: a path ending in an assert asks for a
+    counterexample (`_search_witness`'s `counterexample` search).  In
+    `prefix` mode a final assert must hold too, as every other statement
+    must: the path is then the start of an assertion-clean execution, and
+    its witness, on a path into exit, is a feasible, assertion-clean
+    execution.
 
-    The path must start at entry and be edge-connected.  A path into exit
-    ends in a `halt` (see `Cfa.validate`), so its witness is a feasible,
-    assertion-clean execution; a path ending in an assert asks for a
-    counterexample.  Returns feasible with the first witness in
-    lexicographic domain order, or infeasible when no choices from the
-    domain satisfy the path: each failed run backjumps to the last choice
-    the failing statement depends on, so a guard that reads only its own
-    choice is refuted in one sweep of the domain rather than once per
-    combination of the choices before it.  Returns inconclusive when
-    `step_limit` runs out first.  It counts one step per statement of
-    every run, the prefix a resumed run skips included, so the answer,
-    and the steps in it, are the same as replaying each run from entry.
-    The search starts at entry; the explorer's searches start where an
-    earlier search along the same prefix stood (see `_search_witness`),
-    and return what this one does.
+    The path must start at entry and be edge-connected.  Returns feasible
+    with the first witness in lexicographic domain order, or infeasible
+    when no choices from the domain satisfy the path: each failed run
+    backjumps to the last choice the failing statement depends on, so a
+    guard that reads only its own choice is refuted in one sweep of the
+    domain rather than once per combination of the choices before it.
+    Returns inconclusive when `step_limit` runs out first.  It counts one
+    step per statement of every run, the prefix a resumed run skips
+    included, so the answer, and the steps in it, are the same as
+    replaying each run from entry.  The search starts at entry; the
+    explorer's searches start where an earlier search along the same
+    prefix stood (see `_search_witness`), and return what this one does.
     """
-    expected = cfa.entry
+    expected, edge = cfa.entry, None
     for stmt_id in path:
         edge = cfa.edge(stmt_id)
         if edge.src != expected:
             raise ValueError("path is not connected from entry")
         expected = edge.dst
+    counterexample = not prefix and edge is not None and edge.kind == ASSERT
     return _search_witness(cfa, path, nondet_domain, step_limit, None, (),
-                           prefix)[0]
+                           counterexample)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -586,6 +586,7 @@ class _Explorer:
         # out at the first ordered fork.
         self.postorder: Optional[Dict[int, int]] = None
         self.scores: Dict[str, int] = {}
+        cfa.validate()  # only assume edges branch: see `run`
         self.live = live_variables(cfa)
         self.variables = cfa.numbering()
         unset = self.live[cfa.entry]  # read on some path before any write
@@ -624,11 +625,10 @@ class _Explorer:
         """The witness search of the path into `nid`, followed by `edge` if
         given, as `replay` would return it, and that path as a list of
         statement ids.  With `edge`, an assert, the search asks for a
-        counterexample; without it, it runs in `replay`'s prefix mode,
-        where every assume and every assert on the path holds.  The path
-        into an exit node ends in a halt, so there the two modes agree;
-        the path into a walked root goes on past its last statement, so
-        an assert entering the root must hold.
+        counterexample, in which that assert fails; without it, it asks
+        for a run in which every assume and every assert on the path
+        holds, as `replay`'s prefix mode does: the path into an exit node
+        or into a walked root, whichever statement enters it.
 
         It resumes at the deepest fork of the last searched path that is
         a node of this one too, short of its end (see `_search_witness`).
@@ -656,7 +656,7 @@ class _Explorer:
         # Read at call time, so that a test can shorten it.
         result, saved = _search_witness(self.cfa, path, self.domain,
                                         DEFAULT_REPLAY_STEP_LIMIT, state,
-                                        forks, edge is None)
+                                        forks, edge is not None)
         trail += [(d, nodes[d], s) for d, s in zip(forks, saved)]
         if result.verdict != FEASIBLE and len(saved) < len(forks):
             depth = forks[len(saved)]
@@ -770,9 +770,10 @@ class _Explorer:
                         ) -> None:
         """Search an end that tracks something, and record its execution
         if it has one: the path into an exit node, or the path into a
-        completed root, searched in prefix mode, then the `walked`
-        statements (see `walk`).  An end is searched once, when it is
-        reached; `run` leaves room for it (see `Cfa.validate`)."""
+        completed root, on which every assume and every assert holds, then
+        the `walked` statements (see `walk`).  An end is searched once,
+        when it is reached; `run` leaves room for it (see
+        `Cfa.validate`)."""
         tracked = self.tree.tracked[nid]
         if not tracked:
             return
@@ -814,7 +815,7 @@ class _Explorer:
         evaluates it the same way: the walk decides the continuation of
         each of them.
           * Reaching exit completes the root: its execution is the path
-            into the root, searched in prefix mode, then the walked
+            into the root, searched as every end is, then the walked
             statements (see `check_violation`).
           * A location whose guards are all 0, or an assert that is 0,
             prunes the root: no assertion-clean continuation exists.  With
@@ -1085,9 +1086,9 @@ def explore(cfa: Cfa, spec: Spec, budget: Budget,
             resume: Optional[ExplorationResult] = None) -> ExplorationResult:
     """Explore the program under the spec until a verdict or a budget stop.
 
-    The CFA must pass `Cfa.validate`: the counterexample budget relies on
-    only assume edges branching.  A CFA that can read a variable before
-    assigning it is a ValueError, and so is a strategy that is not one of
+    A CFA that fails `Cfa.validate` is a ValueError, as the counterexample
+    budget relies on only assume edges branching.  So is a CFA that can
+    read a variable before assigning it, and a strategy that is not one of
     `STRATEGIES`.  Deterministic: identical inputs produce
     identical trees, automata and counterexample lists.  A node budget
     counts the nodes this call creates, and never truncates an expansion

@@ -13,12 +13,13 @@ Conventions, all load-bearing for downstream determinism:
 * Branch guards lower to a complementary assume pair; the negated side
   carries the literal `!(cond)` expression.  Each location is the source
   of one statement's lowering, so only assume edges branch: the
-  explorer's counterexample budget relies on it (see `Cfa.validate`).
+  explorer's counterexample budget relies on it, and `explore` checks it
+  (see `Cfa.validate`).
 * The parser reads `int x;` without initializer as `x = nondet()`, and
   `while (c)` as `for (; c; )`, so each lowers as that statement does.
 * `return` lowers to a single halt edge into exit; the returned value is
   unobservable (single function) and is discarded.  Only halt edges enter
-  exit: the witness search relies on it (see `Cfa.validate`).  Statements after a
+  exit, by construction; nothing relies on it.  Statements after a
   `return` are still lowered — their locations are unreachable from entry
   and deliberately kept, so syntactically dead code deflates coverage.
 * If control can fall off the end of main, an implicit halt edge with its
@@ -116,9 +117,7 @@ def lower(program: lang.Program) -> Cfa:
             fall_off = lw.fresh()
             lw.lower_block(body, 0, fall_off)
         lw.edge(fall_off, 1, HALT)
-    cfa = Cfa(program.name, lw.nodes, lw.edges, entry=0, exit=1)
-    cfa.validate()
-    return cfa
+    return Cfa(program.name, lw.nodes, lw.edges, entry=0, exit=1)
 
 
 def source_to_cfa(source: str, name: str = "main") -> Cfa:

@@ -441,12 +441,28 @@ def test_validate_rejects_edge_out_of_exit():
 
 
 @pytest.mark.parametrize("kind", [ASSUME, ASSERT, SKIP])
-def test_validate_rejects_non_halt_edge_into_exit(kind):
-    # A path into exit must end in a halt: `replay`'s default mode reads a
-    # final assert as a request for a counterexample.
-    edges = [Edge(0, 1, 0, kind)]
-    with pytest.raises(ValueError, match="statement 0 enters exit"):
-        Cfa("bad", [0, 1], edges, entry=0, exit=1).validate()
+def test_validate_accepts_any_edge_into_exit(kind):
+    # No search reads a final assert as a request for a counterexample
+    # unless it names one, so nothing needs a halt into exit.
+    expr = ((lang.LIT, 1),) if kind != SKIP else None
+    Cfa("into_exit", [0, 1], [Edge(0, 1, 0, kind, None, expr)],
+        entry=0, exit=1).validate()
+
+
+def test_an_assert_into_exit_is_a_counterexample_and_a_covered_end():
+    # x = nondet(); assert(x), the assert entering exit.  It fails at
+    # x = 0, the first value that does; and an execution in which it holds
+    # covers both statements.
+    cfa = Cfa("assert_into_exit", [0, 1, 2],
+              [Edge(0, 2, 0, ASSIGN, "x", lang.NONDET_EXPR),
+               Edge(2, 1, 1, ASSERT, None, ((lang.VAR, "x"),))],
+              entry=0, exit=1)
+    cfa.validate()
+    result = explore(cfa, Spec.assertions(), Budget())
+    assert [(e.statements, e.witness) for e in result.counterexamples] == \
+        [((0, 1), {0: 0})]
+    aa = AssumptionAutomaton(name="all", initial=TRUE_STATE)
+    assert exact_coverage(cfa, aa, Budget()).covered_ids == [0, 1]
 
 
 def _out_edge(stmt_id, kind):

@@ -1,7 +1,8 @@
 """One sha256 over the CFA dumps of the parse-outcome corpus, pinned in a golden.
 
-Every source of `test_parse_outcomes._corpus()` that parses is lowered and
-dumped with `dump_cfa`; sources that do not parse are skipped.  The golden
+Every source of `test_parse_outcomes._corpus()` that parses is lowered,
+checked with `Cfa.validate` and dumped with `dump_cfa`; sources that do
+not parse are skipped.  The golden
 pins lowering (node and statement numbering, guard pairs, halt edges) and
 the dump's text together.  Regenerate it with
 
@@ -34,7 +35,9 @@ def digest() -> dict:
             program = parse_program(source)
         except (ParseError, UndeclaredVariable):
             continue
-        h.update(dump_cfa(lower(program)).encode() + b"\0")
+        cfa = lower(program)
+        cfa.validate()
+        h.update(dump_cfa(cfa).encode() + b"\0")
         programs += 1
     return {"programs": programs, "sha256": h.hexdigest()}
 

@@ -274,6 +274,7 @@ def _corpus_searches(rng, generator, domains):
     for _ in range(120):
         source = _random_program(rng, **generator)
         cfa = source_to_cfa(source)
+        cfa.validate()
         for _ in range(2):
             path = _random_path(rng, cfa)
             asserts = [i for i, e in enumerate(path) if e.kind == ASSERT]
@@ -661,17 +662,25 @@ def test_counterexample_cap_respected():
 
 def test_two_asserts_out_of_one_location_are_refused():
     # One expansion would ask both failing asserts, the second with the
-    # counterexamples already full.  Only assumes branch, so `validate`
-    # refuses the shape, and `run` alone checks the budget.
+    # counterexamples already full: unchecked, `max_counterexamples=1`
+    # returned 2.  Only assumes branch, so `validate` refuses the shape,
+    # the explorer checks it before it starts, and `run` alone checks the
+    # budget.
     zero = ((lang.LIT, 0),)
     edges = [Edge(0, 1, 0, ASSERT, None, zero),
              Edge(0, 1, 1, ASSERT, None, zero),
              Edge(1, 2, 2, HALT)]
     cfa = Cfa("two_asserts", [0, 1, 2], edges, entry=0, exit=2)
-    with pytest.raises(ValueError, match="^statements 0 and 1 leave one"
-                                         " location, and only assumes"
-                                         " branch$"):
-        cfa.validate()
+    aa = AssumptionAutomaton(name="all", initial=TRUE_STATE)
+    budget = Budget(max_counterexamples=1)
+    for call in (cfa.validate,
+                 lambda: explore(cfa, Spec.assertions(), budget),
+                 lambda: exact_coverage(cfa, aa, budget),
+                 lambda: under_approx_coverage(cfa, aa, budget)):
+        with pytest.raises(ValueError, match="^statements 0 and 1 leave one"
+                                             " location, and only assumes"
+                                             " branch$"):
+            call()
 
 
 def test_node_budget_yields_unknown():

@@ -72,12 +72,12 @@ class _Recorder:
             return result, path
 
         def counted(cfa, path, domain, step_limit, state, forks,
-                    prefix=False):
+                    counterexample=False):
             self.calls["entry" if state is None else "resumed"] += 1
             self.calls["prefix-assert"] += \
-                prefix and cfa.edges[path[-1]].kind == "assert"
+                not counterexample and cfa.edges[path[-1]].kind == "assert"
             return witness(cfa, path, domain, step_limit, state, forks,
-                           prefix)
+                           counterexample)
 
         monkeypatch.setattr(explorer._Explorer, "search", recorded)
         monkeypatch.setattr(explorer, "_search_witness", counted)

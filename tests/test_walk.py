@@ -19,6 +19,8 @@ import pytest
 from vericov import (Budget, Spec, exact_coverage, explore, lang, parse_aa,
                      serialize_aa, source_to_cfa, under_approx_coverage)
 from vericov import coverage, explorer
+from vericov.automaton import AssumptionAutomaton
+from vericov.cfa import ASSIGN, ASSUME, HALT, SKIP, Cfa, Edge
 from vericov.explorer import TOP, make_strategy, replay
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -151,6 +153,40 @@ def test_a_wide_program_walks_its_continuation_instead_of_building_it(
         assert (report.covered_count, report.executions_used,
                 report.exhausted) == (116, 1, False)
     assert sizes == [150] * 4
+
+
+def test_a_walk_abandons_a_location_with_two_ways_on(monkeypatch):
+    # x = 5; skip; then `x > 0` and `x > 1` out of one location, both
+    # holding, then a halt.  The automaton reads the assign and leaves the
+    # skip to FALSE, so the node after the skip is a FALSE root that
+    # tracks {0}; its walk finds two ways on and is abandoned.
+    five, positive, above_one = (e.expr for e in source_to_cfa(
+        "int main() { int x = 5; assert(x > 0); assert(x > 1); return 0; }"
+    ).edges[:3])
+    cfa = Cfa("two_ways", [0, 1, 2, 3, 4],
+              [Edge(0, 2, 0, ASSIGN, "x", five), Edge(2, 3, 1, SKIP),
+               Edge(3, 4, 2, ASSUME, None, positive),
+               Edge(3, 4, 3, ASSUME, None, above_one),
+               Edge(4, 1, 4, HALT)], entry=0, exit=1)
+    aa = AssumptionAutomaton(name="two_ways", initial="q0")
+    aa.add_state("q0", 0)
+    aa.add_transition("q0", 0, "q1")
+    aa.add_state("q1", 2)
+    walks = []
+    walk = explorer._Explorer.walk
+
+    def recorded(ex, root):
+        reason = _reference(ex, root)
+        decided = walk(ex, root)
+        walks.append((ex.tree.location[root], ex.tree.tracked[root], reason,
+                      decided))
+        return decided
+
+    monkeypatch.setattr(explorer._Explorer, "walk", recorded)
+    walked = exact_coverage(cfa, aa, COVER_BUDGET).to_json()
+    assert walks == [(3, frozenset({0}), "fork", False)]
+    monkeypatch.setattr(explorer._Explorer, "walk", lambda ex, root: False)
+    assert exact_coverage(cfa, aa, COVER_BUDGET).to_json() == walked
 
 
 # A verified prefix, then a deterministic loop that never ends.
