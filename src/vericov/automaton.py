@@ -101,40 +101,73 @@ def serialize_aa(aa: AssumptionAutomaton) -> str:
     split differently, an initial state or transition target that is
     neither declared nor a sink, which it would refuse, or a transition
     from an undeclared state, which no STATE block would hold."""
-    for name in (aa.name, *aa.location_of):
-        if name.split() != [name]:
-            raise ValueError(f"name {name!r} is not one token")
-    ons: Dict[str, List[Tuple[int, str]]] = {}
-    for (src, sid), tgt in aa.transitions.items():
-        ons.setdefault(src, []).append((sid, tgt))
+    location_of = aa.location_of
+    names = [aa.name, *location_of]
+    # Joined and split again, the names come back unchanged exactly when
+    # each is one whitespace-free token.
+    if " ".join(names).split() != names:
+        for name in names:
+            if name.split() != [name]:
+                raise ValueError(f"name {name!r} is not one token")
+    ons: Dict[str, List[Tuple[int, str]]] = {state: [] for state in location_of}
+    stray = False
+    try:
+        for (src, sid), tgt in aa.transitions.items():
+            ons[src].append((sid, tgt))
+    except KeyError:  # refused below, after the targets
+        stray = True
     named = set(aa.transitions.values())
     named.add(aa.initial)
-    undeclared = named.difference(aa.location_of, _SINKS)
+    undeclared = named.difference(location_of, _SINKS)
     if undeclared:
         raise ValueError(f"state {min(undeclared)!r} never declared")
-    undeclared = set(ons).difference(aa.location_of)
-    if undeclared:
+    if stray:
+        undeclared = {src for src, _ in aa.transitions}.difference(location_of)
         raise ValueError(f"transition source {min(undeclared)!r} never"
                          " declared")
     lines = [f"AUTOMATON {aa.name}", f"INITIAL {aa.initial}"]
-    for state, location in aa.location_of.items():
-        lines.append(f"STATE {state} @L{location}")
-        for sid, tgt in sorted(ons.get(state, ())):
-            lines.append(f"  ON {sid} -> {tgt}")
-    lines.append("END")
+    append = lines.append
+    for state, location in location_of.items():
+        append(f"STATE {state} @L{location}")
+        group = ons[state]
+        if len(group) > 1:
+            group.sort()
+        for sid, tgt in group:
+            append(f"  ON {sid} -> {tgt}")
+    append("END")
     return "\n".join(lines) + "\n"
 
 
 def parse_aa(text: str) -> AssumptionAutomaton:
+    """The automaton a text in the format above describes.  FormatError,
+    carrying the line at fault, for a text that breaks a rule: a line is
+    blank, a `#` comment or a directive; AUTOMATON comes first and once,
+    with one name, then INITIAL once, with one state; a STATE line reads
+    `STATE <name> @L<integer>` and declares a new name that is not a
+    sink; an ON line reads `ON <integer> -> <state>`, sits in a STATE
+    block and is the only one from its state on its statement ID; END
+    closes the text, after which only blank and comment lines may
+    follow.  Every state the initial line or an ON line names is a sink
+    or declared somewhere in the text; an undeclared one is reported at
+    the first line naming it.
+
+    Each distinct statement-ID text and each distinct `@L` text is
+    converted once.  The two have caches of their own: one shared cache
+    would take `@L5`, once seen on a STATE line, as statement 5 on an ON
+    line.  A duplicate ON line is found by the transition table not
+    growing, not by `setdefault` returning another object: `str.split`
+    returns CPython's cached one-character strings, so a repeated
+    one-character target is the very object already stored."""
     aa = AssumptionAutomaton(name="", initial="")
     location_of, transitions = aa.location_of, aa.transitions
+    ids: Dict[str, int] = {}
+    locations: Dict[str, int] = {}
     current: str = ""
     initial_line = 0
-    lines = enumerate(text.splitlines(), start=1)
+    lines = enumerate(map(str.split, text.splitlines()), start=1)
     # ON and STATE lines come first: canonical files are almost all ON
     # and STATE lines.
-    for lineno, raw in lines:
-        parts = raw.split()
+    for lineno, parts in lines:
         if not parts:
             continue
         head = parts[0]
@@ -143,23 +176,30 @@ def parse_aa(text: str) -> AssumptionAutomaton:
                 raise FormatError(lineno, "ON outside a STATE block")
             if len(parts) != 4 or parts[2] != "->":
                 raise FormatError(lineno, "expected: ON <stmt-id> -> <state>")
-            try:
-                key = (current, int(parts[1]))
-            except ValueError:
-                raise FormatError(lineno, f"bad statement id {parts[1]!r}") from None
-            if key in transitions:
+            sid = ids.get(parts[1])
+            if sid is None:
+                try:
+                    sid = ids[parts[1]] = int(parts[1])
+                except ValueError:
+                    raise FormatError(lineno, f"bad statement id {parts[1]!r}") from None
+            size = len(transitions)
+            transitions[current, sid] = parts[3]
+            if len(transitions) == size:
                 raise FormatError(lineno, f"duplicate transition from "
-                                          f"{current} on {key[1]}")
-            transitions[key] = parts[3]
+                                          f"{current} on {sid}")
         elif head == "STATE":
             if not initial_line:
                 raise FormatError(lineno, "STATE before INITIAL")
-            if len(parts) != 3 or not parts[2].startswith("@L"):
+            if len(parts) != 3:
                 raise FormatError(lineno, "expected: STATE <name> @L<node>")
-            try:
-                location = int(parts[2][2:])
-            except ValueError:
-                raise FormatError(lineno, f"bad location {parts[2]!r}") from None
+            location = locations.get(parts[2])
+            if location is None:  # a cached text passed this check
+                if not parts[2].startswith("@L"):
+                    raise FormatError(lineno, "expected: STATE <name> @L<node>")
+                try:
+                    location = locations[parts[2]] = int(parts[2][2:])
+                except ValueError:
+                    raise FormatError(lineno, f"bad location {parts[2]!r}") from None
             current = parts[1]
             if current in _SINKS:
                 raise FormatError(lineno, f"{current} is reserved")
@@ -191,8 +231,7 @@ def parse_aa(text: str) -> AssumptionAutomaton:
             raise FormatError(lineno, f"unrecognized directive {head!r}")
     else:  # no END; one needs an INITIAL, so an AUTOMATON header too
         raise FormatError(1, "missing END" if aa.name else "missing AUTOMATON header")
-    for lineno, raw in lines:  # after END: blank and comment lines only
-        parts = raw.split()
+    for lineno, parts in lines:  # after END: blank and comment lines only
         if parts and parts[0][0] != "#":
             raise FormatError(lineno, "content after END")
     if aa.initial not in _SINKS and aa.initial not in location_of:

@@ -962,7 +962,7 @@ class _Explorer:
                 if child_aa == FALSE_STATE:
                     if not tracked:
                         child_status = STATUS_PRUNED
-                elif stmt_id in spec.remaining:
+                elif stmt_id in spec.remaining and stmt_id not in tracked:
                     child_tracked = tracked | {stmt_id}
             child = tree.add(edge.dst, out, nid, stmt_id, child_status,
                              child_aa, child_tracked, fresh)

@@ -170,6 +170,10 @@ def test_initial_false_only_automaton():
     ("AUTOMATON a\nINITIAL q0\nON 0 -> q0\nEND\n", "outside a STATE"),
     ("AUTOMATON a\nINITIAL q0\nSTATE q0 @L0\n  ON x -> q0\nEND\n",
      "bad statement id"),
+    # A location's text is not a statement id, even once a STATE line
+    # has read it.
+    ("AUTOMATON a\nINITIAL q\nSTATE q @L5\n  ON @L5 -> q\nEND\n",
+     "bad statement id"),
     ("AUTOMATON a\nINITIAL q0\nSTATE __FALSE @L0\nEND\n", "reserved"),
     ("AUTOMATON a\nINITIAL q0\nSTATE q0 @L0\nSTATE q0 @L1\nEND\n", "twice"),
     ("AUTOMATON a\nINITIAL nowhere\nEND\n", "never declared"),
@@ -196,12 +200,19 @@ def test_undeclared_state_error_names_its_first_line(text, line):
 
 
 def test_parse_duplicate_on_line_raises():
-    text = ("AUTOMATON a\nINITIAL q0\nSTATE q0 @L0\n"
-            "  ON 0 -> __TRUE\n  ON 0 -> __FALSE\nEND\n")
-    with pytest.raises(FormatError) as info:
-        parse_aa(text)
-    assert info.value.line == 5
-    assert "duplicate transition from q0 on 0" in str(info.value)
+    # The second text repeats its ON line exactly, into a one-character
+    # state: both lines' targets are the one cached string "a", so only a
+    # check that does not compare the stored target's identity refuses it.
+    for text, state in [
+        ("AUTOMATON a\nINITIAL q0\nSTATE q0 @L0\n"
+         "  ON 0 -> __TRUE\n  ON 0 -> __FALSE\nEND\n", "q0"),
+        ("AUTOMATON t\nINITIAL a\nSTATE a @L0\n"
+         "  ON 0 -> a\n  ON 0 -> a\nEND\n", "a"),
+    ]:
+        with pytest.raises(FormatError) as info:
+            parse_aa(text)
+        assert info.value.line == 5
+        assert f"duplicate transition from {state} on 0" in str(info.value)
 
 
 # Alphabet checks -------------------------------------------------------------
